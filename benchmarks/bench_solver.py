@@ -1,24 +1,23 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled DPLL core against the pure-Python fallback.
+"""Solver-layer microbenchmark of the CDCL solver.
 
 Runs pigeonhole instances, seeded random 3-SAT, and a real ground problem
-from the ontological-theory bundle, verifying along the way that both
-backends return identical results.
+from the ontological-theory bundle. Prints the best time, status and
+conflict count of each, and exits non-zero when a status is not the known
+one.
 
-    python benchmarks/bench_solver.py
+    PYTHONPATH=src python benchmarks/bench_solver.py
 """
 
 import random
+import sys
 import time
 
 from homlkit.grounder import ground
 from homlkit.semantics import Scope
-from homlkit.solver.pure import solve_cnf as solve_pure
+from homlkit.solver import SAT, UNKNOWN, UNSAT, solve_cnf
 
-try:
-    from homlkit.solver._core import solve_cnf as solve_compiled
-except ImportError:
-    solve_compiled = None
+STATUS = {SAT: "SAT", UNSAT: "UNSAT", UNKNOWN: "UNKNOWN"}
 
 
 def pigeonhole(holes):
@@ -49,48 +48,32 @@ def goedel_refutation():
     return problem.num_vars, problem.clauses
 
 
-def bench(name, num_vars, clauses, repeat=3):
-    rows = []
-    reference = None
-    for label, solver in (("pure", solve_pure), ("compiled", solve_compiled)):
-        if solver is None:
-            rows.append((label, None, "unavailable"))
-            continue
-        best = None
-        result = None
-        for _ in range(repeat):
-            start = time.perf_counter()
-            result = solver(num_vars, [list(c) for c in clauses])
-            elapsed = time.perf_counter() - start
-            best = elapsed if best is None else min(best, elapsed)
-        if reference is None:
-            reference = result
-        elif result != reference:
-            raise SystemExit(f"{name}: backend results differ")
-        status = {10: "SAT", 20: "UNSAT", 0: "UNKNOWN"}[result[0]]
-        rows.append((label, best, status))
-    print(f"\n{name}  ({num_vars} vars, {len(clauses)} clauses)")
-    pure_time = next((t for l, t, _ in rows if l == "pure" and t), None)
-    for label, elapsed, status in rows:
-        if elapsed is None:
-            print(f"  {label:9s}  {status}")
-            continue
-        speedup = ""
-        if label == "compiled" and pure_time:
-            speedup = f"  ({pure_time / elapsed:.1f}x)"
-        print(f"  {label:9s}  {elapsed * 1000:9.2f} ms  {status}{speedup}")
+def bench(name, expected, num_vars, clauses, repeat=3):
+    """Print one row; return whether the status is the expected one."""
+    best = None
+    for _ in range(repeat):
+        start = time.perf_counter()
+        status, _, conflicts = solve_cnf(num_vars, clauses)
+        elapsed = time.perf_counter() - start
+        best = elapsed if best is None else min(best, elapsed)
+    ok = status == expected
+    verdict = "" if ok else f"  WRONG, expected {STATUS[expected]}"
+    print(f"{name:28s} {num_vars:5d} vars {len(clauses):6d} clauses "
+          f"{best * 1000:9.2f} ms  {STATUS[status]:7s} {conflicts:7d} conflicts{verdict}")
+    return ok
 
 
 def main():
-    print("solver backend benchmark")
-    if solve_compiled is None:
-        print("note: compiled extension not built; showing pure backend only")
-    bench("pigeonhole(6)", *pigeonhole(6))
-    bench("pigeonhole(7)", *pigeonhole(7), repeat=1)
-    bench("random 3-SAT n=60 m=240", *random_3sat(60, 240, seed=42))
-    bench("random 3-SAT n=80 m=340", *random_3sat(80, 340, seed=7), repeat=1)
-    bench("goedel refutation at (2,2)", *goedel_refutation())
+    rows = [
+        ("pigeonhole(6)", UNSAT, *pigeonhole(6)),
+        ("pigeonhole(7)", UNSAT, *pigeonhole(7)),
+        ("random 3-SAT n=60 m=240", SAT, *random_3sat(60, 240, seed=42)),
+        ("random 3-SAT n=80 m=340", SAT, *random_3sat(80, 340, seed=7)),
+        ("goedel refutation at (2,2)", UNSAT, *goedel_refutation()),
+    ]
+    ok = all([bench(*row) for row in rows])
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,18 +1,3 @@
-import os
+from setuptools import setup
 
-from setuptools import Extension, setup
-
-ext_modules = []
-if not os.environ.get("HOMLKIT_NO_EXT"):
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            [Extension("homlkit.solver._core", ["src/homlkit/solver/_core.pyx"])],
-            language_level=3,
-        )
-    except ImportError:
-        # No Cython: the pure-Python solver is used instead.
-        ext_modules = []
-
-setup(ext_modules=ext_modules)
+setup()

@@ -10,7 +10,7 @@ identical inputs always produce identical problems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .errors import BudgetExceededError, GroundingError, HomlError
@@ -30,7 +30,7 @@ from .semantics import (
     holds_at,
     leibniz_shape,
 )
-from .solver import SAT, UNKNOWN, UNSAT, solve_cnf
+from .solver import SAT, UNKNOWN, UNSAT, Solver, solve_cnf
 from .terms import (
     EXISTS_AT,
     And,
@@ -146,7 +146,6 @@ class GroundProblem:
     ex_vars: list[list[int]]
     const_cells: dict[str, object]
     signature: tuple
-    unsat_hint: bool = field(default=False)
 
     def decode(self, assignment: dict[int, bool]) -> KripkeModel:
         n, m = self.scope.num_worlds, self.scope.num_entities
@@ -596,12 +595,15 @@ class SolveResult:
     conflicts: int
 
 
-def solve(problem: GroundProblem, budget: int = DEFAULT_BUDGET) -> SolveResult:
-    status, model, conflicts = solve_cnf(problem.num_vars, problem.clauses, budget)
+def _result(status: int, model: Optional[list[int]], conflicts: int) -> SolveResult:
     assignment = None
     if status == SAT:
-        assignment = {v: bool(model[v - 1]) for v in range(1, problem.num_vars + 1)}
+        assignment = {v: bool(bit) for v, bit in enumerate(model, 1)}
     return SolveResult(status, assignment, conflicts)
+
+
+def solve(problem: GroundProblem, budget: int = DEFAULT_BUDGET) -> SolveResult:
+    return _result(*solve_cnf(problem.num_vars, problem.clauses, budget))
 
 
 def find_model(theory: Theory, scope: Scope, budget: int = DEFAULT_BUDGET) -> Optional[KripkeModel]:
@@ -635,10 +637,12 @@ def check_validity_bounded(theory: Theory, goal: Term, scope: Scope,
 def iterate_models(problem: GroundProblem, budget: int = DEFAULT_BUDGET,
                    limit: Optional[int] = None) -> Iterator[KripkeModel]:
     """Decode successive solutions of a ground problem, blocking each found
-    assignment on the decision variables; deterministic order."""
+    assignment on the decision variables; deterministic order. One solver
+    takes the blocking clauses, so the problem itself is left unchanged."""
+    solver = Solver(problem.num_vars, problem.clauses)
     produced = 0
     while limit is None or produced < limit:
-        result = solve(problem, budget)
+        result = _result(*solver.solve(budget))
         if result.status == UNKNOWN:
             raise BudgetExceededError(budget, result.conflicts)
         if result.status == UNSAT:
@@ -648,7 +652,7 @@ def iterate_models(problem: GroundProblem, budget: int = DEFAULT_BUDGET,
         blocking = [
             (-v if result.assignment[v] else v) for v in problem.decision_vars
         ]
-        problem.clauses.append(blocking)
+        solver.add_clause(blocking)
 
 
 def enumerate_models(theory: Theory, scope: Scope, limit: Optional[int] = None,

@@ -69,15 +69,6 @@ def type_order(t: LogicType) -> int:
     return 1
 
 
-def arg_types(t: LogicType) -> tuple[list[LogicType], LogicType]:
-    """Flatten a1 > a2 > ... > r into ([a1, a2, ...], r)."""
-    args = []
-    while isinstance(t, Fun):
-        args.append(t.domain)
-        t = t.codomain
-    return args, t
-
-
 def format_type(t: LogicType) -> str:
     """Render in surface syntax: ``i``, ``prop``, ``a > b`` (right-associative)."""
     if t is Ind or isinstance(t, _Ind):

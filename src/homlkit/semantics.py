@@ -82,11 +82,6 @@ class SEntity(SemValue):
 
 
 @dataclass(frozen=True)
-class SWorld(SemValue):
-    index: int
-
-
-@dataclass(frozen=True)
 class STable(SemValue):
     """Total function value; entries follow the domain type's enumeration order."""
 
@@ -481,16 +476,13 @@ class Indeterminate:
     reason: str
 
 
-Verdict = object  # union of the five classes above
-
-
 # ---------------------------------------------------------------------------
 # JSON serialization (deterministic: arrays follow the enumeration order)
 
 def value_to_json(value: SemValue):
     if isinstance(value, SBool):
         return value.value
-    if isinstance(value, (SEntity, SWorld)):
+    if isinstance(value, SEntity):
         return value.index
     assert isinstance(value, STable)
     return [value_to_json(entry) for entry in value.entries]

@@ -1,0 +1,241 @@
+"""Incremental CDCL SAT solver.
+
+Two-watched-literal propagation, first-UIP clause learning and
+non-chronological backjumping, in the style of MiniSat (Eén & Sörensson,
+SAT 2003). The decision order is static: the lowest unassigned variable,
+tried false first. There are no restarts and no clause deletion, and learned
+clauses stay valid when clauses are added, so one `Solver` can answer a
+sequence of calls that each add clauses, such as model enumeration with
+blocking clauses.
+
+The first model found is the lexicographically least one (variable 1 first,
+false before true). Because every decision sets the lowest unassigned
+variable false and the search never restarts, a literal implied at decision
+level d is implied by the clauses (original and learned, which the original
+clauses entail) together with the decisions at levels 1..d, all of them false
+literals on lower variables. So if the returned model M sets v true, every
+model that agrees with M below v also sets v true, and no model is less than
+M. Enumeration order, and every model decoded from the solver, depend only
+on the clauses, not on the conflicts the search happened to meet.
+"""
+
+SAT = 10
+UNSAT = 20
+UNKNOWN = 0
+
+DEFAULT_CONFLICT_BUDGET = 10_000_000
+
+
+class Solver:
+    """A CNF over variables 1..num_vars that accepts clauses between solves."""
+
+    def __init__(self, num_vars, clauses=()):
+        self.num_vars = num_vars
+        size = 2 * num_vars + 1
+        # Indexed by literal: v at v and -v at -v, which a list of odd
+        # length wraps to the upper half.
+        self._value = [0] * size  # 1 true, -1 false, 0 unassigned
+        self._watches = [[] for _ in range(size)]
+        # Indexed by variable.
+        self._level = [0] * (num_vars + 1)
+        self._reason = [None] * (num_vars + 1)  # implying clause, its lit 0 first
+        self._seen = [False] * (num_vars + 1)
+        self._trail = []
+        self._trail_lim = []  # trail length at each decision
+        self._qhead = 0
+        self._ok = True  # False once the clauses are known unsatisfiable
+        for clause in clauses:
+            self.add_clause(clause)
+
+    def add_clause(self, clause):
+        """Add a clause of non-zero literals within range. Between solves the
+        solver is at decision level 0, so assigned literals are final."""
+        lits = list(dict.fromkeys(clause))
+        num_vars = self.num_vars
+        for lit in lits:
+            if lit == 0 or abs(lit) > num_vars:
+                raise ValueError(f"literal {lit} out of range")
+        if not self._ok or len(set(map(abs, lits))) < len(lits):
+            return  # already unsatisfiable, or a tautology
+        if self._trail:
+            value = self._value
+            if any(value[lit] == 1 for lit in lits):
+                return  # satisfied at level 0
+            lits = [lit for lit in lits if value[lit] == 0]
+        if not lits:
+            self._ok = False
+        elif len(lits) == 1:
+            self._assign(lits[0], None)
+        else:
+            self._watches[lits[0]].append(lits)
+            self._watches[lits[1]].append(lits)
+
+    def solve(self, conflict_budget=DEFAULT_CONFLICT_BUDGET):
+        """Search for a model of the clauses added so far.
+
+        Returns (status, model, conflicts): model is a list of num_vars 0/1
+        values (index 0 = variable 1) when status is SAT, else None. UNKNOWN
+        means the conflict budget ran out. The solver is left at level 0.
+        """
+        conflicts = 0
+        if not self._ok:
+            return UNSAT, None, conflicts
+        value = self._value
+        trail = self._trail
+        trail_lim = self._trail_lim
+        num_vars = self.num_vars
+        next_var = 1  # every variable below it is assigned
+        while True:
+            conflict = self._propagate()
+            if conflict is not None:
+                if not trail_lim:
+                    self._ok = False
+                    return UNSAT, None, conflicts
+                conflicts += 1
+                if conflicts >= conflict_budget:
+                    self._backjump(0)
+                    return UNKNOWN, None, conflicts
+                learnt, level = self._analyze(conflict)
+                # The decision that opened level+1 was on the lowest variable
+                # unassigned at levels up to `level`.
+                next_var = -trail[trail_lim[level]]
+                self._backjump(level)
+                if len(learnt) > 1:
+                    self._watches[learnt[0]].append(learnt)
+                    self._watches[learnt[1]].append(learnt)
+                    self._assign(learnt[0], learnt)
+                else:
+                    self._assign(learnt[0], None)
+                continue
+            v = next_var
+            while v <= num_vars and value[v] != 0:
+                v += 1
+            if v > num_vars:
+                model = [1 if value[x] == 1 else 0 for x in range(1, num_vars + 1)]
+                self._backjump(0)
+                return SAT, model, conflicts
+            next_var = v
+            trail_lim.append(len(trail))
+            self._assign(-v, None)
+
+    def _assign(self, lit, reason):
+        value = self._value
+        value[lit] = 1
+        value[-lit] = -1
+        v = abs(lit)
+        self._level[v] = len(self._trail_lim)
+        self._reason[v] = reason
+        self._trail.append(lit)
+
+    def _propagate(self):
+        """Unit propagation over the unpropagated trail; the falsified clause
+        on conflict, else None."""
+        value = self._value
+        watches = self._watches
+        level = self._level
+        reason = self._reason
+        trail = self._trail
+        current = len(self._trail_lim)
+        qhead = self._qhead
+        while qhead < len(trail):
+            false_lit = -trail[qhead]
+            qhead += 1
+            ws = watches[false_lit]
+            i = j = 0
+            end = len(ws)
+            while i < end:
+                clause = ws[i]
+                i += 1
+                # Keep the falsified watch at position 1.
+                if clause[0] == false_lit:
+                    clause[0] = clause[1]
+                    clause[1] = false_lit
+                first = clause[0]
+                if value[first] == 1:
+                    ws[j] = clause
+                    j += 1
+                    continue
+                for k in range(2, len(clause)):
+                    lit = clause[k]
+                    if value[lit] != -1:
+                        clause[1] = lit
+                        clause[k] = false_lit
+                        watches[lit].append(clause)
+                        break
+                else:
+                    ws[j] = clause
+                    j += 1
+                    if value[first] == -1:
+                        del ws[j:i]
+                        self._qhead = len(trail)
+                        return clause
+                    value[first] = 1
+                    value[-first] = -1
+                    v = abs(first)
+                    level[v] = current
+                    reason[v] = clause
+                    trail.append(first)
+            del ws[j:]
+        self._qhead = qhead
+        return None
+
+    def _analyze(self, conflict):
+        """First-UIP learned clause (asserting literal first, a literal of
+        the backjump level second) and the level to backjump to."""
+        seen = self._seen
+        level = self._level
+        reason = self._reason
+        trail = self._trail
+        current = len(self._trail_lim)
+        learnt = [0]
+        marked = []
+        pending = 0  # seen literals of the current level not yet resolved
+        index = len(trail) - 1
+        clause = conflict
+        while True:
+            # Seen variables stay marked until the end, so the implied
+            # literal at position 0 of a reason clause is skipped.
+            for lit in clause:
+                v = abs(lit)
+                if not seen[v] and level[v] > 0:
+                    seen[v] = True
+                    marked.append(v)
+                    if level[v] == current:
+                        pending += 1
+                    else:
+                        learnt.append(lit)
+            while not seen[abs(trail[index])]:
+                index -= 1
+            uip = trail[index]
+            index -= 1
+            pending -= 1
+            if pending == 0:
+                break
+            clause = reason[abs(uip)]
+        for v in marked:
+            seen[v] = False
+        learnt[0] = -uip
+        if len(learnt) == 1:
+            return learnt, 0
+        best = max(range(1, len(learnt)), key=lambda k: level[abs(learnt[k])])
+        learnt[1], learnt[best] = learnt[best], learnt[1]
+        return learnt, level[abs(learnt[1])]
+
+    def _backjump(self, target):
+        trail_lim = self._trail_lim
+        if len(trail_lim) <= target:
+            return
+        mark = trail_lim[target]
+        value = self._value
+        trail = self._trail
+        for lit in trail[mark:]:
+            value[lit] = 0
+            value[-lit] = 0
+        del trail[mark:]
+        del trail_lim[target:]
+        self._qhead = mark
+
+
+def solve_cnf(num_vars, clauses, conflict_budget=DEFAULT_CONFLICT_BUDGET):
+    """Solve a CNF over variables 1..num_vars in one call; see `Solver.solve`."""
+    return Solver(num_vars, clauses).solve(conflict_budget)

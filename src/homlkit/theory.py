@@ -25,9 +25,6 @@ class Theory:
                 return t
         return None
 
-    def with_goals(self, goals) -> "Theory":
-        return replace(self, goals=tuple(goals))
-
     def with_axioms(self, axioms) -> "Theory":
         return replace(self, axioms=tuple(axioms))
 

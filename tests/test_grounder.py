@@ -12,6 +12,7 @@ from homlkit.grounder import (
     export_dimacs,
     find_model,
     ground,
+    iterate_models,
     solve,
 )
 from homlkit.semantics import (
@@ -110,6 +111,13 @@ def test_enumerate_respects_axioms():
     theory = load_theory("const c : prop\naxiom c\n")
     for model in enumerate_models(theory, Scope(1, 1)):
         assert model.constants["c"].entries[0].value is True
+
+
+def test_iterate_models_leaves_problem_unchanged():
+    problem = ground(load_theory("const c : prop\n"), Scope(1, 1))
+    before = [list(clause) for clause in problem.clauses]
+    assert len(list(iterate_models(problem))) == 8
+    assert problem.clauses == before
 
 
 def test_individual_constant_decoding():

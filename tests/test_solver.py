@@ -1,29 +1,21 @@
-"""DPLL backends: correctness against brute force, backend parity, budget."""
+"""CDCL solver: the lexicographically least model, incremental enumeration
+against brute force, budget."""
 
 import itertools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homlkit.solver import BACKEND, SAT, UNKNOWN, UNSAT, solve_cnf
-from homlkit.solver.pure import solve_cnf as solve_pure
-
-try:
-    from homlkit.solver._core import solve_cnf as solve_compiled
-except ImportError:
-    solve_compiled = None
+from homlkit.solver import SAT, UNKNOWN, UNSAT, Solver, solve_cnf
 
 
-def brute_force_sat(num_vars, clauses):
-    for bits in itertools.product([False, True], repeat=num_vars):
-        ok = True
-        for clause in clauses:
-            if not any(bits[abs(l) - 1] == (l > 0) for l in clause):
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+def brute_force_models(num_vars, clauses):
+    """Every satisfying assignment as a 0/1 tuple, lexicographically ordered
+    (variable 1 first, false before true)."""
+    return [
+        bits for bits in itertools.product([0, 1], repeat=num_vars)
+        if all(any(bits[abs(l) - 1] == (l > 0) for l in c) for c in clauses)
+    ]
 
 
 def clause_satisfied(clause, model):
@@ -84,20 +76,24 @@ cnf_strategy = st.lists(clause_strategy, min_size=0, max_size=24)
 @given(cnf_strategy)
 def test_agrees_with_brute_force(clauses):
     status, model, _ = solve_cnf(8, clauses)
-    assert status in (SAT, UNSAT)
-    expected = brute_force_sat(8, clauses)
-    assert (status == SAT) == expected
-    if status == SAT:
-        assert all(clause_satisfied(c, model) for c in clauses if c)
+    models = brute_force_models(8, clauses)
+    if models:
+        assert status == SAT
+        assert tuple(model) == models[0]
+    else:
+        assert status == UNSAT and model is None
 
 
 @settings(max_examples=200, deadline=None)
-@given(cnf_strategy)
-def test_backend_parity(clauses):
-    if solve_compiled is None:
-        return
-    assert solve_pure(8, clauses) == solve_compiled(8, clauses)
-
-
-def test_backend_choice_reported():
-    assert BACKEND in ("pure", "compiled")
+@given(cnf_strategy, st.integers(min_value=0, max_value=8))
+def test_incremental_enumeration_is_lexicographic(clauses, k):
+    solver = Solver(8, clauses)
+    found = []
+    while True:
+        status, model, _ = solver.solve()
+        if status == UNSAT:
+            break
+        assert status == SAT
+        found.append(tuple(model[:k]))
+        solver.add_clause([-v if model[v - 1] else v for v in range(1, k + 1)])
+    assert found == sorted({bits[:k] for bits in brute_force_models(8, clauses)})
