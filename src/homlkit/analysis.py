@@ -5,8 +5,8 @@ finite diagonal/surjection experiments."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetExceededError, HomlError
 from .grounder import DEFAULT_BUDGET, GroundProblem, ground, iterate_models
@@ -292,20 +292,30 @@ def min_positive_count(theory: Theory, scope: Scope, constant: str = "P",
     if entity_mode == "actualist":
         if entities is None:
             raise HomlError("actualist entity mode requires an entity count")
-        problem.clauses.extend(_exactly_k_clauses(problem, entities, world))
+        extra = _exactly_k_clauses(problem, entities, world)
+        problem = replace(problem, clauses=problem.clauses + extra)
     elif entity_mode != "possibilist":
         raise HomlError(f"unknown entity mode {entity_mode!r}")
+    return count_positive(iterate_models(problem, budget=budget), constant, world, strict,
+                          model_limit)
+
+
+def count_positive(models: Iterable[KripkeModel], constant: str = "P", world: int = 0,
+                   strict: bool = False, limit: Optional[int] = None) -> CountResult:
+    """Minimum and maximum of distinct_positive_count over the first ``limit``
+    models; incomplete when the limit is reached or the solver budget runs
+    out while the models are produced."""
     minimum = None
     maximum = None
     seen = 0
     complete = True
     try:
-        for model in iterate_models(problem, budget=budget, limit=model_limit):
+        for model in itertools.islice(models, limit):
             count = distinct_positive_count(model, constant, world, strict)
             minimum = count if minimum is None else min(minimum, count)
             maximum = count if maximum is None else max(maximum, count)
             seen += 1
-        if model_limit is not None and seen >= model_limit:
+        if limit is not None and seen >= limit:
             complete = False
     except BudgetExceededError:
         complete = False

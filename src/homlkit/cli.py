@@ -14,6 +14,7 @@ import sys
 
 from .analysis import (
     PropertyFamily,
+    count_positive,
     is_modal_ultrafilter,
     min_positive_count,
     positive_sets,
@@ -249,8 +250,8 @@ def cmd_goedel_suite(args) -> tuple[int, dict]:
     counting = []
     for spec_entry in manifest["positive_counts"]:
         scope = Scope(spec_entry["worlds"], spec_entry["entities"])
-        count = min_positive_count(bundle.theory, scope, constant=manifest["positive_constant"],
-                                   world=world, budget=budget)
+        models = list(enumerate_models(bundle.theory, scope, budget=budget))
+        count = count_positive(models, manifest["positive_constant"], world)
         matches = count.complete and count.minimum == spec_entry["min"]
         ok = ok and matches
         counting.append({
@@ -262,13 +263,14 @@ def cmd_goedel_suite(args) -> tuple[int, dict]:
             "complete": count.complete,
             "as_expected": matches,
         })
-        for i, found in enumerate(
-                enumerate_models(bundle.theory, scope, budget=budget)):
+        for i, found in enumerate(models):
             collected.append((f"count{scope.num_worlds},{scope.num_entities}#{i}", found))
     # Reported (not asserted) at two worlds, within a bounded model budget.
     scope22 = Scope(2, 2)
-    count22 = min_positive_count(bundle.theory, scope22, constant=manifest["positive_constant"],
-                                 world=world, budget=budget, model_limit=args.report_limit)
+    models22 = list(enumerate_models(bundle.theory, scope22, budget=budget,
+                                     limit=args.report_limit))
+    count22 = count_positive(models22, manifest["positive_constant"], world,
+                             limit=args.report_limit)
     counting.append({
         "scope": _scope_list(scope22),
         "expected_min": None,
@@ -278,8 +280,7 @@ def cmd_goedel_suite(args) -> tuple[int, dict]:
         "complete": count22.complete,
         "as_expected": True,
     })
-    for i, found in enumerate(enumerate_models(bundle.theory, scope22, budget=budget,
-                                               limit=args.report_limit)):
+    for i, found in enumerate(models22):
         collected.append((f"count2,2#{i}", found))
     report["results"]["positive_counts"] = counting
 

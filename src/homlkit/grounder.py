@@ -50,6 +50,7 @@ from .terms import (
     Or,
     Term,
     Var,
+    children,
 )
 from .theory import Theory
 
@@ -133,9 +134,13 @@ def _const_bool(nid: int) -> Optional[bool]:
     return None
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroundProblem:
-    """A CNF with decode information back to Kripke model components."""
+    """A CNF with decode information back to Kripke model components.
+
+    Callers that need extra clauses build a new problem with
+    ``dataclasses.replace`` rather than appending to ``clauses``.
+    """
 
     scope: Scope
     num_vars: int
@@ -392,12 +397,7 @@ class _Grounding:
         if isinstance(term, (Const, Box, Diamond, ForallA, ExistsA)):
             out = False
         else:
-            out = True
-            for attr in ("body", "arg", "fn", "left", "right"):
-                sub = getattr(term, attr, None)
-                if sub is not None and not self._is_pure(sub):
-                    out = False
-                    break
+            out = all(self._is_pure(sub) for sub in children(term))
         self._pure[id(term)] = (term, out)
         return out
 

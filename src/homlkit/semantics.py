@@ -41,8 +41,10 @@ from .terms import (
     Or,
     Term,
     Var,
-    free_var_indices,
+    constants_of,
+    free_vars,
     shift,
+    subterms,
 )
 
 DEFAULT_CAP = 2 ** 20
@@ -280,7 +282,7 @@ def leibniz_shape(term: Term):
     a, b = body.left.arg, body.right.arg
     if a.ty != b.ty or a.ty != term.var_type.domain:
         return None
-    if 0 in free_var_indices(a) or 0 in free_var_indices(b):
+    if 0 in free_vars(a) or 0 in free_vars(b):
         return None
     return shift(a, -1), shift(b, -1)
 
@@ -389,33 +391,10 @@ def _eval(term: Term, env: list[int], ctx: _EvalCtx) -> int:
     raise HomlError(f"cannot evaluate term node {term!r}")
 
 
-def _env_var_types(term: Term) -> dict[int, LogicType]:
-    """Types of the free variables of term, keyed by outer-level index."""
-    out: dict[int, LogicType] = {}
-
-    def go(t: Term, depth: int):
-        if isinstance(t, Var):
-            if t.index >= depth:
-                out[t.index - depth] = t.var_type
-        elif isinstance(t, (Lam, ForallP, ExistsP, ForallA, ExistsA)):
-            go(t.body, depth + 1)
-        elif isinstance(t, App):
-            go(t.fn, depth)
-            go(t.arg, depth)
-        elif isinstance(t, (Not, Box, Diamond)):
-            go(t.arg, depth)
-        elif isinstance(t, (And, Or, Implies, Iff, LeibnizEq)):
-            go(t.left, depth)
-            go(t.right, depth)
-
-    go(term, 0)
-    return out
-
-
 def eval_term(model: KripkeModel, env: Sequence[SemValue], term: Term) -> SemValue:
     """Denotation of term under env (env[k] interprets de Bruijn index k)."""
     ctx = model._ctx()
-    var_types = _env_var_types(term)
+    var_types = free_vars(term)
     if var_types and (not env or max(var_types) >= len(env)):
         raise HomlError("term is not closed under the supplied environment")
     int_env = [0] * len(env)
@@ -591,30 +570,11 @@ def enumerate_full_models(signature, scope: Scope) -> Iterator[KripkeModel]:
 
 def term_dependencies(term) -> tuple[bool, bool, frozenset]:
     """(uses Box/Diamond, uses the existence table, constants mentioned)."""
-    from .terms import constants_of
-
     consts = constants_of(term)
-    uses_exists = EXISTS_AT in consts
-
-    def has_modal(t) -> bool:
-        if isinstance(t, (Box, Diamond)):
-            return True
-        for attr in ("body", "arg", "fn", "left", "right"):
-            sub = getattr(t, attr, None)
-            if sub is not None and has_modal(sub):
-                return True
-        return False
-
-    def has_actualist(t) -> bool:
-        if isinstance(t, (ForallA, ExistsA)):
-            return True
-        for attr in ("body", "arg", "fn", "left", "right"):
-            sub = getattr(t, attr, None)
-            if sub is not None and has_actualist(sub):
-                return True
-        return False
-
-    return has_modal(term), uses_exists or has_actualist(term), consts - {EXISTS_AT}
+    kinds = {type(t) for t in subterms(term)}
+    uses_modal = bool(kinds & {Box, Diamond})
+    uses_exists = EXISTS_AT in consts or bool(kinds & {ForallA, ExistsA})
+    return uses_modal, uses_exists, consts - {EXISTS_AT}
 
 
 def brute_force_find_model(theory, scope: Scope) -> Optional[KripkeModel]:

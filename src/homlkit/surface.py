@@ -33,7 +33,9 @@ from .terms import (
     Term,
     Var,
     beta_normalize,
-    replace_const,
+    children,
+    rebuild,
+    replace_consts,
     shift,
 )
 from .theory import FRAME_FLAGS, Theory
@@ -482,33 +484,19 @@ def typecheck(theory: Theory, filename: str = "<input>") -> Theory:
 
 def _expand_sugar(term: Term) -> Term:
     """Bottom-up expansion of Leibniz equality and actualist quantifiers."""
-    if isinstance(term, (Var, Const)):
-        return term
-    if isinstance(term, Lam):
-        return Lam(term.var_type, _expand_sugar(term.body), term.hint)
-    if isinstance(term, App):
-        return App(_expand_sugar(term.fn), _expand_sugar(term.arg))
-    if isinstance(term, (Not, Box, Diamond)):
-        return type(term)(_expand_sugar(term.arg))
-    if isinstance(term, (And, Or, Implies, Iff)):
-        return type(term)(_expand_sugar(term.left), _expand_sugar(term.right))
-    if isinstance(term, (ForallP, ExistsP)):
-        return type(term)(term.var_type, _expand_sugar(term.body), term.hint)
+    kids = [_expand_sugar(k) for k in children(term)]
     if isinstance(term, ForallA):
-        body = _expand_sugar(term.body)
         guard = App(Const(EXISTS_AT, EXISTS_AT_TYPE), Var(0, Ind, term.hint))
-        return ForallP(Ind, Implies(guard, body), term.hint)
+        return ForallP(Ind, Implies(guard, kids[0]), term.hint)
     if isinstance(term, ExistsA):
-        body = _expand_sugar(term.body)
         guard = App(Const(EXISTS_AT, EXISTS_AT_TYPE), Var(0, Ind, term.hint))
-        return ExistsP(Ind, And(guard, body), term.hint)
+        return ExistsP(Ind, And(guard, kids[0]), term.hint)
     if isinstance(term, LeibnizEq):
-        left = shift(_expand_sugar(term.left), 1)
-        right = shift(_expand_sugar(term.right), 1)
+        left, right = shift(kids[0], 1), shift(kids[1], 1)
         qty = Fun(term.left.ty, Prop)
         q = Var(0, qty, "q")
         return ForallP(qty, Implies(App(q, left), App(q, right)), "q")
-    raise AssertionError(f"unhandled node {term!r}")
+    return rebuild(term, kids)
 
 
 def elaborate(theory: Theory) -> Theory:
@@ -517,16 +505,14 @@ def elaborate(theory: Theory) -> Theory:
     The result contains no defined constants, no LeibnizEq nodes, and no
     actualist quantifiers; types are preserved.
     """
+    # A definition mentions only earlier ones, so each inlined body is free
+    # of defined constants and one replace_consts pass inlines a term fully.
     inlined: dict[str, Term] = {}
     for name, body in theory.definitions:
-        for dname, dbody in inlined.items():
-            body = replace_const(body, dname, dbody)
-        inlined[name] = body
+        inlined[name] = replace_consts(body, inlined)
 
     def elab(term: Term) -> Term:
-        for dname, dbody in inlined.items():
-            term = replace_const(term, dname, dbody)
-        return beta_normalize(_expand_sugar(term))
+        return beta_normalize(_expand_sugar(replace_consts(term, inlined)))
 
     return Theory(
         name=theory.name,

@@ -173,6 +173,7 @@ class LeibnizEq(Term):
         return Prop
 
 
+UNARY_CONNECTIVES = (Not, Box, Diamond)
 BINARY_CONNECTIVES = (And, Or, Implies, Iff)
 QUANTIFIERS = (ForallP, ExistsP, ForallA, ExistsA)
 
@@ -206,7 +207,7 @@ def check_term(term: Term, ctx: Optional[list[LogicType]] = None) -> LogicType:
                 f"argument type mismatch: expected {fn_ty.domain}, got {arg_ty}"
             )
         return fn_ty.codomain
-    if isinstance(term, (Not, Box, Diamond)):
+    if isinstance(term, UNARY_CONNECTIVES):
         if check_term(term.arg, ctx) != Prop:
             raise TypeCheckError(f"{type(term).__name__} applied to non-proposition")
         return Prop
@@ -230,122 +231,132 @@ def check_term(term: Term, ctx: Optional[list[LogicType]] = None) -> LogicType:
     raise TypeCheckError(f"unknown term node {term!r}")
 
 
+# ---------------------------------------------------------------------------
+# Traversal: every structural walker goes through children/rebuild, so the
+# node types are enumerated once, here.
+
+# Every binder has exactly one child, its body, which sees one more index.
+BINDERS = frozenset((Lam,) + QUANTIFIERS)
+_BINARY = BINARY_CONNECTIVES + (LeibnizEq,)
+_CHILDREN = {
+    Var: lambda t: (),
+    Const: lambda t: (),
+    App: lambda t: (t.fn, t.arg),
+    **dict.fromkeys(BINDERS, lambda t: (t.body,)),
+    **dict.fromkeys(UNARY_CONNECTIVES, lambda t: (t.arg,)),
+    **dict.fromkeys(_BINARY, lambda t: (t.left, t.right)),
+}
+# How to build a node of the same kind as t from new children.
+_MAKE = {
+    App: lambda t, fn, arg: App(fn, arg),
+    **dict.fromkeys(BINDERS, lambda t, body: type(t)(t.var_type, body, t.hint)),
+    **dict.fromkeys(UNARY_CONNECTIVES, lambda t, arg: type(t)(arg)),
+    **dict.fromkeys(_BINARY, lambda t, left, right: type(t)(left, right)),
+}
+
+
+def children(term: Term) -> tuple:
+    """The immediate subterms of a node, left to right."""
+    return _CHILDREN[type(term)](term)
+
+
+def rebuild(term: Term, kids) -> Term:
+    """``term`` with its children replaced by ``kids``; ``term`` itself when
+    every kid is the child it replaces, so unchanged subtrees stay shared."""
+    for new, old in zip(kids, _CHILDREN[type(term)](term)):
+        if new is not old:
+            return _MAKE[type(term)](term, *kids)
+    return term
+
+
+def subterms(term: Term):
+    """Every subterm of ``term``, itself first, in pre-order."""
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        yield t
+        stack.extend(reversed(children(t)))
+
+
+def _map_vars(term: Term, on_var, depth: int = 0) -> Term:
+    """Rebuild ``term`` with every Var v replaced by ``on_var(v, depth)``,
+    where depth counts the binders above v."""
+    if type(term) is Var:
+        return on_var(term, depth)
+    kids = children(term)
+    if not kids:
+        return term
+    if type(term) in BINDERS:
+        depth += 1
+    return rebuild(term, [_map_vars(k, on_var, depth) for k in kids])
+
+
 def shift(term: Term, by: int, cutoff: int = 0) -> Term:
     """Shift free de Bruijn indices >= cutoff by ``by``."""
-    if isinstance(term, Var):
-        if term.index >= cutoff:
-            return Var(term.index + by, term.var_type, term.hint)
-        return term
-    if isinstance(term, Const):
-        return term
-    if isinstance(term, (Lam,) + QUANTIFIERS):
-        return type(term)(term.var_type, shift(term.body, by, cutoff + 1), term.hint)
-    if isinstance(term, App):
-        return App(shift(term.fn, by, cutoff), shift(term.arg, by, cutoff))
-    if isinstance(term, (Not, Box, Diamond)):
-        return type(term)(shift(term.arg, by, cutoff))
-    if isinstance(term, BINARY_CONNECTIVES + (LeibnizEq,)):
-        return type(term)(shift(term.left, by, cutoff), shift(term.right, by, cutoff))
-    raise AssertionError(f"unhandled node {term!r}")
+
+    def on_var(v: Var, depth: int) -> Term:
+        if v.index >= cutoff + depth:
+            return Var(v.index + by, v.var_type, v.hint)
+        return v
+
+    return _map_vars(term, on_var)
 
 
 def subst_top(body: Term, value: Term) -> Term:
     """Substitute ``value`` for index 0 in ``body`` (beta-reduction helper)."""
 
-    def go(t: Term, depth: int) -> Term:
-        if isinstance(t, Var):
-            if t.index == depth:
-                return shift(value, depth)
-            if t.index > depth:
-                return Var(t.index - 1, t.var_type, t.hint)
-            return t
-        if isinstance(t, Const):
-            return t
-        if isinstance(t, (Lam,) + QUANTIFIERS):
-            return type(t)(t.var_type, go(t.body, depth + 1), t.hint)
-        if isinstance(t, App):
-            return App(go(t.fn, depth), go(t.arg, depth))
-        if isinstance(t, (Not, Box, Diamond)):
-            return type(t)(go(t.arg, depth))
-        if isinstance(t, BINARY_CONNECTIVES + (LeibnizEq,)):
-            return type(t)(go(t.left, depth), go(t.right, depth))
-        raise AssertionError(f"unhandled node {t!r}")
+    def on_var(v: Var, depth: int) -> Term:
+        if v.index == depth:
+            return shift(value, depth)
+        if v.index > depth:
+            return Var(v.index - 1, v.var_type, v.hint)
+        return v
 
-    return go(body, 0)
+    return _map_vars(body, on_var)
 
 
 def beta_normalize(term: Term) -> Term:
     """Reduce all beta redexes; terminates because terms are simply typed."""
-    if isinstance(term, App):
-        fn = beta_normalize(term.fn)
-        arg = beta_normalize(term.arg)
-        if isinstance(fn, Lam):
-            return beta_normalize(subst_top(fn.body, arg))
-        return App(fn, arg)
-    if isinstance(term, (Lam,) + QUANTIFIERS):
-        return type(term)(term.var_type, beta_normalize(term.body), term.hint)
-    if isinstance(term, (Not, Box, Diamond)):
-        return type(term)(beta_normalize(term.arg))
-    if isinstance(term, BINARY_CONNECTIVES + (LeibnizEq,)):
-        return type(term)(beta_normalize(term.left), beta_normalize(term.right))
-    return term
-
-
-def replace_const(term: Term, name: str, value: Term) -> Term:
-    """Replace every occurrence of constant ``name`` by the closed term ``value``."""
-    if isinstance(term, Const):
-        return value if term.name == name else term
-    if isinstance(term, Var):
+    kids = children(term)
+    if not kids:
         return term
-    if isinstance(term, (Lam,) + QUANTIFIERS):
-        return type(term)(term.var_type, replace_const(term.body, name, value), term.hint)
-    if isinstance(term, App):
-        return App(replace_const(term.fn, name, value), replace_const(term.arg, name, value))
-    if isinstance(term, (Not, Box, Diamond)):
-        return type(term)(replace_const(term.arg, name, value))
-    if isinstance(term, BINARY_CONNECTIVES + (LeibnizEq,)):
-        return type(term)(
-            replace_const(term.left, name, value),
-            replace_const(term.right, name, value),
-        )
-    raise AssertionError(f"unhandled node {term!r}")
+    kids = [beta_normalize(k) for k in kids]
+    if type(term) is App and type(kids[0]) is Lam:
+        return beta_normalize(subst_top(kids[0].body, kids[1]))
+    return rebuild(term, kids)
 
 
-def free_var_indices(term: Term, depth: int = 0) -> set[int]:
-    """Free de Bruijn indices, expressed relative to the outermost level."""
-    if isinstance(term, Var):
-        return {term.index - depth} if term.index >= depth else set()
-    if isinstance(term, Const):
-        return set()
-    if isinstance(term, (Lam,) + QUANTIFIERS):
-        return free_var_indices(term.body, depth + 1)
-    if isinstance(term, App):
-        return free_var_indices(term.fn, depth) | free_var_indices(term.arg, depth)
-    if isinstance(term, (Not, Box, Diamond)):
-        return free_var_indices(term.arg, depth)
-    if isinstance(term, BINARY_CONNECTIVES + (LeibnizEq,)):
-        return free_var_indices(term.left, depth) | free_var_indices(term.right, depth)
-    raise AssertionError(f"unhandled node {term!r}")
+def replace_consts(term: Term, values: dict[str, Term]) -> Term:
+    """Replace every constant named in ``values`` by its closed term."""
+    if type(term) is Const:
+        return values.get(term.name, term)
+    return rebuild(term, [replace_consts(k, values) for k in children(term)])
+
+
+def free_vars(term: Term) -> dict[int, LogicType]:
+    """Types of the free de Bruijn indices, relative to the outermost level."""
+    out: dict[int, LogicType] = {}
+
+    def go(t: Term, depth: int) -> None:
+        if type(t) is Var:
+            if t.index >= depth:
+                out[t.index - depth] = t.var_type
+            return
+        if type(t) in BINDERS:
+            depth += 1
+        for k in children(t):
+            go(k, depth)
+
+    go(term, 0)
+    return out
 
 
 def is_closed(term: Term) -> bool:
-    return not free_var_indices(term)
+    return not free_vars(term)
 
 
 def constants_of(term: Term) -> set[str]:
-    if isinstance(term, Const):
-        return {term.name}
-    if isinstance(term, Var):
-        return set()
-    if isinstance(term, (Lam,) + QUANTIFIERS):
-        return constants_of(term.body)
-    if isinstance(term, App):
-        return constants_of(term.fn) | constants_of(term.arg)
-    if isinstance(term, (Not, Box, Diamond)):
-        return constants_of(term.arg)
-    if isinstance(term, BINARY_CONNECTIVES + (LeibnizEq,)):
-        return constants_of(term.left) | constants_of(term.right)
-    raise AssertionError(f"unhandled node {term!r}")
+    return {t.name for t in subterms(term) if type(t) is Const}
 
 
 # ---------------------------------------------------------------------------

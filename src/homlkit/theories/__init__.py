@@ -7,7 +7,7 @@ the expected verdicts (and the scopes they were recorded at)."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 
 from ..errors import BundleError, HomlError
@@ -152,7 +152,7 @@ def _canonical_bool_ext_countermodel(theory: Theory, goal, scope: Scope, budget:
     if scope.num_worlds != 2:
         return check_validity_bounded(theory, goal, scope, budget)
     problem = ground(theory, scope, negated_goal=goal)
-    problem.clauses.extend(_footnote_shape_clauses(problem))
+    problem = replace(problem, clauses=problem.clauses + _footnote_shape_clauses(problem))
     result = solve(problem, budget)
     if result.status != SAT:
         # No shaped countermodel; fall back to the unconstrained search.

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from homlkit import analysis
 from homlkit.analysis import (
     FAMILY_TYPE,
     ModalSet,
@@ -19,7 +20,7 @@ from homlkit.analysis import (
     surjection_exists,
 )
 from homlkit.errors import HomlError
-from homlkit.grounder import enumerate_models, find_model
+from homlkit.grounder import enumerate_models, find_model, ground
 from homlkit.semantics import KripkeModel, SBool, STable, Scope
 from homlkit.surface import load_theory
 from homlkit.theories import load_bundle
@@ -178,6 +179,22 @@ def test_actualist_entity_mode():
     # The constraint is on existsAt only; the possibilist property space still
     # has three entities, so the principal ultrafilter keeps four members.
     assert result.minimum == 4
+
+
+def test_actualist_count_leaves_ground_problem_unchanged(monkeypatch):
+    grounded = []
+
+    def recording_ground(*args, **kwargs):
+        problem = ground(*args, **kwargs)
+        grounded.append((problem, [list(clause) for clause in problem.clauses]))
+        return problem
+
+    monkeypatch.setattr(analysis, "ground", recording_ground)
+    theory = load_bundle("goedel").theory
+    result = min_positive_count(theory, Scope(1, 3), entity_mode="actualist", entities=2)
+    assert result.minimum == 4
+    [(problem, before)] = grounded
+    assert problem.clauses == before
 
 
 # -- equipollence and successor ------------------------------------------------

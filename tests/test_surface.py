@@ -27,6 +27,7 @@ from homlkit.terms import (
     LeibnizEq,
     Var,
     check_term,
+    children,
     constants_of,
     is_closed,
 )
@@ -170,11 +171,7 @@ def test_elaboration_preserves_types_and_is_core(bundle_id):
 def _core_only(term):
     if isinstance(term, (LeibnizEq, ForallA, ExistsA)):
         return False
-    for attr in ("body", "arg", "fn", "left", "right"):
-        sub = getattr(term, attr, None)
-        if sub is not None and not _core_only(sub):
-            return False
-    return True
+    return all(_core_only(sub) for sub in children(term))
 
 
 def test_unicode_aliases():

@@ -1,0 +1,38 @@
+"""The one term traversal (children/rebuild) and the walkers built on it."""
+
+import pytest
+
+from homlkit.terms import (
+    beta_normalize,
+    children,
+    free_vars,
+    rebuild,
+    shift,
+    subterms,
+)
+from homlkit.theories import load_bundle
+
+BUNDLE_VARIANTS = [
+    ("k", {}), ("t", {}), ("s4", {}), ("s5", {}),
+    ("church", {}), ("filters", {}), ("goedel", {}),
+    ("goedel", {"quantifier": "possibilist"}),
+    ("goedel", {"formulation": "goedel-1970"}),
+    ("modal_math", {}), ("modal_math", {"extension": "infinity"}),
+]
+
+
+@pytest.mark.parametrize("bundle_id,params", BUNDLE_VARIANTS)
+def test_traversal_laws_on_every_bundle_subterm(bundle_id, params):
+    bundle = load_bundle(bundle_id, **params)
+    roots = []
+    for theory in (bundle.checked, bundle.theory):
+        roots.extend(theory.axioms + theory.goals)
+    for root in roots:
+        for t in subterms(root):
+            assert rebuild(t, children(t)) is t
+            round_trip = shift(shift(t, 2), -2)
+            assert round_trip == t
+            assert str(round_trip) == str(t)  # binder name hints survive
+            assert set(free_vars(shift(t, 1))) == {k + 1 for k in free_vars(t)}
+            normal = beta_normalize(t)
+            assert beta_normalize(normal) == normal

@@ -2,8 +2,9 @@
 
 import pytest
 
+from homlkit import theories
 from homlkit.errors import BundleError
-from homlkit.grounder import check_validity_bounded, find_model
+from homlkit.grounder import check_validity_bounded, find_model, ground
 from homlkit.semantics import Countermodel, Scope, ValidUpToScope, holds_at, mvalid
 from homlkit.theories import BUNDLE_IDS, check_church_postulates, load_bundle
 
@@ -100,6 +101,21 @@ def test_bool_ext_countermodel_matches_footnote_shape():
     assert sum(q) == 1
     # evaluated where both are false
     assert p[world] is False and q[world] is False
+
+
+def test_shaped_countermodel_search_leaves_ground_problem_unchanged(monkeypatch):
+    grounded = []
+
+    def recording_ground(*args, **kwargs):
+        problem = ground(*args, **kwargs)
+        grounded.append((problem, [list(clause) for clause in problem.clauses]))
+        return problem
+
+    monkeypatch.setattr(theories, "ground", recording_ground)
+    results = check_church_postulates(Scope(2, 1))
+    assert all(r.as_expected for r in results)
+    [(problem, before)] = grounded
+    assert problem.clauses == before
 
 
 def test_goedel_1970_variants_unsatisfiable():
