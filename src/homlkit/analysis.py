@@ -5,11 +5,12 @@ finite diagonal/surjection experiments."""
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import BudgetExceededError, HomlError
-from .grounder import DEFAULT_BUDGET, GroundProblem, ground, iterate_models
+from .grounder import GroundProblem, ground, iterate_models
 from .logictypes import Fun, Ind, Prop
 from .semantics import (
     KripkeModel,
@@ -21,6 +22,7 @@ from .semantics import (
     index_value,
     value_index,
 )
+from .solver import DEFAULT_CONFLICT_BUDGET
 from .theory import Theory
 
 PROPERTY_TYPE = Fun(Ind, Prop)
@@ -117,9 +119,6 @@ class PropertyFamily:
             raise HomlError(f"constant {constant!r} is not a property family")
         return cls.from_semvalue(value, model.scope)
 
-    def member(self, mset: ModalSet, world: int) -> bool:
-        return self.membership[mset.index(self.scope)][world]
-
 
 @dataclass(frozen=True)
 class FilterReport:
@@ -137,75 +136,54 @@ def _check_scope(model: KripkeModel, family: PropertyFamily):
         raise HomlError(f"family scope {family.scope} does not match model scope {model.scope}")
 
 
+def _filter_report(num_worlds: int, universe: Sequence, member: Callable, full, empty,
+                   leq: Callable, meet: Callable,
+                   complement: Optional[Callable] = None) -> FilterReport:
+    """The filter conditions on a finite lattice, per world: the full set is a
+    member, the empty set is not, members are upward closed under ``leq`` and
+    closed under ``meet``. With a ``complement``, also maximality: each set or
+    its complement is a member."""
+    per_world = []
+    failures = []
+    for w in range(num_worlds):
+        members = [s for s in universe if member(s, w)]
+        bad = []
+        if not member(full, w):
+            bad.append("full set not a member")
+        if member(empty, w):
+            bad.append("empty set is a member")
+        bad += [f"not upward closed at {a} <= {b}"
+                for a in members for b in universe if leq(a, b) and not member(b, w)]
+        bad += [f"not closed under meet at {a}, {b}"
+                for a in members for b in members if not member(meet(a, b), w)]
+        if complement is not None:
+            bad += [f"neither {s} nor its complement is a member"
+                    for s in universe if not member(s, w) and not member(complement(s), w)]
+        per_world.append(not bad)
+        failures += [f"w{w}: {f}" for f in bad]
+    return FilterReport(tuple(per_world), tuple(failures))
+
+
+def _modal_set_report(model: KripkeModel, family: PropertyFamily,
+                      complement: Optional[Callable] = None) -> FilterReport:
+    """The filter conditions over all modal sets, ordered by every-world
+    inclusion with world-wise intersection as meet."""
+    scope = model.scope
+    m, n = scope.num_entities, scope.num_worlds
+    sets = all_modal_sets(scope)
+    position = {s: j for j, s in enumerate(sets)}
+    return _filter_report(
+        n, sets, lambda s, w: family.membership[position[s]][w],
+        ModalSet.rigid(range(m), m, n), ModalSet.rigid((), m, n),
+        ModalSet.rigid_subset_of, ModalSet.intersect, complement)
+
+
 def is_modal_filter(model: KripkeModel, family: PropertyFamily) -> FilterReport:
     """The four filter conditions, per world: contains the full set, excludes
     the empty set, upward closed under every-world inclusion, closed under
     world-wise intersection."""
     _check_scope(model, family)
-    scope = model.scope
-    n = scope.num_worlds
-    sets = all_modal_sets(scope)
-    members = {w: [s for s in sets if family.member(s, w)] for w in range(n)}
-    full = ModalSet.rigid(range(scope.num_entities), scope.num_entities, n)
-    empty = ModalSet.rigid((), scope.num_entities, n)
-    per_world = []
-    failures = []
-    for w in range(n):
-        ok = True
-        if not family.member(full, w):
-            ok = False
-            failures.append(f"w{w}: full set not a member")
-        if family.member(empty, w):
-            ok = False
-            failures.append(f"w{w}: empty set is a member")
-        for a in members[w]:
-            for b in sets:
-                if a.rigid_subset_of(b) and not family.member(b, w):
-                    ok = False
-                    failures.append(f"w{w}: not upward closed at {a.table}<={b.table}")
-        for a in members[w]:
-            for b in members[w]:
-                if not family.member(a.intersect(b), w):
-                    ok = False
-                    failures.append(f"w{w}: not intersection closed at {a.table},{b.table}")
-        per_world.append(ok)
-    return FilterReport(tuple(per_world), tuple(failures))
-
-
-def _extension_family_report(model: KripkeModel, family: PropertyFamily) -> FilterReport:
-    """Classical ultrafilter conditions on the world-projected extensions."""
-    scope = model.scope
-    n, m = scope.num_worlds, scope.num_entities
-    sets = all_modal_sets(scope)
-    universe = [frozenset(s) for r in range(m + 1) for s in itertools.combinations(range(m), r)]
-    per_world = []
-    failures = []
-    for w in range(n):
-        exts = {s.extension(w) for s in sets if family.member(s, w)}
-        ok = True
-        if frozenset(range(m)) not in exts:
-            ok = False
-            failures.append(f"w{w}: full extension missing")
-        if frozenset() in exts:
-            ok = False
-            failures.append(f"w{w}: empty extension present")
-        for a in exts:
-            for b in universe:
-                if a <= b and b not in exts:
-                    ok = False
-                    failures.append(f"w{w}: extensions not upward closed")
-        for a in exts:
-            for b in exts:
-                if (a & b) not in exts:
-                    ok = False
-                    failures.append(f"w{w}: extensions not intersection closed")
-        for a in universe:
-            comp = frozenset(range(m)) - a
-            if a not in exts and comp not in exts:
-                ok = False
-                failures.append(f"w{w}: extensions not maximal")
-        per_world.append(ok)
-    return FilterReport(tuple(per_world), tuple(failures))
+    return _modal_set_report(model, family)
 
 
 def is_modal_ultrafilter(model: KripkeModel, family: PropertyFamily,
@@ -214,21 +192,19 @@ def is_modal_ultrafilter(model: KripkeModel, family: PropertyFamily,
     complement is a member. In extension mode the conditions are evaluated on
     world-projected extensions instead."""
     _check_scope(model, family)
-    if mode == "extension":
-        return _extension_family_report(model, family)
-    if mode != "intension":
+    if mode == "intension":
+        return _modal_set_report(model, family, ModalSet.complement)
+    if mode != "extension":
         raise HomlError(f"unknown ultrafilter mode {mode!r}")
-    base = is_modal_filter(model, family)
     scope = model.scope
+    n, m = scope.num_worlds, scope.num_entities
+    full = frozenset(range(m))
+    universe = [frozenset(c) for r in range(m + 1) for c in itertools.combinations(range(m), r)]
     sets = all_modal_sets(scope)
-    per_world = list(base.per_world)
-    failures = list(base.failures)
-    for w in range(scope.num_worlds):
-        for s in sets:
-            if not family.member(s, w) and not family.member(s.complement(), w):
-                per_world[w] = False
-                failures.append(f"w{w}: neither {s.table} nor its complement is a member")
-    return FilterReport(tuple(per_world), tuple(failures))
+    extensions = [{s.extension(w) for s, row in zip(sets, family.membership) if row[w]}
+                  for w in range(n)]
+    return _filter_report(n, universe, lambda a, w: a in extensions[w], full, frozenset(),
+                          operator.le, operator.and_, full.__sub__)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +256,7 @@ def min_positive_count(theory: Theory, scope: Scope, constant: str = "P",
                        world: int = 0, strict: bool = False,
                        entity_mode: str = "possibilist",
                        entities: Optional[int] = None,
-                       budget: int = DEFAULT_BUDGET,
+                       budget: int = DEFAULT_CONFLICT_BUDGET,
                        model_limit: Optional[int] = None) -> CountResult:
     """Minimum of distinct_positive_count over every model at the scope.
 
@@ -288,6 +264,11 @@ def min_positive_count(theory: Theory, scope: Scope, constant: str = "P",
     entity count is k); the actualist reading instead constrains how many
     entities satisfy existsAt at the designated world.
     """
+    if not 0 <= world < scope.num_worlds:
+        raise HomlError(f"counting world {world} is not one of the {scope.num_worlds} "
+                        f"worlds of scope {scope}")
+    if dict(theory.signature).get(constant) != FAMILY_TYPE:
+        raise HomlError(f"theory has no property family constant {constant!r}")
     problem = ground(theory, scope)
     if entity_mode == "actualist":
         if entities is None:

@@ -21,7 +21,6 @@ from .analysis import (
 )
 from .errors import BudgetExceededError, HomlError, SourceError
 from .grounder import (
-    DEFAULT_BUDGET,
     check_validity_bounded,
     enumerate_models,
     export_dimacs,
@@ -39,6 +38,7 @@ from .semantics import (
     model_to_json,
     mvalid,
 )
+from .solver import DEFAULT_CONFLICT_BUDGET
 from .surface import elaborate, parse, typecheck
 from .theories import check_church_postulates, load_bundle
 from .theory import Theory
@@ -57,13 +57,24 @@ def _parse_scope(text: str) -> Scope:
         raise HomlError(f"bad scope {text!r} (expected N,M with N,M >= 1): {exc}") from exc
 
 
+def _count(value, name: str):
+    """A count from the command line: None or an integer >= 0."""
+    if value is not None and value < 0:
+        raise HomlError(f"{name} must be an integer >= 0, got {value}")
+    return value
+
+
 def _budget(args) -> int:
     if args.budget is not None:
-        return args.budget
+        return _count(args.budget, "--budget")
     env = os.environ.get("HOMLKIT_BUDGET")
-    if env:
-        return int(env)
-    return DEFAULT_BUDGET
+    if not env:
+        return DEFAULT_CONFLICT_BUDGET
+    try:
+        budget = int(env)
+    except ValueError:
+        raise HomlError(f"HOMLKIT_BUDGET must be an integer >= 0, got {env!r}") from None
+    return _count(budget, "HOMLKIT_BUDGET")
 
 
 def _load_theory_arg(args) -> tuple[Theory, dict]:
@@ -172,7 +183,8 @@ def cmd_find_model(args) -> tuple[int, dict]:
 def cmd_enumerate(args) -> tuple[int, dict]:
     theory, meta = _load_theory_arg(args)
     scope = _parse_scope(args.scope)
-    models = list(enumerate_models(theory, scope, limit=args.limit, budget=_budget(args)))
+    limit = _count(args.limit, "--limit")
+    models = list(enumerate_models(theory, scope, limit=limit, budget=_budget(args)))
     report = {
         "command": "enumerate",
         "scope": _scope_list(scope),
@@ -211,6 +223,7 @@ def cmd_church_suite(args) -> tuple[int, dict]:
 
 def cmd_goedel_suite(args) -> tuple[int, dict]:
     budget = _budget(args)
+    report_limit = _count(args.report_limit, "--report-limit")
     bundle = load_bundle("goedel")
     manifest = bundle.manifest
     mode = args.ultrafilter_mode or manifest["ultrafilter_mode"]
@@ -268,9 +281,9 @@ def cmd_goedel_suite(args) -> tuple[int, dict]:
     # Reported (not asserted) at two worlds, within a bounded model budget.
     scope22 = Scope(2, 2)
     models22 = list(enumerate_models(bundle.theory, scope22, budget=budget,
-                                     limit=args.report_limit))
+                                     limit=report_limit))
     count22 = count_positive(models22, manifest["positive_constant"], world,
-                             limit=args.report_limit)
+                             limit=report_limit)
     counting.append({
         "scope": _scope_list(scope22),
         "expected_min": None,
@@ -308,7 +321,7 @@ def cmd_goedel_suite(args) -> tuple[int, dict]:
 def cmd_count_positive(args) -> tuple[int, dict]:
     theory, meta = _load_theory_arg(args)
     manifest = meta.get("manifest", {})
-    constant = manifest.get("positive_constant", args.constant)
+    constant = manifest.get("positive_constant", "P") if args.constant is None else args.constant
     world = args.counting_world
     strict = args.counting_mode == "strict"
     if args.entity_mode == "possibilist":
@@ -320,7 +333,7 @@ def cmd_count_positive(args) -> tuple[int, dict]:
     result = min_positive_count(theory, scope, constant=constant, world=world,
                                 strict=strict, entity_mode=args.entity_mode,
                                 entities=entities, budget=_budget(args),
-                                model_limit=args.limit)
+                                model_limit=_count(args.limit, "--limit"))
     report = {
         "command": "count-positive",
         "scope": _scope_list(scope),
@@ -340,9 +353,10 @@ def cmd_count_positive(args) -> tuple[int, dict]:
     if not result.complete:
         return EXIT_BUDGET, report
     expected = None
-    for entry in manifest.get("positive_counts", []):
-        if entry["worlds"] == scope.num_worlds and entry["entities"] == scope.num_entities:
-            expected = entry["min"]
+    if constant == manifest.get("positive_constant"):
+        for entry in manifest.get("positive_counts", []):
+            if entry["worlds"] == scope.num_worlds and entry["entities"] == scope.num_entities:
+                expected = entry["min"]
     if expected is not None and args.entity_mode == "possibilist" and not strict:
         report["expected_min"] = expected
         if result.minimum != expected:
@@ -453,7 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--entity-mode", choices=["possibilist", "actualist"], default="possibilist")
     sub.add_argument("--counting-mode", choices=["designated", "strict"], default="designated")
     sub.add_argument("--counting-world", type=int, default=0)
-    sub.add_argument("--constant", default="P")
+    sub.add_argument("--constant",
+                     help="property family to count (default: the bundle's, else P)")
     sub.add_argument("--limit", type=int, default=None)
     sub.set_defaults(handler=cmd_count_positive)
 

@@ -26,11 +26,10 @@ from .semantics import (
     SemValue,
     ValidUpToScope,
     _eval,
-    denotation_size,
     holds_at,
     leibniz_shape,
 )
-from .solver import SAT, UNKNOWN, UNSAT, Solver, solve_cnf
+from .solver import DEFAULT_CONFLICT_BUDGET, SAT, UNKNOWN, UNSAT, Solver, solve_cnf
 from .terms import (
     EXISTS_AT,
     And,
@@ -54,7 +53,6 @@ from .terms import (
 )
 from .theory import Theory
 
-DEFAULT_BUDGET = 10_000_000
 MAX_CONSTANT_ORDER = 3
 
 _TRUE = 0
@@ -192,7 +190,14 @@ class _Grounding:
         self.num_vars = 0
         self.meanings: dict[int, str] = {}
         self.clauses: list[list[int]] = []
-        self.sizes: dict[LogicType, int] = {}
+        # Model-independent subterms evaluate directly in a context over an
+        # empty frame, whose size and Leibniz-shape memos the grounder shares.
+        self._pure_ctx = KripkeModel(
+            scope,
+            tuple(tuple(False for _ in range(self.n)) for _ in range(self.n)),
+            tuple(tuple(False for _ in range(self.n)) for _ in range(self.m)),
+        )._ctx()
+        self.size = self._pure_ctx.size
 
         self.r_vars = [
             [self._new_var(f"r(w{w},w{w2})") for w2 in range(self.n)] for w in range(self.n)
@@ -218,23 +223,8 @@ class _Grounding:
             for e in range(self.m)
         )
         self._frame_clauses()
-        # Model-independent subterms evaluate directly; cache keyed by object
-        # identity (terms are immutable).
+        # Purity cache keyed by object identity (terms are immutable).
         self._pure: dict[int, tuple] = {}
-        self._leib: dict[int, tuple] = {}
-        dummy = KripkeModel(
-            scope,
-            tuple(tuple(False for _ in range(self.n)) for _ in range(self.n)),
-            tuple(tuple(False for _ in range(self.n)) for _ in range(self.m)),
-        )
-        self._pure_ctx = dummy._ctx()
-
-    def size(self, ty: LogicType) -> int:
-        s = self.sizes.get(ty)
-        if s is None:
-            s = denotation_size(ty, self.scope)
-            self.sizes[ty] = s
-        return s
 
     def _new_var(self, meaning: Optional[str] = None) -> int:
         self.num_vars += 1
@@ -401,14 +391,6 @@ class _Grounding:
         self._pure[id(term)] = (term, out)
         return out
 
-    def _leibniz_pair(self, term: Term):
-        cached = self._leib.get(id(term))
-        if cached is not None and cached[0] is term:
-            return cached[1]
-        pair = leibniz_shape(term)
-        self._leib[id(term)] = (term, pair)
-        return pair
-
     def geval(self, term: Term, env: list[int]):
         if self._is_pure(term):
             return self.lift(_eval(term, env, self._pure_ctx), term.ty)
@@ -475,7 +457,11 @@ class _Grounding:
                 for w in range(self.n)
             )
         if isinstance(term, ForallP):
-            pair = self._leibniz_pair(term)
+            leib_cache = self._pure_ctx.leib_cache
+            cached = leib_cache.get(id(term))
+            if cached is None or cached[0] is not term:
+                cached = leib_cache[id(term)] = (term, leibniz_shape(term))
+            pair = cached[1]
             if pair is not None:
                 left = self.geval(pair[0], env)
                 right = self.geval(pair[1], env)
@@ -602,11 +588,12 @@ def _result(status: int, model: Optional[list[int]], conflicts: int) -> SolveRes
     return SolveResult(status, assignment, conflicts)
 
 
-def solve(problem: GroundProblem, budget: int = DEFAULT_BUDGET) -> SolveResult:
+def solve(problem: GroundProblem, budget: int = DEFAULT_CONFLICT_BUDGET) -> SolveResult:
     return _result(*solve_cnf(problem.num_vars, problem.clauses, budget))
 
 
-def find_model(theory: Theory, scope: Scope, budget: int = DEFAULT_BUDGET) -> Optional[KripkeModel]:
+def find_model(theory: Theory, scope: Scope,
+               budget: int = DEFAULT_CONFLICT_BUDGET) -> Optional[KripkeModel]:
     """A model of frame flags plus all axioms, or None (exhaustive at scope)."""
     problem = ground(theory, scope)
     result = solve(problem, budget)
@@ -618,7 +605,7 @@ def find_model(theory: Theory, scope: Scope, budget: int = DEFAULT_BUDGET) -> Op
 
 
 def check_validity_bounded(theory: Theory, goal: Term, scope: Scope,
-                           budget: int = DEFAULT_BUDGET):
+                           budget: int = DEFAULT_CONFLICT_BUDGET):
     """ValidUpToScope if no axiom-model falsifies the goal anywhere in scope,
     else a Countermodel with the witnessing world."""
     problem = ground(theory, scope, negated_goal=goal)
@@ -634,7 +621,7 @@ def check_validity_bounded(theory: Theory, goal: Term, scope: Scope,
     raise HomlError("decoded countermodel does not falsify the goal")
 
 
-def iterate_models(problem: GroundProblem, budget: int = DEFAULT_BUDGET,
+def iterate_models(problem: GroundProblem, budget: int = DEFAULT_CONFLICT_BUDGET,
                    limit: Optional[int] = None) -> Iterator[KripkeModel]:
     """Decode successive solutions of a ground problem, blocking each found
     assignment on the decision variables; deterministic order. One solver
@@ -656,7 +643,7 @@ def iterate_models(problem: GroundProblem, budget: int = DEFAULT_BUDGET,
 
 
 def enumerate_models(theory: Theory, scope: Scope, limit: Optional[int] = None,
-                     budget: int = DEFAULT_BUDGET,
+                     budget: int = DEFAULT_CONFLICT_BUDGET,
                      negated_goal: Optional[Term] = None) -> Iterator[KripkeModel]:
     """All models at scope (up to limit), via blocking clauses over the
     decision variables; deterministic order."""

@@ -11,9 +11,9 @@ from dataclasses import dataclass, field, replace
 from importlib import resources
 
 from ..errors import BundleError, HomlError
-from ..grounder import DEFAULT_BUDGET, check_validity_bounded, ground, solve
+from ..grounder import check_validity_bounded, ground, solve
 from ..semantics import Countermodel, Scope, ValidUpToScope, holds_at, mvalid
-from ..solver import SAT
+from ..solver import DEFAULT_CONFLICT_BUDGET, SAT
 from ..surface import elaborate, parse, typecheck
 from ..theory import Theory
 
@@ -122,7 +122,8 @@ def _footnote_shape_clauses(problem) -> list[list[int]]:
     return clauses
 
 
-def check_church_postulates(scope: Scope, budget: int = DEFAULT_BUDGET) -> list[PostulateResult]:
+def check_church_postulates(scope: Scope,
+                            budget: int = DEFAULT_CONFLICT_BUDGET) -> list[PostulateResult]:
     """Check every lifted postulate at the scope.
 
     At scopes with a single world every postulate is expected to hold; with

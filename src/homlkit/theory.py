@@ -19,12 +19,6 @@ class Theory:
     goals: tuple[Term, ...] = ()
     frame_flags: frozenset[str] = frozenset()
 
-    def constant_type(self, name: str) -> LogicType | None:
-        for n, t in self.signature:
-            if n == name:
-                return t
-        return None
-
     def with_axioms(self, axioms) -> "Theory":
         return replace(self, axioms=tuple(axioms))
 

@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from homlkit import analysis
 from homlkit.analysis import (
@@ -90,14 +92,15 @@ def test_ultra_implies_filter_over_all_one_world_families():
 
 # -- classical oracle ---------------------------------------------------------
 
-def classical_is_ultrafilter(m, members):
-    """Textbook ultrafilter conditions on a family of subsets of {0..m-1}."""
-    universe = frozenset(range(m))
+def classical_is_filter(points, members, maximal):
+    """Textbook filter conditions on a family of subsets of ``points``; with
+    ``maximal``, the ultrafilter conditions."""
+    universe = frozenset(points)
     family = {frozenset(s) for s in members}
     if universe not in family or frozenset() in family:
         return False
-    subsets = [frozenset(c) for r in range(m + 1)
-               for c in itertools.combinations(range(m), r)]
+    subsets = [frozenset(c) for r in range(len(universe) + 1)
+               for c in itertools.combinations(universe, r)]
     for a in family:
         for b in subsets:
             if a <= b and b not in family:
@@ -105,10 +108,15 @@ def classical_is_ultrafilter(m, members):
         for b in family:
             if (a & b) not in family:
                 return False
-    for a in subsets:
-        if a not in family and (universe - a) not in family:
-            return False
+    if maximal:
+        for a in subsets:
+            if a not in family and (universe - a) not in family:
+                return False
     return True
+
+
+def classical_is_ultrafilter(m, members):
+    return classical_is_filter(range(m), members, maximal=True)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -125,6 +133,46 @@ def test_one_world_agreement_with_classical_oracle(m):
         assert is_modal_ultrafilter(model, fam, "extension").globally == expected
         ultra_count += got
     assert ultra_count == m  # only the principal ultrafilters exist
+
+
+SCOPE22 = Scope(2, 2)
+SETS22 = all_modal_sets(SCOPE22)
+CELLS22 = frozenset(itertools.product(range(2), range(2)))
+
+
+def cells_of(mset):
+    """A modal set as the set of its (entity, world) pairs."""
+    return frozenset((e, w) for e, row in enumerate(mset.table) for w, b in enumerate(row) if b)
+
+
+def modal_set_of(cells):
+    return ModalSet(tuple(tuple((e, w) in cells for w in range(2)) for e in range(2)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(generators=st.tuples(st.sampled_from(SETS22), st.sampled_from(SETS22)),
+       flips=st.lists(st.tuples(st.integers(0, len(SETS22) - 1), st.integers(0, 1)),
+                      max_size=3))
+@example(generators=(modal_set_of({(0, 0)}), modal_set_of({(1, 1)})), flips=[])
+@example(generators=(modal_set_of(CELLS22), modal_set_of(set())), flips=[])
+def test_two_world_agreement_with_oracles(generators, flips):
+    # At world w the family is the principal filter of generators[w] (an
+    # ultrafilter when that is one cell), with some memberships flipped.
+    membership = [[cells_of(g) <= cells_of(s) for g in generators] for s in SETS22]
+    for j, w in flips:
+        membership[j][w] = not membership[j][w]
+    family = PropertyFamily(SCOPE22, tuple(tuple(row) for row in membership))
+    model = KripkeModel(SCOPE22, ((True, True), (True, True)), ((True, True), (True, True)))
+    extension = is_modal_ultrafilter(model, family, "extension").per_world
+    intension = is_modal_ultrafilter(model, family, "intension").per_world
+    modal_filter = is_modal_filter(model, family).per_world
+    for w in range(2):
+        members = [s for s, row in zip(SETS22, membership) if row[w]]
+        assert extension[w] == classical_is_filter(
+            range(2), [s.extension(w) for s in members], maximal=True)
+        as_cells = [cells_of(s) for s in members]
+        assert intension[w] == classical_is_filter(CELLS22, as_cells, maximal=True)
+        assert modal_filter[w] == classical_is_filter(CELLS22, as_cells, maximal=False)
 
 
 # -- positive property counting ----------------------------------------------

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from homlkit.cli import main
 
 
@@ -122,3 +124,43 @@ def test_budget_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("HOMLKIT_BUDGET", "1")
     code, out = run_cli(["check", "--bundle", "goedel", "--scope", "2,2"], capsys)
     assert code == 3
+
+
+COUNT_POSITIVE = ["count-positive", "--bundle", "goedel", "--entities", "2"]
+
+
+@pytest.mark.parametrize("argv,budget_env", [
+    pytest.param(["check", "--bundle", "goedel", "--scope", "1,1"], "abc", id="env-budget-abc"),
+    pytest.param(["check", "--bundle", "goedel", "--scope", "1,1"], "-1", id="env-budget-negative"),
+    pytest.param(["check", "--bundle", "goedel", "--scope", "1,1", "--budget", "-1"], None,
+                 id="budget-negative"),
+    pytest.param(COUNT_POSITIVE + ["--counting-world", "5"], None, id="counting-world-5"),
+    pytest.param(COUNT_POSITIVE + ["--counting-world", "-1"], None, id="counting-world-negative"),
+    pytest.param(COUNT_POSITIVE + ["--limit", "-1"], None, id="count-limit-negative"),
+    pytest.param(["goedel-suite", "--report-limit", "-1"], None, id="report-limit-negative"),
+    pytest.param(["enumerate", "--bundle", "k", "--scope", "1,1", "--limit", "-1"], None,
+                 id="enumerate-limit-negative"),
+])
+def test_malformed_numbers_exit_two(argv, budget_env, capsys, monkeypatch):
+    if budget_env is None:
+        monkeypatch.delenv("HOMLKIT_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("HOMLKIT_BUDGET", budget_env)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert set(json.loads(captured.out)) == {"command", "error"}
+    assert "Traceback" not in captured.err
+
+
+def test_zero_counts_are_valid(capsys):
+    code, out = run_cli(["enumerate", "--bundle", "k", "--scope", "1,1",
+                         "--limit", "0", "--budget", "0"], capsys)
+    assert code == 0
+    assert json.loads(out)["count"] == 0
+
+
+def test_unknown_positive_constant_exits_two(capsys):
+    code, out = run_cli(COUNT_POSITIVE + ["--constant", "NoSuch"], capsys)
+    assert code == 2
+    assert "NoSuch" in json.loads(out)["error"]
