@@ -267,6 +267,8 @@ def min_positive_count(theory: Theory, scope: Scope, constant: str = "P",
     if not 0 <= world < scope.num_worlds:
         raise HomlError(f"counting world {world} is not one of the {scope.num_worlds} "
                         f"worlds of scope {scope}")
+    if entities is not None and entities < 0:
+        raise HomlError(f"the actualist entity count must be >= 0, got {entities}")
     if dict(theory.signature).get(constant) != FAMILY_TYPE:
         raise HomlError(f"theory has no property family constant {constant!r}")
     problem = ground(theory, scope)

@@ -57,24 +57,28 @@ def _parse_scope(text: str) -> Scope:
         raise HomlError(f"bad scope {text!r} (expected N,M with N,M >= 1): {exc}") from exc
 
 
-def _count(value, name: str):
-    """A count from the command line: None or an integer >= 0."""
-    if value is not None and value < 0:
-        raise HomlError(f"{name} must be an integer >= 0, got {value}")
+def _integer(text, name: str, least=None):
+    """None or an integer (at least ``least``) from the command line; parsed
+    here, not by argparse, so a malformed value gets a JSON error report."""
+    if text is None:
+        return None
+    rule = "an integer" if least is None else f"an integer >= {least}"
+    try:
+        value = int(text)
+    except ValueError:
+        raise HomlError(f"{name} must be {rule}, got {text!r}") from None
+    if least is not None and value < least:
+        raise HomlError(f"{name} must be {rule}, got {value}")
     return value
 
 
 def _budget(args) -> int:
     if args.budget is not None:
-        return _count(args.budget, "--budget")
+        return _integer(args.budget, "--budget", 0)
     env = os.environ.get("HOMLKIT_BUDGET")
     if not env:
         return DEFAULT_CONFLICT_BUDGET
-    try:
-        budget = int(env)
-    except ValueError:
-        raise HomlError(f"HOMLKIT_BUDGET must be an integer >= 0, got {env!r}") from None
-    return _count(budget, "HOMLKIT_BUDGET")
+    return _integer(env, "HOMLKIT_BUDGET", 0)
 
 
 def _load_theory_arg(args) -> tuple[Theory, dict]:
@@ -183,13 +187,13 @@ def cmd_find_model(args) -> tuple[int, dict]:
 def cmd_enumerate(args) -> tuple[int, dict]:
     theory, meta = _load_theory_arg(args)
     scope = _parse_scope(args.scope)
-    limit = _count(args.limit, "--limit")
+    limit = _integer(args.limit, "--limit", 0)
     models = list(enumerate_models(theory, scope, limit=limit, budget=_budget(args)))
     report = {
         "command": "enumerate",
         "scope": _scope_list(scope),
         "count": len(models),
-        "limit": args.limit,
+        "limit": limit,
         "models": [model_to_json(m) for m in models],
     }
     if "bundle" in meta:
@@ -223,7 +227,7 @@ def cmd_church_suite(args) -> tuple[int, dict]:
 
 def cmd_goedel_suite(args) -> tuple[int, dict]:
     budget = _budget(args)
-    report_limit = _count(args.report_limit, "--report-limit")
+    report_limit = _integer(args.report_limit, "--report-limit", 0)
     bundle = load_bundle("goedel")
     manifest = bundle.manifest
     mode = args.ultrafilter_mode or manifest["ultrafilter_mode"]
@@ -322,22 +326,21 @@ def cmd_count_positive(args) -> tuple[int, dict]:
     theory, meta = _load_theory_arg(args)
     manifest = meta.get("manifest", {})
     constant = manifest.get("positive_constant", "P") if args.constant is None else args.constant
-    world = args.counting_world
+    world = _integer(args.counting_world, "--counting-world")
+    entities = _integer(args.entities, "--entities")
     strict = args.counting_mode == "strict"
     if args.entity_mode == "possibilist":
-        scope = Scope(args.worlds, args.entities)
-        entities = None
+        scope = Scope(_integer(args.worlds, "--worlds"), entities)
     else:
         scope = _parse_scope(args.scope)
-        entities = args.entities
     result = min_positive_count(theory, scope, constant=constant, world=world,
                                 strict=strict, entity_mode=args.entity_mode,
                                 entities=entities, budget=_budget(args),
-                                model_limit=_count(args.limit, "--limit"))
+                                model_limit=_integer(args.limit, "--limit", 0))
     report = {
         "command": "count-positive",
         "scope": _scope_list(scope),
-        "entities": args.entities,
+        "entities": entities,
         "entity_mode": args.entity_mode,
         "counting_mode": args.counting_mode,
         "counting_world": world,
@@ -428,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["json", "text"], default="json")
     common.add_argument("--out", help="write the report to this path instead of stdout")
-    common.add_argument("--budget", type=int, help="solver conflict budget")
+    common.add_argument("--budget", help="solver conflict budget")
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("check", parents=[common], help="bounded validity check of theory goals")
@@ -445,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("enumerate", parents=[common], help="enumerate models at a scope")
     _add_theory_args(sub)
     sub.add_argument("--scope", default="1,1")
-    sub.add_argument("--limit", type=int, default=None)
+    sub.add_argument("--limit")
     sub.set_defaults(handler=cmd_enumerate)
 
     sub = subs.add_parser("church-suite", parents=[common], help="check the lifted Church postulates")
@@ -455,21 +458,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("goedel-suite", parents=[common], help="consistency, validity, counting, ultrafilter checks")
     sub.add_argument("--ultrafilter-mode", choices=["intension", "extension"])
-    sub.add_argument("--report-limit", type=int, default=64,
+    sub.add_argument("--report-limit", default="64",
                      help="model cap for the two-world count report")
     sub.set_defaults(handler=cmd_goedel_suite)
 
     sub = subs.add_parser("count-positive", parents=[common], help="minimum distinct positive properties over models")
     _add_theory_args(sub)
-    sub.add_argument("--entities", type=int, required=True)
-    sub.add_argument("--worlds", type=int, default=1)
+    sub.add_argument("--entities", required=True)
+    sub.add_argument("--worlds", default="1")
     sub.add_argument("--scope", default="2,2", help="full scope for actualist entity mode")
     sub.add_argument("--entity-mode", choices=["possibilist", "actualist"], default="possibilist")
     sub.add_argument("--counting-mode", choices=["designated", "strict"], default="designated")
-    sub.add_argument("--counting-world", type=int, default=0)
+    sub.add_argument("--counting-world", default="0")
     sub.add_argument("--constant",
                      help="property family to count (default: the bundle's, else P)")
-    sub.add_argument("--limit", type=int, default=None)
+    sub.add_argument("--limit")
     sub.set_defaults(handler=cmd_count_positive)
 
     sub = subs.add_parser("export-cnf", parents=[common], help="export the ground problem as DIMACS CNF")

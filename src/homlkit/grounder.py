@@ -26,8 +26,10 @@ from .semantics import (
     SemValue,
     ValidUpToScope,
     _eval,
+    digits,
     holds_at,
     leibniz_shape,
+    position,
 )
 from .solver import DEFAULT_CONFLICT_BUDGET, SAT, UNKNOWN, UNSAT, Solver, solve_cnf
 from .terms import (
@@ -198,6 +200,9 @@ class _Grounding:
             tuple(tuple(False for _ in range(self.n)) for _ in range(self.m)),
         )._ctx()
         self.size = self._pure_ctx.size
+        self.table = self._pure_ctx.table
+        # Symbolic constants by (position, type), dropped with the grounding.
+        self._lifted: dict[tuple, tuple] = {}
 
         self.r_vars = [
             [self._new_var(f"r(w{w},w{w2})") for w2 in range(self.n)] for w in range(self.n)
@@ -278,67 +283,49 @@ class _Grounding:
     # Fun(a, b): tuple of size(a) symbolic b-values in enumeration order.
 
     def lift(self, i: int, ty: LogicType):
-        if ty == Prop:
-            return tuple(
-                _TRUE if (i >> (self.n - 1 - w)) & 1 else _FALSE for w in range(self.n)
-            )
-        if ty == Ind:
-            return tuple(_TRUE if e == i else _FALSE for e in range(self.m))
-        assert isinstance(ty, Fun)
-        dom = self.size(ty.domain)
-        cod = self.size(ty.codomain)
-        return tuple(
-            self.lift((i // cod ** (dom - 1 - j)) % cod, ty.codomain) for j in range(dom)
-        )
+        """The constant symbolic value at position i of ty."""
+        if ty is bool:
+            return (_FALSE, _TRUE)[i]
+        key = (i, ty)
+        sv = self._lifted.get(key)
+        if sv is None:
+            view = self.table(ty)
+            if view is None:
+                sv = tuple(_TRUE if e == i else _FALSE for e in range(self.m))
+            else:
+                length, base, entry = view
+                sv = tuple(self.lift(d, entry) for d in digits(i, length, base))
+            self._lifted[key] = sv
+        return sv
 
     def concrete_index(self, sv, ty: LogicType) -> Optional[int]:
-        if ty == Prop:
-            acc = 0
-            for cell in sv:
-                b = _const_bool(cell)
-                if b is None:
-                    return None
-                acc = (acc << 1) | int(b)
-            return acc
-        if ty == Ind:
-            chosen = None
-            for e, cell in enumerate(sv):
-                b = _const_bool(cell)
-                if b is None:
-                    return None
-                if b:
-                    if chosen is not None:
-                        return None
-                    chosen = e
-            return chosen
-        assert isinstance(ty, Fun)
-        cod = self.size(ty.codomain)
-        acc = 0
+        """The position of a symbolic value whose cells are all constant,
+        else None."""
+        if ty is bool:
+            return _const_bool(sv)
+        view = self.table(ty)
+        if view is None:
+            bits = [_const_bool(cell) for cell in sv]
+            return bits.index(True) if None not in bits and bits.count(True) == 1 else None
+        found = []
         for sub in sv:
-            d = self.concrete_index(sub, ty.codomain)
+            d = self.concrete_index(sub, view[2])
             if d is None:
                 return None
-            acc = acc * cod + d
-        return acc
+            found.append(d)
+        return position(found, view[1])
 
     def sym_eq(self, sv, ty: LogicType, i: int) -> int:
         """Formula: the symbolic value equals the i-th enumerated value of ty."""
-        if ty == Prop:
-            parts = []
-            for w, cell in enumerate(sv):
-                bit = (i >> (self.n - 1 - w)) & 1
-                parts.append(cell if bit else self.f.neg(cell))
-            return self.f.conj(parts)
-        if ty == Ind:
+        if ty is bool:
+            return sv if i else self.f.neg(sv)
+        view = self.table(ty)
+        if view is None:
             return sv[i]
-        assert isinstance(ty, Fun)
-        dom = self.size(ty.domain)
-        cod = self.size(ty.codomain)
-        parts = []
-        for j in range(dom):
-            digit = (i // cod ** (dom - 1 - j)) % cod
-            parts.append(self.sym_eq(sv[j], ty.codomain, digit))
-        return self.f.conj(parts)
+        length, base, entry = view
+        return self.f.conj(
+            [self.sym_eq(sub, entry, d) for sub, d in zip(sv, digits(i, length, base))]
+        )
 
     def sym_values_eq(self, a, b, ty: LogicType) -> int:
         if ty == Prop or ty == Ind:

@@ -57,9 +57,9 @@ def type_depth(t: LogicType) -> int:
     return 0
 
 
-def check_type_depth(t: LogicType, limit: int = MAX_TYPE_DEPTH) -> None:
-    if type_depth(t) > limit:
-        raise TypeCheckError(f"type nesting exceeds depth limit {limit}: {t}")
+def check_type_depth(t: LogicType) -> None:
+    if type_depth(t) > MAX_TYPE_DEPTH:
+        raise TypeCheckError(f"type nesting exceeds depth limit {MAX_TYPE_DEPTH}: {t}")
 
 
 def type_order(t: LogicType) -> int:

@@ -3,25 +3,32 @@
 Denotations are enumerated: individuals are entity indices, propositions are
 world-indexed truth tables, and function types are full (standard) function
 spaces. Every value of a type has a canonical position in a deterministic
-enumeration, and the evaluator works on those integer positions internally:
+enumeration, and the evaluator works on those integer positions internally.
 
-* a ``prop`` value with position p is true at world w iff bit (n-1-w) of p
-  is set (world 0 is the most significant bit);
-* a ``Fun(a, b)`` value with position f maps the j-th domain element to the
-  b-value at position (f // |b|^(|a|-1-j)) % |b| (first domain element most
-  significant).
+A value of a table type is a row of entries, and its position is the row
+read as a number in base |entry| (``table_view``):
 
-This matches the order produced by itertools.product over the codomain.
+* a ``prop`` is a table of n world bits: its entry for world w is bit
+  (n-1-w) of the position (world 0 is the most significant bit);
+* a ``Fun(a, b)`` is a table of |a| entries of b, the j-th domain element's
+  entry first-most-significant.
+
+``digits(i, length, base)`` splits a position into its entries and
+``position(entries, base)`` joins them back. The value codec, the evaluation
+context and the grounder convert through that pair; only the evaluator's hot
+path (``_eval`` and the world-mask helpers) inlines the same arithmetic. The
+order is the one itertools.product gives over the entries.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 from .errors import HomlError, ScopeCapError
-from .logictypes import Fun, Ind, LogicType, Prop
+from .logictypes import Fun, LogicType, Prop
 from .terms import (
     EXISTS_AT,
     And,
@@ -56,7 +63,6 @@ class Scope:
 
     num_worlds: int
     num_entities: int
-    max_denotation_size: int = DEFAULT_CAP
 
     def __post_init__(self):
         if self.num_worlds < 1 or self.num_entities < 1:
@@ -94,68 +100,79 @@ TRUE = SBool(True)
 FALSE = SBool(False)
 
 
+def digits(i: int, length: int, base: int) -> list[int]:
+    """The entries of position i of a table: ``length`` base-``base`` digits,
+    the first entry most significant."""
+    out = [0] * length
+    for k in range(length - 1, -1, -1):
+        i, out[k] = divmod(i, base)
+    return out
+
+
+def position(entries, base: int) -> int:
+    """Inverse of digits: the position of a table with these entries."""
+    acc = 0
+    for entry in entries:
+        acc = acc * base + entry
+    return acc
+
+
+def table_view(ty: LogicType, scope: Scope) -> Optional[tuple[int, int, object]]:
+    """(length, base, entry) of a table type: ``Fun(a, b)`` is |a| entries
+    of b and ``prop`` is n world bits (entry type ``bool``). None for
+    ``Ind``, whose values are entity indices."""
+    if isinstance(ty, Fun):
+        return denotation_size(ty.domain, scope), denotation_size(ty.codomain, scope), ty.codomain
+    if ty == Prop:
+        return scope.num_worlds, 2, bool
+    return None
+
+
 def denotation_size(ty: LogicType, scope: Scope) -> int:
-    """|Ind| = m, |Prop| = 2^n, |Fun(a, b)| = |b|^|a|; errors past the cap."""
-    cap = scope.max_denotation_size
-    if ty is Ind or ty == Ind:
+    """|Ind| = m, |prop| = 2^n, |Fun(a, b)| = |b|^|a|; errors past the cap."""
+    view = table_view(ty, scope)
+    if view is None:
         size = scope.num_entities
-    elif ty is Prop or ty == Prop:
-        size = 2 ** scope.num_worlds
     else:
-        assert isinstance(ty, Fun)
-        dom = denotation_size(ty.domain, scope)
-        cod = denotation_size(ty.codomain, scope)
+        length, base, _ = view
         # Guard the power to avoid computing astronomically large ints.
-        if dom * (cod.bit_length() - 1) > cap.bit_length() + 64:
-            raise ScopeCapError(ty, f">2^{dom * (cod.bit_length() - 1)}", cap)
-        size = cod ** dom
-    if size > cap:
-        raise ScopeCapError(ty, size, cap)
+        if length * (base.bit_length() - 1) > DEFAULT_CAP.bit_length() + 64:
+            raise ScopeCapError(ty, f">2^{length * (base.bit_length() - 1)}", DEFAULT_CAP)
+        size = base ** length
+    if size > DEFAULT_CAP:
+        raise ScopeCapError(ty, size, DEFAULT_CAP)
     return size
 
 
 def index_value(i: int, ty: LogicType, scope: Scope) -> SemValue:
     """Canonical SemValue at position i of the enumeration of ty."""
-    if ty == Ind:
+    if ty is bool:
+        return (FALSE, TRUE)[i]
+    view = table_view(ty, scope)
+    if view is None:
         return SEntity(i)
-    n = scope.num_worlds
-    if ty == Prop:
-        return STable(tuple(SBool(bool((i >> (n - 1 - w)) & 1)) for w in range(n)))
-    assert isinstance(ty, Fun)
-    dom = denotation_size(ty.domain, scope)
-    cod = denotation_size(ty.codomain, scope)
-    entries = []
-    for j in range(dom):
-        digit = (i // cod ** (dom - 1 - j)) % cod
-        entries.append(index_value(digit, ty.codomain, scope))
-    return STable(tuple(entries))
+    length, base, entry = view
+    return STable(tuple(index_value(d, entry, scope) for d in digits(i, length, base)))
 
 
 def value_index(value: SemValue, ty: LogicType, scope: Scope) -> int:
     """Inverse of index_value."""
-    if ty == Ind:
+    if ty is bool:
+        if not isinstance(value, SBool):
+            raise HomlError(f"proposition table entry is not a Bool: {value!r}")
+        return value.value
+    view = table_view(ty, scope)
+    if view is None:
         if not isinstance(value, SEntity) or not 0 <= value.index < scope.num_entities:
             raise HomlError(f"not an entity of scope {scope}: {value!r}")
         return value.index
-    if ty == Prop:
-        n = scope.num_worlds
-        if not isinstance(value, STable) or len(value.entries) != n:
-            raise HomlError(f"not a proposition table at scope {scope}: {value!r}")
-        acc = 0
-        for entry in value.entries:
-            if not isinstance(entry, SBool):
-                raise HomlError(f"proposition table entry is not a Bool: {entry!r}")
-            acc = (acc << 1) | int(entry.value)
-        return acc
-    assert isinstance(ty, Fun)
-    dom = denotation_size(ty.domain, scope)
-    cod = denotation_size(ty.codomain, scope)
-    if not isinstance(value, STable) or len(value.entries) != dom:
-        raise HomlError(f"not a table of {dom} entries: {value!r}")
-    acc = 0
-    for entry in value.entries:
-        acc = acc * cod + value_index(entry, ty.codomain, scope)
-    return acc
+    length, base, entry = view
+    if not isinstance(value, STable) or len(value.entries) != length:
+        raise HomlError(f"not a table of {length} entries at scope {scope}: {value!r}")
+    found = []
+    for e in value.entries:
+        found.append(value_index(e, entry, scope))
+    return position(found, base)
 
 
 def enumerate_denotation(ty: LogicType, scope: Scope) -> Iterator[SemValue]:
@@ -174,7 +191,8 @@ class KripkeModel:
 
     ``accessibility[w][w']`` is True iff world w sees w'. ``exists_at[e][w]``
     is True iff entity e exists at world w. ``constants`` maps each signature
-    constant to a canonical SemValue of its type in ``constant_types``.
+    constant to a canonical SemValue of its type in ``constant_types``; its
+    enumeration position is validated once and kept for the evaluator.
     """
 
     scope: Scope
@@ -185,15 +203,18 @@ class KripkeModel:
 
     def __post_init__(self):
         n, m = self.scope.num_worlds, self.scope.num_entities
-        if len(self.accessibility) != n or any(len(row) != n for row in self.accessibility):
+        if list(map(len, self.accessibility)) != [n] * n:
             raise HomlError("accessibility relation has wrong shape")
-        if len(self.exists_at) != m or any(len(row) != n for row in self.exists_at):
+        if list(map(len, self.exists_at)) != [n] * m:
             raise HomlError("existence table has wrong shape")
+        positions = []
         for name, value in self.constants.items():
             if name not in self.constant_types:
                 raise HomlError(f"constant {name!r} has no declared type")
             # Raises if the value does not inhabit the declared type.
-            value_index(value, self.constant_types[name], self.scope)
+            positions.append(value_index(value, self.constant_types[name], self.scope))
+        # In the order of ``constants``; a tuple keeps each model small.
+        object.__setattr__(self, "_positions", tuple(positions))
 
     def satisfies_frame(self, flags) -> bool:
         n = self.scope.num_worlds
@@ -223,35 +244,19 @@ class _EvalCtx:
     """Precomputed integer form of a model for the fast evaluator."""
 
     def __init__(self, model: KripkeModel):
-        scope = model.scope
-        n, m = scope.num_worlds, scope.num_entities
-        self.scope = scope
-        self.n = n
-        self.full = (1 << n) - 1
-        self.acc_masks = []
-        for w in range(n):
-            mask = 0
-            for w2 in range(n):
-                if model.accessibility[w][w2]:
-                    mask |= 1 << (n - 1 - w2)
-            self.acc_masks.append(mask)
-        self.exists_masks = []
-        for e in range(m):
-            mask = 0
-            for w in range(n):
-                if model.exists_at[e][w]:
-                    mask |= 1 << (n - 1 - w)
-            self.exists_masks.append(mask)
-        self.const_idx = {}
-        for name, value in model.constants.items():
-            self.const_idx[name] = value_index(value, model.constant_types[name], scope)
-        # existsAt as a Fun(Ind, Prop) position, derived from the table.
-        acc = 0
-        for e in range(m):
-            acc = acc * (self.full + 1) + self.exists_masks[e]
-        self.const_idx[EXISTS_AT] = acc
+        self.scope = model.scope
+        self.n = model.scope.num_worlds
+        self.full = (1 << self.n) - 1
         self.sizes: dict[LogicType, int] = {}
+        self.tables: dict[LogicType, Optional[tuple[int, int, object]]] = {}
         self.leib_cache: dict[int, tuple] = {}
+        # A row of the accessibility or existence table is a prop's table of
+        # world bits, so its position is the world mask.
+        self.acc_masks = [position(row, 2) for row in model.accessibility]
+        self.exists_masks = [position(row, 2) for row in model.exists_at]
+        self.const_idx = dict(zip(model.constants, model._positions))
+        # existsAt as a Fun(Ind, Prop) position: one prop entry per entity.
+        self.const_idx[EXISTS_AT] = position(self.exists_masks, self.full + 1)
 
     def size(self, ty: LogicType) -> int:
         s = self.sizes.get(ty)
@@ -259,6 +264,13 @@ class _EvalCtx:
             s = denotation_size(ty, self.scope)
             self.sizes[ty] = s
         return s
+
+    def table(self, ty: LogicType) -> Optional[tuple[int, int, object]]:
+        try:
+            return self.tables[ty]
+        except KeyError:
+            view = self.tables[ty] = table_view(ty, self.scope)
+            return view
 
 
 def leibniz_shape(term: Term):
@@ -468,12 +480,12 @@ def value_to_json(value: SemValue):
 
 
 def value_from_json(data, ty: LogicType, scope: Scope) -> SemValue:
-    if ty == Ind:
+    if ty is bool:
+        return TRUE if data else FALSE
+    view = table_view(ty, scope)
+    if view is None:
         return SEntity(int(data))
-    if ty == Prop:
-        return STable(tuple(SBool(bool(b)) for b in data))
-    assert isinstance(ty, Fun)
-    return STable(tuple(value_from_json(entry, ty.codomain, scope) for entry in data))
+    return STable(tuple(value_from_json(e, view[2], scope) for e in data))
 
 
 def model_to_json(model: KripkeModel) -> dict:
@@ -498,10 +510,10 @@ def model_to_json_str(model: KripkeModel) -> str:
     return json.dumps(model_to_json(model), sort_keys=True, separators=(",", ":"))
 
 
-def model_from_json(data: dict, cap: int = DEFAULT_CAP) -> KripkeModel:
+def model_from_json(data: dict) -> KripkeModel:
     from .surface import parse_type_text
 
-    scope = Scope(data["num_worlds"], data["num_entities"], cap)
+    scope = Scope(data["num_worlds"], data["num_entities"])
     n, m = scope.num_worlds, scope.num_entities
     acc = [[False] * n for _ in range(n)]
     for w, w2 in data["accessibility"]:
@@ -536,36 +548,39 @@ def count_full_models(signature, scope: Scope) -> int:
     return total
 
 
+def _candidates(signature, scope: Scope, frame_flags=frozenset()):
+    """(r_bits, relation, e_bits, existence, positions) of every candidate
+    model in the fixed enumeration order: relations, then existence tables,
+    then the constants' positions with the last constant fastest. Relations
+    that violate the frame flags are skipped."""
+    n, m = scope.num_worlds, scope.num_entities
+    ranges = [range(denotation_size(ty, scope)) for _, ty in signature]
+    everyone = tuple(tuple(True for _ in range(n)) for _ in range(m))
+    for r_bits in range(2 ** (n * n)):
+        relation = relation_from_bits(r_bits, n)
+        if not KripkeModel(scope, relation, everyone).satisfies_frame(frame_flags):
+            continue
+        for e_bits in range(2 ** (m * n)):
+            existence = exists_from_bits(e_bits, m, n)
+            for positions in itertools.product(*ranges):
+                yield r_bits, relation, e_bits, existence, positions
+
+
+def _candidate_model(signature, scope: Scope, relation, existence, positions) -> KripkeModel:
+    constants = {
+        name: index_value(p, ty, scope) for (name, ty), p in zip(signature, positions)
+    }
+    return KripkeModel(scope, relation, existence, constants, dict(signature))
+
+
 def enumerate_full_models(signature, scope: Scope) -> Iterator[KripkeModel]:
     """Every model at the scope, in a fixed deterministic order.
 
     Intended for small scopes only; callers should bound the total via
     count_full_models first.
     """
-    n, m = scope.num_worlds, scope.num_entities
-    names = [name for name, _ in signature]
-    types = {name: ty for name, ty in signature}
-    sizes = [denotation_size(ty, scope) for _, ty in signature]
-    for r_bits in range(2 ** (n * n)):
-        acc = relation_from_bits(r_bits, n)
-        for e_bits in range(2 ** (m * n)):
-            exists = exists_from_bits(e_bits, m, n)
-            idx = [0] * len(sizes)
-            while True:
-                constants = {
-                    name: index_value(idx[k], types[name], scope)
-                    for k, name in enumerate(names)
-                }
-                yield KripkeModel(scope, acc, exists, constants, dict(types))
-                k = len(sizes) - 1
-                while k >= 0:
-                    idx[k] += 1
-                    if idx[k] < sizes[k]:
-                        break
-                    idx[k] = 0
-                    k -= 1
-                if k < 0:
-                    break
+    for _, relation, _, existence, positions in _candidates(signature, scope):
+        yield _candidate_model(signature, scope, relation, existence, positions)
 
 
 def term_dependencies(term) -> tuple[bool, bool, frozenset]:
@@ -584,57 +599,28 @@ def brute_force_find_model(theory, scope: Scope) -> Optional[KripkeModel]:
     Axiom results are memoized on the model components each axiom actually
     depends on, which keeps exhaustive sweeps at unsatisfiable theories cheap.
     """
-    n, m = scope.num_worlds, scope.num_entities
-    names = [name for name, _ in theory.signature]
-    types = dict(theory.signature)
-    sizes = [denotation_size(ty, scope) for _, ty in theory.signature]
+    signature = theory.signature
+    names = [name for name, _ in signature]
     deps = [term_dependencies(ax) for ax in theory.axioms]
     caches: list[dict] = [{} for _ in theory.axioms]
-    for r_bits in range(2 ** (n * n)):
-        acc = relation_from_bits(r_bits, n)
-        probe = KripkeModel(scope, acc, tuple(tuple(True for _ in range(n)) for _ in range(m)))
-        if not probe.satisfies_frame(theory.frame_flags):
-            continue
-        for e_bits in range(2 ** (m * n)):
-            exists = exists_from_bits(e_bits, m, n)
-            idx = [0] * len(sizes)
-            while True:
-                model = None
-                ok = True
-                for k, ax in enumerate(theory.axioms):
-                    uses_box, uses_exists, consts = deps[k]
-                    key = (
-                        r_bits if uses_box else 0,
-                        e_bits if uses_exists else 0,
-                        tuple(idx[j] for j, name in enumerate(names) if name in consts),
-                    )
-                    hit = caches[k].get(key)
-                    if hit is None:
-                        if model is None:
-                            constants = {
-                                name: index_value(idx[j], types[name], scope)
-                                for j, name in enumerate(names)
-                            }
-                            model = KripkeModel(scope, acc, exists, constants, dict(types))
-                        hit = mvalid(model, ax)
-                        caches[k][key] = hit
-                    if not hit:
-                        ok = False
-                        break
-                if ok:
-                    if model is None:
-                        constants = {
-                            name: index_value(idx[j], types[name], scope)
-                            for j, name in enumerate(names)
-                        }
-                        model = KripkeModel(scope, acc, exists, constants, dict(types))
-                    return model
-                k = len(sizes) - 1
-                while k >= 0:
-                    idx[k] += 1
-                    if idx[k] < sizes[k]:
-                        break
-                    idx[k] = 0
-                    k -= 1
-                if k < 0:
-                    break
+    for r_bits, relation, e_bits, existence, positions in _candidates(
+            signature, scope, theory.frame_flags):
+        model = None
+        for ax, (uses_box, uses_exists, consts), cache in zip(theory.axioms, deps, caches):
+            key = (
+                r_bits if uses_box else 0,
+                e_bits if uses_exists else 0,
+                tuple(p for p, name in zip(positions, names) if name in consts),
+            )
+            hit = cache.get(key)
+            if hit is None:
+                if model is None:
+                    model = _candidate_model(signature, scope, relation, existence, positions)
+                hit = cache[key] = mvalid(model, ax)
+            if not hit:
+                break
+        else:
+            if model is None:
+                model = _candidate_model(signature, scope, relation, existence, positions)
+            return model
+    return None

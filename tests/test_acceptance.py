@@ -8,8 +8,10 @@ output). Run the whole suite with:
 """
 
 import functools
+import hashlib
 import itertools
 import json
+import pathlib
 import time
 
 from homlkit.analysis import (
@@ -267,6 +269,12 @@ DETERMINISM_INVOCATIONS = [
 ]
 
 
+# One "<sha256>  <argv>" line per invocation: the digest of its first run's
+# chunk (header line plus stdout). When a report changes on purpose, the
+# file is replaced by the lines the failing assertion prints.
+DETERMINISM_DIGESTS = pathlib.Path(__file__).parent / "data" / "determinism.sha256"
+
+
 @criterion(10, "determinism")
 def test_criterion_10_determinism(capsys):
     def run_suite():
@@ -274,8 +282,14 @@ def test_criterion_10_determinism(capsys):
         for argv in DETERMINISM_INVOCATIONS:
             code, out = run_cli(argv, capsys)
             chunks.append(f"--- {' '.join(argv)} (exit {code}) ---\n{out}")
-        return "".join(chunks).encode("utf-8")
+        return chunks
 
     first = run_suite()
     second = run_suite()
     assert first == second
+    digests = [
+        f"{hashlib.sha256(chunk.encode('utf-8')).hexdigest()}  {' '.join(argv)}"
+        for chunk, argv in zip(first, DETERMINISM_INVOCATIONS)
+    ]
+    pinned = DETERMINISM_DIGESTS.read_text(encoding="utf-8").splitlines()
+    assert digests == pinned, "\n".join(digests)

@@ -140,6 +140,17 @@ COUNT_POSITIVE = ["count-positive", "--bundle", "goedel", "--entities", "2"]
     pytest.param(["goedel-suite", "--report-limit", "-1"], None, id="report-limit-negative"),
     pytest.param(["enumerate", "--bundle", "k", "--scope", "1,1", "--limit", "-1"], None,
                  id="enumerate-limit-negative"),
+    pytest.param(["count-positive", "--bundle", "goedel", "--entity-mode", "actualist",
+                  "--entities", "-1", "--scope", "2,2"], None, id="actualist-entities-negative"),
+    pytest.param(["enumerate", "--bundle", "k", "--scope", "1,1", "--limit", "abc"], None,
+                 id="enumerate-limit-abc"),
+    pytest.param(["check", "--bundle", "goedel", "--scope", "1,1", "--budget", "abc"], None,
+                 id="budget-abc"),
+    pytest.param(COUNT_POSITIVE + ["--counting-world", "x"], None, id="counting-world-x"),
+    pytest.param(["count-positive", "--bundle", "goedel", "--entities", "x"], None,
+                 id="entities-x"),
+    pytest.param(COUNT_POSITIVE + ["--worlds", "x"], None, id="worlds-x"),
+    pytest.param(["goedel-suite", "--report-limit", "x"], None, id="report-limit-x"),
 ])
 def test_malformed_numbers_exit_two(argv, budget_env, capsys, monkeypatch):
     if budget_env is None:
@@ -158,6 +169,11 @@ def test_zero_counts_are_valid(capsys):
                          "--limit", "0", "--budget", "0"], capsys)
     assert code == 0
     assert json.loads(out)["count"] == 0
+
+
+def test_help_exits_zero(capsys):
+    assert main(["count-positive", "--help"]) == 0
+    assert "--counting-world" in capsys.readouterr().out
 
 
 def test_unknown_positive_constant_exits_two(capsys):

@@ -6,7 +6,10 @@ import pytest
 
 from homlkit.errors import GroundingError
 from homlkit.grounder import (
+    _FALSE,
+    _TRUE,
     GroundProblem,
+    _Grounding,
     check_validity_bounded,
     enumerate_models,
     export_dimacs,
@@ -15,6 +18,7 @@ from homlkit.grounder import (
     iterate_models,
     solve,
 )
+from homlkit.logictypes import Fun, Ind, Prop
 from homlkit.semantics import (
     Countermodel,
     Scope,
@@ -28,6 +32,34 @@ from homlkit.semantics import (
 from homlkit.solver import SAT, UNSAT
 from homlkit.surface import load_theory
 from homlkit.theories import load_bundle
+
+
+CODEC_TYPES = (Prop, Ind, Fun(Ind, Prop), Fun(Prop, Prop), Fun(Ind, Ind),
+               Fun(Fun(Ind, Prop), Prop))
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 1), (1, 3)])
+def test_lifted_constants_round_trip(n, m):
+    """lift, concrete_index and sym_eq agree on every position of every type
+    (at most 2^8 of them at these scopes)."""
+    g = _Grounding(load_theory(""), Scope(n, m))
+    for ty in CODEC_TYPES:
+        size = g.size(ty)
+        assert size <= 2 ** 8
+        for i in range(size):
+            sv = g.lift(i, ty)
+            assert g.concrete_index(sv, ty) == i, (ty, i)
+            for j in range(size):
+                assert g.sym_eq(sv, ty, j) == (_TRUE if i == j else _FALSE), (ty, i, j)
+    # An individual is a one-hot row. A row of constants that is not one-hot
+    # has no position, nor does a table containing it, nor a row with an
+    # unknown cell.
+    for row in itertools.product((_TRUE, _FALSE), repeat=m):
+        if row.count(_TRUE) != 1:
+            assert g.concrete_index(row, Ind) is None, row
+            assert g.concrete_index((row,) * m, Fun(Ind, Ind)) is None, row
+    unknown = g.f.var(1)
+    assert g.concrete_index((unknown,) + g.lift(0, Prop)[1:], Prop) is None
 
 
 def test_contradictory_axiom_unsat_everywhere():

@@ -1,5 +1,7 @@
 """Denotation enumeration and the finite-scope evaluator."""
 
+import itertools
+
 import pytest
 
 from homlkit.errors import ScopeCapError
@@ -73,12 +75,27 @@ def test_enumerate_property_space_smallest_scope():
     assert len(values) == 2
 
 
+def product_order(ty, scope):
+    """The canonical enumeration spelled out with itertools.product: a
+    table's entries vary like the digits of a number, the first entry
+    slowest."""
+    if ty == Ind:
+        return [SEntity(e) for e in range(scope.num_entities)]
+    if ty == Prop:
+        return [prop_value(bits)
+                for bits in itertools.product((False, True), repeat=scope.num_worlds)]
+    entries = list(enumerate_denotation(ty.codomain, scope))
+    return [STable(row)
+            for row in itertools.product(entries, repeat=denotation_size(ty.domain, scope))]
+
+
 def test_enumerate_lengths_and_uniqueness():
     scope = Scope(2, 2)
     for ty in (Ind, Prop, Fun(Ind, Prop), Fun(Ind, Ind), Fun(Prop, Prop)):
         values = list(enumerate_denotation(ty, scope))
         assert len(values) == denotation_size(ty, scope)
         assert len(set(values)) == len(values)
+        assert values == product_order(ty, scope)
         for i, v in enumerate(values):
             assert value_index(v, ty, scope) == i
 
