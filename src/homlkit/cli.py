@@ -423,8 +423,14 @@ def _add_theory_args(sub, bundle_only=False):
     sub.add_argument("--frame", help="override frame flags, e.g. refl,symm,trans")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Raise, so that main reports it like any other usage error."""
+        raise HomlError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="homlkit",
         description="Higher-order modal logic toolkit: bounded model finding over finite Kripke models.",
     )
@@ -485,13 +491,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    # Parsing fills in this namespace: the command is set as soon as it is
+    # read, so a usage error found after that names it in its report.
+    args = argparse.Namespace(command=None, format="json", out=None)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
-    try:
+        build_parser().parse_args(argv, namespace=args)
         exit_code, report = args.handler(args)
+    except SystemExit as exc:  # --help
+        return EXIT_USAGE if exc.code not in (0, None) else 0
     except SourceError as exc:
         report = {"command": args.command, "error": str(exc)}
         exit_code = EXIT_USAGE

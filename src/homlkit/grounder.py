@@ -6,6 +6,12 @@ valued cells get selector bits with an exactly-one constraint. Formulas are
 grounded by full expansion of quantifiers over enumerated denotations, then
 converted to clauses by a Tseitin transform over hash-consed formula nodes, so
 identical inputs always produce identical problems.
+
+Grounding is evaluation in a symbolic carrier: ``_Grounding`` runs the
+evaluator's rule table (``semantics._eval``) with a value being a tuple of
+formula node ids. A subterm that mentions no unknown is evaluated in the
+concrete carrier instead and its value lifted. Nodes are created left before
+right and bound values in ascending order, which fixes the Tseitin numbering.
 """
 
 from __future__ import annotations
@@ -28,29 +34,19 @@ from .semantics import (
     _eval,
     digits,
     holds_at,
-    leibniz_shape,
     position,
+    table_view,
 )
 from .solver import DEFAULT_CONFLICT_BUDGET, SAT, UNKNOWN, UNSAT, Solver, solve_cnf
 from .terms import (
     EXISTS_AT,
-    And,
-    App,
+    EXISTS_AT_TYPE,
     Box,
     Const,
     Diamond,
     ExistsA,
-    ExistsP,
     ForallA,
-    ForallP,
-    Iff,
-    Implies,
-    Lam,
-    LeibnizEq,
-    Not,
-    Or,
     Term,
-    Var,
     children,
 )
 from .theory import Theory
@@ -164,23 +160,26 @@ class GroundProblem:
         types = {}
         for name, ty in self.signature:
             types[name] = ty
-            constants[name] = _decode_cells(self.const_cells[name], ty, assignment)
+            constants[name] = _decode_cells(self.const_cells[name], ty, assignment, self.scope)
         return KripkeModel(self.scope, acc, exists, constants, types)
 
 
-def _decode_cells(cells, ty: LogicType, assignment) -> SemValue:
-    if ty == Prop:
-        return STable(tuple(SBool(assignment[v]) for v in cells))
-    if ty == Ind:
+def _decode_cells(cells, ty, assignment, scope: Scope) -> SemValue:
+    if ty is bool:
+        return SBool(assignment[cells])
+    view = table_view(ty, scope)
+    if view is None:
         chosen = [e for e, v in enumerate(cells) if assignment[v]]
         if len(chosen) != 1:
             raise HomlError("selector bits violate the exactly-one constraint")
         return SEntity(chosen[0])
-    assert isinstance(ty, Fun)
-    return STable(tuple(_decode_cells(sub, ty.codomain, assignment) for sub in cells))
+    return STable(tuple(_decode_cells(sub, view[2], assignment, scope) for sub in cells))
 
 
 class _Grounding:
+    """A theory at a scope as CNF unknowns, and the symbolic carrier that
+    grounds its formulas over them."""
+
     def __init__(self, theory: Theory, scope: Scope):
         if theory.definitions:
             raise GroundingError("theory must be elaborated before grounding")
@@ -201,6 +200,7 @@ class _Grounding:
         )._ctx()
         self.size = self._pure_ctx.size
         self.table = self._pure_ctx.table
+        self.leib_cache = self._pure_ctx.leib_cache
         # Symbolic constants by (position, type), dropped with the grounding.
         self._lifted: dict[tuple, tuple] = {}
 
@@ -223,10 +223,7 @@ class _Grounding:
             self.const_sym[name] = self._cells_to_sym(cells, ty)
         self.decision_vars = list(range(1, self.num_vars + 1))
         # existsAt viewed as an unknown Fun(Ind, Prop) table.
-        self.exists_sym = tuple(
-            tuple(self.f.var(self.ex_vars[e][w]) for w in range(self.n))
-            for e in range(self.m)
-        )
+        self.const_sym[EXISTS_AT] = self._cells_to_sym(self.ex_vars, EXISTS_AT_TYPE)
         self._frame_clauses()
         # Purity cache keyed by object identity (terms are immutable).
         self._pure: dict[int, tuple] = {}
@@ -253,11 +250,11 @@ class _Grounding:
         dom = self.size(ty.domain)
         return tuple(self._alloc_cells(name, ty.codomain, args + (j,)) for j in range(dom))
 
-    def _cells_to_sym(self, cells, ty: LogicType):
-        if ty == Prop or ty == Ind:
-            return tuple(self.f.var(v) for v in cells)
-        assert isinstance(ty, Fun)
-        return tuple(self._cells_to_sym(sub, ty.codomain) for sub in cells)
+    def _cells_to_sym(self, cells, ty):
+        if ty is bool:
+            return self.f.var(cells)
+        entry = self.entry(ty)
+        return tuple(self._cells_to_sym(sub, entry) for sub in cells)
 
     def _frame_clauses(self):
         flags = self.theory.frame_flags
@@ -279,8 +276,15 @@ class _Grounding:
                         self.clauses.append([-r[u][v], -r[v][w], r[u][w]])
 
     # -- symbolic values ---------------------------------------------------
-    # Prop: tuple of n formula ids. Ind: tuple of m one-hot formula ids.
-    # Fun(a, b): tuple of size(a) symbolic b-values in enumeration order.
+    # A symbolic value of a table type is a tuple of its entries' symbolic
+    # values, a prop's world bits being formula ids; an Ind is a flat tuple
+    # of m one-hot formula ids.
+
+    def entry(self, ty: LogicType):
+        """The type of a symbolic value's components: its table entry, and
+        ``bool`` (a selector bit) for ``Ind``."""
+        view = self.table(ty)
+        return bool if view is None else view[2]
 
     def lift(self, i: int, ty: LogicType):
         """The constant symbolic value at position i of ty."""
@@ -327,40 +331,33 @@ class _Grounding:
             [self.sym_eq(sub, entry, d) for sub, d in zip(sv, digits(i, length, base))]
         )
 
-    def sym_values_eq(self, a, b, ty: LogicType) -> int:
-        if ty == Prop or ty == Ind:
-            return self.f.conj([self.f.iff(x, y) for x, y in zip(a, b)])
-        assert isinstance(ty, Fun)
-        return self.f.conj(
-            [self.sym_values_eq(x, y, ty.codomain) for x, y in zip(a, b)]
-        )
+    def sym_values_eq(self, a, b, ty) -> int:
+        """Formula: two symbolic values of ty are equal."""
+        if ty is bool:
+            return self.f.iff(a, b)
+        entry = self.entry(ty)
+        return self.f.conj([self.sym_values_eq(x, y, entry) for x, y in zip(a, b)])
 
-    def mux(self, branches, ty: LogicType):
-        """Symbolic value: the b-value of the branch whose condition holds."""
-        if ty == Prop or ty == Ind:
-            width = len(branches[0][1])
-            return tuple(
-                self.f.disj([self.f.conj([cond, sv[k]]) for cond, sv in branches])
-                for k in range(width)
-            )
-        assert isinstance(ty, Fun)
-        dom = self.size(ty.domain)
+    def mux(self, branches, ty):
+        """Symbolic value: the ty-value of the branch whose condition holds."""
+        if ty is bool:
+            return self.f.disj([self.f.conj([cond, sv]) for cond, sv in branches])
+        entry = self.entry(ty)
         return tuple(
-            self.mux([(cond, sv[j]) for cond, sv in branches], ty.codomain)
-            for j in range(dom)
+            self.mux([(cond, sv[k]) for cond, sv in branches], entry)
+            for k in range(len(branches[0][1]))
         )
 
-    def apply_sym(self, fn_sv, arg_sv, fn_ty: Fun):
-        idx = self.concrete_index(arg_sv, fn_ty.domain)
-        if idx is not None:
-            return fn_sv[idx]
-        dom = self.size(fn_ty.domain)
-        branches = [
-            (self.sym_eq(arg_sv, fn_ty.domain, j), fn_sv[j]) for j in range(dom)
-        ]
-        return self.mux(branches, fn_ty.codomain)
+    # -- the symbolic carrier of semantics._eval ----------------------------
 
-    # -- grounding of terms --------------------------------------------------
+    def eval(self, term: Term, env: list):
+        """Pure subterms are evaluated concretely and lifted; any other node
+        by its rule, through this carrier's operations."""
+        if self._is_pure(term):
+            return self.lift(self._pure_ctx.eval(term, env), term.ty)
+        return _eval(self, term, env)
+
+    var = lift
 
     def _is_pure(self, term: Term) -> bool:
         """True when the term's value cannot depend on any unknown: it
@@ -378,103 +375,69 @@ class _Grounding:
         self._pure[id(term)] = (term, out)
         return out
 
-    def geval(self, term: Term, env: list[int]):
-        if self._is_pure(term):
-            return self.lift(_eval(term, env, self._pure_ctx), term.ty)
-        if isinstance(term, Var):
-            return self.lift(env[len(env) - 1 - term.index], term.var_type)
-        if isinstance(term, Const):
-            if term.name == EXISTS_AT:
-                return self.exists_sym
-            sym = self.const_sym.get(term.name)
-            if sym is None:
-                raise GroundingError(f"constant {term.name!r} is not in the signature")
-            return sym
-        if isinstance(term, App):
-            fn = self.geval(term.fn, env)
-            arg = self.geval(term.arg, env)
-            return self.apply_sym(fn, arg, term.fn.ty)
-        if isinstance(term, Lam):
-            dom = self.size(term.var_type)
-            out = []
-            for j in range(dom):
-                env.append(j)
-                out.append(self.geval(term.body, env))
-                env.pop()
-            return tuple(out)
-        if isinstance(term, Not):
-            arg = self.geval(term.arg, env)
-            return tuple(self.f.neg(c) for c in arg)
-        if isinstance(term, And):
-            left = self.geval(term.left, env)
-            right = self.geval(term.right, env)
-            return tuple(self.f.conj([a, b]) for a, b in zip(left, right))
-        if isinstance(term, Or):
-            left = self.geval(term.left, env)
-            right = self.geval(term.right, env)
-            return tuple(self.f.disj([a, b]) for a, b in zip(left, right))
-        if isinstance(term, Implies):
-            left = self.geval(term.left, env)
-            right = self.geval(term.right, env)
-            return tuple(self.f.implies(a, b) for a, b in zip(left, right))
-        if isinstance(term, Iff):
-            left = self.geval(term.left, env)
-            right = self.geval(term.right, env)
-            return tuple(self.f.iff(a, b) for a, b in zip(left, right))
-        if isinstance(term, Box):
-            arg = self.geval(term.arg, env)
-            return tuple(
-                self.f.conj(
-                    [
-                        self.f.implies(self.f.var(self.r_vars[w][w2]), arg[w2])
-                        for w2 in range(self.n)
-                    ]
-                )
-                for w in range(self.n)
-            )
-        if isinstance(term, Diamond):
-            arg = self.geval(term.arg, env)
-            return tuple(
-                self.f.disj(
-                    [
-                        self.f.conj([self.f.var(self.r_vars[w][w2]), arg[w2]])
-                        for w2 in range(self.n)
-                    ]
-                )
-                for w in range(self.n)
-            )
-        if isinstance(term, ForallP):
-            leib_cache = self._pure_ctx.leib_cache
-            cached = leib_cache.get(id(term))
-            if cached is None or cached[0] is not term:
-                cached = leib_cache[id(term)] = (term, leibniz_shape(term))
-            pair = cached[1]
-            if pair is not None:
-                left = self.geval(pair[0], env)
-                right = self.geval(pair[1], env)
-                eq = self.sym_values_eq(left, right, pair[0].ty)
-                return tuple(eq for _ in range(self.n))
-            size = self.size(term.var_type)
-            rows = []
-            for j in range(size):
-                env.append(j)
-                rows.append(self.geval(term.body, env))
-                env.pop()
-            return tuple(self.f.conj([row[w] for row in rows]) for w in range(self.n))
-        if isinstance(term, ExistsP):
-            size = self.size(term.var_type)
-            rows = []
-            for j in range(size):
-                env.append(j)
-                rows.append(self.geval(term.body, env))
-                env.pop()
-            return tuple(self.f.disj([row[w] for row in rows]) for w in range(self.n))
-        if isinstance(term, LeibnizEq):
-            left = self.geval(term.left, env)
-            right = self.geval(term.right, env)
-            eq = self.sym_values_eq(left, right, term.left.ty)
-            return tuple(eq for _ in range(self.n))
-        raise GroundingError(f"cannot ground term node {term!r}")
+    def const(self, name: str):
+        sym = self.const_sym.get(name)
+        if sym is None:
+            raise GroundingError(f"constant {name!r} is not in the signature")
+        return sym
+
+    def apply(self, fn_sv, arg_sv, fn_ty: Fun):
+        idx = self.concrete_index(arg_sv, fn_ty.domain)
+        if idx is not None:
+            return fn_sv[idx]
+        branches = [
+            (self.sym_eq(arg_sv, fn_ty.domain, j), fn_sv[j])
+            for j in range(self.size(fn_ty.domain))
+        ]
+        return self.mux(branches, fn_ty.codomain)
+
+    def _rows(self, ty: LogicType, body: Term, env: list) -> list:
+        """The body's value for each value of the bound variable, in order."""
+        rows = []
+        for j in range(self.size(ty)):
+            env.append(j)
+            rows.append(self.eval(body, env))
+            env.pop()
+        return rows
+
+    def lam(self, ty, body, env):
+        return tuple(self._rows(ty, body, env))
+
+    def not_(self, a):
+        return tuple(map(self.f.neg, a))
+
+    def and_(self, a, b):
+        return tuple(map(self.f.conj, zip(a, b)))
+
+    def or_(self, a, b):
+        return tuple(map(self.f.disj, zip(a, b)))
+
+    def implies(self, a, b):
+        return tuple(map(self.f.implies, a, b))
+
+    def iff(self, a, b):
+        return tuple(map(self.f.iff, a, b))
+
+    def box(self, a):
+        f = self.f
+        return tuple(
+            f.conj([f.implies(f.var(r), x) for r, x in zip(row, a)]) for row in self.r_vars
+        )
+
+    def diamond(self, a):
+        f = self.f
+        return tuple(
+            f.disj([f.conj([f.var(r), x]) for r, x in zip(row, a)]) for row in self.r_vars
+        )
+
+    def forall(self, ty, body, env):
+        return tuple(map(self.f.conj, zip(*self._rows(ty, body, env))))
+
+    def exists(self, ty, body, env):
+        return tuple(map(self.f.disj, zip(*self._rows(ty, body, env))))
+
+    def equal(self, a, b, ty):
+        return (self.sym_values_eq(a, b, ty),) * self.n
 
     # -- Tseitin -------------------------------------------------------------
 
@@ -551,11 +514,11 @@ def ground(theory: Theory, scope: Scope, negated_goal: Optional[Term] = None) ->
     for ax in theory.axioms:
         if ax.ty != Prop:
             raise GroundingError("axioms must be prop-typed")
-        roots.extend(g.geval(ax, []))
+        roots.extend(g.eval(ax, []))
     if negated_goal is not None:
         if negated_goal.ty != Prop:
             raise GroundingError("goal must be prop-typed")
-        bits = g.geval(negated_goal, [])
+        bits = g.eval(negated_goal, [])
         roots.append(g.f.disj([g.f.neg(b) for b in bits]))
     g.assert_roots(roots)
     return g.to_problem()

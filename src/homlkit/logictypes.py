@@ -22,20 +22,26 @@ class LogicType:
         return format_type(self)
 
 
-@dataclass(frozen=True)
-class _Ind(LogicType):
+class _Base(LogicType):
+    """A base type: a singleton, equal only to itself and hashed by identity,
+    so that type-keyed dicts never compare Ind with Prop."""
+
     __slots__ = ()
 
+    def __reduce__(self):
+        # Copies and pickles resolve to the module-level singleton.
+        return repr(self)
+
     def __repr__(self):
-        return "Ind"
+        return type(self).__name__[1:]
 
 
-@dataclass(frozen=True)
-class _Prop(LogicType):
+class _Ind(_Base):
     __slots__ = ()
 
-    def __repr__(self):
-        return "Prop"
+
+class _Prop(_Base):
+    __slots__ = ()
 
 
 Ind = _Ind()
@@ -71,9 +77,9 @@ def type_order(t: LogicType) -> int:
 
 def format_type(t: LogicType) -> str:
     """Render in surface syntax: ``i``, ``prop``, ``a > b`` (right-associative)."""
-    if t is Ind or isinstance(t, _Ind):
+    if t is Ind:
         return "i"
-    if t is Prop or isinstance(t, _Prop):
+    if t is Prop:
         return "prop"
     assert isinstance(t, Fun)
     dom = format_type(t.domain)

@@ -14,21 +14,29 @@ read as a number in base |entry| (``table_view``):
   entry first-most-significant.
 
 ``digits(i, length, base)`` splits a position into its entries and
-``position(entries, base)`` joins them back. The value codec, the evaluation
-context and the grounder convert through that pair; only the evaluator's hot
-path (``_eval`` and the world-mask helpers) inlines the same arithmetic. The
-order is the one itertools.product gives over the entries.
+``position(entries, base)`` joins them back. The order is the one
+itertools.product gives over the entries.
+
+The evaluator states the meaning of each term node kind once, as one rule
+in ``_RULES``, keyed by the node's type. A rule computes through a carrier,
+which supplies the value operations (``var``, ``const``, ``apply``, ``lam``,
+the connectives ``not_``/``and_``/``or_``/``implies``/``iff``, ``box``,
+``diamond``, the quantifiers ``forall``/``exists`` and ``equal``), and it
+evaluates subterms with ``c.eval``. There are two carriers. ``_EvalCtx``
+is concrete: a value is its position, a proposition its world mask, so
+``mvalid`` and ``holds_at`` run on it. The grounder's ``_Grounding`` is
+symbolic: a value is a tuple of formula nodes over the model's unknowns.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 from .errors import HomlError, ScopeCapError
-from .logictypes import Fun, LogicType, Prop
+from .logictypes import Fun, Ind, LogicType, Prop
 from .terms import (
     EXISTS_AT,
     And,
@@ -48,10 +56,9 @@ from .terms import (
     Or,
     Term,
     Var,
-    constants_of,
+    existence_guard,
     free_vars,
     shift,
-    subterms,
 )
 
 DEFAULT_CAP = 2 ** 20
@@ -240,8 +247,15 @@ class KripkeModel:
         return ctx
 
 
+def _eval(c, term: Term, env: list):
+    """The value of ``term`` in carrier ``c``, where ``env[-1 - k]`` is the
+    value of de Bruijn index k: the rule of the term's node kind."""
+    return _RULES[type(term)](c, term, env)
+
+
 class _EvalCtx:
-    """Precomputed integer form of a model for the fast evaluator."""
+    """The concrete carrier: a model in integer form. A value is its position
+    in its type's enumeration, so a proposition's value is its world mask."""
 
     def __init__(self, model: KripkeModel):
         self.scope = model.scope
@@ -272,6 +286,69 @@ class _EvalCtx:
             view = self.tables[ty] = table_view(ty, self.scope)
             return view
 
+    eval = _eval
+    var = staticmethod(lambda j, ty: j)
+    and_ = staticmethod(operator.and_)
+    or_ = staticmethod(operator.or_)
+
+    def const(self, name: str) -> int:
+        try:
+            return self.const_idx[name]
+        except KeyError:
+            raise HomlError(f"model does not interpret constant {name!r}") from None
+
+    def apply(self, f: int, a: int, fn_ty: Fun) -> int:
+        dom = self.size(fn_ty.domain)
+        cod = self.size(fn_ty.codomain)
+        return (f // cod ** (dom - 1 - a)) % cod
+
+    def lam(self, ty: LogicType, body: Term, env: list) -> int:
+        acc = 0
+        cod = self.size(body.ty)
+        for j in range(self.size(ty)):
+            env.append(j)
+            acc = acc * cod + self.eval(body, env)
+            env.pop()
+        return acc
+
+    def not_(self, a: int) -> int:
+        return self.full ^ a
+
+    def implies(self, a: int, b: int) -> int:
+        return (self.full ^ a) | b
+
+    def iff(self, a: int, b: int) -> int:
+        return self.full ^ a ^ b
+
+    def box(self, a: int) -> int:
+        return position([a & row == row for row in self.acc_masks], 2)
+
+    def diamond(self, a: int) -> int:
+        return position([a & row != 0 for row in self.acc_masks], 2)
+
+    def forall(self, ty: LogicType, body: Term, env: list) -> int:
+        out = self.full
+        for j in range(self.size(ty)):
+            env.append(j)
+            out &= self.eval(body, env)
+            env.pop()
+            if out == 0:
+                break
+        return out
+
+    def exists(self, ty: LogicType, body: Term, env: list) -> int:
+        out = 0
+        for j in range(self.size(ty)):
+            env.append(j)
+            out |= self.eval(body, env)
+            env.pop()
+            if out == self.full:
+                break
+        return out
+
+    def equal(self, a: int, b: int, ty: LogicType) -> int:
+        return self.full if a == b else 0
+
 
 def leibniz_shape(term: Term):
     """Recognize the expansion of Leibniz equality.
@@ -299,108 +376,39 @@ def leibniz_shape(term: Term):
     return shift(a, -1), shift(b, -1)
 
 
-def _eval(term: Term, env: list[int], ctx: _EvalCtx) -> int:
-    """Evaluate to the integer position of the term's value in its type."""
-    if isinstance(term, Var):
-        return env[len(env) - 1 - term.index]
-    if isinstance(term, Const):
-        try:
-            return ctx.const_idx[term.name]
-        except KeyError:
-            raise HomlError(f"model does not interpret constant {term.name!r}") from None
-    if isinstance(term, App):
-        f = _eval(term.fn, env, ctx)
-        a = _eval(term.arg, env, ctx)
-        dom = ctx.size(term.fn.ty.domain)
-        cod = ctx.size(term.fn.ty.codomain)
-        return (f // cod ** (dom - 1 - a)) % cod
-    if isinstance(term, Lam):
-        dom = ctx.size(term.var_type)
-        acc = 0
-        cod = ctx.size(term.body.ty)
-        for j in range(dom):
-            env.append(j)
-            acc = acc * cod + _eval(term.body, env, ctx)
-            env.pop()
-        return acc
-    if isinstance(term, Not):
-        return ctx.full ^ _eval(term.arg, env, ctx)
-    if isinstance(term, And):
-        return _eval(term.left, env, ctx) & _eval(term.right, env, ctx)
-    if isinstance(term, Or):
-        return _eval(term.left, env, ctx) | _eval(term.right, env, ctx)
-    if isinstance(term, Implies):
-        return (ctx.full ^ _eval(term.left, env, ctx)) | _eval(term.right, env, ctx)
-    if isinstance(term, Iff):
-        return ctx.full ^ _eval(term.left, env, ctx) ^ _eval(term.right, env, ctx)
-    if isinstance(term, Box):
-        v = _eval(term.arg, env, ctx)
-        out = 0
-        for w in range(ctx.n):
-            acc = ctx.acc_masks[w]
-            if v & acc == acc:
-                out |= 1 << (ctx.n - 1 - w)
-        return out
-    if isinstance(term, Diamond):
-        v = _eval(term.arg, env, ctx)
-        out = 0
-        for w in range(ctx.n):
-            if v & ctx.acc_masks[w]:
-                out |= 1 << (ctx.n - 1 - w)
-        return out
-    if isinstance(term, ForallP):
-        cached = ctx.leib_cache.get(id(term))
-        if cached is None or cached[0] is not term:
-            pair = leibniz_shape(term)
-            cached = (term, pair)
-            ctx.leib_cache[id(term)] = cached
-        pair = cached[1]
-        if pair is not None:
-            same = _eval(pair[0], env, ctx) == _eval(pair[1], env, ctx)
-            return ctx.full if same else 0
-        size = ctx.size(term.var_type)
-        out = ctx.full
-        for j in range(size):
-            env.append(j)
-            out &= _eval(term.body, env, ctx)
-            env.pop()
-            if out == 0:
-                break
-        return out
-    if isinstance(term, ExistsP):
-        size = ctx.size(term.var_type)
-        out = 0
-        for j in range(size):
-            env.append(j)
-            out |= _eval(term.body, env, ctx)
-            env.pop()
-            if out == ctx.full:
-                break
-        return out
-    if isinstance(term, ForallA):
-        out = ctx.full
-        for e, guard in enumerate(ctx.exists_masks):
-            env.append(e)
-            out &= (ctx.full ^ guard) | _eval(term.body, env, ctx)
-            env.pop()
-            if out == 0:
-                break
-        return out
-    if isinstance(term, ExistsA):
-        out = 0
-        for e, guard in enumerate(ctx.exists_masks):
-            env.append(e)
-            out |= guard & _eval(term.body, env, ctx)
-            env.pop()
-            if out == ctx.full:
-                break
-        return out
-    if isinstance(term, LeibnizEq):
-        # In full function spaces a discriminating property always exists, so
-        # Leibniz equality coincides with identity of canonical values.
-        same = _eval(term.left, env, ctx) == _eval(term.right, env, ctx)
-        return ctx.full if same else 0
-    raise HomlError(f"cannot evaluate term node {term!r}")
+def _forall_p(c, t: ForallP, env: list):
+    # Over full function spaces a discriminating property always exists, so
+    # Leibniz equality's expansion holds iff its two sides are identical.
+    cached = c.leib_cache.get(id(t))
+    if cached is None or cached[0] is not t:
+        cached = c.leib_cache[id(t)] = (t, leibniz_shape(t))
+    pair = cached[1]
+    if pair is not None:
+        return c.equal(c.eval(pair[0], env), c.eval(pair[1], env), pair[0].ty)
+    return c.forall(t.var_type, t.body, env)
+
+
+# One rule per node kind; each computes through the carrier ``c``. The
+# sugar nodes mean what elaborate expands them to: an actualist quantifier
+# ranges over Ind guarded by existsAt, and Leibniz equality is identity.
+_RULES = {
+    Var: lambda c, t, env: c.var(env[-1 - t.index], t.var_type),
+    Const: lambda c, t, env: c.const(t.name),
+    App: lambda c, t, env: c.apply(c.eval(t.fn, env), c.eval(t.arg, env), t.fn.ty),
+    Lam: lambda c, t, env: c.lam(t.var_type, t.body, env),
+    Not: lambda c, t, env: c.not_(c.eval(t.arg, env)),
+    And: lambda c, t, env: c.and_(c.eval(t.left, env), c.eval(t.right, env)),
+    Or: lambda c, t, env: c.or_(c.eval(t.left, env), c.eval(t.right, env)),
+    Implies: lambda c, t, env: c.implies(c.eval(t.left, env), c.eval(t.right, env)),
+    Iff: lambda c, t, env: c.iff(c.eval(t.left, env), c.eval(t.right, env)),
+    Box: lambda c, t, env: c.box(c.eval(t.arg, env)),
+    Diamond: lambda c, t, env: c.diamond(c.eval(t.arg, env)),
+    ForallP: _forall_p,
+    ExistsP: lambda c, t, env: c.exists(t.var_type, t.body, env),
+    ForallA: lambda c, t, env: c.forall(Ind, Implies(existence_guard(t.hint), t.body), env),
+    ExistsA: lambda c, t, env: c.exists(Ind, And(existence_guard(t.hint), t.body), env),
+    LeibnizEq: lambda c, t, env: c.equal(c.eval(t.left, env), c.eval(t.right, env), t.left.ty),
+}
 
 
 def eval_term(model: KripkeModel, env: Sequence[SemValue], term: Term) -> SemValue:
@@ -412,8 +420,7 @@ def eval_term(model: KripkeModel, env: Sequence[SemValue], term: Term) -> SemVal
     int_env = [0] * len(env)
     for k, ty in var_types.items():
         int_env[len(env) - 1 - k] = value_index(env[k], ty, model.scope)
-    pos = _eval(term, int_env, ctx)
-    return index_value(pos, term.ty, model.scope)
+    return index_value(ctx.eval(term, int_env), term.ty, model.scope)
 
 
 def holds_at(model: KripkeModel, formula: Term, world: int) -> bool:
@@ -421,8 +428,9 @@ def holds_at(model: KripkeModel, formula: Term, world: int) -> bool:
     if formula.ty != Prop:
         raise HomlError(f"holds_at requires a prop-typed term, got {formula.ty}")
     ctx = model._ctx()
-    mask = _eval(formula, [], ctx)
-    return bool((mask >> (ctx.n - 1 - world)) & 1)
+    if not 0 <= world < ctx.n:
+        raise HomlError(f"world {world} is outside 0..{ctx.n - 1}")
+    return bool((ctx.eval(formula, []) >> (ctx.n - 1 - world)) & 1)
 
 
 def mvalid(model: KripkeModel, formula: Term) -> bool:
@@ -430,12 +438,12 @@ def mvalid(model: KripkeModel, formula: Term) -> bool:
     if formula.ty != Prop:
         raise HomlError(f"mvalid requires a prop-typed term, got {formula.ty}")
     ctx = model._ctx()
-    return _eval(formula, [], ctx) == ctx.full
+    return ctx.eval(formula, []) == ctx.full
 
 
 def eval_mask(model: KripkeModel, formula: Term) -> int:
     """World bitmask of a closed prop formula (bit n-1-w set iff true at w)."""
-    return _eval(formula, [], model._ctx())
+    return model._ctx().eval(formula, [])
 
 
 # ---------------------------------------------------------------------------
@@ -526,101 +534,3 @@ def model_from_json(data: dict) -> KripkeModel:
         types[name] = ty
         constants[name] = value_from_json(entry["value"], ty, scope)
     return KripkeModel(scope, tuple(tuple(row) for row in acc), exists, constants, types)
-
-
-# ---------------------------------------------------------------------------
-# Exhaustive model enumeration (the semantic-side oracle)
-
-def relation_from_bits(bits: int, n: int) -> tuple[tuple[bool, ...], ...]:
-    return tuple(tuple(bool((bits >> (w * n + w2)) & 1) for w2 in range(n)) for w in range(n))
-
-
-def exists_from_bits(bits: int, m: int, n: int) -> tuple[tuple[bool, ...], ...]:
-    return tuple(tuple(bool((bits >> (e * n + w)) & 1) for w in range(n)) for e in range(m))
-
-
-def count_full_models(signature, scope: Scope) -> int:
-    """Number of candidate models the exhaustive enumeration would visit."""
-    n, m = scope.num_worlds, scope.num_entities
-    total = 2 ** (n * n) * 2 ** (m * n)
-    for _, ty in signature:
-        total *= denotation_size(ty, scope)
-    return total
-
-
-def _candidates(signature, scope: Scope, frame_flags=frozenset()):
-    """(r_bits, relation, e_bits, existence, positions) of every candidate
-    model in the fixed enumeration order: relations, then existence tables,
-    then the constants' positions with the last constant fastest. Relations
-    that violate the frame flags are skipped."""
-    n, m = scope.num_worlds, scope.num_entities
-    ranges = [range(denotation_size(ty, scope)) for _, ty in signature]
-    everyone = tuple(tuple(True for _ in range(n)) for _ in range(m))
-    for r_bits in range(2 ** (n * n)):
-        relation = relation_from_bits(r_bits, n)
-        if not KripkeModel(scope, relation, everyone).satisfies_frame(frame_flags):
-            continue
-        for e_bits in range(2 ** (m * n)):
-            existence = exists_from_bits(e_bits, m, n)
-            for positions in itertools.product(*ranges):
-                yield r_bits, relation, e_bits, existence, positions
-
-
-def _candidate_model(signature, scope: Scope, relation, existence, positions) -> KripkeModel:
-    constants = {
-        name: index_value(p, ty, scope) for (name, ty), p in zip(signature, positions)
-    }
-    return KripkeModel(scope, relation, existence, constants, dict(signature))
-
-
-def enumerate_full_models(signature, scope: Scope) -> Iterator[KripkeModel]:
-    """Every model at the scope, in a fixed deterministic order.
-
-    Intended for small scopes only; callers should bound the total via
-    count_full_models first.
-    """
-    for _, relation, _, existence, positions in _candidates(signature, scope):
-        yield _candidate_model(signature, scope, relation, existence, positions)
-
-
-def term_dependencies(term) -> tuple[bool, bool, frozenset]:
-    """(uses Box/Diamond, uses the existence table, constants mentioned)."""
-    consts = constants_of(term)
-    kinds = {type(t) for t in subterms(term)}
-    uses_modal = bool(kinds & {Box, Diamond})
-    uses_exists = EXISTS_AT in consts or bool(kinds & {ForallA, ExistsA})
-    return uses_modal, uses_exists, consts - {EXISTS_AT}
-
-
-def brute_force_find_model(theory, scope: Scope) -> Optional[KripkeModel]:
-    """First model (in enumeration order) satisfying frame flags and axioms.
-
-    This is the independent oracle for the grounder: it relies only on eval.
-    Axiom results are memoized on the model components each axiom actually
-    depends on, which keeps exhaustive sweeps at unsatisfiable theories cheap.
-    """
-    signature = theory.signature
-    names = [name for name, _ in signature]
-    deps = [term_dependencies(ax) for ax in theory.axioms]
-    caches: list[dict] = [{} for _ in theory.axioms]
-    for r_bits, relation, e_bits, existence, positions in _candidates(
-            signature, scope, theory.frame_flags):
-        model = None
-        for ax, (uses_box, uses_exists, consts), cache in zip(theory.axioms, deps, caches):
-            key = (
-                r_bits if uses_box else 0,
-                e_bits if uses_exists else 0,
-                tuple(p for p, name in zip(positions, names) if name in consts),
-            )
-            hit = cache.get(key)
-            if hit is None:
-                if model is None:
-                    model = _candidate_model(signature, scope, relation, existence, positions)
-                hit = cache[key] = mvalid(model, ax)
-            if not hit:
-                break
-        else:
-            if model is None:
-                model = _candidate_model(signature, scope, relation, existence, positions)
-            return model
-    return None

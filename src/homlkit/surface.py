@@ -34,6 +34,7 @@ from .terms import (
     Var,
     beta_normalize,
     children,
+    existence_guard,
     rebuild,
     replace_consts,
     shift,
@@ -486,11 +487,9 @@ def _expand_sugar(term: Term) -> Term:
     """Bottom-up expansion of Leibniz equality and actualist quantifiers."""
     kids = [_expand_sugar(k) for k in children(term)]
     if isinstance(term, ForallA):
-        guard = App(Const(EXISTS_AT, EXISTS_AT_TYPE), Var(0, Ind, term.hint))
-        return ForallP(Ind, Implies(guard, kids[0]), term.hint)
+        return ForallP(Ind, Implies(existence_guard(term.hint), kids[0]), term.hint)
     if isinstance(term, ExistsA):
-        guard = App(Const(EXISTS_AT, EXISTS_AT_TYPE), Var(0, Ind, term.hint))
-        return ExistsP(Ind, And(guard, kids[0]), term.hint)
+        return ExistsP(Ind, And(existence_guard(term.hint), kids[0]), term.hint)
     if isinstance(term, LeibnizEq):
         left, right = shift(kids[0], 1), shift(kids[1], 1)
         qty = Fun(term.left.ty, Prop)

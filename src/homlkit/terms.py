@@ -173,6 +173,12 @@ class LeibnizEq(Term):
         return Prop
 
 
+def existence_guard(hint: str = "x") -> Term:
+    """``existsAt x`` for the innermost bound individual x: the guard that
+    restricts an actualist quantifier to the individuals of its world."""
+    return App(Const(EXISTS_AT, EXISTS_AT_TYPE), Var(0, Ind, hint))
+
+
 UNARY_CONNECTIVES = (Not, Box, Diamond)
 BINARY_CONNECTIVES = (And, Or, Implies, Iff)
 QUANTIFIERS = (ForallP, ExistsP, ForallA, ExistsA)

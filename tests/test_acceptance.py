@@ -28,13 +28,10 @@ from homlkit.semantics import (
     KripkeModel,
     Scope,
     ValidUpToScope,
-    brute_force_find_model,
-    count_full_models,
-    holds_at,
     model_from_json,
-    mvalid,
 )
 from homlkit.theories import check_church_postulates, load_bundle
+from reference import brute_force_find_model, count_full_models, holds_at, mvalid
 
 
 def criterion(num, label):

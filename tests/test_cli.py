@@ -1,6 +1,8 @@
 """CLI: exit codes, report stability, DIMACS export."""
 
+import hashlib
 import json
+import pathlib
 
 import pytest
 
@@ -151,6 +153,8 @@ COUNT_POSITIVE = ["count-positive", "--bundle", "goedel", "--entities", "2"]
                  id="entities-x"),
     pytest.param(COUNT_POSITIVE + ["--worlds", "x"], None, id="worlds-x"),
     pytest.param(["goedel-suite", "--report-limit", "x"], None, id="report-limit-x"),
+    pytest.param(["count-positive", "--bundle", "goedel"], None, id="entities-missing"),
+    pytest.param(COUNT_POSITIVE + ["--entity-mode", "x"], None, id="entity-mode-x"),
 ])
 def test_malformed_numbers_exit_two(argv, budget_env, capsys, monkeypatch):
     if budget_env is None:
@@ -180,3 +184,30 @@ def test_unknown_positive_constant_exits_two(capsys):
     code, out = run_cli(COUNT_POSITIVE + ["--constant", "NoSuch"], capsys)
     assert code == 2
     assert "NoSuch" in json.loads(out)["error"]
+
+
+EXPORT_CNF_INVOCATIONS = [
+    ["--bundle", "goedel", "--scope", "2,2"],
+    ["--bundle", "goedel", "--scope", "2,2", "--mode", "refute", "--goal", "necessary_existence"],
+    ["--bundle", "goedel", "--quantifier", "possibilist", "--scope", "2,2",
+     "--mode", "refute", "--goal", "necessary_existence"],
+    ["--bundle", "filters", "--scope", "2,2"],
+    ["--bundle", "church", "--scope", "2,2", "--mode", "refute", "--goal", "bool_ext_nontrivial"],
+    ["--bundle", "k", "--scope", "3,2", "--mode", "refute", "--goal", "K"],
+]
+# One "<sha256>  <argv>" line per invocation: the digest of the DIMACS file
+# that `export-cnf <argv>` writes. It pins the grounder's formula-node order,
+# and with it the Tseitin variable numbers.
+EXPORT_CNF_DIGESTS = pathlib.Path(__file__).parent / "data" / "export_cnf.sha256"
+
+
+def test_export_cnf_bytes_pinned(tmp_path, capsys):
+    digests = []
+    for argv in EXPORT_CNF_INVOCATIONS:
+        out_path = tmp_path / "problem.cnf"
+        assert main(["export-cnf", *argv, "--out", str(out_path)]) == 0, argv
+        digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+        digests.append(f"{digest}  {' '.join(argv)}")
+    capsys.readouterr()
+    pinned = EXPORT_CNF_DIGESTS.read_text(encoding="utf-8").splitlines()
+    assert digests == pinned, "\n".join(digests)

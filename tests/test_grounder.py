@@ -23,15 +23,17 @@ from homlkit.semantics import (
     Countermodel,
     Scope,
     ValidUpToScope,
+)
+from homlkit.solver import SAT, UNSAT
+from homlkit.surface import elaborate, load_theory, parse, typecheck
+from homlkit.theories import load_bundle
+from reference import (
     brute_force_find_model,
     count_full_models,
     enumerate_full_models,
     holds_at,
     mvalid,
 )
-from homlkit.solver import SAT, UNSAT
-from homlkit.surface import load_theory
-from homlkit.theories import load_bundle
 
 
 CODEC_TYPES = (Prop, Ind, Fun(Ind, Prop), Fun(Prop, Prop), Fun(Ind, Ind),
@@ -414,3 +416,23 @@ def test_countermodel_completeness_at_small_scope():
     for model in enumerate_full_models(theory.signature, scope):
         if model.satisfies_frame(theory.frame_flags):
             assert mvalid(model, theory.goals[0])
+
+
+SUGAR_SOURCE = (
+    "const P : i > prop\nconst c : i\nconst d : i\nconst p : prop\n"
+    "axiom forallA x. box (P x)\naxiom existsA x. (P x) & (dia p)\n"
+    "goal c == d\ngoal (P c) == p\ngoal (forallA x. P x) -> (existsA y. P y)\n"
+)
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 2), (2, 3)])
+def test_sugar_grounds_as_its_elaboration(n, m):
+    """Actualist quantifiers and Leibniz equality, left in the terms, ground
+    to the same DIMACS bytes as the terms elaborate expands them to."""
+    checked = typecheck(parse(SUGAR_SOURCE))
+    core = elaborate(checked)
+    scope = Scope(n, m)
+    goals = [(None, None)] + list(zip(checked.goals, core.goals))
+    for sugar_goal, core_goal in goals:
+        assert export_dimacs(ground(checked, scope, sugar_goal)) == \
+            export_dimacs(ground(core, scope, core_goal)), sugar_goal

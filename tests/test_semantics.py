@@ -14,7 +14,6 @@ from homlkit.semantics import (
     STable,
     denotation_size,
     enumerate_denotation,
-    enumerate_full_models,
     eval_mask,
     eval_term,
     holds_at,
@@ -36,7 +35,17 @@ from homlkit.terms import (
     Implies,
     LeibnizEq,
     Var,
+    free_vars,
+    subterms,
 )
+from homlkit.theories import BUNDLE_IDS, load_bundle
+from reference import (
+    _candidate_model,
+    enumerate_full_models,
+    exists_from_bits,
+    relation_from_bits,
+)
+import reference
 
 TAU = Fun(Ind, Prop)
 
@@ -269,3 +278,56 @@ def test_diamond_dual_of_box():
         p = Const("p", Prop)
         from homlkit.terms import Not
         assert eval_mask(model, Diamond(p)) == eval_mask(model, Not(Box(Not(p))))
+
+
+def test_holds_at_rejects_worlds_outside_scope():
+    from homlkit.errors import HomlError
+
+    scope = Scope(2, 1)
+    p = Const("p", Prop)
+    model = full_model(scope, total_relation(2), ((True, True),),
+                       {"p": prop_value([True, True])}, {"p": Prop})
+    assert holds_at(model, p, 0) and holds_at(model, p, 1)
+    for world in (-1, 2):
+        with pytest.raises(HomlError, match="outside 0..1"):
+            holds_at(model, p, world)
+
+
+def _random_models(signature, scope, rng, count):
+    """``count`` models at the scope with every component drawn at random."""
+    n, m = scope.num_worlds, scope.num_entities
+    for _ in range(count):
+        positions = [rng.randrange(denotation_size(ty, scope)) for _, ty in signature]
+        yield _candidate_model(signature, scope,
+                               relation_from_bits(rng.getrandbits(n * n), n),
+                               exists_from_bits(rng.getrandbits(m * n), m, n), positions)
+
+
+SUGAR_SOURCE = (
+    "const P : i > prop\nconst c : i\nconst d : i\nconst p : prop\n"
+    "goal forallA x. box (P x)\ngoal existsA x. (P x) & (dia p)\n"
+    "goal c == d\ngoal (P c) == p\ngoal (forallA x. P x) -> (existsA y. P y)\n"
+)
+
+
+def test_rule_table_agrees_with_reference():
+    # The library's evaluator (rule table, concrete carrier) against the
+    # reference ladder in tests/reference.py: every closed prop subterm of
+    # every bundle's axioms and goals, and of hand-built actualist and
+    # Leibniz sugar, on random models.
+    import random
+
+    rng = random.Random(0)
+    theories = [(load_bundle(b).theory, scope)
+                for b in BUNDLE_IDS for scope in (Scope(2, 1), Scope(1, 2))]
+    theories.append((typecheck(parse(SUGAR_SOURCE)), Scope(2, 2)))
+    compared = 0
+    for theory, scope in theories:
+        formulas = {t for f in theory.axioms + theory.goals for t in subterms(f)
+                    if t.ty == Prop and not free_vars(t)}
+        for model in _random_models(theory.signature, scope, rng, 8):
+            for formula in formulas:
+                assert eval_mask(model, formula) == reference.eval_mask(model, formula), \
+                    (theory.name, formula)
+                compared += 1
+    assert compared > 1000

@@ -36,3 +36,17 @@ def test_traversal_laws_on_every_bundle_subterm(bundle_id, params):
             assert set(free_vars(shift(t, 1))) == {k + 1 for k in free_vars(t)}
             normal = beta_normalize(t)
             assert beta_normalize(normal) == normal
+
+
+def test_base_types_hash_apart():
+    # Type-keyed dicts (sizes, table views, lifted constants) must not make
+    # their lookup cost depend on which base type was inserted first.
+    import copy
+    import pickle
+
+    from homlkit.logictypes import Fun, Ind, Prop
+
+    assert hash(Ind) != hash(Prop)
+    assert Ind != Prop and Ind == Ind and Prop == Prop
+    assert Fun(Ind, Prop) == Fun(Ind, Prop) != Fun(Prop, Ind)
+    assert copy.deepcopy(Ind) is Ind and pickle.loads(pickle.dumps(Prop)) is Prop

@@ -5,8 +5,9 @@ import pytest
 from homlkit import theories
 from homlkit.errors import BundleError
 from homlkit.grounder import check_validity_bounded, find_model, ground
-from homlkit.semantics import Countermodel, Scope, ValidUpToScope, holds_at, mvalid
+from homlkit.semantics import Countermodel, Scope, ValidUpToScope
 from homlkit.theories import BUNDLE_IDS, check_church_postulates, load_bundle
+from reference import holds_at, mvalid
 
 
 def test_load_all_bundles():
