@@ -8,10 +8,15 @@ converted to clauses by a Tseitin transform over hash-consed formula nodes, so
 identical inputs always produce identical problems.
 
 Grounding is evaluation in a symbolic carrier: ``_Grounding`` runs the
-evaluator's rule table (``semantics._eval``) with a value being a tuple of
-formula node ids. A subterm that mentions no unknown is evaluated in the
-concrete carrier instead and its value lifted. Nodes are created left before
-right and bound values in ascending order, which fixes the Tseitin numbering.
+closures that the evaluator's compile rules (``semantics._RULES``) build for
+the scope, with a value being a tuple of formula node ids. Which subterms
+mention no unknown is decided when they are compiled: a maximal such subterm
+runs in the concrete carrier over an empty frame, and its value is lifted
+once. Nodes are created left before right, with no short-circuit, and bound
+values in ascending order, which fixes the Tseitin numbering. A binder's
+value is memoised on its free variables for one ``ground`` call; a hit
+returns the node ids that interning would have returned anyway, so the
+numbering does not move.
 """
 
 from __future__ import annotations
@@ -31,24 +36,15 @@ from .semantics import (
     STable,
     SemValue,
     ValidUpToScope,
-    _eval,
+    _Compiler,
+    _EvalCtx,
     digits,
     holds_at,
     position,
     table_view,
 )
 from .solver import DEFAULT_CONFLICT_BUDGET, SAT, UNKNOWN, UNSAT, Solver, solve_cnf
-from .terms import (
-    EXISTS_AT,
-    EXISTS_AT_TYPE,
-    Box,
-    Const,
-    Diamond,
-    ExistsA,
-    ForallA,
-    Term,
-    children,
-)
+from .terms import EXISTS_AT, EXISTS_AT_TYPE, Term
 from .theory import Theory
 
 MAX_CONSTANT_ORDER = 3
@@ -191,16 +187,17 @@ class _Grounding:
         self.num_vars = 0
         self.meanings: dict[int, str] = {}
         self.clauses: list[list[int]] = []
-        # Model-independent subterms evaluate directly in a context over an
-        # empty frame, whose size and Leibniz-shape memos the grounder shares.
-        self._pure_ctx = KripkeModel(
+        self.compiler = _Compiler(scope)
+        self.size = self.compiler.size
+        self.table = self.compiler.table
+        # Model-free subterms run in the concrete carrier over an empty frame.
+        self.concrete = _EvalCtx(KripkeModel(
             scope,
             tuple(tuple(False for _ in range(self.n)) for _ in range(self.n)),
             tuple(tuple(False for _ in range(self.n)) for _ in range(self.m)),
-        )._ctx()
-        self.size = self._pure_ctx.size
-        self.table = self._pure_ctx.table
-        self.leib_cache = self._pure_ctx.leib_cache
+        ))
+        # Both carriers' binder memos live as long as this grounding.
+        self.memo: dict = {}
         # Symbolic constants by (position, type), dropped with the grounding.
         self._lifted: dict[tuple, tuple] = {}
 
@@ -225,8 +222,6 @@ class _Grounding:
         # existsAt viewed as an unknown Fun(Ind, Prop) table.
         self.const_sym[EXISTS_AT] = self._cells_to_sym(self.ex_vars, EXISTS_AT_TYPE)
         self._frame_clauses()
-        # Purity cache keyed by object identity (terms are immutable).
-        self._pure: dict[int, tuple] = {}
 
     def _new_var(self, meaning: Optional[str] = None) -> int:
         self.num_vars += 1
@@ -348,32 +343,14 @@ class _Grounding:
             for k in range(len(branches[0][1]))
         )
 
-    # -- the symbolic carrier of semantics._eval ----------------------------
+    # -- the symbolic carrier of the compiled rules --------------------------
 
     def eval(self, term: Term, env: list):
-        """Pure subterms are evaluated concretely and lifted; any other node
-        by its rule, through this carrier's operations."""
-        if self._is_pure(term):
-            return self.lift(self._pure_ctx.eval(term, env), term.ty)
-        return _eval(self, term, env)
+        """The symbolic value of term, compiled at this scope."""
+        return self.compiler(term)(self, env)
 
-    var = lift
-
-    def _is_pure(self, term: Term) -> bool:
-        """True when the term's value cannot depend on any unknown: it
-        mentions no constant, no existence, and no modal operator.
-
-        The cache keeps a reference to each term so ids stay unique.
-        """
-        cached = self._pure.get(id(term))
-        if cached is not None and cached[0] is term:
-            return cached[1]
-        if isinstance(term, (Const, Box, Diamond, ForallA, ExistsA)):
-            out = False
-        else:
-            out = all(self._is_pure(sub) for sub in children(term))
-        self._pure[id(term)] = (term, out)
-        return out
+    def model_free(self, code, ty, env):
+        return self.lift(code(self.concrete, env), ty)
 
     def const(self, name: str):
         sym = self.const_sym.get(name)
@@ -381,39 +358,38 @@ class _Grounding:
             raise GroundingError(f"constant {name!r} is not in the signature")
         return sym
 
-    def apply(self, fn_sv, arg_sv, fn_ty: Fun):
+    def apply(self, fn_sv, arg_sv, fn_ty: Fun, length: int, base: int):
         idx = self.concrete_index(arg_sv, fn_ty.domain)
         if idx is not None:
             return fn_sv[idx]
-        branches = [
-            (self.sym_eq(arg_sv, fn_ty.domain, j), fn_sv[j])
-            for j in range(self.size(fn_ty.domain))
-        ]
+        branches = [(self.sym_eq(arg_sv, fn_ty.domain, j), fn_sv[j]) for j in range(length)]
         return self.mux(branches, fn_ty.codomain)
 
-    def _rows(self, ty: LogicType, body: Term, env: list) -> list:
+    def _rows(self, size: int, body, env: list) -> list:
         """The body's value for each value of the bound variable, in order."""
         rows = []
-        for j in range(self.size(ty)):
+        for j in range(size):
             env.append(j)
-            rows.append(self.eval(body, env))
+            rows.append(body(self, env))
             env.pop()
         return rows
 
-    def lam(self, ty, body, env):
-        return tuple(self._rows(ty, body, env))
+    def lam(self, length, base, body, env):
+        return tuple(self._rows(length, body, env))
 
     def not_(self, a):
         return tuple(map(self.f.neg, a))
 
-    def and_(self, a, b):
-        return tuple(map(self.f.conj, zip(a, b)))
+    # The right side is always evaluated, after the left.
 
-    def or_(self, a, b):
-        return tuple(map(self.f.disj, zip(a, b)))
+    def and_(self, a, right, env):
+        return tuple(map(self.f.conj, zip(a, right(self, env))))
 
-    def implies(self, a, b):
-        return tuple(map(self.f.implies, a, b))
+    def or_(self, a, right, env):
+        return tuple(map(self.f.disj, zip(a, right(self, env))))
+
+    def implies(self, a, right, env):
+        return tuple(map(self.f.implies, a, right(self, env)))
 
     def iff(self, a, b):
         return tuple(map(self.f.iff, a, b))
@@ -430,11 +406,11 @@ class _Grounding:
             f.disj([f.conj([f.var(r), x]) for r, x in zip(row, a)]) for row in self.r_vars
         )
 
-    def forall(self, ty, body, env):
-        return tuple(map(self.f.conj, zip(*self._rows(ty, body, env))))
+    def forall(self, size, body, env):
+        return tuple(map(self.f.conj, zip(*self._rows(size, body, env))))
 
-    def exists(self, ty, body, env):
-        return tuple(map(self.f.disj, zip(*self._rows(ty, body, env))))
+    def exists(self, size, body, env):
+        return tuple(map(self.f.disj, zip(*self._rows(size, body, env))))
 
     def equal(self, a, b, ty):
         return (self.sym_values_eq(a, b, ty),) * self.n
@@ -456,31 +432,28 @@ class _Grounding:
             elif node[0] in ("and", "or"):
                 stack.extend(node[1])
 
+        # A node's children are older than it, so ascending ids see each
+        # child's literal first; only and/or nodes get a Tseitin variable.
         lit_of: dict[int, int] = {}
-
-        def lit(nid: int) -> int:
-            node = self.f.nodes[nid]
-            if node[0] == "var":
-                return node[1]
-            if node[0] == "not":
-                return -lit(node[1])
-            return lit_of[nid]
-
         for nid in sorted(needed):
             node = self.f.nodes[nid]
-            if node[0] in ("and", "or"):
+            if node[0] == "var":
+                lit_of[nid] = node[1]
+            elif node[0] == "not":
+                lit_of[nid] = -lit_of[node[1]]
+            else:
                 lit_of[nid] = self._new_var()
         for nid in sorted(needed):
             node = self.f.nodes[nid]
             if node[0] == "and":
                 t = lit_of[nid]
-                child_lits = [lit(c) for c in node[1]]
+                child_lits = [lit_of[c] for c in node[1]]
                 for cl in child_lits:
                     self.clauses.append([-t, cl])
                 self.clauses.append([t] + [-cl for cl in child_lits])
             elif node[0] == "or":
                 t = lit_of[nid]
-                child_lits = [lit(c) for c in node[1]]
+                child_lits = [lit_of[c] for c in node[1]]
                 for cl in child_lits:
                     self.clauses.append([t, -cl])
                 self.clauses.append([-t] + child_lits)
@@ -490,7 +463,7 @@ class _Grounding:
             if r == _FALSE:
                 self.clauses.append([])
                 continue
-            self.clauses.append([lit(r)])
+            self.clauses.append([lit_of[r]])
 
     def to_problem(self) -> GroundProblem:
         return GroundProblem(

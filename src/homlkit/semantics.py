@@ -17,26 +17,42 @@ read as a number in base |entry| (``table_view``):
 ``position(entries, base)`` joins them back. The order is the one
 itertools.product gives over the entries.
 
-The evaluator states the meaning of each term node kind once, as one rule
-in ``_RULES``, keyed by the node's type. A rule computes through a carrier,
-which supplies the value operations (``var``, ``const``, ``apply``, ``lam``,
-the connectives ``not_``/``and_``/``or_``/``implies``/``iff``, ``box``,
-``diamond``, the quantifiers ``forall``/``exists`` and ``equal``), and it
-evaluates subterms with ``c.eval``. There are two carriers. ``_EvalCtx``
-is concrete: a value is its position, a proposition its world mask, so
-``mvalid`` and ``holds_at`` run on it. The grounder's ``_Grounding`` is
-symbolic: a value is a tuple of formula nodes over the model's unknowns.
+The evaluator states the meaning of each term node kind once, as one
+compile rule in ``_RULES``, keyed by the node's type. ``rule(k, t)`` builds
+t's closure ``code(c, env)`` from the closures of its parts, once per term
+and scope: sizes of types and the shape of Leibniz equality are resolved
+then, not on each evaluation. A closure computes through a carrier ``c``,
+which supplies the value operations (``const``, ``apply``, ``lam``, the
+connectives ``not_``/``and_``/``or_``/``implies``/``iff``, ``box``,
+``diamond``, the quantifiers ``forall``/``exists``, ``equal`` and
+``model_free``). There are two carriers:
+
+* ``_EvalCtx`` is concrete: a value is its position, a proposition its world
+  mask, so ``mvalid``, ``holds_at``, ``eval_mask`` and ``eval_term`` run on
+  it. It skips the right side of ``&`` and ``->`` once the left mask is 0,
+  and of ``|`` once it is full; the constants of the whole term are checked
+  before it runs, so a skipped side cannot turn an error into a verdict.
+* The grounder's ``_Grounding`` is symbolic: a value is a tuple of formula
+  nodes over the model's unknowns. It evaluates left before right, always.
+
+Whether a subterm can depend on the model is decided at compile time: a
+maximal model-free subterm runs in the concrete carrier, and the symbolic
+carrier lifts its value once (``model_free``). ``Lam`` and the quantifiers
+memoise their value on the values of their free de Bruijn slots. The memo
+belongs to the carrier of one top-level call (``mvalid``, ``holds_at``,
+``eval_mask``, ``eval_term`` or a ``ground``) and is emptied whenever it
+reaches ``MEMO_BOUND`` entries; nothing of it stays on a model.
 """
 
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 from .errors import HomlError, ScopeCapError
-from .logictypes import Fun, Ind, LogicType, Prop
+from .logictypes import Fun, LogicType, Prop
 from .terms import (
     EXISTS_AT,
     And,
@@ -56,6 +72,8 @@ from .terms import (
     Or,
     Term,
     Var,
+    children,
+    constants_of,
     existence_guard,
     free_vars,
     shift,
@@ -239,44 +257,60 @@ class KripkeModel:
                         return False
         return True
 
-    def _ctx(self) -> "_EvalCtx":
-        ctx = self.__dict__.get("_cached_ctx")
-        if ctx is None:
-            ctx = _EvalCtx(self)
-            object.__setattr__(self, "_cached_ctx", ctx)
-        return ctx
+    def _int_form(self) -> tuple[int, tuple[int, ...], dict[str, int]]:
+        """(full world mask, accessibility masks, constant positions), the
+        model in integer form, computed once and never changed."""
+        form = self.__dict__.get("_cached_int_form")
+        if form is None:
+            full = (1 << self.scope.num_worlds) - 1
+            # A row of the accessibility or existence table is a prop's table
+            # of world bits, so its position is the world mask.
+            acc_masks = tuple(position(row, 2) for row in self.accessibility)
+            exists_masks = [position(row, 2) for row in self.exists_at]
+            const_idx = dict(zip(self.constants, self._positions))
+            # existsAt as a Fun(Ind, Prop) position: one prop entry per entity.
+            const_idx[EXISTS_AT] = position(exists_masks, full + 1)
+            form = (full, acc_masks, const_idx)
+            object.__setattr__(self, "_cached_int_form", form)
+        return form
 
 
-def _eval(c, term: Term, env: list):
-    """The value of ``term`` in carrier ``c``, where ``env[-1 - k]`` is the
-    value of de Bruijn index k: the rule of the term's node kind."""
-    return _RULES[type(term)](c, term, env)
+# ---------------------------------------------------------------------------
+# The compiled evaluator
+
+# Entries a binder memo holds within one top-level call before it is emptied.
+MEMO_BOUND = 4096
+
+# Node kinds whose value depends on the model: a constant, the accessibility
+# relation, or the existence table.
+_MODEL_READERS = frozenset((Const, Box, Diamond, ForallA, ExistsA))
 
 
-class _EvalCtx:
-    """The concrete carrier: a model in integer form. A value is its position
-    in its type's enumeration, so a proposition's value is its world mask."""
+class _Compiler:
+    """The compile rules' view of one scope: sizes and table views of types,
+    and each term's closure, built once and kept in the term's instance dict
+    (outside its dataclass fields, so equality and hashing ignore it).
 
-    def __init__(self, model: KripkeModel):
-        self.scope = model.scope
-        self.n = model.scope.num_worlds
-        self.full = (1 << self.n) - 1
-        self.sizes: dict[LogicType, int] = {}
-        self.tables: dict[LogicType, Optional[tuple[int, int, object]]] = {}
-        self.leib_cache: dict[int, tuple] = {}
-        # A row of the accessibility or existence table is a prop's table of
-        # world bits, so its position is the world mask.
-        self.acc_masks = [position(row, 2) for row in model.accessibility]
-        self.exists_masks = [position(row, 2) for row in model.exists_at]
-        self.const_idx = dict(zip(model.constants, model._positions))
-        # existsAt as a Fun(Ind, Prop) position: one prop entry per entity.
-        self.const_idx[EXISTS_AT] = position(self.exists_masks, self.full + 1)
+    A compiler comes with a twin that shares its tables: ``free`` says
+    whether the node being compiled is model-free, and the rule of a node
+    gets the one of the two that says so.
+    """
+
+    def __init__(self, scope: Scope, twin: Optional["_Compiler"] = None):
+        self.scope = scope
+        if twin is None:
+            self.free = False
+            self.sizes: dict[LogicType, int] = {}
+            self.tables: dict[LogicType, Optional[tuple[int, int, object]]] = {}
+            self.twin = _Compiler(scope, self)
+        else:
+            self.free = not twin.free
+            self.sizes, self.tables, self.twin = twin.sizes, twin.tables, twin
 
     def size(self, ty: LogicType) -> int:
         s = self.sizes.get(ty)
         if s is None:
-            s = denotation_size(ty, self.scope)
-            self.sizes[ty] = s
+            s = self.sizes[ty] = denotation_size(ty, self.scope)
         return s
 
     def table(self, ty: LogicType) -> Optional[tuple[int, int, object]]:
@@ -286,68 +320,55 @@ class _EvalCtx:
             view = self.tables[ty] = table_view(ty, self.scope)
             return view
 
-    eval = _eval
-    var = staticmethod(lambda j, ty: j)
-    and_ = staticmethod(operator.and_)
-    or_ = staticmethod(operator.or_)
+    def code(self, t: Term):
+        """The closure ``code(c, env)`` computing t's value in carrier c."""
+        codes = t.__dict__.setdefault("_codes", {})
+        code = codes.get(self.scope)
+        if code is None:
+            k = self if self.free == _model_free(t) else self.twin
+            code = codes[self.scope] = _RULES[type(t)](k, t)
+        return code
 
-    def const(self, name: str) -> int:
-        try:
-            return self.const_idx[name]
-        except KeyError:
-            raise HomlError(f"model does not interpret constant {name!r}") from None
+    def __call__(self, t: Term):
+        """The closure of a part of the node being compiled, or of a root. A
+        maximal model-free subterm runs in the concrete carrier, and
+        ``c.model_free`` hands its value over: the symbolic carrier lifts it
+        once."""
+        code = self.code(t)
+        if self.free or not _model_free(t):
+            return code
+        ty = t.ty
+        return lambda c, env: c.model_free(code, ty, env)
 
-    def apply(self, f: int, a: int, fn_ty: Fun) -> int:
-        dom = self.size(fn_ty.domain)
-        cod = self.size(fn_ty.codomain)
-        return (f // cod ** (dom - 1 - a)) % cod
 
-    def lam(self, ty: LogicType, body: Term, env: list) -> int:
-        acc = 0
-        cod = self.size(body.ty)
-        for j in range(self.size(ty)):
-            env.append(j)
-            acc = acc * cod + self.eval(body, env)
-            env.pop()
-        return acc
+def _memoised(t: Term, run):
+    """``run`` memoised on the values of t's free de Bruijn slots, in the
+    carrier's per-call memo (``c.memo``)."""
+    slots = [-1 - k for k in sorted(free_vars(t))]
+    get = itemgetter(*slots) if slots else None
 
-    def not_(self, a: int) -> int:
-        return self.full ^ a
+    def code(c, env):
+        key = (run, get(env)) if get else run
+        memo = c.memo
+        value = memo.get(key)
+        if value is None:
+            value = run(c, env)
+            if len(memo) >= MEMO_BOUND:
+                memo.clear()
+            memo[key] = value
+        return value
 
-    def implies(self, a: int, b: int) -> int:
-        return (self.full ^ a) | b
+    return code
 
-    def iff(self, a: int, b: int) -> int:
-        return self.full ^ a ^ b
 
-    def box(self, a: int) -> int:
-        return position([a & row == row for row in self.acc_masks], 2)
-
-    def diamond(self, a: int) -> int:
-        return position([a & row != 0 for row in self.acc_masks], 2)
-
-    def forall(self, ty: LogicType, body: Term, env: list) -> int:
-        out = self.full
-        for j in range(self.size(ty)):
-            env.append(j)
-            out &= self.eval(body, env)
-            env.pop()
-            if out == 0:
-                break
-        return out
-
-    def exists(self, ty: LogicType, body: Term, env: list) -> int:
-        out = 0
-        for j in range(self.size(ty)):
-            env.append(j)
-            out |= self.eval(body, env)
-            env.pop()
-            if out == self.full:
-                break
-        return out
-
-    def equal(self, a: int, b: int, ty: LogicType) -> int:
-        return self.full if a == b else 0
+def _model_free(t: Term) -> bool:
+    """True when t's value cannot depend on the model: it mentions no
+    constant, no existence, and no modal operator."""
+    free = t.__dict__.get("_model_free")
+    if free is None:
+        free = t.__dict__["_model_free"] = (
+            type(t) not in _MODEL_READERS and all(map(_model_free, children(t))))
+    return free
 
 
 def leibniz_shape(term: Term):
@@ -376,74 +397,238 @@ def leibniz_shape(term: Term):
     return shift(a, -1), shift(b, -1)
 
 
-def _forall_p(c, t: ForallP, env: list):
+# One compile rule per node kind: ``rule(k, t)`` returns t's closure
+# ``code(c, env)``, where ``env[-1 - i]`` is the value of de Bruijn index i
+# and ``c`` is the carrier that supplies the value operations. Sizes are
+# resolved here, once per scope. The sugar nodes mean what elaborate expands
+# them to: an actualist quantifier ranges over Ind guarded by existsAt, and
+# Leibniz equality is identity.
+
+def _var(k, t: Var):
+    slot = -1 - t.index
+    return lambda c, env: env[slot]
+
+
+def _const(k, t: Const):
+    name = t.name
+    return lambda c, env: c.const(name)
+
+
+def _app(k, t: App):
+    fn, arg = k(t.fn), k(t.arg)
+    ty = t.fn.ty
+    length, base = k.size(ty.domain), k.size(ty.codomain)
+    return lambda c, env: c.apply(fn(c, env), arg(c, env), ty, length, base)
+
+
+def _lam(k, t: Lam):
+    body = k(t.body)
+    length, base = k.size(t.var_type), k.size(t.body.ty)
+    return _memoised(t, lambda c, env: c.lam(length, base, body, env))
+
+
+def _not(k, t: Not):
+    arg = k(t.arg)
+    return lambda c, env: c.not_(arg(c, env))
+
+
+def _box(k, t: Box):
+    arg = k(t.arg)
+    return lambda c, env: c.box(arg(c, env))
+
+
+def _diamond(k, t: Diamond):
+    arg = k(t.arg)
+    return lambda c, env: c.diamond(arg(c, env))
+
+
+# The connectives hand their right side to the carrier unevaluated, so that
+# the concrete carrier can skip it once the left side decides the mask.
+
+def _and(k, t: And):
+    left, right = k(t.left), k(t.right)
+    return lambda c, env: c.and_(left(c, env), right, env)
+
+
+def _or(k, t: Or):
+    left, right = k(t.left), k(t.right)
+    return lambda c, env: c.or_(left(c, env), right, env)
+
+
+def _implies(k, t: Implies):
+    left, right = k(t.left), k(t.right)
+    return lambda c, env: c.implies(left(c, env), right, env)
+
+
+def _iff(k, t: Iff):
+    left, right = k(t.left), k(t.right)
+    return lambda c, env: c.iff(left(c, env), right(c, env))
+
+
+def _equal(k, left: Term, right: Term):
+    a, b = k(left), k(right)
+    ty = left.ty
+    return lambda c, env: c.equal(a(c, env), b(c, env), ty)
+
+
+def _forall(k, t, body: Term):
+    body, size = k(body), k.size(t.var_type)
+    return _memoised(t, lambda c, env: c.forall(size, body, env))
+
+
+def _exists(k, t, body: Term):
+    body, size = k(body), k.size(t.var_type)
+    return _memoised(t, lambda c, env: c.exists(size, body, env))
+
+
+def _forall_p(k, t: ForallP):
     # Over full function spaces a discriminating property always exists, so
     # Leibniz equality's expansion holds iff its two sides are identical.
-    cached = c.leib_cache.get(id(t))
-    if cached is None or cached[0] is not t:
-        cached = c.leib_cache[id(t)] = (t, leibniz_shape(t))
-    pair = cached[1]
+    pair = leibniz_shape(t)
     if pair is not None:
-        return c.equal(c.eval(pair[0], env), c.eval(pair[1], env), pair[0].ty)
-    return c.forall(t.var_type, t.body, env)
+        return _equal(k, *pair)
+    return _forall(k, t, t.body)
 
 
-# One rule per node kind; each computes through the carrier ``c``. The
-# sugar nodes mean what elaborate expands them to: an actualist quantifier
-# ranges over Ind guarded by existsAt, and Leibniz equality is identity.
 _RULES = {
-    Var: lambda c, t, env: c.var(env[-1 - t.index], t.var_type),
-    Const: lambda c, t, env: c.const(t.name),
-    App: lambda c, t, env: c.apply(c.eval(t.fn, env), c.eval(t.arg, env), t.fn.ty),
-    Lam: lambda c, t, env: c.lam(t.var_type, t.body, env),
-    Not: lambda c, t, env: c.not_(c.eval(t.arg, env)),
-    And: lambda c, t, env: c.and_(c.eval(t.left, env), c.eval(t.right, env)),
-    Or: lambda c, t, env: c.or_(c.eval(t.left, env), c.eval(t.right, env)),
-    Implies: lambda c, t, env: c.implies(c.eval(t.left, env), c.eval(t.right, env)),
-    Iff: lambda c, t, env: c.iff(c.eval(t.left, env), c.eval(t.right, env)),
-    Box: lambda c, t, env: c.box(c.eval(t.arg, env)),
-    Diamond: lambda c, t, env: c.diamond(c.eval(t.arg, env)),
+    Var: _var,
+    Const: _const,
+    App: _app,
+    Lam: _lam,
+    Not: _not,
+    Box: _box,
+    Diamond: _diamond,
+    And: _and,
+    Or: _or,
+    Implies: _implies,
+    Iff: _iff,
     ForallP: _forall_p,
-    ExistsP: lambda c, t, env: c.exists(t.var_type, t.body, env),
-    ForallA: lambda c, t, env: c.forall(Ind, Implies(existence_guard(t.hint), t.body), env),
-    ExistsA: lambda c, t, env: c.exists(Ind, And(existence_guard(t.hint), t.body), env),
-    LeibnizEq: lambda c, t, env: c.equal(c.eval(t.left, env), c.eval(t.right, env), t.left.ty),
+    ExistsP: lambda k, t: _exists(k, t, t.body),
+    ForallA: lambda k, t: _forall(k, t, Implies(existence_guard(t.hint), t.body)),
+    ExistsA: lambda k, t: _exists(k, t, And(existence_guard(t.hint), t.body)),
+    LeibnizEq: lambda k, t: _equal(k, t.left, t.right),
 }
+
+
+class _EvalCtx:
+    """The concrete carrier for one top-level call: a model in integer form,
+    and the binder memo of the call. A value is its position in its type's
+    enumeration, so a proposition's value is its world mask."""
+
+    def __init__(self, model: KripkeModel):
+        self.full, self.acc_masks, self.const_idx = model._int_form()
+        self.memo: dict = {}
+
+    def const(self, name: str) -> int:
+        try:
+            return self.const_idx[name]
+        except KeyError:
+            raise HomlError(f"model does not interpret constant {name!r}") from None
+
+    def model_free(self, code, ty, env: list) -> int:
+        return code(self, env)
+
+    def apply(self, f: int, a: int, ty, length: int, base: int) -> int:
+        return f // base ** (length - 1 - a) % base
+
+    def lam(self, length: int, base: int, body, env: list) -> int:
+        acc = 0
+        for j in range(length):
+            env.append(j)
+            acc = acc * base + body(self, env)
+            env.pop()
+        return acc
+
+    def not_(self, a: int) -> int:
+        return self.full ^ a
+
+    def and_(self, a: int, right, env: list) -> int:
+        return a and a & right(self, env)
+
+    def or_(self, a: int, right, env: list) -> int:
+        return a if a == self.full else a | right(self, env)
+
+    def implies(self, a: int, right, env: list) -> int:
+        a ^= self.full
+        return a if a == self.full else a | right(self, env)
+
+    def iff(self, a: int, b: int) -> int:
+        return self.full ^ a ^ b
+
+    def box(self, a: int) -> int:
+        return position([a & row == row for row in self.acc_masks], 2)
+
+    def diamond(self, a: int) -> int:
+        return position([a & row != 0 for row in self.acc_masks], 2)
+
+    def forall(self, size: int, body, env: list) -> int:
+        out = self.full
+        for j in range(size):
+            env.append(j)
+            out &= body(self, env)
+            env.pop()
+            if out == 0:
+                break
+        return out
+
+    def exists(self, size: int, body, env: list) -> int:
+        out = 0
+        for j in range(size):
+            env.append(j)
+            out |= body(self, env)
+            env.pop()
+            if out == self.full:
+                break
+        return out
+
+    def equal(self, a: int, b: int, ty: LogicType) -> int:
+        return self.full if a == b else 0
+
+
+def _run(model: KripkeModel, term: Term, env: list) -> int:
+    """The position of term's value in the model, compiled at its scope.
+    Every constant is checked first, since a connective may skip the
+    subterm that mentions it."""
+    constants = term.__dict__.get("_constants")
+    if constants is None:
+        constants = term.__dict__["_constants"] = sorted(constants_of(term))
+    ctx = _EvalCtx(model)
+    for name in constants:
+        ctx.const(name)
+    return _Compiler(model.scope).code(term)(ctx, env)
 
 
 def eval_term(model: KripkeModel, env: Sequence[SemValue], term: Term) -> SemValue:
     """Denotation of term under env (env[k] interprets de Bruijn index k)."""
-    ctx = model._ctx()
     var_types = free_vars(term)
     if var_types and (not env or max(var_types) >= len(env)):
         raise HomlError("term is not closed under the supplied environment")
     int_env = [0] * len(env)
     for k, ty in var_types.items():
         int_env[len(env) - 1 - k] = value_index(env[k], ty, model.scope)
-    return index_value(ctx.eval(term, int_env), term.ty, model.scope)
+    return index_value(_run(model, term, int_env), term.ty, model.scope)
 
 
 def holds_at(model: KripkeModel, formula: Term, world: int) -> bool:
     """Truth of a prop-typed closed formula at one world."""
     if formula.ty != Prop:
         raise HomlError(f"holds_at requires a prop-typed term, got {formula.ty}")
-    ctx = model._ctx()
-    if not 0 <= world < ctx.n:
-        raise HomlError(f"world {world} is outside 0..{ctx.n - 1}")
-    return bool((ctx.eval(formula, []) >> (ctx.n - 1 - world)) & 1)
+    n = model.scope.num_worlds
+    if not 0 <= world < n:
+        raise HomlError(f"world {world} is outside 0..{n - 1}")
+    return bool((_run(model, formula, []) >> (n - 1 - world)) & 1)
 
 
 def mvalid(model: KripkeModel, formula: Term) -> bool:
     """Global validity: truth at every world of the model."""
     if formula.ty != Prop:
         raise HomlError(f"mvalid requires a prop-typed term, got {formula.ty}")
-    ctx = model._ctx()
-    return ctx.eval(formula, []) == ctx.full
+    return _run(model, formula, []) == (1 << model.scope.num_worlds) - 1
 
 
 def eval_mask(model: KripkeModel, formula: Term) -> int:
     """World bitmask of a closed prop formula (bit n-1-w set iff true at w)."""
-    return model._ctx().eval(formula, [])
+    return _run(model, formula, [])
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,11 @@ class Term:
     def __str__(self):
         return format_term(self)
 
+    def __getstate__(self):
+        # The evaluator caches closures in a term's instance dict under
+        # underscore names; copies and pickles carry the fields only.
+        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
+
 
 @dataclass(frozen=True)
 class Var(Term):
@@ -342,19 +347,19 @@ def replace_consts(term: Term, values: dict[str, Term]) -> Term:
 def free_vars(term: Term) -> dict[int, LogicType]:
     """Types of the free de Bruijn indices, relative to the outermost level."""
     out: dict[int, LogicType] = {}
-
-    def go(t: Term, depth: int) -> None:
-        if type(t) is Var:
-            if t.index >= depth:
-                out[t.index - depth] = t.var_type
-            return
-        if type(t) in BINDERS:
-            depth += 1
-        for k in children(t):
-            go(k, depth)
-
-    go(term, 0)
+    _collect_free_vars(term, 0, out)
     return out
+
+
+def _collect_free_vars(t: Term, depth: int, out: dict) -> None:
+    if type(t) is Var:
+        if t.index >= depth:
+            out[t.index - depth] = t.var_type
+        return
+    if type(t) in BINDERS:
+        depth += 1
+    for k in children(t):
+        _collect_free_vars(k, depth, out)
 
 
 def is_closed(term: Term) -> bool:

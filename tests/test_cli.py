@@ -201,13 +201,41 @@ EXPORT_CNF_INVOCATIONS = [
 EXPORT_CNF_DIGESTS = pathlib.Path(__file__).parent / "data" / "export_cnf.sha256"
 
 
-def test_export_cnf_bytes_pinned(tmp_path, capsys):
+def _export_cnf_digests(tmp_path) -> list[str]:
     digests = []
     for argv in EXPORT_CNF_INVOCATIONS:
         out_path = tmp_path / "problem.cnf"
         assert main(["export-cnf", *argv, "--out", str(out_path)]) == 0, argv
         digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
         digests.append(f"{digest}  {' '.join(argv)}")
+    return digests
+
+
+def test_export_cnf_bytes_pinned(tmp_path, capsys):
+    digests = _export_cnf_digests(tmp_path)
     capsys.readouterr()
     pinned = EXPORT_CNF_DIGESTS.read_text(encoding="utf-8").splitlines()
     assert digests == pinned, "\n".join(digests)
+
+
+def test_memo_bound_of_one_changes_no_verdict_and_no_byte(tmp_path, capsys, monkeypatch):
+    # With room for one entry, every binder memo is emptied before each
+    # store, in both carriers. Values must not depend on what was evicted.
+    import homlkit.semantics
+    from homlkit.grounder import check_validity_bounded, find_model
+    from homlkit.semantics import Scope, ValidUpToScope
+    from homlkit.theories import load_bundle
+
+    core = load_bundle("modal_math")
+    checks = [c for c in core.manifest["checks"] if c["scope"] in ([1, 2], [2, 2])]
+    assert len(checks) == 6
+    infinity = load_bundle("modal_math", extension="infinity").theory
+    monkeypatch.setattr(homlkit.semantics, "MEMO_BOUND", 1)
+    for check in checks:
+        scope = Scope(*check["scope"])
+        verdict = check_validity_bounded(core.theory, core.goal(check["goal"]), scope)
+        assert check["expect"] == "valid" and verdict == ValidUpToScope(scope), check
+    assert find_model(infinity, Scope(1, 2)) is None
+    digests = _export_cnf_digests(tmp_path)
+    capsys.readouterr()
+    assert digests == EXPORT_CNF_DIGESTS.read_text(encoding="utf-8").splitlines()

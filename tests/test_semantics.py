@@ -1,8 +1,11 @@
 """Denotation enumeration and the finite-scope evaluator."""
 
+import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homlkit.errors import ScopeCapError
 from homlkit.logictypes import Fun, Ind, Prop
@@ -25,16 +28,21 @@ from homlkit.semantics import (
 )
 from homlkit.surface import load_theory, parse, typecheck
 from homlkit.terms import (
+    BINDERS,
+    And,
     App,
     Box,
     Const,
     Diamond,
     ExistsA,
+    ExistsP,
     ForallP,
     Iff,
     Implies,
     LeibnizEq,
+    Or,
     Var,
+    children,
     free_vars,
     subterms,
 )
@@ -44,6 +52,7 @@ from reference import (
     enumerate_full_models,
     exists_from_bits,
     relation_from_bits,
+    term_dependencies,
 )
 import reference
 
@@ -193,12 +202,21 @@ def test_necessitation_per_model():
 def test_refl_gives_t_and_equivalence_gives_s5_pattern():
     src = "const p : prop\ngoal (box p) -> p\ngoal (dia p) -> (box (dia p))\n"
     t_schema, five_schema = load_theory(src).goals
+    signature = (("p", Prop),)
+    # Neither schema reads the existence table, so one table stands for all
+    # of them; every (relation, p) pair is still visited.
+    assert not any(term_dependencies(schema)[1] for schema in (t_schema, five_schema))
     for n, m in [(2, 1), (3, 2)]:
-        for model in enumerate_full_models((("p", Prop),), Scope(n, m)):
-            if model.satisfies_frame({"refl"}):
-                assert mvalid(model, t_schema)
-            if model.satisfies_frame({"refl", "symm", "trans"}):
-                assert mvalid(model, five_schema)
+        scope = Scope(n, m)
+        everyone = tuple(tuple(True for _ in range(n)) for _ in range(m))
+        for r_bits in range(2 ** (n * n)):
+            relation = relation_from_bits(r_bits, n)
+            for p in range(denotation_size(Prop, scope)):
+                model = _candidate_model(signature, scope, relation, everyone, (p,))
+                if model.satisfies_frame({"refl"}):
+                    assert mvalid(model, t_schema)
+                if model.satisfies_frame({"refl", "symm", "trans"}):
+                    assert mvalid(model, five_schema)
 
 
 def test_leibniz_on_individuals_is_index_identity():
@@ -256,6 +274,23 @@ def test_model_json_round_trip():
     back = model_from_json(json.loads(text))
     assert back == model
     assert model_to_json_str(back) == text
+
+
+@pytest.mark.parametrize("connective,left", [
+    (And, ForallP(Prop, Var(0, Prop))),   # false everywhere
+    (Or, ExistsP(Prop, Var(0, Prop))),    # true everywhere
+    (Implies, ForallP(Prop, Var(0, Prop))),
+])
+def test_decided_left_side_still_reports_uninterpreted_constant(connective, left):
+    # The left side alone decides the mask, so the right side is never
+    # evaluated; the constant it mentions must still be interpreted.
+    from homlkit.errors import HomlError
+
+    model = full_model(Scope(2, 1), total_relation(2), ((True, True),))
+    formula = connective(left, Const("q", Prop))
+    for evaluate in (mvalid, eval_mask, lambda m, f: holds_at(m, f, 0)):
+        with pytest.raises(HomlError, match="does not interpret constant 'q'"):
+            evaluate(model, formula)
 
 
 def test_eval_error_cases():
@@ -331,3 +366,104 @@ def test_rule_table_agrees_with_reference():
                     (theory.name, formula)
                 compared += 1
     assert compared > 1000
+
+
+# Random scopes up to (3,2) and (2,3). A formula is compared when every type
+# it quantifies over is within the denotation cap and the reference
+# evaluator visits at most VISIT_BUDGET nodes for it.
+RANDOM_SCOPES = [Scope(n, m) for n in (1, 2, 3) for m in (1, 2, 3) if n * m <= 6]
+VISIT_BUDGET = 100_000
+
+
+def _visits(term, scope):
+    """An upper bound on the nodes the reference evaluator visits: a binder
+    runs its body once per value of its variable."""
+    inner = sum(_visits(k, scope) for k in children(term))
+    if type(term) in BINDERS:
+        inner *= denotation_size(term.var_type, scope)
+    return 1 + inner
+
+
+def _within_cap(types, scope):
+    try:
+        for ty in types:
+            denotation_size(ty, scope)
+    except ScopeCapError:
+        return False
+    return True
+
+
+@functools.lru_cache(maxsize=None)
+def _comparable_cases():
+    """(theory, scope, formulas) for every theory whose constants fit the
+    scope's cap, with its closed prop subterms within the visit budget."""
+    theories = [load_bundle(b).theory for b in BUNDLE_IDS]
+    theories.append(typecheck(parse(SUGAR_SOURCE)))
+    cases = []
+    for theory in theories:
+        closed = list(dict.fromkeys(
+            t for f in theory.axioms + theory.goals for t in subterms(f)
+            if t.ty == Prop and not free_vars(t)))
+        for scope in RANDOM_SCOPES:
+            if not _within_cap([ty for _, ty in theory.signature], scope):
+                continue
+            formulas = tuple(
+                f for f in closed
+                if _within_cap([t.var_type for t in subterms(f) if type(t) in BINDERS], scope)
+                and _visits(f, scope) <= VISIT_BUDGET)
+            if formulas:
+                cases.append((theory, scope, formulas))
+    return cases
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_rule_table_agrees_with_reference_at_random_scopes(data):
+    # The compiled evaluator (short-circuit, binder memo, compile-time
+    # sizes and Leibniz shapes) against the reference ladder, at a random
+    # scope on a random model.
+    theory, scope, formulas = data.draw(st.sampled_from(_comparable_cases()))
+    rng = data.draw(st.randoms(use_true_random=False))
+    model = next(_random_models(theory.signature, scope, rng, 1))
+    for formula in formulas:
+        assert eval_mask(model, formula) == reference.eval_mask(model, formula), \
+            (theory.name, scope, formula)
+
+
+def test_threads_share_compiled_terms_and_models():
+    # Threads compile the same fresh terms and evaluate them on the same
+    # models at once; every call must give the reference's mask.
+    import random
+    import sys
+    import threading
+
+    theory = typecheck(parse(SUGAR_SOURCE))
+    scope = Scope(2, 2)
+    formulas = list(theory.goals)
+    models = list(_random_models(theory.signature, scope, random.Random(1), 6))
+    expected = [[reference.eval_mask(m, f) for f in formulas] for m in models]
+    barrier = threading.Barrier(4)
+    wrong = []
+
+    def work():
+        try:
+            barrier.wait(timeout=10)
+            for _ in range(300):
+                got = [[eval_mask(m, f) for f in formulas] for m in models]
+                if got != expected:
+                    wrong.append(got)
+        except Exception as exc:  # a thread's exception never reaches the test
+            wrong.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []

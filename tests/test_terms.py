@@ -50,3 +50,21 @@ def test_base_types_hash_apart():
     assert Ind != Prop and Ind == Ind and Prop == Prop
     assert Fun(Ind, Prop) == Fun(Ind, Prop) != Fun(Prop, Ind)
     assert copy.deepcopy(Ind) is Ind and pickle.loads(pickle.dumps(Prop)) is Prop
+
+
+def test_evaluated_terms_pickle_without_their_compiled_closures():
+    # Grounding caches compiled closures on the terms, and closures do not
+    # pickle; a grounded theory must still reach a worker process.
+    import copy
+    import pickle
+
+    from homlkit.grounder import export_dimacs, ground
+    from homlkit.semantics import Scope
+
+    theory = load_bundle("goedel").theory
+    dimacs = export_dimacs(ground(theory, Scope(1, 1), negated_goal=theory.goals[0]))
+    assert "_codes" in theory.goals[0].__dict__
+    back = pickle.loads(pickle.dumps(theory))
+    assert back == theory and "_codes" not in back.goals[0].__dict__
+    assert export_dimacs(ground(back, Scope(1, 1), negated_goal=back.goals[0])) == dimacs
+    assert copy.deepcopy(theory.goals[0]) == theory.goals[0]
