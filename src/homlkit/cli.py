@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .analysis import (
     PropertyFamily,
@@ -39,9 +40,9 @@ from .semantics import (
     mvalid,
 )
 from .solver import DEFAULT_CONFLICT_BUDGET
-from .surface import elaborate, parse, typecheck
+from .surface import load_theory
 from .theories import check_church_postulates, load_bundle
-from .theory import Theory
+from .theory import FRAME_FLAGS, Theory
 
 EXIT_OK = 0
 EXIT_COUNTER = 1
@@ -83,33 +84,30 @@ def _budget(args) -> int:
 
 def _load_theory_arg(args) -> tuple[Theory, dict]:
     """Resolve --bundle/--file plus variant flags into an elaborated theory."""
-    meta = {}
     if args.bundle:
-        params = {}
-        for key in ("quantifier", "formulation", "extension"):
-            value = getattr(args, key, None)
-            if value is not None:
-                params[key] = value
+        params = {key: getattr(args, key) for key in ("quantifier", "formulation", "extension")
+                  if getattr(args, key) is not None}
         bundle = load_bundle(args.bundle, **params)
         theory = bundle.theory
-        meta["bundle"] = args.bundle
-        meta["variant"] = bundle.variant
-        meta["goal_labels"] = list(bundle.goal_labels)
-        meta["manifest"] = bundle.manifest
+        meta = {"bundle": args.bundle, "variant": bundle.variant,
+                "goal_labels": list(bundle.goal_labels), "manifest": bundle.manifest}
     else:
         with open(args.file, "r", encoding="utf-8") as handle:
-            text = handle.read()
-        theory = elaborate(typecheck(parse(text, args.file), args.file))
-        meta["file"] = args.file
-        meta["goal_labels"] = [f"goal{i}" for i in range(len(theory.goals))]
+            theory = load_theory(handle.read(), args.file)
+        meta = {"file": args.file,
+                "goal_labels": [f"goal{i}" for i in range(len(theory.goals))]}
     if args.frame is not None:
         flags = frozenset(f for f in args.frame.split(",") if f)
-        bad = flags - {"refl", "symm", "trans"}
+        bad = flags - set(FRAME_FLAGS)
         if bad:
             raise HomlError(f"unknown frame flags {sorted(bad)}")
-        theory = Theory(theory.name, theory.signature, theory.definitions,
-                        theory.axioms, theory.goals, flags)
+        theory = replace(theory, frame_flags=flags)
     return theory, meta
+
+
+def _bundle_keys(meta: dict) -> dict:
+    """The report's ``bundle`` and ``variant`` for a theory loaded from a bundle."""
+    return {key: meta[key] for key in ("bundle", "variant") if key in meta}
 
 
 def _verdict_json(verdict) -> dict:
@@ -159,10 +157,8 @@ def cmd_check(args) -> tuple[int, dict]:
             exit_code = max(exit_code, EXIT_COUNTER)
         elif isinstance(verdict, Indeterminate):
             exit_code = max(exit_code, EXIT_BUDGET)
-    report = {"command": "check", "scope": _scope_list(scope), "results": results}
-    if "bundle" in meta:
-        report["bundle"] = meta["bundle"]
-        report["variant"] = meta["variant"]
+    report = {"command": "check", "scope": _scope_list(scope), "results": results,
+              **_bundle_keys(meta)}
     return exit_code, report
 
 
@@ -170,10 +166,7 @@ def cmd_find_model(args) -> tuple[int, dict]:
     theory, meta = _load_theory_arg(args)
     scope = _parse_scope(args.scope)
     model = find_model(theory, scope, _budget(args))
-    report = {"command": "find-model", "scope": _scope_list(scope)}
-    if "bundle" in meta:
-        report["bundle"] = meta["bundle"]
-        report["variant"] = meta["variant"]
+    report = {"command": "find-model", "scope": _scope_list(scope), **_bundle_keys(meta)}
     if model is None:
         report["result"] = _verdict_json(Unsatisfiable(scope))
         return EXIT_COUNTER, report
@@ -195,10 +188,8 @@ def cmd_enumerate(args) -> tuple[int, dict]:
         "count": len(models),
         "limit": limit,
         "models": [model_to_json(m) for m in models],
+        **_bundle_keys(meta),
     }
-    if "bundle" in meta:
-        report["bundle"] = meta["bundle"]
-        report["variant"] = meta["variant"]
     return EXIT_OK, report
 
 
@@ -349,10 +340,8 @@ def cmd_count_positive(args) -> tuple[int, dict]:
         "models": result.model_count,
         "complete": result.complete,
         "empty_model_class": result.empty_model_class,
+        **_bundle_keys(meta),
     }
-    if "bundle" in meta:
-        report["bundle"] = meta["bundle"]
-        report["variant"] = meta["variant"]
     if not result.complete:
         return EXIT_BUDGET, report
     expected = None

@@ -7,6 +7,7 @@ and ``a > b`` (right-associative). Errors are reported as ``file:line:col: messa
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -15,6 +16,9 @@ from .logictypes import Fun, Ind, LogicType, Prop, check_type_depth
 from .terms import (
     EXISTS_AT,
     EXISTS_AT_TYPE,
+    KEYWORD,
+    QUANTIFIERS,
+    UNARY_CONNECTIVES,
     And,
     App,
     Box,
@@ -33,25 +37,29 @@ from .terms import (
     Term,
     Var,
     beta_normalize,
+    check_bound_type,
+    check_term,
     children,
     existence_guard,
     rebuild,
     replace_consts,
     shift,
 )
-from .theory import FRAME_FLAGS, Theory
+from .theory import DEFAULT_NAME, FRAME_FLAGS, Theory
+
+# The node kind of each surface keyword, read back from the one table.
+_NODE = {keyword: kind for kind, keyword in KEYWORD.items()}
+_BINDER_KWS = {KEYWORD[kind] for kind in QUANTIFIERS}
+_UNARY_KWS = {KEYWORD[kind] for kind in UNARY_CONNECTIVES}
 
 KEYWORDS = {
-    "theory", "frame", "const", "def", "axiom", "goal",
-    "forallP", "existsP", "forallA", "existsA",
-    "box", "dia", "not", "top", "bot",
+    "theory", "frame", "const", "def", "axiom", "goal", "top", "bot",
+    *_BINDER_KWS, *_UNARY_KWS,
 }
 
-_UNICODE_ALIASES = {
-    "□": "box", "◇": "dia", "∀": "forallP", "∃": "existsP",
-    "¬": "not", "⊤": "top", "⊥": "bot", "λ": "\\",
-    "∧": "&", "∨": "|", "→": "->", "↔": "<->", "≡": "==",
-}
+_UNICODE_ALIASES = {"⊤": "top", "⊥": "bot", **{alias: KEYWORD[kind] for alias, kind in (
+    ("□", Box), ("◇", Diamond), ("∀", ForallP), ("∃", ExistsP), ("¬", Not), ("λ", Lam),
+    ("∧", And), ("∨", Or), ("→", Implies), ("↔", Iff), ("≡", LeibnizEq))}}
 
 _PUNCT = ("<->", ":=", "->", "==", "(", ")", ":", ".", "\\", "&", "|", ">")
 
@@ -77,10 +85,7 @@ def _lex_line(line: str, lineno: int, filename: str) -> list[Token]:
             continue
         if c in _UNICODE_ALIASES:
             alias = _UNICODE_ALIASES[c]
-            kind = alias if alias in ("\\", "&", "|", "->", "<->", "==") else (
-                "kw" if alias in KEYWORDS else alias
-            )
-            tokens.append(Token(kind, alias, lineno, i + 1))
+            tokens.append(Token("kw" if alias in KEYWORDS else alias, alias, lineno, i + 1))
             i += 1
             continue
         matched = False
@@ -115,17 +120,8 @@ class SName:
 
 
 @dataclass(frozen=True)
-class SLam:
-    name: str
-    var_type: LogicType
-    body: object
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
-class SQuant:
-    kind: str  # forallP | existsP | forallA | existsA
+class SBinder:
+    kind: str  # the keyword: \\ | forallP | existsP | forallA | existsA
     name: str
     var_type: Optional[LogicType]
     body: object
@@ -165,9 +161,9 @@ class SConst:
     col: int
 
 
-_BINDER_KWS = ("forallP", "existsP", "forallA", "existsA")
 # (precedence, right-associative?) for the infix operators, loosest first.
-_INFIX = {"<->": (1, False), "->": (2, True), "|": (3, False), "&": (4, False), "==": (5, False)}
+_INFIX = {KEYWORD[Iff]: (1, False), KEYWORD[Implies]: (2, True), KEYWORD[Or]: (3, False),
+          KEYWORD[And]: (4, False), KEYWORD[LeibnizEq]: (5, False)}
 
 
 class _TermParser:
@@ -238,14 +234,13 @@ class _TermParser:
             self.error("expected a term")
         if tok.kind == "kw" and tok.text in _BINDER_KWS or tok.kind == "\\":
             return self.parse_binder()
-        if tok.kind == "kw" and tok.text in ("not", "box", "dia"):
+        if tok.kind == "kw" and tok.text in _UNARY_KWS:
             self.next()
             return SUnary(tok.text, self.parse_operand(min_prec), tok.line, tok.col)
         return self.parse_app()
 
     def parse_binder(self):
         tok = self.next()
-        kind = "lam" if tok.kind == "\\" else tok.text
         name_tok = self.peek()
         if name_tok is None or name_tok.kind != "ident":
             self.error("expected a bound variable name")
@@ -254,13 +249,12 @@ class _TermParser:
         if self.peek() and self.peek().kind == ":":
             self.next()
             var_type = self.parse_type()
-        elif kind in ("lam", "forallP", "existsP"):
+        elif _NODE[tok.text] not in (ForallA, ExistsA):
+            kind = "lam" if tok.kind == "\\" else tok.text
             self.error(f"binder {kind!r} requires a type annotation", name_tok)
         self.expect(".")
         body = self.parse_term(0)
-        if kind == "lam":
-            return SLam(name_tok.text, var_type, body, tok.line, tok.col)
-        return SQuant(kind, name_tok.text, var_type, body, tok.line, tok.col)
+        return SBinder(tok.text, name_tok.text, var_type, body, tok.line, tok.col)
 
     def parse_app(self):
         term = self.parse_atom()
@@ -306,7 +300,7 @@ def parse_type_text(text: str, filename: str = "<input>", lineno: int = 1) -> Lo
 
 def parse(text: str, filename: str = "<input>") -> Theory:
     """Parse theory source into a Theory with raw (unchecked) term ASTs."""
-    name = "theory"
+    name = DEFAULT_NAME
     signature = []
     definitions = []
     axioms = []
@@ -384,6 +378,14 @@ class _Checker:
     def err(self, message, node):
         raise TypeCheckError(message, node.line, node.col, self.filename)
 
+    @contextmanager
+    def at(self, node):
+        """Place a typing rule's error at ``node``'s source position."""
+        try:
+            yield
+        except TypeCheckError as exc:
+            self.err(exc.message, node)
+
     def check(self, node, env) -> Term:
         """env is a list of (name, type), innermost binder first."""
         if isinstance(node, SName):
@@ -402,45 +404,25 @@ class _Checker:
             v = Var(0, Prop, "p")
             body = Implies(v, v) if node.kind == "top" else v
             return ForallP(Prop, body, "p")
-        if isinstance(node, SLam):
-            check_type_depth(node.var_type)
-            body = self.check(node.body, [(node.name, node.var_type)] + env)
-            return Lam(node.var_type, body, node.name)
-        if isinstance(node, SQuant):
+        if isinstance(node, SBinder):
+            kind = _NODE[node.kind]
             var_type = node.var_type if node.var_type is not None else Ind
             check_type_depth(var_type)
-            if node.kind in ("forallA", "existsA") and var_type != Ind:
-                self.err("actualist quantifier restricted to individuals", node)
+            with self.at(node):
+                check_bound_type(kind, var_type)
             body = self.check(node.body, [(node.name, var_type)] + env)
-            if body.ty != Prop:
-                self.err(f"quantifier body must have type prop, got {body.ty}", node)
-            cls = {"forallP": ForallP, "existsP": ExistsP, "forallA": ForallA, "existsA": ExistsA}[node.kind]
-            return cls(var_type, body, node.name)
-        if isinstance(node, SApp):
-            fn = self.check(node.fn, env)
-            arg = self.check(node.arg, env)
-            if not isinstance(fn.ty, Fun):
-                self.err(f"cannot apply a term of type {fn.ty}", node)
-            if fn.ty.domain != arg.ty:
-                self.err(f"type mismatch: expected {fn.ty.domain}, actual {arg.ty}", node)
-            return App(fn, arg)
-        if isinstance(node, SUnary):
-            arg = self.check(node.arg, env)
-            if arg.ty != Prop:
-                self.err(f"type mismatch: expected prop, actual {arg.ty}", node)
-            return {"not": Not, "box": Box, "dia": Diamond}[node.kind](arg)
-        if isinstance(node, SBinary):
-            left = self.check(node.left, env)
-            right = self.check(node.right, env)
-            if node.kind == "==":
-                if left.ty != right.ty:
-                    self.err(f"equality between distinct types {left.ty} and {right.ty}", node)
-                return LeibnizEq(left, right)
-            for side in (left, right):
-                if side.ty != Prop:
-                    self.err(f"type mismatch: expected prop, actual {side.ty}", node)
-            return {"&": And, "|": Or, "->": Implies, "<->": Iff}[node.kind](left, right)
-        raise AssertionError(f"unhandled surface node {node!r}")
+            core = kind(var_type, body, node.name)
+        elif isinstance(node, SApp):
+            core = App(self.check(node.fn, env), self.check(node.arg, env))
+        elif isinstance(node, SUnary):
+            core = _NODE[node.kind](self.check(node.arg, env))
+        elif isinstance(node, SBinary):
+            core = _NODE[node.kind](self.check(node.left, env), self.check(node.right, env))
+        else:
+            raise AssertionError(f"unhandled surface node {node!r}")
+        with self.at(node):
+            core.ty  # runs the node kind's typing rule
+        return core
 
 
 def typecheck(theory: Theory, filename: str = "<input>") -> Theory:
@@ -448,22 +430,27 @@ def typecheck(theory: Theory, filename: str = "<input>") -> Theory:
 
     Definition bodies may reference only signature constants and earlier
     definitions, so acyclicity holds by construction. Axioms and goals must be
-    closed terms of type prop.
+    closed terms of type prop. Core terms among them are checked as they are.
     """
     def_types: dict[str, LogicType] = {}
     checker = _Checker(theory.signature, def_types, filename)
     for name, ty in theory.signature:
         check_type_depth(ty)
+
+    def check(node) -> Term:
+        if isinstance(node, Term):
+            check_term(node)
+            return node
+        return checker.check(node, [])
+
     checked_defs = []
     for name, body in theory.definitions:
-        if isinstance(body, Term):
-            core = body
-        else:
-            core = checker.check(body, [])
+        core = check(body)
         def_types[name] = core.ty
         checked_defs.append((name, core))
+
     def check_formula(node, kind):
-        core = node if isinstance(node, Term) else checker.check(node, [])
+        core = check(node)
         if core.ty != Prop:
             line = getattr(node, "line", 0)
             col = getattr(node, "col", 0)

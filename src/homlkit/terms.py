@@ -24,14 +24,19 @@ class Term:
 
     @property
     def ty(self) -> LogicType:
-        raise NotImplementedError
+        """The type that the node kind's typing rule gives this node, computed
+        once; raises TypeCheckError when the children do not fit the rule."""
+        ty = self.__dict__.get("_ty")
+        if ty is None:
+            ty = self.__dict__["_ty"] = _TYPE_RULES[type(self)](self)
+        return ty
 
     def __str__(self):
         return format_term(self)
 
     def __getstate__(self):
-        # The evaluator caches closures in a term's instance dict under
-        # underscore names; copies and pickles carry the fields only.
+        # Types and compiled closures are cached in a term's instance dict
+        # under underscore names; copies and pickles carry the fields only.
         return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
 
 
@@ -41,19 +46,11 @@ class Var(Term):
     var_type: LogicType
     hint: str = field(default="x", compare=False)
 
-    @property
-    def ty(self):
-        return self.var_type
-
 
 @dataclass(frozen=True)
 class Const(Term):
     name: str
     const_type: LogicType
-
-    @property
-    def ty(self):
-        return self.const_type
 
 
 @dataclass(frozen=True)
@@ -62,107 +59,75 @@ class Lam(Term):
     body: Term
     hint: str = field(default="x", compare=False)
 
-    @property
-    def ty(self):
-        return Fun(self.var_type, self.body.ty)
-
 
 @dataclass(frozen=True)
 class App(Term):
     fn: Term
     arg: Term
 
-    @property
-    def ty(self):
-        return self.fn.ty.codomain
-
-
-class _Unary(Term):
-    __slots__ = ()
-
-    @property
-    def ty(self):
-        return Prop
-
 
 @dataclass(frozen=True)
-class Not(_Unary):
+class Not(Term):
     arg: Term
 
 
 @dataclass(frozen=True)
-class Box(_Unary):
+class Box(Term):
     arg: Term
 
 
 @dataclass(frozen=True)
-class Diamond(_Unary):
+class Diamond(Term):
     arg: Term
 
 
-class _Binary(Term):
-    __slots__ = ()
-
-    @property
-    def ty(self):
-        return Prop
-
-
 @dataclass(frozen=True)
-class And(_Binary):
+class And(Term):
     left: Term
     right: Term
 
 
 @dataclass(frozen=True)
-class Or(_Binary):
+class Or(Term):
     left: Term
     right: Term
 
 
 @dataclass(frozen=True)
-class Implies(_Binary):
+class Implies(Term):
     left: Term
     right: Term
 
 
 @dataclass(frozen=True)
-class Iff(_Binary):
+class Iff(Term):
     left: Term
     right: Term
 
 
-class _Quant(Term):
-    __slots__ = ()
-
-    @property
-    def ty(self):
-        return Prop
-
-
 @dataclass(frozen=True)
-class ForallP(_Quant):
+class ForallP(Term):
     var_type: LogicType
     body: Term
     hint: str = field(default="x", compare=False)
 
 
 @dataclass(frozen=True)
-class ExistsP(_Quant):
+class ExistsP(Term):
     var_type: LogicType
     body: Term
     hint: str = field(default="x", compare=False)
 
 
 @dataclass(frozen=True)
-class ForallA(_Quant):
+class ForallA(Term):
     var_type: LogicType
     body: Term
     hint: str = field(default="x", compare=False)
 
 
 @dataclass(frozen=True)
-class ExistsA(_Quant):
+class ExistsA(Term):
     var_type: LogicType
     body: Term
     hint: str = field(default="x", compare=False)
@@ -172,10 +137,6 @@ class ExistsA(_Quant):
 class LeibnizEq(Term):
     left: Term
     right: Term
-
-    @property
-    def ty(self):
-        return Prop
 
 
 def existence_guard(hint: str = "x") -> Term:
@@ -188,58 +149,83 @@ UNARY_CONNECTIVES = (Not, Box, Diamond)
 BINARY_CONNECTIVES = (And, Or, Implies, Iff)
 QUANTIFIERS = (ForallP, ExistsP, ForallA, ExistsA)
 
+# The surface keyword of each node kind that has one. The parser reads
+# source through this table and format_term writes through it.
+KEYWORD = {
+    Lam: "\\", ForallP: "forallP", ExistsP: "existsP", ForallA: "forallA", ExistsA: "existsA",
+    Not: "not", Box: "box", Diamond: "dia",
+    And: "&", Or: "|", Implies: "->", Iff: "<->", LeibnizEq: "==",
+}
+
+
+# ---------------------------------------------------------------------------
+# Typing: one rule per node kind. A rule takes a node whose children are well
+# typed and returns its type, or raises TypeCheckError with the message the
+# surface checker places at the node's source position.
+
+def check_bound_type(kind: type, var_type: LogicType) -> None:
+    """The restriction a binder kind puts on its variable's type; the surface
+    checker applies it before it checks the binder's body."""
+    if kind in (ForallA, ExistsA) and var_type != Ind:
+        raise TypeCheckError("actualist quantifier restricted to individuals")
+
+
+def _app_type(t: App) -> LogicType:
+    fn, arg = t.fn.ty, t.arg.ty
+    if not isinstance(fn, Fun):
+        raise TypeCheckError(f"cannot apply a term of type {fn}")
+    if fn.domain != arg:
+        raise TypeCheckError(f"type mismatch: expected {fn.domain}, actual {arg}")
+    return fn.codomain
+
+
+def _connective_type(t: Term) -> LogicType:
+    for side in children(t):
+        if side.ty != Prop:
+            raise TypeCheckError(f"type mismatch: expected prop, actual {side.ty}")
+    return Prop
+
+
+def _quantifier_type(t: Term) -> LogicType:
+    check_bound_type(type(t), t.var_type)
+    if t.body.ty != Prop:
+        raise TypeCheckError(f"quantifier body must have type prop, got {t.body.ty}")
+    return Prop
+
+
+def _equality_type(t: LeibnizEq) -> LogicType:
+    if t.left.ty != t.right.ty:
+        raise TypeCheckError(f"equality between distinct types {t.left.ty} and {t.right.ty}")
+    return Prop
+
+
+_TYPE_RULES = {
+    Var: lambda t: t.var_type,
+    Const: lambda t: t.const_type,
+    Lam: lambda t: Fun(t.var_type, t.body.ty),
+    App: _app_type,
+    **dict.fromkeys(UNARY_CONNECTIVES + BINARY_CONNECTIVES, _connective_type),
+    **dict.fromkeys(QUANTIFIERS, _quantifier_type),
+    LeibnizEq: _equality_type,
+}
+
 
 def check_term(term: Term, ctx: Optional[list[LogicType]] = None) -> LogicType:
-    """Validate the typing invariants of an already-built term; returns its type.
-
-    ctx[0] is the innermost binder's type.
-    """
+    """The type of an already-built term, once every variable is checked
+    against its binder in ``ctx`` (ctx[0] is the innermost binder's type)."""
     ctx = ctx if ctx is not None else []
-    if isinstance(term, Var):
+    if type(term) is Var:
         if term.index < 0 or term.index >= len(ctx):
             raise TypeCheckError(f"unbound de Bruijn index {term.index}")
         if ctx[term.index] != term.var_type:
             raise TypeCheckError(
                 f"variable type mismatch: expected {ctx[term.index]}, got {term.var_type}"
             )
-        return term.var_type
-    if isinstance(term, Const):
-        return term.const_type
-    if isinstance(term, Lam):
-        body_ty = check_term(term.body, [term.var_type] + ctx)
-        return Fun(term.var_type, body_ty)
-    if isinstance(term, App):
-        fn_ty = check_term(term.fn, ctx)
-        arg_ty = check_term(term.arg, ctx)
-        if not isinstance(fn_ty, Fun):
-            raise TypeCheckError(f"application of non-function of type {fn_ty}")
-        if fn_ty.domain != arg_ty:
-            raise TypeCheckError(
-                f"argument type mismatch: expected {fn_ty.domain}, got {arg_ty}"
-            )
-        return fn_ty.codomain
-    if isinstance(term, UNARY_CONNECTIVES):
-        if check_term(term.arg, ctx) != Prop:
-            raise TypeCheckError(f"{type(term).__name__} applied to non-proposition")
-        return Prop
-    if isinstance(term, BINARY_CONNECTIVES):
-        for side in (term.left, term.right):
-            if check_term(side, ctx) != Prop:
-                raise TypeCheckError(f"{type(term).__name__} applied to non-proposition")
-        return Prop
-    if isinstance(term, QUANTIFIERS):
-        if isinstance(term, (ForallA, ExistsA)) and term.var_type != Ind:
-            raise TypeCheckError("actualist quantifier restricted to individuals")
-        if check_term(term.body, [term.var_type] + ctx) != Prop:
-            raise TypeCheckError("quantifier body must be a proposition")
-        return Prop
-    if isinstance(term, LeibnizEq):
-        lt = check_term(term.left, ctx)
-        rt = check_term(term.right, ctx)
-        if lt != rt:
-            raise TypeCheckError(f"equality between distinct types {lt} and {rt}")
-        return Prop
-    raise TypeCheckError(f"unknown term node {term!r}")
+    if type(term) in BINDERS:
+        ctx = [term.var_type] + ctx
+    for kid in children(term):
+        check_term(kid, ctx)
+    return term.ty
 
 
 # ---------------------------------------------------------------------------
@@ -373,11 +359,7 @@ def constants_of(term: Term) -> set[str]:
 # ---------------------------------------------------------------------------
 # Printing (surface syntax; parse(format_term(t)) is alpha-equivalent to t)
 
-_QUANT_KEYWORD = {ForallP: "forallP", ExistsP: "existsP", ForallA: "forallA", ExistsA: "existsA"}
-_BINOP_SYMBOL = {And: "&", Or: "|", Implies: "->", Iff: "<->"}
-
-
-def _fresh(hint: str, used: list[str]) -> str:
+def _fresh(hint: str, used) -> str:
     name = hint or "x"
     while name in used:
         name += "'"
@@ -387,31 +369,20 @@ def _fresh(hint: str, used: list[str]) -> str:
 def format_term(term: Term, names: Optional[list[str]] = None) -> str:
     """Render a term in the theory DSL's concrete syntax, fully parenthesized."""
     names = names if names is not None else []
-    if isinstance(term, Var):
-        if 0 <= term.index < len(names):
-            return names[term.index]
-        return f"#{term.index}"
-    if isinstance(term, Const):
+    kind = type(term)
+    if kind is Var:
+        return names[term.index] if 0 <= term.index < len(names) else f"#{term.index}"
+    if kind is Const:
         return term.name
-    if isinstance(term, Lam):
-        name = _fresh(term.hint, names)
+    if kind in BINDERS:
+        # A binder named after a constant of its body would capture it.
+        name = _fresh(term.hint, {*names, *constants_of(term.body)})
+        keyword = KEYWORD[kind] + (" " if kind is not Lam else "")
         body = format_term(term.body, [name] + names)
-        return f"(\\{name}:{term.var_type}. {body})"
-    if isinstance(term, QUANTIFIERS):
-        name = _fresh(term.hint, names)
-        body = format_term(term.body, [name] + names)
-        return f"({_QUANT_KEYWORD[type(term)]} {name}:{term.var_type}. {body})"
-    if isinstance(term, App):
-        return f"({format_term(term.fn, names)} {format_term(term.arg, names)})"
-    if isinstance(term, Not):
-        return f"(not {format_term(term.arg, names)})"
-    if isinstance(term, Box):
-        return f"(box {format_term(term.arg, names)})"
-    if isinstance(term, Diamond):
-        return f"(dia {format_term(term.arg, names)})"
-    if isinstance(term, BINARY_CONNECTIVES):
-        sym = _BINOP_SYMBOL[type(term)]
-        return f"({format_term(term.left, names)} {sym} {format_term(term.right, names)})"
-    if isinstance(term, LeibnizEq):
-        return f"({format_term(term.left, names)} == {format_term(term.right, names)})"
-    raise AssertionError(f"unhandled node {term!r}")
+        return f"({keyword}{name}:{term.var_type}. {body})"
+    args = [format_term(kid, names) for kid in children(term)]
+    if kind is App:
+        return f"({args[0]} {args[1]})"
+    if len(args) == 1:
+        return f"({KEYWORD[kind]} {args[0]})"
+    return f"({args[0]} {KEYWORD[kind]} {args[1]})"

@@ -8,6 +8,9 @@ from .logictypes import LogicType, format_type
 from .terms import Term, format_term
 
 FRAME_FLAGS = ("refl", "symm", "trans")
+# The name of a theory whose source has no ``theory`` line; it is a keyword,
+# so format_theory leaves the line out rather than print it.
+DEFAULT_NAME = "theory"
 
 
 @dataclass(frozen=True)
@@ -25,7 +28,7 @@ class Theory:
 
 def format_theory(theory: Theory) -> str:
     """Render a theory back into the line-oriented DSL."""
-    lines = [f"theory {theory.name}"]
+    lines = [] if theory.name == DEFAULT_NAME else [f"theory {theory.name}"]
     if theory.frame_flags:
         flags = " ".join(f for f in FRAME_FLAGS if f in theory.frame_flags)
         lines.append(f"frame {flags}")

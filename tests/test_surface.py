@@ -6,7 +6,7 @@ from homlkit.errors import ParseError, TypeCheckError
 from homlkit.logictypes import Fun, Ind, Prop
 from homlkit.surface import (
     SApp,
-    SQuant,
+    SBinder,
     SUnary,
     elaborate,
     load_theory,
@@ -25,6 +25,7 @@ from homlkit.terms import (
     ForallP,
     Implies,
     LeibnizEq,
+    Not,
     Var,
     check_term,
     children,
@@ -32,7 +33,7 @@ from homlkit.terms import (
     is_closed,
 )
 from homlkit.theories import load_bundle
-from homlkit.theory import format_theory
+from homlkit.theory import Theory, format_theory
 
 
 def test_parse_axiom_ast_shape():
@@ -41,7 +42,7 @@ def test_parse_axiom_ast_shape():
     ax = theory.axioms[0]
     assert isinstance(ax, SUnary) and ax.kind == "box"
     quant = ax.arg
-    assert isinstance(quant, SQuant) and quant.kind == "forallP"
+    assert isinstance(quant, SBinder) and quant.kind == "forallP"
     assert isinstance(quant.body, SApp)
 
 
@@ -113,6 +114,77 @@ def test_non_prop_axiom_reports_position():
     assert "axiom must have type prop" in str(err.value)
 
 
+# Message and position of each typing rule's error, as the surface checker
+# reports them (file:line:col: message); at least one case per rule.
+TYPE_ERRORS = [
+    ('const c : i\naxiom c c\n',
+     't.homl:2:9: cannot apply a term of type i'),
+    ('axiom top top\n',
+     't.homl:1:11: cannot apply a term of type prop'),
+    ('const P : i > prop\naxiom forallP x:i. P P\n',
+     't.homl:2:22: type mismatch: expected i, actual i > prop'),
+    ('const R : i > i > prop\nconst p : prop\naxiom forallP x:i. R x p\n',
+     't.homl:3:24: type mismatch: expected i, actual prop'),
+    ('const c : i\naxiom not c\n',
+     't.homl:2:7: type mismatch: expected prop, actual i'),
+    ('const c : i\naxiom box c\n',
+     't.homl:2:7: type mismatch: expected prop, actual i'),
+    ('const c : i\naxiom dia c\n',
+     't.homl:2:7: type mismatch: expected prop, actual i'),
+    ('const c : i\nconst p : prop\naxiom c & p\n',
+     't.homl:3:9: type mismatch: expected prop, actual i'),
+    ('const c : i\nconst p : prop\naxiom p | c\n',
+     't.homl:3:9: type mismatch: expected prop, actual i'),
+    ('const c : i\nconst p : prop\naxiom p -> c\n',
+     't.homl:3:9: type mismatch: expected prop, actual i'),
+    ('const c : i\nconst p : prop\naxiom c <-> c\n',
+     't.homl:3:9: type mismatch: expected prop, actual i'),
+    ('const c : i\nconst p : prop\naxiom c == p\n',
+     't.homl:3:9: equality between distinct types i and prop'),
+    ('const c : i\naxiom (\\x:i. x) == c\n',
+     't.homl:2:17: equality between distinct types i > i and i'),
+    ('axiom forallP x:i. x\n',
+     't.homl:1:7: quantifier body must have type prop, got i'),
+    ('axiom existsP x:i. x\n',
+     't.homl:1:7: quantifier body must have type prop, got i'),
+    ('axiom forallA x. x\n',
+     't.homl:1:7: quantifier body must have type prop, got i'),
+    ('axiom existsA x:i. x\n',
+     't.homl:1:7: quantifier body must have type prop, got i'),
+    ('const c : prop\naxiom existsA q:i>prop. c\n',
+     't.homl:2:7: actualist quantifier restricted to individuals'),
+    ('axiom existsA q:i>prop. not q\n',
+     't.homl:1:7: actualist quantifier restricted to individuals'),
+    ('axiom forallA q:prop. q c\n',
+     't.homl:1:7: actualist quantifier restricted to individuals'),
+    ('def f := \\x:i. not x\n',
+     't.homl:1:16: type mismatch: expected prop, actual i'),
+    ('def f := \\x:i. x\naxiom f\n',
+     't.homl:2:7: axiom must have type prop, got i > i'),
+    ('const k : i\naxiom k\n',
+     't.homl:2:7: axiom must have type prop, got i'),
+    ('const k : i\ngoal k\n',
+     't.homl:2:6: goal must have type prop, got i'),
+    ('axiom existsAt\n',
+     't.homl:1:7: axiom must have type prop, got i > prop'),
+    ('const P : i > prop\n\n# comment\naxiom forallP x:i. box (P x & x)\n',
+     't.homl:4:29: type mismatch: expected prop, actual i'),
+    ('axiom box q\n',
+     "t.homl:1:11: unbound identifier 'q'"),
+    ('const c : prop\ndef a := b\ndef b := c\n',
+     "t.homl:2:10: unbound identifier 'b'"),
+    ('const c : prop\ndef g := \\x:i. c\naxiom g c\n',
+     't.homl:3:9: type mismatch: expected i, actual prop'),
+]
+
+
+@pytest.mark.parametrize("source,message", TYPE_ERRORS)
+def test_type_error_messages_and_positions(source, message):
+    with pytest.raises(TypeCheckError) as err:
+        typecheck(parse(source, "t.homl"), "t.homl")
+    assert str(err.value) == message
+
+
 def test_elaborate_leibniz_on_individuals():
     theory = load_theory("const a : i\nconst b : i\naxiom a == b\n")
     ax = theory.axioms[0]
@@ -157,6 +229,39 @@ def test_print_parse_round_trip(bundle_id, params):
     assert reparsed.frame_flags == bundle.checked.frame_flags
 
 
+def test_printed_binder_does_not_capture_a_constant():
+    # The definition's body mentions the constant x; once inlined under a
+    # binder hinted x, the printer must rename the binder.
+    src = "theory cap\nconst x : i\nconst P : i > prop\ndef q := P x\naxiom forallP x:i. q\n"
+    theory = elaborate(typecheck(parse(src)))
+    printed = format_theory(theory)
+    assert "(forallP x':i. (P x))" in printed
+    assert typecheck(parse(printed)).axioms == theory.axioms
+
+
+def test_theory_without_name_round_trips():
+    theory = typecheck(parse("const c : prop\naxiom c\n"))
+    printed = format_theory(theory)
+    assert not printed.startswith("theory")
+    reparsed = typecheck(parse(printed))
+    assert reparsed == theory
+
+
+@pytest.mark.parametrize("theory,message", [
+    (Theory("t", signature=(("c", Ind),), axioms=(Not(Const("c", Ind)),)),
+     "type mismatch: expected prop, actual i"),
+    (Theory("t", axioms=(ForallP(Ind, Var(1, Prop)),)),
+     "unbound de Bruijn index 1"),
+    (Theory("t", signature=(("c", Ind),),
+            definitions=(("d", App(Const("c", Ind), Const("c", Ind))),)),
+     "cannot apply a term of type i"),
+])
+def test_typecheck_checks_core_terms(theory, message):
+    with pytest.raises(TypeCheckError) as err:
+        typecheck(theory)
+    assert err.value.message == message
+
+
 @pytest.mark.parametrize("bundle_id", ["k", "church", "filters", "goedel", "modal_math"])
 def test_elaboration_preserves_types_and_is_core(bundle_id):
     bundle = load_bundle(bundle_id)
@@ -199,5 +304,5 @@ def test_type_depth_limit():
 
 def test_binder_swallows_to_the_right():
     term = parse_term_text("forallP x:i. p -> q")
-    assert isinstance(term, SQuant)
+    assert isinstance(term, SBinder)
     assert term.kind == "forallP"
