@@ -4,7 +4,10 @@
 Runs pigeonhole instances, seeded random 3-SAT, and a real ground problem
 from the ontological-theory bundle. Prints the best time, status and
 conflict count of each, and exits non-zero when a status is not the known
-one.
+one. Then enumerates every model of the empty CNF over 12 variables with
+`Solver.block`, and every model of K at (2,1) through `iterate_models`;
+prints the best time and model count of each, and exits non-zero on a wrong
+count or a model out of lexicographic order.
 
     PYTHONPATH=src python benchmarks/bench_solver.py
 """
@@ -13,9 +16,9 @@ import random
 import sys
 import time
 
-from homlkit.grounder import ground
+from homlkit.grounder import ground, iterate_models
 from homlkit.semantics import Scope
-from homlkit.solver import SAT, UNKNOWN, UNSAT, solve_cnf
+from homlkit.solver import SAT, UNKNOWN, UNSAT, Solver, solve_cnf
 
 STATUS = {SAT: "SAT", UNSAT: "UNSAT", UNKNOWN: "UNKNOWN"}
 
@@ -48,18 +51,60 @@ def goedel_refutation():
     return problem.num_vars, problem.clauses
 
 
-def bench(name, expected, num_vars, clauses, repeat=3):
-    """Print one row; return whether the status is the expected one."""
+def best_of(run, repeat):
+    """The fastest of ``repeat`` timed calls of ``run``, and the last result."""
     best = None
     for _ in range(repeat):
         start = time.perf_counter()
-        status, _, conflicts = solve_cnf(num_vars, clauses)
+        result = run()
         elapsed = time.perf_counter() - start
         best = elapsed if best is None else min(best, elapsed)
+    return best, result
+
+
+def bench(name, expected, num_vars, clauses, repeat=3):
+    """Print one row; return whether the status is the expected one."""
+    best, (status, _, conflicts) = best_of(lambda: solve_cnf(num_vars, clauses), repeat)
     ok = status == expected
     verdict = "" if ok else f"  WRONG, expected {STATUS[expected]}"
     print(f"{name:28s} {num_vars:5d} vars {len(clauses):6d} clauses "
           f"{best * 1000:9.2f} ms  {STATUS[status]:7s} {conflicts:7d} conflicts{verdict}")
+    return ok
+
+
+def empty_cnf_models(num_vars=12):
+    """Every model of the empty CNF, each blocked on all variables."""
+    solver = Solver(num_vars)
+    while True:
+        status, model, _ = solver.solve()
+        if status != SAT:
+            return
+        yield tuple(model)
+        solver.block(num_vars)
+
+
+def k_models():
+    """Every model of K at (2,1), as the values of its decision variables:
+    accessibility, existence, then the world bits of the propositional
+    constants in signature order."""
+    from homlkit.theories import load_bundle
+
+    problem = ground(load_bundle("k").theory, Scope(2, 1))
+    for model in iterate_models(problem):
+        rows = (*model.accessibility, *model.exists_at,
+                *((bit.value for bit in model.constants[name].entries)
+                  for name, _ in problem.signature))
+        yield tuple(bit for row in rows for bit in row)
+
+
+def bench_enumeration(name, expected, models, repeat=3):
+    """Print one row; return whether the count is the expected one and the
+    models come in strictly increasing lexicographic order."""
+    best, found = best_of(lambda: list(models()), repeat)
+    ordered = all(a < b for a, b in zip(found, found[1:]))
+    ok = len(found) == expected and ordered
+    verdict = "" if ok else f"  WRONG, expected {expected} models in lexicographic order"
+    print(f"{name:28s} {best * 1000:9.2f} ms  {len(found):5d} models{verdict}")
     return ok
 
 
@@ -72,6 +117,11 @@ def main():
         ("goedel refutation at (2,2)", UNSAT, *goedel_refutation()),
     ]
     ok = all([bench(*row) for row in rows])
+    enumerations = [
+        ("enumerate empty CNF, 12 vars", 2 ** 12, empty_cnf_models),
+        ("enumerate K at (2,1)", 1024, k_models),
+    ]
+    ok = all([bench_enumeration(*row) for row in enumerations]) and ok
     return 0 if ok else 1
 
 

@@ -497,6 +497,12 @@ def main(argv=None) -> int:
     except (HomlError, OSError) as exc:
         report = {"command": args.command, "error": str(exc)}
         exit_code = EXIT_USAGE
+    except RecursionError:
+        # Parsing, checking and compiling recurse once or more per term level.
+        report = {"command": args.command,
+                  "error": "input nested too deeply: Python's recursion limit "
+                           f"({sys.getrecursionlimit()}) was reached"}
+        exit_code = EXIT_USAGE
     if report:
         if args.format == "json":
             text = json.dumps(report, sort_keys=True, indent=2) + "\n"

@@ -546,9 +546,15 @@ def check_validity_bounded(theory: Theory, goal: Term, scope: Scope,
 
 def iterate_models(problem: GroundProblem, budget: int = DEFAULT_CONFLICT_BUDGET,
                    limit: Optional[int] = None) -> Iterator[KripkeModel]:
-    """Decode successive solutions of a ground problem, blocking each found
-    assignment on the decision variables; deterministic order. One solver
-    takes the blocking clauses, so the problem itself is left unchanged."""
+    """Decode the models of a ground problem that differ on the decision
+    variables, in lexicographic order of those variables.
+
+    One solver finds them all: `Solver.block` excludes each model's values
+    of the decision variables, which are the prefix 1..d, and the search
+    resumes from that model. The problem itself is left unchanged."""
+    d = len(problem.decision_vars)
+    if problem.decision_vars != list(range(1, d + 1)):
+        raise HomlError("the decision variables must be 1..d to enumerate models")
     solver = Solver(problem.num_vars, problem.clauses)
     produced = 0
     while limit is None or produced < limit:
@@ -559,17 +565,14 @@ def iterate_models(problem: GroundProblem, budget: int = DEFAULT_CONFLICT_BUDGET
             return
         yield problem.decode(result.assignment)
         produced += 1
-        blocking = [
-            (-v if result.assignment[v] else v) for v in problem.decision_vars
-        ]
-        solver.add_clause(blocking)
+        solver.block(d)
 
 
 def enumerate_models(theory: Theory, scope: Scope, limit: Optional[int] = None,
                      budget: int = DEFAULT_CONFLICT_BUDGET,
                      negated_goal: Optional[Term] = None) -> Iterator[KripkeModel]:
-    """All models at scope (up to limit), via blocking clauses over the
-    decision variables; deterministic order."""
+    """All models at scope (up to limit) that differ on the decision
+    variables, in lexicographic order; see `iterate_models`."""
     problem = ground(theory, scope, negated_goal=negated_goal)
     yield from iterate_models(problem, budget=budget, limit=limit)
 

@@ -17,6 +17,17 @@ literals on lower variables. So if the returned model M sets v true, every
 model that agrees with M below v also sets v true, and no model is less than
 M. Enumeration order, and every model decoded from the solver, depend only
 on the clauses, not on the conflicts the search happened to meet.
+
+Enumeration resumes from the model it found rather than from level 0. After
+a SAT answer the solver keeps its trail, and `Solver.block(k)` adds the
+clause that negates the model's decisions on variables 1..k. Those decisions
+opened the first decision levels, so the clause is asserting: the solver
+backjumps to the level below its deepest literal, sets that literal, and the
+next `solve` goes on from there. The argument above still holds for the
+resumed search. A blocking clause is one of the clauses, and the literal it
+asserts is implied by the clauses and the decisions at lower levels. So every
+`solve` returns the least model of the clauses added so far, and blocking
+each model in turn yields the projections in lexicographic order.
 """
 
 SAT = 10
@@ -48,13 +59,15 @@ class Solver:
             self.add_clause(clause)
 
     def add_clause(self, clause):
-        """Add a clause of non-zero literals within range. Between solves the
-        solver is at decision level 0, so assigned literals are final."""
+        """Add a clause of non-zero literals within range. The solver first
+        backjumps to decision level 0, where assigned literals are final."""
         lits = list(dict.fromkeys(clause))
         num_vars = self.num_vars
         for lit in lits:
             if lit == 0 or abs(lit) > num_vars:
                 raise ValueError(f"literal {lit} out of range")
+        if self._trail_lim:
+            self._backjump(0)
         if not self._ok or len(set(map(abs, lits))) < len(lits):
             return  # already unsatisfiable, or a tautology
         if self._trail:
@@ -75,7 +88,8 @@ class Solver:
 
         Returns (status, model, conflicts): model is a list of num_vars 0/1
         values (index 0 = variable 1) when status is SAT, else None. UNKNOWN
-        means the conflict budget ran out. The solver is left at level 0.
+        means the conflict budget ran out. After SAT the solver keeps the
+        model on its trail for `block`; otherwise it is left at level 0.
         """
         conflicts = 0
         if not self._ok:
@@ -84,7 +98,8 @@ class Solver:
         trail = self._trail
         trail_lim = self._trail_lim
         num_vars = self.num_vars
-        next_var = 1  # every variable below it is assigned
+        # Every variable below it is assigned: decisions go lowest first.
+        next_var = -trail[trail_lim[-1]] if trail_lim else 1
         while True:
             conflict = self._propagate()
             if conflict is not None:
@@ -112,11 +127,56 @@ class Solver:
                 v += 1
             if v > num_vars:
                 model = [1 if value[x] == 1 else 0 for x in range(1, num_vars + 1)]
-                self._backjump(0)
                 return SAT, model, conflicts
             next_var = v
             trail_lim.append(len(trail))
             self._assign(-v, None)
+
+    def block(self, k):
+        """Exclude every model that agrees with the last model found on
+        variables 1..k, and resume the search from that model.
+
+        Call it after `solve` answered SAT. The clause added negates the
+        model's decisions on variables 1..k: decisions go lowest variable
+        first, so they opened the first L levels, and with the clauses they
+        imply the model's value of every variable up to k. The clause is
+        asserting: the solver backjumps to level L-1 and sets its deepest
+        literal there, and the next `solve` resumes from that point.
+
+        The clause is watched on that literal and on the first decision's,
+        with the rest in ascending order. The usual pair, its two deepest
+        literals, sits on the variables that later models reassign most
+        often, so each model found would visit many earlier blocking
+        clauses; the first decision changes least often. A watched literal
+        that is already false can delay a propagation of the clause, never
+        a conflict: the clause is examined whenever its other watched
+        literal is falsified.
+        """
+        if not 0 <= k <= self.num_vars:
+            raise ValueError(f"projection size {k} out of range")
+        trail = self._trail
+        if not self._ok or len(trail) < self.num_vars:
+            raise ValueError("block needs the model of the last solve")
+        # A decision sets its variable false, so its negation is the variable.
+        lits = []
+        for mark in self._trail_lim:
+            v = -trail[mark]
+            if v > k:
+                break
+            lits.append(v)
+        level = len(lits)
+        if level == 0:
+            self._ok = False  # variables 1..k are fixed at level 0
+            self._backjump(0)
+            return
+        self._backjump(level - 1)
+        if level == 1:
+            self._assign(lits[0], None)
+            return
+        clause = [lits[-1], *lits[:-1]]
+        self._watches[clause[0]].append(clause)
+        self._watches[clause[1]].append(clause)
+        self._assign(clause[0], clause)
 
     def _assign(self, lit, reason):
         value = self._value

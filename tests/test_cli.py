@@ -41,6 +41,18 @@ def test_parse_error_exits_two(tmp_path, capsys):
     assert "broken.homl:1:" in report["error"]
 
 
+def test_deeply_nested_source_exits_two(tmp_path, capsys):
+    path = tmp_path / "deep.homl"
+    path.write_text("const p : prop\ngoal " + "not " * 400 + "p\n")
+    code = main(["check", "--file", str(path), "--scope", "1,1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    report = json.loads(captured.out)
+    assert report["command"] == "check"
+    assert "nested too deeply" in report["error"]
+    assert "Traceback" not in captured.err
+
+
 def test_unknown_bundle_exits_two(capsys):
     code, out = run_cli(["check", "--bundle", "nonsense"], capsys)
     assert code == 2

@@ -1,12 +1,18 @@
 """CDCL solver: the lexicographically least model, incremental enumeration
 against brute force, budget."""
 
+import dataclasses
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homlkit.errors import BudgetExceededError, HomlError
+from homlkit.grounder import ground, iterate_models
+from homlkit.semantics import Scope
 from homlkit.solver import SAT, UNKNOWN, UNSAT, Solver, solve_cnf
+from homlkit.theories import load_bundle
 
 
 def brute_force_models(num_vars, clauses):
@@ -63,12 +69,16 @@ def test_budget_gives_unknown():
     assert conflicts == 3
 
 
-clause_strategy = st.lists(
-    st.integers(min_value=1, max_value=8).flatmap(
-        lambda v: st.sampled_from([v, -v])
-    ),
-    min_size=1, max_size=4,
-)
+def clauses_over(num_vars):
+    return st.lists(
+        st.integers(min_value=1, max_value=num_vars).flatmap(
+            lambda v: st.sampled_from([v, -v])
+        ),
+        min_size=1, max_size=4,
+    )
+
+
+clause_strategy = clauses_over(8)
 cnf_strategy = st.lists(clause_strategy, min_size=0, max_size=24)
 
 
@@ -97,3 +107,98 @@ def test_incremental_enumeration_is_lexicographic(clauses, k):
         found.append(tuple(model[:k]))
         solver.add_clause([-v if model[v - 1] else v for v in range(1, k + 1)])
     assert found == sorted({bits[:k] for bits in brute_force_models(8, clauses)})
+
+
+def block_projections(solver, k):
+    """The projections onto variables 1..k of the models `solver.solve`
+    finds when `solver.block(k)` follows each one."""
+    found = []
+    while True:
+        status, model, _ = solver.solve()
+        if status == UNSAT:
+            return found
+        assert status == SAT
+        found.append(tuple(model[:k]))
+        solver.block(k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cnf_strategy)
+def test_block_enumeration_is_lexicographic(clauses):
+    models = brute_force_models(8, clauses)
+    for k in range(9):
+        found = block_projections(Solver(8, clauses), k)
+        assert found == sorted({bits[:k] for bits in models})
+
+
+step_strategy = st.one_of(
+    st.tuples(st.just("block"), st.integers(min_value=0, max_value=6)),
+    st.tuples(st.just("add"), clauses_over(6)),
+    st.tuples(st.just("solve"), st.none()),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(clauses_over(6), max_size=8), st.lists(step_strategy, max_size=12))
+def test_block_add_clause_and_solve_mix(clauses, steps):
+    """Every `solve` returns the least model of the clauses, the added
+    clauses and the projections blocked so far, whatever the interleaving."""
+    solver = Solver(6, clauses)
+    constraints = list(clauses)
+    for kind, arg in steps:
+        status, model, _ = solver.solve()
+        models = brute_force_models(6, constraints)
+        if not models:
+            assert status == UNSAT
+            return
+        assert status == SAT and tuple(model) == models[0]
+        if kind == "block":
+            solver.block(arg)
+            constraints.append([-v if model[v - 1] else v for v in range(1, arg + 1)])
+        elif kind == "add":
+            solver.add_clause(arg)
+            constraints.append(arg)
+
+
+def test_block_needs_a_model():
+    solver = Solver(3, [[1, 2, 3]])
+    with pytest.raises(ValueError):
+        solver.block(3)  # no solve yet
+    assert solver.solve()[1] == [0, 0, 1]
+    with pytest.raises(ValueError):
+        solver.block(4)
+    solver.add_clause([1, 2])  # back to level 0, the model is gone
+    with pytest.raises(ValueError):
+        solver.block(3)
+    assert solver.solve()[1] == [0, 1, 0]
+    solver.block(2)
+    assert solver.solve()[1] == [1, 0, 0]
+    solver.block(0)  # the empty projection: no model is left
+    assert solver.solve()[0] == UNSAT
+
+
+def test_budget_exhausted_mid_enumeration_raises():
+    """K at (1,1) with a pigeonhole gadget on fresh variables that only
+    r(w0,w0) = true switches on: the models with r(w0,w0) false come at no
+    cost, then refuting r(w0,w0) = true needs more conflicts than the budget."""
+    problem = ground(load_bundle("k").theory, Scope(1, 1))
+    assert problem.meanings[1] == "r(w0,w0)"
+    num_vars, gadget = pigeonhole(4)
+    base = problem.num_vars
+    shifted = [[-1] + [lit + base if lit > 0 else lit - base for lit in c] for c in gadget]
+    guarded = dataclasses.replace(problem, num_vars=base + num_vars,
+                                  clauses=problem.clauses + shifted)
+    models = []
+    with pytest.raises(BudgetExceededError):
+        for model in iterate_models(guarded, budget=5):
+            models.append(model)
+    assert len(models) == 8
+    assert all(model.accessibility == ((False,),) for model in models)
+    assert len(list(iterate_models(guarded))) == 8
+
+
+def test_enumeration_needs_a_prefix_of_decision_variables():
+    problem = ground(load_bundle("k").theory, Scope(1, 1))
+    shuffled = dataclasses.replace(problem, decision_vars=[2, 1, 3, 4])
+    with pytest.raises(HomlError):
+        next(iterate_models(shuffled))
