@@ -14,13 +14,12 @@ from .grounder import GroundProblem, ground, iterate_models
 from .logictypes import Fun, Ind, Prop
 from .semantics import (
     KripkeModel,
-    SBool,
     Scope,
     STable,
     SemValue,
     denotation_size,
-    index_value,
-    value_index,
+    digits,
+    position,
 )
 from .solver import DEFAULT_CONFLICT_BUDGET
 from .theory import Theory
@@ -43,27 +42,22 @@ class ModalSet:
     def num_worlds(self):
         return len(self.table[0])
 
-    @classmethod
-    def from_semvalue(cls, value: SemValue) -> "ModalSet":
-        assert isinstance(value, STable)
-        return cls(tuple(tuple(b.value for b in row.entries) for row in value.entries))
+    # A Fun(Ind, Prop) value is m entries in base 2^n, each a row of n
+    # world bits.
 
     @classmethod
     def from_index(cls, i: int, scope: Scope) -> "ModalSet":
-        return cls.from_semvalue(index_value(i, PROPERTY_TYPE, scope))
+        n, m = scope.num_worlds, scope.num_entities
+        return cls(tuple(tuple(bit == 1 for bit in digits(row, n, 2))
+                         for row in digits(i, m, 2 ** n)))
 
     @classmethod
     def rigid(cls, entities, m: int, n: int) -> "ModalSet":
         chosen = set(entities)
         return cls(tuple(tuple(e in chosen for _ in range(n)) for e in range(m)))
 
-    def to_semvalue(self) -> SemValue:
-        return STable(
-            tuple(STable(tuple(SBool(v) for v in row)) for row in self.table)
-        )
-
     def index(self, scope: Scope) -> int:
-        return value_index(self.to_semvalue(), PROPERTY_TYPE, scope)
+        return position((position(row, 2) for row in self.table), 2 ** scope.num_worlds)
 
     def extension(self, world: int) -> frozenset[int]:
         return frozenset(e for e in range(self.num_entities) if self.table[e][world])

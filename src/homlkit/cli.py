@@ -131,6 +131,14 @@ def _scope_list(scope: Scope) -> list[int]:
     return [scope.num_worlds, scope.num_entities]
 
 
+def _exit_code(verdicts, as_expected: bool) -> int:
+    """A run's exit code: an Indeterminate verdict outranks a result that is
+    not as expected."""
+    if any(isinstance(verdict, Indeterminate) for verdict in verdicts):
+        return EXIT_BUDGET
+    return EXIT_OK if as_expected else EXIT_COUNTER
+
+
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -144,7 +152,7 @@ def cmd_check(args) -> tuple[int, dict]:
     else:
         wanted = labels
     results = []
-    exit_code = EXIT_OK
+    verdicts = []
     for label in wanted:
         if label not in labels:
             raise HomlError(f"no goal labelled {label!r} (have {labels})")
@@ -153,13 +161,11 @@ def cmd_check(args) -> tuple[int, dict]:
         entry = {"goal": label, "scope": _scope_list(scope)}
         entry.update(_verdict_json(verdict))
         results.append(entry)
-        if isinstance(verdict, Countermodel):
-            exit_code = max(exit_code, EXIT_COUNTER)
-        elif isinstance(verdict, Indeterminate):
-            exit_code = max(exit_code, EXIT_BUDGET)
+        verdicts.append(verdict)
     report = {"command": "check", "scope": _scope_list(scope), "results": results,
               **_bundle_keys(meta)}
-    return exit_code, report
+    as_expected = not any(isinstance(verdict, Countermodel) for verdict in verdicts)
+    return _exit_code(verdicts, as_expected), report
 
 
 def cmd_find_model(args) -> tuple[int, dict]:
@@ -198,10 +204,9 @@ def cmd_church_suite(args) -> tuple[int, dict]:
     budget = _budget(args)
     results = check_church_postulates(scope, budget)
     one_world = _parse_scope(args.one_world_scope)
-    results_one = check_church_postulates(one_world, budget)
+    results += check_church_postulates(one_world, budget)
     entries = []
-    ok = True
-    for res in list(results) + list(results_one):
+    for res in results:
         entry = {
             "postulate": res.label,
             "scope": _scope_list(res.scope),
@@ -210,10 +215,10 @@ def cmd_church_suite(args) -> tuple[int, dict]:
         }
         entry.update(_verdict_json(res.verdict))
         entries.append(entry)
-        ok = ok and res.as_expected
     report = {"command": "church-suite", "scope": _scope_list(scope),
               "one_world_scope": _scope_list(one_world), "results": entries}
-    return (EXIT_OK if ok else EXIT_COUNTER), report
+    ok = all(res.as_expected for res in results)
+    return _exit_code([res.verdict for res in results], ok), report
 
 
 def cmd_goedel_suite(args) -> tuple[int, dict]:
@@ -241,6 +246,7 @@ def cmd_goedel_suite(args) -> tuple[int, dict]:
         collected.append(("consistency", model))
 
     validity = []
+    verdicts = []
     for quantifier in ("actualist", "possibilist"):
         variant_bundle = load_bundle("goedel", quantifier=quantifier)
         for n in (1, 2):
@@ -253,43 +259,31 @@ def cmd_goedel_suite(args) -> tuple[int, dict]:
                 entry["as_expected"] = isinstance(verdict, ValidUpToScope)
                 ok = ok and entry["as_expected"]
                 validity.append(entry)
+                verdicts.append(verdict)
     report["results"]["validity"] = validity
 
+    # The manifest's counts are asserted; the two-world count is reported,
+    # not asserted, within a bounded model budget.
+    specs = [(spec["worlds"], spec["entities"], spec["min"], None)
+             for spec in manifest["positive_counts"]]
+    specs.append((2, 2, None, report_limit))
     counting = []
-    for spec_entry in manifest["positive_counts"]:
-        scope = Scope(spec_entry["worlds"], spec_entry["entities"])
-        models = list(enumerate_models(bundle.theory, scope, budget=budget))
-        count = count_positive(models, manifest["positive_constant"], world)
-        matches = count.complete and count.minimum == spec_entry["min"]
+    for n, m, expected, limit in specs:
+        scope = Scope(n, m)
+        models = list(enumerate_models(bundle.theory, scope, budget=budget, limit=limit))
+        count = count_positive(models, manifest["positive_constant"], world, limit=limit)
+        matches = expected is None or (count.complete and count.minimum == expected)
         ok = ok and matches
         counting.append({
-            "scope": _scope_list(scope),
-            "expected_min": spec_entry["min"],
+            "scope": [n, m],
+            "expected_min": expected,
             "minimum": count.minimum,
             "maximum": count.maximum,
             "models": count.model_count,
             "complete": count.complete,
             "as_expected": matches,
         })
-        for i, found in enumerate(models):
-            collected.append((f"count{scope.num_worlds},{scope.num_entities}#{i}", found))
-    # Reported (not asserted) at two worlds, within a bounded model budget.
-    scope22 = Scope(2, 2)
-    models22 = list(enumerate_models(bundle.theory, scope22, budget=budget,
-                                     limit=report_limit))
-    count22 = count_positive(models22, manifest["positive_constant"], world,
-                             limit=report_limit)
-    counting.append({
-        "scope": _scope_list(scope22),
-        "expected_min": None,
-        "minimum": count22.minimum,
-        "maximum": count22.maximum,
-        "models": count22.model_count,
-        "complete": count22.complete,
-        "as_expected": True,
-    })
-    for i, found in enumerate(models22):
-        collected.append((f"count2,2#{i}", found))
+        collected.extend((f"count{n},{m}#{i}", found) for i, found in enumerate(models))
     report["results"]["positive_counts"] = counting
 
     ultra = []
@@ -310,7 +304,7 @@ def cmd_goedel_suite(args) -> tuple[int, dict]:
         })
     report["results"]["ultrafilter"] = ultra
     report["ok"] = ok
-    return (EXIT_OK if ok else EXIT_COUNTER), report
+    return _exit_code(verdicts, ok), report
 
 
 def cmd_count_positive(args) -> tuple[int, dict]:

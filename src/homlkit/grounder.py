@@ -17,6 +17,14 @@ values in ascending order, which fixes the Tseitin numbering. A binder's
 value is memoised on its free variables for one ``ground`` call; a hit
 returns the node ids that interning would have returned anyway, so the
 numbering does not move.
+
+A solver answer reaches a model or a verdict by one path. ``_model`` reads
+the answer's status, raising `BudgetExceededError` when the budget ran out,
+and decodes the solver's 0/1 list with `GroundProblem.decode`. `solve`
+answers a problem in one call, `iterate_models` answers each step of one
+incremental solver, and `refute` turns the answer to a problem that negates
+a goal into a verdict; `find_model` and `check_validity_bounded` ground and
+then call them.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ from .semantics import (
     position,
     table_view,
 )
-from .solver import DEFAULT_CONFLICT_BUDGET, SAT, UNKNOWN, UNSAT, Solver, solve_cnf
+from .solver import DEFAULT_CONFLICT_BUDGET, UNKNOWN, UNSAT, Solver, solve_cnf
 from .terms import EXISTS_AT, EXISTS_AT_TYPE, Term
 from .theory import Theory
 
@@ -144,32 +152,28 @@ class GroundProblem:
     const_cells: dict[str, object]
     signature: tuple
 
-    def decode(self, assignment: dict[int, bool]) -> KripkeModel:
-        n, m = self.scope.num_worlds, self.scope.num_entities
-        acc = tuple(
-            tuple(assignment[self.r_vars[w][w2]] for w2 in range(n)) for w in range(n)
-        )
-        exists = tuple(
-            tuple(assignment[self.ex_vars[e][w]] for w in range(n)) for e in range(m)
-        )
-        constants = {}
-        types = {}
-        for name, ty in self.signature:
-            types[name] = ty
-            constants[name] = _decode_cells(self.const_cells[name], ty, assignment, self.scope)
-        return KripkeModel(self.scope, acc, exists, constants, types)
+    def decode(self, model: list[int]) -> KripkeModel:
+        """The Kripke model of a solver model: a list of num_vars 0/1 values,
+        variable v at index v - 1."""
+        acc = tuple(tuple(model[v - 1] == 1 for v in row) for row in self.r_vars)
+        exists = tuple(tuple(model[v - 1] == 1 for v in row) for row in self.ex_vars)
+        constants = {
+            name: _decode_cells(self.const_cells[name], ty, model, self.scope)
+            for name, ty in self.signature
+        }
+        return KripkeModel(self.scope, acc, exists, constants, dict(self.signature))
 
 
-def _decode_cells(cells, ty, assignment, scope: Scope) -> SemValue:
+def _decode_cells(cells, ty, model: list[int], scope: Scope) -> SemValue:
     if ty is bool:
-        return SBool(assignment[cells])
+        return SBool(model[cells - 1] == 1)
     view = table_view(ty, scope)
     if view is None:
-        chosen = [e for e, v in enumerate(cells) if assignment[v]]
+        chosen = [e for e, v in enumerate(cells) if model[v - 1]]
         if len(chosen) != 1:
             raise HomlError("selector bits violate the exactly-one constraint")
         return SEntity(chosen[0])
-    return STable(tuple(_decode_cells(sub, view[2], assignment, scope) for sub in cells))
+    return STable(tuple(_decode_cells(sub, view[2], model, scope) for sub in cells))
 
 
 class _Grounding:
@@ -497,51 +501,53 @@ def ground(theory: Theory, scope: Scope, negated_goal: Optional[Term] = None) ->
     return g.to_problem()
 
 
-@dataclass(frozen=True)
-class SolveResult:
-    status: int  # SAT, UNSAT, or UNKNOWN
-    assignment: Optional[dict[int, bool]]
-    conflicts: int
+def _model(problem: GroundProblem, answer: tuple, budget: int) -> Optional[KripkeModel]:
+    """Read a solver answer ``(status, model, conflicts)``: the decoded
+    model, or None when the problem has none. Raises `BudgetExceededError`,
+    carrying the conflicts reached, when the budget ran out first."""
+    status, model, conflicts = answer
+    if status == UNKNOWN:
+        raise BudgetExceededError(budget, conflicts)
+    if status == UNSAT:
+        return None
+    return problem.decode(model)
 
 
-def _result(status: int, model: Optional[list[int]], conflicts: int) -> SolveResult:
-    assignment = None
-    if status == SAT:
-        assignment = {v: bool(bit) for v, bit in enumerate(model, 1)}
-    return SolveResult(status, assignment, conflicts)
-
-
-def solve(problem: GroundProblem, budget: int = DEFAULT_CONFLICT_BUDGET) -> SolveResult:
-    return _result(*solve_cnf(problem.num_vars, problem.clauses, budget))
+def solve(problem: GroundProblem,
+          budget: int = DEFAULT_CONFLICT_BUDGET) -> Optional[KripkeModel]:
+    """The least model of the problem, decoded, or None when it has none
+    (exhaustive at its scope). Raises `BudgetExceededError` when the budget
+    runs out first."""
+    return _model(problem, solve_cnf(problem.num_vars, problem.clauses, budget), budget)
 
 
 def find_model(theory: Theory, scope: Scope,
                budget: int = DEFAULT_CONFLICT_BUDGET) -> Optional[KripkeModel]:
     """A model of frame flags plus all axioms, or None (exhaustive at scope)."""
-    problem = ground(theory, scope)
-    result = solve(problem, budget)
-    if result.status == UNKNOWN:
-        raise BudgetExceededError(budget, result.conflicts)
-    if result.status == UNSAT:
-        return None
-    return problem.decode(result.assignment)
+    return solve(ground(theory, scope), budget)
+
+
+def refute(problem: GroundProblem, goal: Term, budget: int = DEFAULT_CONFLICT_BUDGET):
+    """The verdict on a problem that negates the goal: ValidUpToScope when it
+    has no model, else a Countermodel at the first world where the model
+    falsifies the goal, or Indeterminate when the budget runs out first."""
+    try:
+        model = solve(problem, budget)
+    except BudgetExceededError:
+        return Indeterminate(f"conflict budget {budget} exhausted")
+    if model is None:
+        return ValidUpToScope(problem.scope)
+    for w in range(problem.scope.num_worlds):
+        if not holds_at(model, goal, w):
+            return Countermodel(model, w)
+    raise HomlError("decoded countermodel does not falsify the goal")
 
 
 def check_validity_bounded(theory: Theory, goal: Term, scope: Scope,
                            budget: int = DEFAULT_CONFLICT_BUDGET):
     """ValidUpToScope if no axiom-model falsifies the goal anywhere in scope,
-    else a Countermodel with the witnessing world."""
-    problem = ground(theory, scope, negated_goal=goal)
-    result = solve(problem, budget)
-    if result.status == UNKNOWN:
-        return Indeterminate(f"conflict budget {budget} exhausted")
-    if result.status == UNSAT:
-        return ValidUpToScope(scope)
-    model = problem.decode(result.assignment)
-    for w in range(scope.num_worlds):
-        if not holds_at(model, goal, w):
-            return Countermodel(model, w)
-    raise HomlError("decoded countermodel does not falsify the goal")
+    else a Countermodel with the witnessing world; see `refute`."""
+    return refute(ground(theory, scope, negated_goal=goal), goal, budget)
 
 
 def iterate_models(problem: GroundProblem, budget: int = DEFAULT_CONFLICT_BUDGET,
@@ -558,12 +564,10 @@ def iterate_models(problem: GroundProblem, budget: int = DEFAULT_CONFLICT_BUDGET
     solver = Solver(problem.num_vars, problem.clauses)
     produced = 0
     while limit is None or produced < limit:
-        result = _result(*solver.solve(budget))
-        if result.status == UNKNOWN:
-            raise BudgetExceededError(budget, result.conflicts)
-        if result.status == UNSAT:
+        model = _model(problem, solver.solve(budget), budget)
+        if model is None:
             return
-        yield problem.decode(result.assignment)
+        yield model
         produced += 1
         solver.block(d)
 

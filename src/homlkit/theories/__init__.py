@@ -11,9 +11,9 @@ from dataclasses import dataclass, field, replace
 from importlib import resources
 
 from ..errors import BundleError, HomlError
-from ..grounder import check_validity_bounded, ground, solve
-from ..semantics import Countermodel, Scope, ValidUpToScope, holds_at, mvalid
-from ..solver import DEFAULT_CONFLICT_BUDGET, SAT
+from ..grounder import check_validity_bounded, ground, refute
+from ..semantics import Countermodel, Scope, ValidUpToScope, mvalid
+from ..solver import DEFAULT_CONFLICT_BUDGET
 from ..surface import elaborate, parse, typecheck
 from ..theory import Theory
 
@@ -154,14 +154,10 @@ def _canonical_bool_ext_countermodel(theory: Theory, goal, scope: Scope, budget:
         return check_validity_bounded(theory, goal, scope, budget)
     problem = ground(theory, scope, negated_goal=goal)
     problem = replace(problem, clauses=problem.clauses + _footnote_shape_clauses(problem))
-    result = solve(problem, budget)
-    if result.status != SAT:
+    verdict = refute(problem, goal, budget)
+    if not isinstance(verdict, Countermodel):
         # No shaped countermodel; fall back to the unconstrained search.
         return check_validity_bounded(theory, goal, scope, budget)
-    model = problem.decode(result.assignment)
-    if not all(mvalid(model, ax) for ax in theory.axioms):
+    if not all(mvalid(verdict.model, ax) for ax in theory.axioms):
         raise BundleError("shaped countermodel fails an axiom")
-    for w in range(scope.num_worlds):
-        if not holds_at(model, goal, w):
-            return Countermodel(model, w)
-    raise BundleError("shaped countermodel does not falsify the goal")
+    return verdict

@@ -66,12 +66,33 @@ def test_find_model_unsat_exits_one(tmp_path, capsys):
     assert json.loads(out)["result"]["verdict"] == "unsatisfiable"
 
 
-def test_budget_exhaustion_exits_three(capsys):
-    code, out = run_cli(["check", "--bundle", "goedel", "--scope", "2,2",
-                         "--budget", "1"], capsys)
+def _verdicts(report):
+    """Every "verdict" value in a report, at any depth."""
+    if isinstance(report, dict):
+        found = [report["verdict"]] if "verdict" in report else []
+        return found + [v for value in report.values() for v in _verdicts(value)]
+    if isinstance(report, list):
+        return [v for item in report for v in _verdicts(item)]
+    return []
+
+
+EXHAUSTED = "conflict budget 1 exhausted after 1 conflicts"
+
+
+@pytest.mark.parametrize("argv,indeterminate,error", [
+    (["check", "--bundle", "goedel", "--scope", "2,2", "--budget", "1"], 1, None),
+    (["church-suite", "--budget", "1"], 7, None),
+    (["goedel-suite", "--budget", "3"], 2, None),
+    (["find-model", "--bundle", "goedel", "--scope", "2,2", "--budget", "1"], 0, EXHAUSTED),
+    (["enumerate", "--bundle", "goedel", "--scope", "2,2", "--budget", "1"], 0, EXHAUSTED),
+], ids=["check", "church-suite", "goedel-suite", "find-model", "enumerate"])
+def test_budget_exhaustion_exits_three(argv, indeterminate, error, capsys):
+    """An indeterminate verdict outranks a result that is not as expected."""
+    code, out = run_cli(argv, capsys)
     assert code == 3
     report = json.loads(out)
-    assert report["results"][0]["verdict"] == "indeterminate"
+    assert report.get("error") == error
+    assert _verdicts(report).count("indeterminate") == indeterminate
 
 
 def test_reports_are_byte_identical(capsys):

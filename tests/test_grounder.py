@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from homlkit.errors import GroundingError
+from homlkit.errors import BudgetExceededError, GroundingError
 from homlkit.grounder import (
     _FALSE,
     _TRUE,
@@ -21,10 +21,11 @@ from homlkit.grounder import (
 from homlkit.logictypes import Fun, Ind, Prop
 from homlkit.semantics import (
     Countermodel,
+    Indeterminate,
     Scope,
     ValidUpToScope,
 )
-from homlkit.solver import SAT, UNSAT
+from homlkit.solver import SAT, solve_cnf
 from homlkit.surface import elaborate, load_theory, parse, typecheck
 from homlkit.theories import load_bundle
 from reference import (
@@ -89,11 +90,29 @@ def test_solve_direct_problems():
     base = dict(scope=Scope(1, 1), meanings={}, decision_vars=[1],
                 r_vars=[[1]], ex_vars=[[1]], const_cells={}, signature=())
     unsat = GroundProblem(num_vars=1, clauses=[[1], [-1]], **base)
-    assert solve(unsat).status == UNSAT
-    sat = GroundProblem(num_vars=2, clauses=[[1, 2]], **dict(base, decision_vars=[1, 2]))
-    result = solve(sat)
-    assert result.status == SAT
-    assert result.assignment[1] or result.assignment[2]
+    assert solve(unsat) is None
+    # r(w0,w0) is variable 1 and existsAt(e0,w0) variable 2.
+    sat = GroundProblem(num_vars=2, clauses=[[1, 2]],
+                        **dict(base, decision_vars=[1, 2], ex_vars=[[2]]))
+    model = solve(sat)
+    assert model.accessibility[0][0] or model.exists_at[0][0]
+    # The least model sets variable 1 false.
+    assert (model.accessibility, model.exists_at) == (((False,),), ((True,),))
+
+
+def test_solve_raises_budget_exceeded_with_conflicts_reached():
+    problem = ground(load_bundle("goedel").theory, Scope(2, 2))
+    for budget in (1, 2):
+        with pytest.raises(BudgetExceededError) as info:
+            solve(problem, budget)
+        assert (info.value.budget, info.value.conflicts) == (budget, budget)
+    assert solve(problem, 3) is not None
+
+
+def test_check_validity_at_budget_one_is_indeterminate():
+    theory = load_bundle("goedel").theory
+    verdict = check_validity_bounded(theory, theory.goals[0], Scope(2, 2), budget=1)
+    assert verdict == Indeterminate("conflict budget 1 exhausted")
 
 
 def test_k_axiom_refutation_unsat():
@@ -216,7 +235,7 @@ def test_dimacs_round_trip_agrees(source, scope, expect_sat):
     assert num_vars == problem.num_vars
     if num_vars <= 20:
         assert _brute_force_cnf_sat(num_vars, clauses) == expect_sat
-    assert (solve(problem).status == SAT) == expect_sat
+    assert (solve(problem) is not None) == expect_sat
 
 
 def test_dimacs_meanings_are_comments():
@@ -283,12 +302,11 @@ def test_determinism_identical_problems_and_models():
 def test_assignment_satisfies_every_clause():
     theory = load_bundle("goedel").theory
     problem = ground(theory, Scope(2, 1))
-    result = solve(problem)
-    assert result.status == SAT
+    status, model, _ = solve_cnf(problem.num_vars, problem.clauses)
+    assert status == SAT
     for clause in problem.clauses:
-        assert any(
-            (result.assignment[abs(l)]) == (l > 0) for l in clause
-        ), clause
+        assert any((model[abs(l) - 1] == 1) == (l > 0) for l in clause), clause
+    assert problem.decode(model) == solve(problem)
 
 
 def _random_formula(rng, depth, ctx, use_consts=True):
