@@ -5,9 +5,9 @@ Runs pigeonhole instances, seeded random 3-SAT, and a real ground problem
 from the ontological-theory bundle. Prints the best time, status and
 conflict count of each, and exits non-zero when a status is not the known
 one. Then enumerates every model of the empty CNF over 12 variables with
-`Solver.block`, and every model of K at (2,1) through `iterate_models`;
-prints the best time and model count of each, and exits non-zero on a wrong
-count or a model out of lexicographic order.
+`Solver.block`, and every model of K at (2,1) and at (2,2) through
+`iterate_models`; prints the best time and model count of each, and exits
+non-zero on a wrong count or a model out of lexicographic order.
 
     PYTHONPATH=src python benchmarks/bench_solver.py
 """
@@ -17,7 +17,7 @@ import sys
 import time
 
 from homlkit.grounder import ground, iterate_models
-from homlkit.semantics import Scope
+from homlkit.semantics import Scope, digits
 from homlkit.solver import SAT, UNKNOWN, UNSAT, Solver, solve_cnf
 
 STATUS = {SAT: "SAT", UNSAT: "UNSAT", UNKNOWN: "UNKNOWN"}
@@ -83,17 +83,16 @@ def empty_cnf_models(num_vars=12):
         solver.block(num_vars)
 
 
-def k_models():
-    """Every model of K at (2,1), as the values of its decision variables:
+def k_models(n, m):
+    """Every model of K at (n, m), as the values of its decision variables:
     accessibility, existence, then the world bits of the propositional
-    constants in signature order."""
+    constants in signature order, read from each constant's position."""
     from homlkit.theories import load_bundle
 
-    problem = ground(load_bundle("k").theory, Scope(2, 1))
+    problem = ground(load_bundle("k").theory, Scope(n, m))
     for model in iterate_models(problem):
         rows = (*model.accessibility, *model.exists_at,
-                *((bit.value for bit in model.constants[name].entries)
-                  for name, _ in problem.signature))
+                *(digits(model.positions[name], n, 2) for name, _ in problem.signature))
         yield tuple(bit for row in rows for bit in row)
 
 
@@ -119,7 +118,8 @@ def main():
     ok = all([bench(*row) for row in rows])
     enumerations = [
         ("enumerate empty CNF, 12 vars", 2 ** 12, empty_cnf_models),
-        ("enumerate K at (2,1)", 1024, k_models),
+        ("enumerate K at (2,1)", 2 ** 10, lambda: k_models(2, 1)),
+        ("enumerate K at (2,2)", 2 ** 12, lambda: k_models(2, 2)),
     ]
     ok = all([bench_enumeration(*row) for row in enumerations]) and ok
     return 0 if ok else 1

@@ -12,6 +12,7 @@ from .errors import (
     GroundingError,
     HomlError,
     LexError,
+    NestingDepthError,
     ParseError,
     ScopeCapError,
     SourceError,
@@ -52,7 +53,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetExceededError", "BundleError", "GroundingError", "HomlError",
-    "LexError", "ParseError", "ScopeCapError", "SourceError", "TypeCheckError",
+    "LexError", "NestingDepthError", "ParseError", "ScopeCapError", "SourceError",
+    "TypeCheckError",
     "check_validity_bounded", "enumerate_models", "export_dimacs", "find_model",
     "ground", "solve", "Fun", "Ind", "LogicType", "Prop",
     "Countermodel", "Indeterminate", "KripkeModel", "Satisfiable", "Scope",

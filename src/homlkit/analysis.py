@@ -15,8 +15,6 @@ from .logictypes import Fun, Ind, Prop
 from .semantics import (
     KripkeModel,
     Scope,
-    STable,
-    SemValue,
     denotation_size,
     digits,
     position,
@@ -95,23 +93,17 @@ class PropertyFamily:
     membership: tuple[tuple[bool, ...], ...]
 
     @classmethod
-    def from_semvalue(cls, value: SemValue, scope: Scope) -> "PropertyFamily":
-        size = denotation_size(PROPERTY_TYPE, scope)
-        assert isinstance(value, STable)
-        if len(value.entries) != size:
-            raise HomlError(
-                f"family has {len(value.entries)} entries, scope {scope} needs {size}"
-            )
-        return cls(scope, tuple(tuple(b.value for b in row.entries) for row in value.entries))
-
-    @classmethod
     def from_model(cls, model: KripkeModel, constant: str) -> "PropertyFamily":
-        value = model.constants.get(constant)
-        if value is None:
+        i = model.positions.get(constant)
+        if i is None:
             raise HomlError(f"model does not interpret constant {constant!r}")
         if model.constant_types[constant] != FAMILY_TYPE:
             raise HomlError(f"constant {constant!r} is not a property family")
-        return cls.from_semvalue(value, model.scope)
+        # A family is one prop entry per property, each a row of n world bits.
+        n = model.scope.num_worlds
+        size = denotation_size(PROPERTY_TYPE, model.scope)
+        return cls(model.scope, tuple(tuple(bit == 1 for bit in digits(row, n, 2))
+                                      for row in digits(i, size, 2 ** n)))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from .analysis import (
     min_positive_count,
     positive_sets,
 )
-from .errors import BudgetExceededError, HomlError, SourceError
+from .errors import BudgetExceededError, HomlError
 from .grounder import (
     check_validity_bounded,
     enumerate_models,
@@ -482,21 +482,9 @@ def main(argv=None) -> int:
         exit_code, report = args.handler(args)
     except SystemExit as exc:  # --help
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    except SourceError as exc:
+    except (HomlError, OSError) as exc:  # NestingDepthError too: exit 2
         report = {"command": args.command, "error": str(exc)}
-        exit_code = EXIT_USAGE
-    except BudgetExceededError as exc:
-        report = {"command": args.command, "error": str(exc)}
-        exit_code = EXIT_BUDGET
-    except (HomlError, OSError) as exc:
-        report = {"command": args.command, "error": str(exc)}
-        exit_code = EXIT_USAGE
-    except RecursionError:
-        # Parsing, checking and compiling recurse once or more per term level.
-        report = {"command": args.command,
-                  "error": "input nested too deeply: Python's recursion limit "
-                           f"({sys.getrecursionlimit()}) was reached"}
-        exit_code = EXIT_USAGE
+        exit_code = EXIT_BUDGET if isinstance(exc, BudgetExceededError) else EXIT_USAGE
     if report:
         if args.format == "json":
             text = json.dumps(report, sort_keys=True, indent=2) + "\n"

@@ -1,5 +1,8 @@
 """Exception hierarchy shared across the toolkit."""
 
+import functools
+import sys
+
 
 class HomlError(Exception):
     """Base class for all toolkit errors."""
@@ -58,3 +61,20 @@ class BudgetExceededError(HomlError):
 
 class BundleError(HomlError):
     """A bundled theory failed to load or failed its self-check."""
+
+
+class NestingDepthError(HomlError):
+    """A term is nested too deeply for the recursion that parses, type-checks
+    or compiles it."""
+
+
+def depth_guarded(fn):
+    """fn, raising `NestingDepthError` where it would raise RecursionError."""
+    @functools.wraps(fn)
+    def guarded(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except RecursionError:
+            raise NestingDepthError("input nested too deeply: Python's recursion limit "
+                                    f"({sys.getrecursionlimit()}) was reached") from None
+    return guarded

@@ -30,19 +30,16 @@ then call them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from types import MappingProxyType
+from typing import Iterator, Mapping, Optional, Sequence
 
-from .errors import BudgetExceededError, GroundingError, HomlError
+from .errors import BudgetExceededError, GroundingError, HomlError, depth_guarded
 from .logictypes import Fun, Ind, LogicType, Prop, type_order
 from .semantics import (
     Countermodel,
     Indeterminate,
     KripkeModel,
-    SBool,
     Scope,
-    SEntity,
-    STable,
-    SemValue,
     ValidUpToScope,
     _Compiler,
     _EvalCtx,
@@ -138,42 +135,44 @@ def _const_bool(nid: int) -> Optional[bool]:
 class GroundProblem:
     """A CNF with decode information back to Kripke model components.
 
-    Callers that need extra clauses build a new problem with
-    ``dataclasses.replace`` rather than appending to ``clauses``.
+    ``ground`` stores every field but ``clauses`` as a tuple or a read-only
+    mapping; to add clauses, build a new problem with ``dataclasses.replace``.
     """
 
     scope: Scope
     num_vars: int
     clauses: list[list[int]]
-    meanings: dict[int, str]
-    decision_vars: list[int]
-    r_vars: list[list[int]]
-    ex_vars: list[list[int]]
-    const_cells: dict[str, object]
+    meanings: Mapping[int, str]
+    decision_vars: Sequence[int]
+    r_vars: Sequence[Sequence[int]]
+    ex_vars: Sequence[Sequence[int]]
+    const_cells: Mapping[str, object]
     signature: tuple
 
     def decode(self, model: list[int]) -> KripkeModel:
         """The Kripke model of a solver model: a list of num_vars 0/1 values,
-        variable v at index v - 1."""
-        acc = tuple(tuple(model[v - 1] == 1 for v in row) for row in self.r_vars)
-        exists = tuple(tuple(model[v - 1] == 1 for v in row) for row in self.ex_vars)
-        constants = {
-            name: _decode_cells(self.const_cells[name], ty, model, self.scope)
-            for name, ty in self.signature
-        }
-        return KripkeModel(self.scope, acc, exists, constants, dict(self.signature))
+        variable v at index v - 1. The model satisfies the clauses, so only
+        the selector bits of an individual are checked (see `_position`)."""
+        acc = tuple([tuple([model[v - 1] == 1 for v in row]) for row in self.r_vars])
+        exists = tuple([tuple([model[v - 1] == 1 for v in row]) for row in self.ex_vars])
+        positions = {name: _position(self.const_cells[name], ty, model, self.scope)
+                     for name, ty in self.signature}
+        return KripkeModel(self.scope, acc, exists, constant_types=dict(self.signature),
+                           positions=positions)
 
 
-def _decode_cells(cells, ty, model: list[int], scope: Scope) -> SemValue:
+def _position(cells, ty, model: list[int], scope: Scope) -> int:
+    """The position of the ty-value a solver model gives cells: a table's
+    entries in base |entry|, a world bit 0/1, an individual its one selector."""
     if ty is bool:
-        return SBool(model[cells - 1] == 1)
+        return model[cells - 1]
     view = table_view(ty, scope)
     if view is None:
         chosen = [e for e, v in enumerate(cells) if model[v - 1]]
         if len(chosen) != 1:
             raise HomlError("selector bits violate the exactly-one constraint")
-        return SEntity(chosen[0])
-    return STable(tuple(_decode_cells(sub, view[2], model, scope) for sub in cells))
+        return chosen[0]
+    return position([_position(sub, view[2], model, scope) for sub in cells], view[1])
 
 
 class _Grounding:
@@ -195,23 +194,20 @@ class _Grounding:
         self.size = self.compiler.size
         self.table = self.compiler.table
         # Model-free subterms run in the concrete carrier over an empty frame.
-        self.concrete = _EvalCtx(KripkeModel(
-            scope,
-            tuple(tuple(False for _ in range(self.n)) for _ in range(self.n)),
-            tuple(tuple(False for _ in range(self.n)) for _ in range(self.m)),
-        ))
+        row = (False,) * self.n
+        self.concrete = _EvalCtx(KripkeModel(scope, (row,) * self.n, (row,) * self.m))
         # Both carriers' binder memos live as long as this grounding.
         self.memo: dict = {}
         # Symbolic constants by (position, type), dropped with the grounding.
         self._lifted: dict[tuple, tuple] = {}
 
-        self.r_vars = [
-            [self._new_var(f"r(w{w},w{w2})") for w2 in range(self.n)] for w in range(self.n)
-        ]
-        self.ex_vars = [
-            [self._new_var(f"{EXISTS_AT}(e{e},w{w})") for w in range(self.n)]
+        self.r_vars = tuple(
+            tuple(self._new_var(f"r(w{w},w{w2})") for w2 in range(self.n)) for w in range(self.n)
+        )
+        self.ex_vars = tuple(
+            tuple(self._new_var(f"{EXISTS_AT}(e{e},w{w})") for w in range(self.n))
             for e in range(self.m)
-        ]
+        )
         self.const_cells: dict[str, object] = {}
         self.const_sym: dict[str, object] = {}
         for name, ty in theory.signature:
@@ -222,7 +218,7 @@ class _Grounding:
             cells = self._alloc_cells(name, ty, ())
             self.const_cells[name] = cells
             self.const_sym[name] = self._cells_to_sym(cells, ty)
-        self.decision_vars = list(range(1, self.num_vars + 1))
+        self.decision_vars = tuple(range(1, self.num_vars + 1))
         # existsAt viewed as an unknown Fun(Ind, Prop) table.
         self.const_sym[EXISTS_AT] = self._cells_to_sym(self.ex_vars, EXISTS_AT_TYPE)
         self._frame_clauses()
@@ -349,6 +345,7 @@ class _Grounding:
 
     # -- the symbolic carrier of the compiled rules --------------------------
 
+    @depth_guarded
     def eval(self, term: Term, env: list):
         """The symbolic value of term, compiled at this scope."""
         return self.compiler(term)(self, env)
@@ -474,11 +471,11 @@ class _Grounding:
             scope=self.scope,
             num_vars=self.num_vars,
             clauses=self.clauses,
-            meanings=self.meanings,
+            meanings=MappingProxyType(self.meanings),
             decision_vars=self.decision_vars,
             r_vars=self.r_vars,
             ex_vars=self.ex_vars,
-            const_cells=self.const_cells,
+            const_cells=MappingProxyType(self.const_cells),
             signature=self.theory.signature,
         )
 
@@ -559,7 +556,7 @@ def iterate_models(problem: GroundProblem, budget: int = DEFAULT_CONFLICT_BUDGET
     of the decision variables, which are the prefix 1..d, and the search
     resumes from that model. The problem itself is left unchanged."""
     d = len(problem.decision_vars)
-    if problem.decision_vars != list(range(1, d + 1)):
+    if list(problem.decision_vars) != list(range(1, d + 1)):
         raise HomlError("the decision variables must be 1..d to enumerate models")
     solver = Solver(problem.num_vars, problem.clauses)
     produced = 0

@@ -47,11 +47,13 @@ reaches ``MEMO_BOUND`` entries; nothing of it stays on a model.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
-from typing import Iterator, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterator, Mapping, Optional, Sequence
 
-from .errors import HomlError, ScopeCapError
+from .errors import HomlError, ScopeCapError, depth_guarded
 from .logictypes import Fun, LogicType, Prop
 from .terms import (
     EXISTS_AT,
@@ -194,10 +196,7 @@ def value_index(value: SemValue, ty: LogicType, scope: Scope) -> int:
     length, base, entry = view
     if not isinstance(value, STable) or len(value.entries) != length:
         raise HomlError(f"not a table of {length} entries at scope {scope}: {value!r}")
-    found = []
-    for e in value.entries:
-        found.append(value_index(e, entry, scope))
-    return position(found, base)
+    return position([value_index(e, entry, scope) for e in value.entries], base)
 
 
 def enumerate_denotation(ty: LogicType, scope: Scope) -> Iterator[SemValue]:
@@ -210,36 +209,49 @@ def enumerate_denotation(ty: LogicType, scope: Scope) -> Iterator[SemValue]:
 # ---------------------------------------------------------------------------
 # Kripke models
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class KripkeModel:
     """Finite model: worlds, accessibility, existence table, interpretations.
 
     ``accessibility[w][w']`` is True iff world w sees w'. ``exists_at[e][w]``
-    is True iff entity e exists at world w. ``constants`` maps each signature
-    constant to a canonical SemValue of its type in ``constant_types``; its
-    enumeration position is validated once and kept for the evaluator.
+    is True iff entity e exists at world w. ``positions`` maps each constant
+    to its value's position in the enumeration of its type in
+    ``constant_types``; two models are equal when these five fields are.
+
+    Built from SemValues (``constants``), each is validated through
+    `value_index`. Built from ``positions`` alone, as `GroundProblem.decode`
+    builds it, nothing is checked. ``constants`` reads the SemValues back.
     """
 
     scope: Scope
     accessibility: tuple[tuple[bool, ...], ...]
     exists_at: tuple[tuple[bool, ...], ...]
-    constants: dict[str, SemValue] = field(default_factory=dict)
-    constant_types: dict[str, LogicType] = field(default_factory=dict)
+    positions: dict[str, int]
+    constant_types: dict[str, LogicType]
 
-    def __post_init__(self):
-        n, m = self.scope.num_worlds, self.scope.num_entities
-        if list(map(len, self.accessibility)) != [n] * n:
-            raise HomlError("accessibility relation has wrong shape")
-        if list(map(len, self.exists_at)) != [n] * m:
-            raise HomlError("existence table has wrong shape")
-        positions = []
-        for name, value in self.constants.items():
-            if name not in self.constant_types:
-                raise HomlError(f"constant {name!r} has no declared type")
-            # Raises if the value does not inhabit the declared type.
-            positions.append(value_index(value, self.constant_types[name], self.scope))
-        # In the order of ``constants``; a tuple keeps each model small.
-        object.__setattr__(self, "_positions", tuple(positions))
+    def __init__(self, scope: Scope, accessibility, exists_at, constants=None,
+                 constant_types=None, *, positions=None):
+        types = constant_types or {}
+        if positions is None or constants is not None:
+            n, m = scope.num_worlds, scope.num_entities
+            if list(map(len, accessibility)) != [n] * n:
+                raise HomlError("accessibility relation has wrong shape")
+            if list(map(len, exists_at)) != [n] * m:
+                raise HomlError("existence table has wrong shape")
+            positions = {}
+            for name, value in (constants or {}).items():
+                if name not in types:
+                    raise HomlError(f"constant {name!r} has no declared type")
+                # Raises if the value does not inhabit the declared type.
+                positions[name] = value_index(value, types[name], scope)
+        self.__dict__.update(scope=scope, accessibility=accessibility, exists_at=exists_at,
+                             positions=positions, constant_types=types)
+
+    @cached_property
+    def constants(self) -> Mapping[str, SemValue]:
+        """Each constant's canonical SemValue, built on first read."""
+        return MappingProxyType({name: index_value(i, self.constant_types[name], self.scope)
+                                 for name, i in self.positions.items()})
 
     def satisfies_frame(self, flags) -> bool:
         n = self.scope.num_worlds
@@ -248,31 +260,22 @@ class KripkeModel:
             return False
         if "symm" in flags and any(r[w][v] and not r[v][w] for w in range(n) for v in range(n)):
             return False
-        if "trans" in flags:
-            for u in range(n):
-                for v in range(n):
-                    if not r[u][v]:
-                        continue
-                    if any(r[v][w] and not r[u][w] for w in range(n)):
-                        return False
+        if "trans" in flags and any(r[u][v] and r[v][w] and not r[u][w]
+                                    for u in range(n) for v in range(n) for w in range(n)):
+            return False
         return True
 
+    @cached_property
     def _int_form(self) -> tuple[int, tuple[int, ...], dict[str, int]]:
         """(full world mask, accessibility masks, constant positions), the
-        model in integer form, computed once and never changed."""
-        form = self.__dict__.get("_cached_int_form")
-        if form is None:
-            full = (1 << self.scope.num_worlds) - 1
-            # A row of the accessibility or existence table is a prop's table
-            # of world bits, so its position is the world mask.
-            acc_masks = tuple(position(row, 2) for row in self.accessibility)
-            exists_masks = [position(row, 2) for row in self.exists_at]
-            const_idx = dict(zip(self.constants, self._positions))
-            # existsAt as a Fun(Ind, Prop) position: one prop entry per entity.
-            const_idx[EXISTS_AT] = position(exists_masks, full + 1)
-            form = (full, acc_masks, const_idx)
-            object.__setattr__(self, "_cached_int_form", form)
-        return form
+        model in integer form."""
+        full = (1 << self.scope.num_worlds) - 1
+        # A row of the accessibility or existence table is a prop's table of
+        # world bits, so its position is the world mask.
+        acc_masks = tuple(position(row, 2) for row in self.accessibility)
+        exists_masks = [position(row, 2) for row in self.exists_at]
+        # existsAt as a Fun(Ind, Prop) position: one prop entry per entity.
+        return full, acc_masks, {**self.positions, EXISTS_AT: position(exists_masks, full + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +519,7 @@ class _EvalCtx:
     enumeration, so a proposition's value is its world mask."""
 
     def __init__(self, model: KripkeModel):
-        self.full, self.acc_masks, self.const_idx = model._int_form()
+        self.full, self.acc_masks, self.const_idx = model._int_form
         self.memo: dict = {}
 
     def const(self, name: str) -> int:
@@ -585,6 +588,7 @@ class _EvalCtx:
         return self.full if a == b else 0
 
 
+@depth_guarded
 def _run(model: KripkeModel, term: Term, env: list) -> int:
     """The position of term's value in the model, compiled at its scope.
     Every constant is checked first, since a connective may skip the
@@ -684,12 +688,8 @@ def value_from_json(data, ty: LogicType, scope: Scope) -> SemValue:
 def model_to_json(model: KripkeModel) -> dict:
     n, m = model.scope.num_worlds, model.scope.num_entities
     pairs = [[w, w2] for w in range(n) for w2 in range(n) if model.accessibility[w][w2]]
-    constants = {}
-    for name in sorted(model.constants):
-        constants[name] = {
-            "type": str(model.constant_types[name]),
-            "value": value_to_json(model.constants[name]),
-        }
+    constants = {name: {"type": str(model.constant_types[name]), "value": value_to_json(value)}
+                 for name, value in sorted(model.constants.items())}
     return {
         "num_worlds": n,
         "num_entities": m,
@@ -707,15 +707,13 @@ def model_from_json(data: dict) -> KripkeModel:
     from .surface import parse_type_text
 
     scope = Scope(data["num_worlds"], data["num_entities"])
-    n, m = scope.num_worlds, scope.num_entities
+    n = scope.num_worlds
     acc = [[False] * n for _ in range(n)]
     for w, w2 in data["accessibility"]:
         acc[w][w2] = True
     exists = tuple(tuple(bool(v) for v in row) for row in data["exists_at"])
-    constants = {}
-    types = {}
-    for name, entry in data.get("constants", {}).items():
-        ty = parse_type_text(entry["type"])
-        types[name] = ty
-        constants[name] = value_from_json(entry["value"], ty, scope)
+    entries = data.get("constants", {})
+    types = {name: parse_type_text(entry["type"]) for name, entry in entries.items()}
+    constants = {name: value_from_json(entry["value"], types[name], scope)
+                 for name, entry in entries.items()}
     return KripkeModel(scope, tuple(tuple(row) for row in acc), exists, constants, types)

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import LexError, ParseError, TypeCheckError
+from .errors import LexError, ParseError, TypeCheckError, depth_guarded
 from .logictypes import Fun, Ind, LogicType, Prop, check_type_depth
 from .terms import (
     EXISTS_AT,
@@ -298,6 +298,7 @@ def parse_type_text(text: str, filename: str = "<input>", lineno: int = 1) -> Lo
     return ty
 
 
+@depth_guarded
 def parse(text: str, filename: str = "<input>") -> Theory:
     """Parse theory source into a Theory with raw (unchecked) term ASTs."""
     name = DEFAULT_NAME
@@ -425,6 +426,7 @@ class _Checker:
         return core
 
 
+@depth_guarded
 def typecheck(theory: Theory, filename: str = "<input>") -> Theory:
     """Resolve and type-annotate a parsed theory.
 
@@ -485,6 +487,7 @@ def _expand_sugar(term: Term) -> Term:
     return rebuild(term, kids)
 
 
+@depth_guarded
 def elaborate(theory: Theory) -> Theory:
     """Inline definitions, expand sugar, and beta-normalize a checked theory.
 

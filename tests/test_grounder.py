@@ -1,10 +1,12 @@
 """Grounding, solving, decoding: oracle equivalence against exhaustive eval."""
 
+import dataclasses
 import itertools
+import random
 
 import pytest
 
-from homlkit.errors import BudgetExceededError, GroundingError
+from homlkit.errors import BudgetExceededError, GroundingError, HomlError
 from homlkit.grounder import (
     _FALSE,
     _TRUE,
@@ -22,6 +24,7 @@ from homlkit.logictypes import Fun, Ind, Prop
 from homlkit.semantics import (
     Countermodel,
     Indeterminate,
+    KripkeModel,
     Scope,
     ValidUpToScope,
 )
@@ -63,6 +66,64 @@ def test_lifted_constants_round_trip(n, m):
             assert g.concrete_index((row,) * m, Fun(Ind, Ind)) is None, row
     unknown = g.f.var(1)
     assert g.concrete_index((unknown,) + g.lift(0, Prop)[1:], Prop) is None
+
+
+def _leaves(cells):
+    """A constant's cells (or lifted formula ids) in the order of its bits."""
+    return [cells] if isinstance(cells, int) else [v for sub in cells for v in _leaves(sub)]
+
+
+@pytest.mark.parametrize("n,m", [(1, 2), (2, 1)])
+def test_decode_reads_each_constants_position_from_its_cells(n, m):
+    # Bits set as lift lays out position i decode to position i, and the
+    # decoded model equals the model built by hand from its SemValues.
+    scope = Scope(n, m)
+    problem = ground(load_theory("".join(f"const c{k} : {ty}\n"
+                                         for k, ty in enumerate(CODEC_TYPES))), scope)
+    g = _Grounding(load_theory(""), scope)
+    rng = random.Random(n * 10 + m)
+    for _ in range(50):
+        bits = [rng.randrange(2) for _ in range(problem.num_vars)]
+        want = {name: rng.randrange(g.size(ty)) for name, ty in problem.signature}
+        for name, ty in problem.signature:
+            for v, cell in zip(_leaves(problem.const_cells[name]), _leaves(g.lift(want[name], ty))):
+                bits[v - 1] = int(cell == _TRUE)
+        model = problem.decode(bits)
+        assert model.positions == want
+        assert model.accessibility == tuple(tuple(bits[v - 1] == 1 for v in row)
+                                            for row in problem.r_vars)
+        by_hand = KripkeModel(scope, model.accessibility, model.exists_at,
+                              dict(model.constants), dict(problem.signature))
+        assert by_hand == model and by_hand.positions == want
+
+
+def test_decode_checks_selector_bits():
+    # The solver's model passes; an individual's selector row with no bit
+    # or two bits set, at the top level or inside a table, does not.
+    problem = ground(load_theory("const c : i\nconst f : i > i\n"), Scope(1, 2))
+    _, bits, _ = solve_cnf(problem.num_vars, problem.clauses)
+    assert problem.decode(bits) is not None
+    for cells in (problem.const_cells["c"], problem.const_cells["f"][1]):
+        for value in (0, 1):
+            bad = list(bits)
+            for v in cells:
+                bad[v - 1] = value
+            with pytest.raises(HomlError, match="exactly-one"):
+                problem.decode(bad)
+
+
+def test_ground_problem_fields_reject_mutation():
+    problem = ground(load_theory("const c : i\nconst p : prop\n"), Scope(2, 2))
+    for container, key in ((problem.meanings, 1), (problem.const_cells, "c"),
+                           (problem.const_cells["p"], 0), (problem.decision_vars, 0),
+                           (problem.r_vars, 0), (problem.r_vars[0], 0), (problem.ex_vars[1], 0)):
+        with pytest.raises(TypeError):
+            container[key] = 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        problem.meanings = {}
+    # Decision variables given as a list enumerate the same models.
+    listed = dataclasses.replace(problem, decision_vars=list(problem.decision_vars))
+    assert list(iterate_models(listed, limit=5)) == list(iterate_models(problem, limit=5))
 
 
 def test_contradictory_axiom_unsat_everywhere():

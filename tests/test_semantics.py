@@ -1,13 +1,15 @@
 """Denotation enumeration and the finite-scope evaluator."""
 
+import dataclasses
 import functools
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homlkit.errors import ScopeCapError
+from homlkit.errors import HomlError, ScopeCapError
 from homlkit.logictypes import Fun, Ind, Prop
 from homlkit.semantics import (
     KripkeModel,
@@ -22,6 +24,7 @@ from homlkit.semantics import (
     holds_at,
     index_value,
     model_from_json,
+    model_to_json,
     model_to_json_str,
     mvalid,
     value_index,
@@ -274,6 +277,63 @@ def test_model_json_round_trip():
     back = model_from_json(json.loads(text))
     assert back == model
     assert model_to_json_str(back) == text
+
+
+# The value codec's types; (i>prop)>prop is past the cap at (2,2).
+ROUND_TRIP_TYPES = (Prop, Ind, TAU, Fun(Prop, Prop), Fun(Ind, Ind), Fun(TAU, Prop))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_positions_round_trip_through_json(data):
+    # A model of random positions at a random scope up to (2,2) equals the
+    # model built from their SemValues, and comes back from JSON with the
+    # same positions and the same SemValues.
+    scope = Scope(data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2)))
+    n, m = scope.num_worlds, scope.num_entities
+    types = {f"c{k}": ty for k, ty in enumerate(ROUND_TRIP_TYPES) if _within_cap([ty], scope)}
+    positions = {name: data.draw(st.integers(0, denotation_size(ty, scope) - 1))
+                 for name, ty in types.items()}
+    row = st.lists(st.booleans(), min_size=n, max_size=n).map(tuple)
+    acc = tuple(data.draw(row) for _ in range(n))
+    exists = tuple(data.draw(row) for _ in range(m))
+    model = KripkeModel(scope, acc, exists, constant_types=types, positions=positions)
+    values = {name: index_value(i, types[name], scope) for name, i in positions.items()}
+    assert model.constants == values
+    assert model == KripkeModel(scope, acc, exists, values, types)
+    back = model_from_json(json.loads(model_to_json_str(model)))
+    assert back.positions == positions
+    assert back.constants == values
+    assert back == model
+    assert model_to_json(back) == model_to_json(model)
+
+
+@pytest.mark.parametrize("value,ty", [
+    (STable((SBool(True),)), Prop),               # one world bit at two worlds
+    (SEntity(2), Ind),                            # no entity 2 at two entities
+    (SEntity(-1), Ind),
+    (STable((SEntity(0), SBool(True))), Prop),    # an entity where a Bool is due
+    (SBool(True), Prop),                          # a Bool where a table is due
+    (STable((prop_value([True, False]),) * 3), TAU),  # three entries for two entities
+])
+def test_hand_built_model_rejects_ill_typed_value(value, ty):
+    scope = Scope(2, 2)
+    with pytest.raises(HomlError):
+        full_model(scope, total_relation(2), ((True, True),) * 2, {"c": value}, {"c": ty})
+    # New values given to a model that has positions are validated too.
+    model = full_model(scope, total_relation(2), ((True, True),) * 2,
+                       {"c": index_value(1, ty, scope)}, {"c": ty})
+    with pytest.raises(HomlError):
+        dataclasses.replace(model, constants={"c": value})
+    assert dataclasses.replace(model, constants={"c": index_value(0, ty, scope)}).positions == {"c": 0}
+
+
+@pytest.mark.parametrize("value,ty", [([True], "prop"), (2, "i"), ([[True, True]] * 3, "i > prop")])
+def test_model_from_json_rejects_ill_typed_value(value, ty):
+    data = model_to_json(full_model(Scope(2, 2), total_relation(2), ((True, True),) * 2))
+    data["constants"] = {"c": {"type": ty, "value": value}}
+    with pytest.raises(HomlError):
+        model_from_json(data)
 
 
 @pytest.mark.parametrize("connective,left", [

@@ -2,11 +2,14 @@
 
 import pytest
 
-from homlkit.errors import ParseError, TypeCheckError
+from homlkit.errors import HomlError, NestingDepthError, ParseError, TypeCheckError
+from homlkit.grounder import check_validity_bounded
 from homlkit.logictypes import Fun, Ind, Prop
+from homlkit.semantics import KripkeModel, SBool, Scope, STable, mvalid
 from homlkit.surface import (
     SApp,
     SBinder,
+    SName,
     SUnary,
     elaborate,
     load_theory,
@@ -306,3 +309,30 @@ def test_binder_swallows_to_the_right():
     term = parse_term_text("forallP x:i. p -> q")
     assert isinstance(term, SBinder)
     assert term.kind == "forallP"
+
+
+def test_deeply_nested_input_raises_nesting_depth_error():
+    # Each stage that recurses once or more per level of a term raises the
+    # typed error, not RecursionError: parse, typecheck, elaborate, and
+    # compiling for the grounder and for the evaluator.
+    source = "const p : prop\ngoal " + "not " * 400 + "p\n"
+    theory = load_theory(source)
+    with pytest.raises(NestingDepthError, match="^input nested too deeply: "):
+        check_validity_bounded(theory, theory.goals[0], Scope(1, 1))
+    model = KripkeModel(Scope(1, 1), ((True,),), ((True,),),
+                        {"p": STable((SBool(True),))}, {"p": Prop})
+    with pytest.raises(NestingDepthError):
+        mvalid(model, theory.goals[0])
+    with pytest.raises(NestingDepthError):
+        parse("goal " + "not " * 5000 + "p\n")
+    surface = SName("p", 1, 1)
+    for _ in range(5000):
+        surface = SUnary("not", surface, 1, 1)
+    with pytest.raises(NestingDepthError):
+        typecheck(Theory("deep", signature=(("p", Prop),), axioms=(surface,)))
+    core = Const("p", Prop)
+    for _ in range(5000):
+        core = Not(core)
+    with pytest.raises(NestingDepthError):
+        elaborate(Theory("deep", signature=(("p", Prop),), axioms=(core,)))
+    assert issubclass(NestingDepthError, HomlError)
