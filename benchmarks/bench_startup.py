@@ -1,0 +1,108 @@
+#!/usr/bin/env python3
+"""Start-up microbenchmark: what importing the CLI costs, and what the value
+classes cost per instance.
+
+Prints the best of N fresh-interpreter times of ``import homlkit.cli``
+(the interpreter's own start-up excluded), once with bytecode cached, as a
+user's second run finds it, and once compiling every module; the classes that
+``dataclasses`` built for homlkit during the import; and the best per-instance
+construct, ``==`` and ``hash`` times of ``App``, ``Var``, ``Token`` and
+``ModalSet``. Bytecode goes to a temporary ``PYTHONPYCACHEPREFIX``, so nothing
+is written into the tree. Exits 1 only when the import fails.
+
+    PYTHONPATH=src python benchmarks/bench_startup.py [--runs N]
+"""
+
+import argparse
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import timeit
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Run in a fresh interpreter: the import's time, then the homlkit classes
+# that dataclasses built.
+PROBE = """
+import time
+t0 = time.perf_counter()
+import homlkit.cli
+elapsed = time.perf_counter() - t0
+import dataclasses, sys
+built = sorted(f"{name.split('.', 1)[-1]}.{cls.__name__}"
+               for name, module in list(sys.modules.items()) if name.startswith("homlkit")
+               for cls in vars(module).values()
+               if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+               and cls.__module__ == name)
+print(elapsed)
+print(" ".join(built))
+"""
+
+
+def import_times(runs: int, cached: bool) -> tuple[list[float], list[str]]:
+    with tempfile.TemporaryDirectory() as prefix:
+        env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONPYCACHEPREFIX": prefix}
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+        if not cached:
+            env["PYTHONDONTWRITEBYTECODE"] = "1"
+        times, built = [], []
+        # A cached run first writes the bytecode, untimed.
+        for i in range(runs + cached):
+            out = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True,
+                                 text=True, timeout=120)
+            if out.returncode != 0:
+                sys.stderr.write(out.stderr)
+                sys.exit(1)
+            elapsed, names = out.stdout.splitlines()
+            built = names.split()
+            if i or not cached:
+                times.append(float(elapsed))
+    return times, built
+
+
+def per_instance_ns() -> dict[str, tuple[float, float, float]]:
+    from homlkit.analysis import ModalSet
+    from homlkit.logictypes import Fun, Ind, Prop
+    from homlkit.surface import Token
+    from homlkit.terms import App, Const, Var
+
+    f, x = Const("f", Fun(Ind, Prop)), Var(0, Ind, "x")
+    table = ((True, False), (False, True), (True, True))
+    samples = {
+        "App": (App, (f, x)),
+        "Var": (Var, (0, Ind, "x")),
+        "Token": (Token, ("ident", "p", 3, 7)),
+        "ModalSet": (ModalSet, (table,)),
+    }
+    number = 20_000
+    best = lambda stmt: min(timeit.repeat(stmt, number=number, repeat=7)) / number * 1e9
+    out = {}
+    for name, (cls, args) in samples.items():
+        a, b = cls(*args), cls(*args)
+        out[name] = (best(lambda: cls(*args)), best(lambda: a == b), best(lambda: hash(a)))
+    return out
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--runs", type=int, default=15, help="fresh interpreters per condition")
+    args = parser.parse_args()
+    print(f"Python {platform.python_version()} on {platform.machine()}, "
+          f"{os.cpu_count()} CPUs; best of {args.runs} fresh interpreters")
+    for cached in (True, False):
+        times, built = import_times(args.runs, cached)
+        label = "bytecode cached" if cached else "bytecode uncached (compiles every module)"
+        print(f"import homlkit.cli, {label}: best {min(times) * 1e3:.1f} ms, "
+              f"median {statistics.median(times) * 1e3:.1f} ms")
+    print(f"homlkit classes built by dataclasses: {len(built)} ({', '.join(built)})")
+    print(f"{'class':<10}{'construct ns':>14}{'== ns':>8}{'hash ns':>9}")
+    for name, (init, eq, hsh) in per_instance_ns().items():
+        print(f"{name:<10}{init:>14.0f}{eq:>8.0f}{hsh:>9.0f}")
+
+
+if __name__ == "__main__":
+    main()

@@ -6,10 +6,11 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import BudgetExceededError, HomlError
+from .frozen import Frozen
 from .grounder import GroundProblem, ground, iterate_models
 from .logictypes import Fun, Ind, Prop
 from .semantics import (
@@ -26,8 +27,7 @@ PROPERTY_TYPE = Fun(Ind, Prop)
 FAMILY_TYPE = Fun(PROPERTY_TYPE, Prop)
 
 
-@dataclass(frozen=True)
-class ModalSet:
+class ModalSet(Frozen):
     """A world-relativised predicate over individuals: table[e][w]."""
 
     table: tuple[tuple[bool, ...], ...]
@@ -85,8 +85,7 @@ def all_modal_sets(scope: Scope) -> list[ModalSet]:
     return [ModalSet.from_index(i, scope) for i in range(size)]
 
 
-@dataclass(frozen=True)
-class PropertyFamily:
+class PropertyFamily(Frozen):
     """A modal set of modal sets: membership[property index][world]."""
 
     scope: Scope
@@ -106,8 +105,7 @@ class PropertyFamily:
                                       for row in digits(i, size, 2 ** n)))
 
 
-@dataclass(frozen=True)
-class FilterReport:
+class FilterReport(Frozen):
     per_world: tuple[bool, ...]
     failures: tuple[str, ...]
 
@@ -215,8 +213,7 @@ def distinct_positive_count(model: KripkeModel, constant: str = "P", world: int 
     return len(positive_sets(model, constant, world, strict))
 
 
-@dataclass(frozen=True)
-class CountResult:
+class CountResult(Frozen):
     minimum: int
     maximum: int
     model_count: int

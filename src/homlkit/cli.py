@@ -112,16 +112,14 @@ def _bundle_keys(meta: dict) -> dict:
 
 def _verdict_json(verdict) -> dict:
     if isinstance(verdict, ValidUpToScope):
-        return {"verdict": "valid_up_to_scope",
-                "scope": [verdict.scope.num_worlds, verdict.scope.num_entities]}
+        return {"verdict": "valid_up_to_scope", "scope": _scope_list(verdict.scope)}
     if isinstance(verdict, Countermodel):
         return {"verdict": "countermodel", "world": verdict.world,
                 "model": model_to_json(verdict.model)}
     if isinstance(verdict, Satisfiable):
         return {"verdict": "satisfiable", "model": model_to_json(verdict.model)}
     if isinstance(verdict, Unsatisfiable):
-        return {"verdict": "unsatisfiable",
-                "scope": [verdict.scope.num_worlds, verdict.scope.num_entities]}
+        return {"verdict": "unsatisfiable", "scope": _scope_list(verdict.scope)}
     if isinstance(verdict, Indeterminate):
         return {"verdict": "indeterminate", "reason": verdict.reason}
     raise HomlError(f"unknown verdict {verdict!r}")
@@ -147,10 +145,7 @@ def cmd_check(args) -> tuple[int, dict]:
     scope = _parse_scope(args.scope)
     budget = _budget(args)
     labels = meta["goal_labels"]
-    if args.goal is not None:
-        wanted = [args.goal]
-    else:
-        wanted = labels
+    wanted = labels if args.goal is None else [args.goal]
     results = []
     verdicts = []
     for label in wanted:
@@ -158,9 +153,7 @@ def cmd_check(args) -> tuple[int, dict]:
             raise HomlError(f"no goal labelled {label!r} (have {labels})")
         goal = theory.goals[labels.index(label)]
         verdict = check_validity_bounded(theory, goal, scope, budget)
-        entry = {"goal": label, "scope": _scope_list(scope)}
-        entry.update(_verdict_json(verdict))
-        results.append(entry)
+        results.append({"goal": label, "scope": _scope_list(scope), **_verdict_json(verdict)})
         verdicts.append(verdict)
     report = {"command": "check", "scope": _scope_list(scope), "results": results,
               **_bundle_keys(meta)}
@@ -177,9 +170,7 @@ def cmd_find_model(args) -> tuple[int, dict]:
         report["result"] = _verdict_json(Unsatisfiable(scope))
         return EXIT_COUNTER, report
     axioms_hold = all(mvalid(model, ax) for ax in theory.axioms)
-    result = _verdict_json(Satisfiable(model))
-    result["axioms_hold"] = axioms_hold
-    report["result"] = result
+    report["result"] = {**_verdict_json(Satisfiable(model)), "axioms_hold": axioms_hold}
     return EXIT_OK if axioms_hold else EXIT_COUNTER, report
 
 
@@ -205,16 +196,8 @@ def cmd_church_suite(args) -> tuple[int, dict]:
     results = check_church_postulates(scope, budget)
     one_world = _parse_scope(args.one_world_scope)
     results += check_church_postulates(one_world, budget)
-    entries = []
-    for res in results:
-        entry = {
-            "postulate": res.label,
-            "scope": _scope_list(res.scope),
-            "expected": res.expected,
-            "as_expected": res.as_expected,
-        }
-        entry.update(_verdict_json(res.verdict))
-        entries.append(entry)
+    entries = [{"postulate": res.label, "scope": _scope_list(res.scope), "expected": res.expected,
+                "as_expected": res.as_expected, **_verdict_json(res.verdict)} for res in results]
     report = {"command": "church-suite", "scope": _scope_list(scope),
               "one_world_scope": _scope_list(one_world), "results": entries}
     ok = all(res.as_expected for res in results)
@@ -229,13 +212,12 @@ def cmd_goedel_suite(args) -> tuple[int, dict]:
     mode = args.ultrafilter_mode or manifest["ultrafilter_mode"]
     world = manifest.get("counting_world", 0)
     report = {"command": "goedel-suite", "ultrafilter_mode": mode, "results": {}}
-    ok = True
     collected: list[tuple[str, KripkeModel]] = []
 
     smallest = Scope(*manifest["smallest_model_scope"])
     model = find_model(bundle.theory, smallest, budget)
     consistent = model is not None and all(mvalid(model, ax) for ax in bundle.theory.axioms)
-    ok = ok and consistent
+    ok = consistent
     report["results"]["consistency"] = {
         "scope": _scope_list(smallest),
         "satisfiable": model is not None,
@@ -254,9 +236,8 @@ def cmd_goedel_suite(args) -> tuple[int, dict]:
                 scope = Scope(n, m)
                 verdict = check_validity_bounded(
                     variant_bundle.theory, variant_bundle.theory.goals[0], scope, budget)
-                entry = {"quantifier": quantifier, "scope": [n, m]}
-                entry.update(_verdict_json(verdict))
-                entry["as_expected"] = isinstance(verdict, ValidUpToScope)
+                entry = {"quantifier": quantifier, "scope": [n, m], **_verdict_json(verdict),
+                         "as_expected": isinstance(verdict, ValidUpToScope)}
                 ok = ok and entry["as_expected"]
                 validity.append(entry)
                 verdicts.append(verdict)

@@ -54,6 +54,7 @@ from types import MappingProxyType
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .errors import HomlError, ScopeCapError, depth_guarded
+from .frozen import Frozen
 from .logictypes import Fun, LogicType, Prop
 from .terms import (
     EXISTS_AT,
@@ -102,21 +103,18 @@ class Scope:
 # ---------------------------------------------------------------------------
 # Semantic values
 
-class SemValue:
+class SemValue(Frozen):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class SBool(SemValue):
     value: bool
 
 
-@dataclass(frozen=True)
 class SEntity(SemValue):
     index: int
 
 
-@dataclass(frozen=True)
 class STable(SemValue):
     """Total function value; entries follow the domain type's enumeration order."""
 
@@ -292,7 +290,7 @@ _MODEL_READERS = frozenset((Const, Box, Diamond, ForallA, ExistsA))
 class _Compiler:
     """The compile rules' view of one scope: sizes and table views of types,
     and each term's closure, built once and kept in the term's instance dict
-    (outside its dataclass fields, so equality and hashing ignore it).
+    (outside its fields, so equality and hashing ignore it).
 
     A compiler comes with a twin that shares its tables: ``free`` says
     whether the node being compiled is model-free, and the rule of a node
@@ -638,42 +636,37 @@ def eval_mask(model: KripkeModel, formula: Term) -> int:
 # ---------------------------------------------------------------------------
 # Verdicts
 
-@dataclass(frozen=True)
-class ValidUpToScope:
+class ValidUpToScope(Frozen):
     scope: Scope
 
 
-@dataclass(frozen=True)
-class Countermodel:
+class Countermodel(Frozen):
     model: KripkeModel
     world: int
 
 
-@dataclass(frozen=True)
-class Satisfiable:
+class Satisfiable(Frozen):
     model: KripkeModel
 
 
-@dataclass(frozen=True)
-class Unsatisfiable:
+class Unsatisfiable(Frozen):
     scope: Scope
 
 
-@dataclass(frozen=True)
-class Indeterminate:
+class Indeterminate(Frozen):
     reason: str
 
 
 # ---------------------------------------------------------------------------
 # JSON serialization (deterministic: arrays follow the enumeration order)
 
-def value_to_json(value: SemValue):
-    if isinstance(value, SBool):
-        return value.value
-    if isinstance(value, SEntity):
-        return value.index
-    assert isinstance(value, STable)
-    return [value_to_json(entry) for entry in value.entries]
+def position_to_json(i: int, ty: LogicType, scope: Scope):
+    """The JSON of position i of ty: a bool, an entity, or a list of entries."""
+    if ty is bool:
+        return i == 1
+    view = table_view(ty, scope)
+    return i if view is None else [position_to_json(d, view[2], scope)
+                                   for d in digits(i, view[0], view[1])]
 
 
 def value_from_json(data, ty: LogicType, scope: Scope) -> SemValue:
@@ -688,8 +681,9 @@ def value_from_json(data, ty: LogicType, scope: Scope) -> SemValue:
 def model_to_json(model: KripkeModel) -> dict:
     n, m = model.scope.num_worlds, model.scope.num_entities
     pairs = [[w, w2] for w in range(n) for w2 in range(n) if model.accessibility[w][w2]]
-    constants = {name: {"type": str(model.constant_types[name]), "value": value_to_json(value)}
-                 for name, value in sorted(model.constants.items())}
+    scope, types = model.scope, model.constant_types
+    constants = {name: {"type": str(types[name]), "value": position_to_json(i, types[name], scope)}
+                 for name, i in sorted(model.positions.items())}
     return {
         "num_worlds": n,
         "num_entities": m,
@@ -709,8 +703,11 @@ def model_from_json(data: dict) -> KripkeModel:
     scope = Scope(data["num_worlds"], data["num_entities"])
     n = scope.num_worlds
     acc = [[False] * n for _ in range(n)]
-    for w, w2 in data["accessibility"]:
-        acc[w][w2] = True
+    for pair in data["accessibility"]:
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                and all(type(w) is int and 0 <= w < n for w in pair)):
+            raise HomlError(f"accessibility pair {pair!r} is not two worlds of 0..{n - 1}")
+        acc[pair[0]][pair[1]] = True
     exists = tuple(tuple(bool(v) for v in row) for row in data["exists_at"])
     entries = data.get("constants", {})
     types = {name: parse_type_text(entry["type"]) for name, entry in entries.items()}

@@ -8,10 +8,11 @@ and ``a > b`` (right-associative). Errors are reported as ``file:line:col: messa
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import Optional
 
 from .errors import LexError, ParseError, TypeCheckError, depth_guarded
+from .frozen import Frozen
 from .logictypes import Fun, Ind, LogicType, Prop, check_type_depth
 from .terms import (
     EXISTS_AT,
@@ -64,8 +65,7 @@ _UNICODE_ALIASES = {"⊤": "top", "⊥": "bot", **{alias: KEYWORD[kind] for alia
 _PUNCT = ("<->", ":=", "->", "==", "(", ")", ":", ".", "\\", "&", "|", ">")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(Frozen):
     kind: str  # 'ident', 'kw', or the punctuation itself
     text: str
     line: int
@@ -112,15 +112,13 @@ def _lex_line(line: str, lineno: int, filename: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 # Surface (raw) AST produced by the parser, before name resolution.
 
-@dataclass(frozen=True)
-class SName:
+class SName(Frozen):
     name: str
     line: int
     col: int
 
 
-@dataclass(frozen=True)
-class SBinder:
+class SBinder(Frozen):
     kind: str  # the keyword: \\ | forallP | existsP | forallA | existsA
     name: str
     var_type: Optional[LogicType]
@@ -129,24 +127,21 @@ class SBinder:
     col: int
 
 
-@dataclass(frozen=True)
-class SApp:
+class SApp(Frozen):
     fn: object
     arg: object
     line: int
     col: int
 
 
-@dataclass(frozen=True)
-class SUnary:
+class SUnary(Frozen):
     kind: str  # not | box | dia
     arg: object
     line: int
     col: int
 
 
-@dataclass(frozen=True)
-class SBinary:
+class SBinary(Frozen):
     kind: str  # & | "|" | -> | <-> | ==
     left: object
     right: object
@@ -154,8 +149,7 @@ class SBinary:
     col: int
 
 
-@dataclass(frozen=True)
-class SConst:
+class SConst(Frozen):
     kind: str  # top | bot
     line: int
     col: int
@@ -327,26 +321,19 @@ def parse(text: str, filename: str = "<input>") -> Theory:
                 if tok.kind != "ident" or tok.text not in FRAME_FLAGS:
                     raise ParseError(f"unknown frame flag {tok.text!r}", lineno, tok.col, filename)
                 frame_flags.add(tok.text)
-        elif head.text == "const":
+        elif head.text in ("const", "def"):
             tok = parser.expect("ident")
             if tok.text in seen:
                 raise ParseError(f"duplicate declaration of {tok.text!r}", lineno, tok.col, filename)
             if tok.text == EXISTS_AT:
                 raise ParseError(f"{EXISTS_AT!r} is reserved", lineno, tok.col, filename)
-            parser.expect(":")
-            ty = parser.parse_type()
+            if head.text == "const":
+                parser.expect(":")
+                signature.append((tok.text, parser.parse_type()))
+            else:
+                parser.expect(":=")
+                definitions.append((tok.text, parser.parse_term(0)))
             seen.add(tok.text)
-            signature.append((tok.text, ty))
-        elif head.text == "def":
-            tok = parser.expect("ident")
-            if tok.text in seen:
-                raise ParseError(f"duplicate declaration of {tok.text!r}", lineno, tok.col, filename)
-            if tok.text == EXISTS_AT:
-                raise ParseError(f"{EXISTS_AT!r} is reserved", lineno, tok.col, filename)
-            parser.expect(":=")
-            body = parser.parse_term(0)
-            seen.add(tok.text)
-            definitions.append((tok.text, body))
         elif head.text in ("axiom", "goal"):
             term = parser.parse_term(0)
             (axioms if head.text == "axiom" else goals).append(term)
@@ -356,14 +343,8 @@ def parse(text: str, filename: str = "<input>") -> Theory:
         if parser.peek() is not None and head.text not in ("axiom", "goal"):
             tok = parser.peek()
             raise ParseError(f"unexpected trailing {tok.text!r}", lineno, tok.col, filename)
-    return Theory(
-        name=name,
-        signature=tuple(signature),
-        definitions=tuple(definitions),
-        axioms=tuple(axioms),
-        goals=tuple(goals),
-        frame_flags=frozenset(frame_flags),
-    )
+    return Theory(name, signature=tuple(signature), definitions=tuple(definitions),
+                  axioms=tuple(axioms), goals=tuple(goals), frame_flags=frozenset(frame_flags))
 
 
 # ---------------------------------------------------------------------------
@@ -462,14 +443,8 @@ def typecheck(theory: Theory, filename: str = "<input>") -> Theory:
 
     checked_axioms = [check_formula(ax, "axiom") for ax in theory.axioms]
     checked_goals = [check_formula(goal, "goal") for goal in theory.goals]
-    return Theory(
-        name=theory.name,
-        signature=theory.signature,
-        definitions=tuple(checked_defs),
-        axioms=tuple(checked_axioms),
-        goals=tuple(checked_goals),
-        frame_flags=theory.frame_flags,
-    )
+    return replace(theory, definitions=tuple(checked_defs), axioms=tuple(checked_axioms),
+                   goals=tuple(checked_goals))
 
 
 def _expand_sugar(term: Term) -> Term:
@@ -503,14 +478,8 @@ def elaborate(theory: Theory) -> Theory:
     def elab(term: Term) -> Term:
         return beta_normalize(_expand_sugar(replace_consts(term, inlined)))
 
-    return Theory(
-        name=theory.name,
-        signature=theory.signature,
-        definitions=(),
-        axioms=tuple(elab(ax) for ax in theory.axioms),
-        goals=tuple(elab(goal) for goal in theory.goals),
-        frame_flags=theory.frame_flags,
-    )
+    return replace(theory, definitions=(), axioms=tuple(elab(ax) for ax in theory.axioms),
+                   goals=tuple(elab(goal) for goal in theory.goals))
 
 
 def load_theory(text: str, filename: str = "<input>") -> Theory:

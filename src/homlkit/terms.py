@@ -7,10 +7,10 @@ excluded from comparisons).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import TypeCheckError
+from .frozen import Frozen
 from .logictypes import Fun, Ind, LogicType, Prop
 
 # Distinguished constant interpreted by the model's existence table; it is
@@ -19,8 +19,9 @@ EXISTS_AT = "existsAt"
 EXISTS_AT_TYPE = Fun(Ind, Prop)
 
 
-class Term:
+class Term(Frozen):
     __slots__ = ()
+    _uncompared = ("hint",)  # a binder's name, kept for printing only
 
     @property
     def ty(self) -> LogicType:
@@ -40,100 +41,84 @@ class Term:
         return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
 
 
-@dataclass(frozen=True)
 class Var(Term):
     index: int
     var_type: LogicType
-    hint: str = field(default="x", compare=False)
+    hint: str = "x"
 
 
-@dataclass(frozen=True)
 class Const(Term):
     name: str
     const_type: LogicType
 
 
-@dataclass(frozen=True)
 class Lam(Term):
     var_type: LogicType
     body: Term
-    hint: str = field(default="x", compare=False)
+    hint: str = "x"
 
 
-@dataclass(frozen=True)
 class App(Term):
     fn: Term
     arg: Term
 
 
-@dataclass(frozen=True)
 class Not(Term):
     arg: Term
 
 
-@dataclass(frozen=True)
 class Box(Term):
     arg: Term
 
 
-@dataclass(frozen=True)
 class Diamond(Term):
     arg: Term
 
 
-@dataclass(frozen=True)
 class And(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
 class Or(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
 class Implies(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
 class Iff(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
 class ForallP(Term):
     var_type: LogicType
     body: Term
-    hint: str = field(default="x", compare=False)
+    hint: str = "x"
 
 
-@dataclass(frozen=True)
 class ExistsP(Term):
     var_type: LogicType
     body: Term
-    hint: str = field(default="x", compare=False)
+    hint: str = "x"
 
 
-@dataclass(frozen=True)
 class ForallA(Term):
     var_type: LogicType
     body: Term
-    hint: str = field(default="x", compare=False)
+    hint: str = "x"
 
 
-@dataclass(frozen=True)
 class ExistsA(Term):
     var_type: LogicType
     body: Term
-    hint: str = field(default="x", compare=False)
+    hint: str = "x"
 
 
-@dataclass(frozen=True)
 class LeibnizEq(Term):
     left: Term
     right: Term

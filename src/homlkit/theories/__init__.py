@@ -11,6 +11,7 @@ from dataclasses import dataclass, field, replace
 from importlib import resources
 
 from ..errors import BundleError, HomlError
+from ..frozen import Frozen
 from ..grounder import check_validity_bounded, ground, refute
 from ..semantics import Countermodel, Scope, ValidUpToScope, mvalid
 from ..solver import DEFAULT_CONFLICT_BUDGET
@@ -100,8 +101,7 @@ def load_bundle(bundle_id: str, **params) -> Bundle:
 # ---------------------------------------------------------------------------
 # Church postulate suite
 
-@dataclass(frozen=True)
-class PostulateResult:
+class PostulateResult(Frozen):
     label: str
     scope: Scope
     expected: str  # "valid" or "countermodel"

@@ -336,6 +336,21 @@ def test_model_from_json_rejects_ill_typed_value(value, ty):
         model_from_json(data)
 
 
+@pytest.mark.parametrize("pair", [
+    [-1, 0], [0, -1],             # negative indices would wrap to world n-1
+    [2, 0], [0, 2],               # no world 2 at two worlds
+    [0], [0, 1, 1], 0, "01",      # not a pair
+    [0.0, 1], [True, 0], [None, 0],
+])
+def test_model_from_json_rejects_bad_accessibility_pair(pair):
+    data = model_to_json(full_model(Scope(2, 2), total_relation(2), ((True, True),) * 2))
+    data["accessibility"] = [[0, 1], pair]
+    with pytest.raises(HomlError, match="accessibility pair"):
+        model_from_json(data)
+    data["accessibility"] = [[0, 1], [1, 1]]
+    assert model_from_json(data).accessibility == ((False, True), (False, True))
+
+
 @pytest.mark.parametrize("connective,left", [
     (And, ForallP(Prop, Var(0, Prop))),   # false everywhere
     (Or, ExistsP(Prop, Var(0, Prop))),    # true everywhere
