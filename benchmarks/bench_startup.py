@@ -6,9 +6,9 @@ Prints the best of N fresh-interpreter times of ``import homlkit.cli``
 (the interpreter's own start-up excluded), once with bytecode cached, as a
 user's second run finds it, and once compiling every module; the classes that
 ``dataclasses`` built for homlkit during the import; and the best per-instance
-construct, ``==`` and ``hash`` times of ``App``, ``Var``, ``Token`` and
-``ModalSet``. Bytecode goes to a temporary ``PYTHONPYCACHEPREFIX``, so nothing
-is written into the tree. Exits 1 only when the import fails.
+construct, ``==`` and ``hash`` times of ``App``, ``Var`` and ``Token``.
+Bytecode goes to a temporary ``PYTHONPYCACHEPREFIX``, so nothing is written
+into the tree. Exits 1 only when the import fails.
 
     PYTHONPATH=src python benchmarks/bench_startup.py [--runs N]
 """
@@ -65,18 +65,15 @@ def import_times(runs: int, cached: bool) -> tuple[list[float], list[str]]:
 
 
 def per_instance_ns() -> dict[str, tuple[float, float, float]]:
-    from homlkit.analysis import ModalSet
     from homlkit.logictypes import Fun, Ind, Prop
     from homlkit.surface import Token
     from homlkit.terms import App, Const, Var
 
     f, x = Const("f", Fun(Ind, Prop)), Var(0, Ind, "x")
-    table = ((True, False), (False, True), (True, True))
     samples = {
         "App": (App, (f, x)),
         "Var": (Var, (0, Ind, "x")),
         "Token": (Token, ("ident", "p", 3, 7)),
-        "ModalSet": (ModalSet, (table,)),
     }
     number = 20_000
     best = lambda stmt: min(timeit.repeat(stmt, number=number, repeat=7)) / number * 1e9

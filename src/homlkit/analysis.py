@@ -1,13 +1,20 @@
 """Semantic experiments over models: modal filters and ultrafilters, positive
 property counting, equipollence and cardinal successor checks, and the
-finite diagonal/surjection experiments."""
+finite diagonal/surjection experiments.
+
+A modal set is a ``Fun(Ind, Prop)`` value, and it is read as its position:
+m entity rows of n world bits, so the position is the mask of the set's
+(entity, world) cells, just as a ``prop``'s position is its world mask.
+Meet is ``&``, the world-wise complement is ``^ full``, and inclusion at
+every world is ``a & b == a``. A property family is a ``Fun(Fun(Ind, Prop),
+Prop)`` value: one world mask per modal set, saying where the set is in it.
+"""
 
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import replace
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetExceededError, HomlError
 from .frozen import Frozen
@@ -19,6 +26,7 @@ from .semantics import (
     denotation_size,
     digits,
     position,
+    table_view,
 )
 from .solver import DEFAULT_CONFLICT_BUDGET
 from .theory import Theory
@@ -27,82 +35,34 @@ PROPERTY_TYPE = Fun(Ind, Prop)
 FAMILY_TYPE = Fun(PROPERTY_TYPE, Prop)
 
 
-class ModalSet(Frozen):
-    """A world-relativised predicate over individuals: table[e][w]."""
-
-    table: tuple[tuple[bool, ...], ...]
-
-    @property
-    def num_entities(self):
-        return len(self.table)
-
-    @property
-    def num_worlds(self):
-        return len(self.table[0])
-
-    # A Fun(Ind, Prop) value is m entries in base 2^n, each a row of n
-    # world bits.
-
-    @classmethod
-    def from_index(cls, i: int, scope: Scope) -> "ModalSet":
-        n, m = scope.num_worlds, scope.num_entities
-        return cls(tuple(tuple(bit == 1 for bit in digits(row, n, 2))
-                         for row in digits(i, m, 2 ** n)))
-
-    @classmethod
-    def rigid(cls, entities, m: int, n: int) -> "ModalSet":
-        chosen = set(entities)
-        return cls(tuple(tuple(e in chosen for _ in range(n)) for e in range(m)))
-
-    def index(self, scope: Scope) -> int:
-        return position((position(row, 2) for row in self.table), 2 ** scope.num_worlds)
-
-    def extension(self, world: int) -> frozenset[int]:
-        return frozenset(e for e in range(self.num_entities) if self.table[e][world])
-
-    def complement(self) -> "ModalSet":
-        return ModalSet(tuple(tuple(not v for v in row) for row in self.table))
-
-    def intersect(self, other: "ModalSet") -> "ModalSet":
-        return ModalSet(
-            tuple(
-                tuple(a and b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.table, other.table)
-            )
-        )
-
-    def rigid_subset_of(self, other: "ModalSet") -> bool:
-        """Inclusion at every world."""
-        return all(
-            (not a) or b
-            for ra, rb in zip(self.table, other.table)
-            for a, b in zip(ra, rb)
-        )
+def _check_world(world: int, scope: Scope):
+    if not 0 <= world < scope.num_worlds:
+        raise HomlError(f"counting world {world} is not one of the {scope.num_worlds} "
+                        f"worlds of scope {scope}")
 
 
-def all_modal_sets(scope: Scope) -> list[ModalSet]:
-    size = denotation_size(PROPERTY_TYPE, scope)
-    return [ModalSet.from_index(i, scope) for i in range(size)]
+def _family(model: KripkeModel, constant: str) -> list[int]:
+    """The property family ``constant`` as one world mask per modal set."""
+    i = model.positions.get(constant)
+    if i is None:
+        raise HomlError(f"model does not interpret constant {constant!r}")
+    if model.constant_types[constant] != FAMILY_TYPE:
+        raise HomlError(f"constant {constant!r} is not a property family")
+    length, base, _ = table_view(FAMILY_TYPE, model.scope)
+    return digits(i, length, base)
 
 
-class PropertyFamily(Frozen):
-    """A modal set of modal sets: membership[property index][world]."""
+def _members(model: KripkeModel, constant: str) -> list[set[int]]:
+    """Per world, the modal sets the family holds there."""
+    n = model.scope.num_worlds
+    rows = _family(model, constant)
+    return [{s for s, row in enumerate(rows) if row >> (n - 1 - w) & 1} for w in range(n)]
 
-    scope: Scope
-    membership: tuple[tuple[bool, ...], ...]
 
-    @classmethod
-    def from_model(cls, model: KripkeModel, constant: str) -> "PropertyFamily":
-        i = model.positions.get(constant)
-        if i is None:
-            raise HomlError(f"model does not interpret constant {constant!r}")
-        if model.constant_types[constant] != FAMILY_TYPE:
-            raise HomlError(f"constant {constant!r} is not a property family")
-        # A family is one prop entry per property, each a row of n world bits.
-        n = model.scope.num_worlds
-        size = denotation_size(PROPERTY_TYPE, model.scope)
-        return cls(model.scope, tuple(tuple(bit == 1 for bit in digits(row, n, 2))
-                                      for row in digits(i, size, 2 ** n)))
+def _extension(s: int, w: int, scope: Scope) -> list[int]:
+    """Modal set s at world w: entry e is 1 iff entity e is in it."""
+    n = scope.num_worlds
+    return [row >> (n - 1 - w) & 1 for row in digits(s, scope.num_entities, 1 << n)]
 
 
 class FilterReport(Frozen):
@@ -114,97 +74,72 @@ class FilterReport(Frozen):
         return all(self.per_world)
 
 
-def _check_scope(model: KripkeModel, family: PropertyFamily):
-    if family.scope.num_worlds != model.scope.num_worlds or \
-            family.scope.num_entities != model.scope.num_entities:
-        raise HomlError(f"family scope {family.scope} does not match model scope {model.scope}")
-
-
-def _filter_report(num_worlds: int, universe: Sequence, member: Callable, full, empty,
-                   leq: Callable, meet: Callable,
-                   complement: Optional[Callable] = None) -> FilterReport:
-    """The filter conditions on a finite lattice, per world: the full set is a
-    member, the empty set is not, members are upward closed under ``leq`` and
-    closed under ``meet``. With a ``complement``, also maximality: each set or
-    its complement is a member."""
+def _filter_report(members_per_world: Sequence[set[int]], width: int,
+                   maximal: bool) -> FilterReport:
+    """The filter conditions on the ``width``-bit masks, per world: the full
+    mask is a member, 0 is not, members are upward closed under inclusion
+    and closed under meet. With ``maximal``, also: each mask or its
+    complement is a member."""
+    full = (1 << width) - 1
+    universe = range(full + 1)
     per_world = []
     failures = []
-    for w in range(num_worlds):
-        members = [s for s in universe if member(s, w)]
+    for w, members in enumerate(members_per_world):
+        ordered = sorted(members)
         bad = []
-        if not member(full, w):
+        if full not in members:
             bad.append("full set not a member")
-        if member(empty, w):
+        if 0 in members:
             bad.append("empty set is a member")
         bad += [f"not upward closed at {a} <= {b}"
-                for a in members for b in universe if leq(a, b) and not member(b, w)]
+                for a in ordered for b in universe if a & b == a and b not in members]
         bad += [f"not closed under meet at {a}, {b}"
-                for a in members for b in members if not member(meet(a, b), w)]
-        if complement is not None:
+                for a in ordered for b in ordered if a & b not in members]
+        if maximal:
             bad += [f"neither {s} nor its complement is a member"
-                    for s in universe if not member(s, w) and not member(complement(s), w)]
+                    for s in universe if s not in members and s ^ full not in members]
         per_world.append(not bad)
         failures += [f"w{w}: {f}" for f in bad]
     return FilterReport(tuple(per_world), tuple(failures))
 
 
-def _modal_set_report(model: KripkeModel, family: PropertyFamily,
-                      complement: Optional[Callable] = None) -> FilterReport:
-    """The filter conditions over all modal sets, ordered by every-world
-    inclusion with world-wise intersection as meet."""
+def is_modal_filter(model: KripkeModel, constant: str = "P") -> FilterReport:
+    """The four filter conditions on the family ``constant``, per world:
+    contains the full set, excludes the empty set, upward closed under
+    every-world inclusion, closed under world-wise intersection."""
     scope = model.scope
-    m, n = scope.num_entities, scope.num_worlds
-    sets = all_modal_sets(scope)
-    position = {s: j for j, s in enumerate(sets)}
-    return _filter_report(
-        n, sets, lambda s, w: family.membership[position[s]][w],
-        ModalSet.rigid(range(m), m, n), ModalSet.rigid((), m, n),
-        ModalSet.rigid_subset_of, ModalSet.intersect, complement)
+    return _filter_report(_members(model, constant),
+                          scope.num_worlds * scope.num_entities, False)
 
 
-def is_modal_filter(model: KripkeModel, family: PropertyFamily) -> FilterReport:
-    """The four filter conditions, per world: contains the full set, excludes
-    the empty set, upward closed under every-world inclusion, closed under
-    world-wise intersection."""
-    _check_scope(model, family)
-    return _modal_set_report(model, family)
-
-
-def is_modal_ultrafilter(model: KripkeModel, family: PropertyFamily,
+def is_modal_ultrafilter(model: KripkeModel, constant: str = "P",
                          mode: str = "intension") -> FilterReport:
     """Filter conditions plus maximality: each modal set or its world-wise
     complement is a member. In extension mode the conditions are evaluated on
     world-projected extensions instead."""
-    _check_scope(model, family)
+    members = _members(model, constant)
+    scope = model.scope
     if mode == "intension":
-        return _modal_set_report(model, family, ModalSet.complement)
+        return _filter_report(members, scope.num_worlds * scope.num_entities, True)
     if mode != "extension":
         raise HomlError(f"unknown ultrafilter mode {mode!r}")
-    scope = model.scope
-    n, m = scope.num_worlds, scope.num_entities
-    full = frozenset(range(m))
-    universe = [frozenset(c) for r in range(m + 1) for c in itertools.combinations(range(m), r)]
-    sets = all_modal_sets(scope)
-    extensions = [{s.extension(w) for s, row in zip(sets, family.membership) if row[w]}
-                  for w in range(n)]
-    return _filter_report(n, universe, lambda a, w: a in extensions[w], full, frozenset(),
-                          operator.le, operator.and_, full.__sub__)
+    extensions = [{position(_extension(s, w, scope), 2) for s in sets}
+                  for w, sets in enumerate(members)]
+    return _filter_report(extensions, scope.num_entities, True)
 
 
 # ---------------------------------------------------------------------------
 # Positive property counting
 
 def positive_sets(model: KripkeModel, constant: str = "P", world: int = 0,
-                  strict: bool = False) -> list[ModalSet]:
+                  strict: bool = False) -> list[int]:
     """Modal sets the family holds positive: at the designated world by
     default, at every world in strict mode."""
-    family = PropertyFamily.from_model(model, constant)
-    out = []
-    for j, row in enumerate(family.membership):
-        hit = all(row) if strict else row[world]
-        if hit:
-            out.append(ModalSet.from_index(j, model.scope))
-    return out
+    scope = model.scope
+    _check_world(world, scope)
+    full = (1 << scope.num_worlds) - 1
+    return [s for s, row in enumerate(_family(model, constant))
+            if (row == full if strict else row >> (scope.num_worlds - 1 - world) & 1)]
 
 
 def distinct_positive_count(model: KripkeModel, constant: str = "P", world: int = 0,
@@ -247,9 +182,7 @@ def min_positive_count(theory: Theory, scope: Scope, constant: str = "P",
     entity count is k); the actualist reading instead constrains how many
     entities satisfy existsAt at the designated world.
     """
-    if not 0 <= world < scope.num_worlds:
-        raise HomlError(f"counting world {world} is not one of the {scope.num_worlds} "
-                        f"worlds of scope {scope}")
+    _check_world(world, scope)
     if entities is not None and entities < 0:
         raise HomlError(f"the actualist entity count must be >= 0, got {entities}")
     if dict(theory.signature).get(constant) != FAMILY_TYPE:
@@ -293,29 +226,26 @@ def count_positive(models: Iterable[KripkeModel], constant: str = "P", world: in
 # ---------------------------------------------------------------------------
 # Equipollence, cardinal successor, diagonal experiments
 
-def equipollent(model: KripkeModel, p: ModalSet, q: ModalSet) -> bool:
+def equipollent(model: KripkeModel, p: int, q: int) -> bool:
     """True iff some single enumerated map is, at every world, a bijection
     between p's and q's extensions."""
     scope = model.scope
     m = scope.num_entities
     denotation_size(Fun(Ind, Ind), scope)  # enforce the enumeration cap
     worlds = range(scope.num_worlds)
-    p_ext = [p.extension(w) for w in worlds]
-    q_ext = [q.extension(w) for w in worlds]
+    p_ext = [[e for e, bit in enumerate(_extension(p, w, scope)) if bit] for w in worlds]
+    q_ext = [frozenset(e for e, bit in enumerate(_extension(q, w, scope)) if bit)
+             for w in worlds]
     if any(len(a) != len(b) for a, b in zip(p_ext, q_ext)):
         return False
-    for fn in itertools.product(range(m), repeat=m):
-        if all(
-            frozenset(fn[e] for e in p_ext[w]) == q_ext[w]
-            and len({fn[e] for e in p_ext[w]}) == len(p_ext[w])
-            for w in worlds
-        ):
-            return True
-    return False
+    # The extensions have equal sizes, so a map onto q's is a bijection.
+    return any(all(frozenset(fn[e] for e in a) == b for a, b in zip(p_ext, q_ext))
+               for fn in itertools.product(range(m), repeat=m))
 
 
-def equipollence_class(model: KripkeModel, p: ModalSet) -> frozenset[ModalSet]:
-    return frozenset(q for q in all_modal_sets(model.scope) if equipollent(model, q, p))
+def equipollence_class(model: KripkeModel, p: int) -> frozenset[int]:
+    size = denotation_size(PROPERTY_TYPE, model.scope)
+    return frozenset(q for q in range(size) if equipollent(model, q, p))
 
 
 def successor_cardinal_check(model: KripkeModel, k: int) -> bool:
@@ -325,26 +255,18 @@ def successor_cardinal_check(model: KripkeModel, k: int) -> bool:
     m, n = scope.num_entities, scope.num_worlds
     if k < 0 or k + 1 > m:
         raise HomlError(f"successor of a {k}-element set needs {k + 1} <= m = {m}")
-    base = ModalSet.rigid(range(k), m, n)
-    target = ModalSet.rigid(range(k + 1), m, n)
-    base_class = equipollence_class(model, base)
-    target_class = equipollence_class(model, target)
+    full = (1 << n) - 1
+    # The rigid set of the first j entities: their rows hold at every world.
+    rigid = lambda j: position([full] * j + [0] * (m - j), full + 1)
     successor_class = set()
-    sets = all_modal_sets(scope)
-    for p in base_class:
+    for p in equipollence_class(model, rigid(k)):
+        rows = digits(p, m, full + 1)
         for z in range(m):
-            if any(p.table[z][w] for w in range(n)):
+            if rows[z]:
                 continue  # z must be fresh for p at every world
-            extended = ModalSet(
-                tuple(
-                    tuple(p.table[e][w] or e == z for w in range(n))
-                    for e in range(m)
-                )
-            )
-            for q in sets:
-                if equipollent(model, q, extended):
-                    successor_class.add(q)
-    return successor_class == set(target_class)
+            extended = position(rows[:z] + [full] + rows[z + 1:], full + 1)
+            successor_class |= equipollence_class(model, extended)
+    return successor_class == equipollence_class(model, rigid(k + 1))
 
 
 def surjection_exists(model: KripkeModel, constant: str = "P", world: int = 0,
@@ -363,7 +285,7 @@ def surjection_exists(model: KripkeModel, constant: str = "P", world: int = 0,
     return False
 
 
-def diagonal_witness(model: KripkeModel, mapping: Sequence[ModalSet]) -> tuple[ModalSet, bool]:
+def diagonal_witness(model: KripkeModel, mapping: Sequence[int]) -> tuple[int, bool]:
     """Per-world diagonal of a map entity -> modal set: D(x)(w) = not F(x)(x)(w).
 
     Returns the diagonal set and whether it lies outside the range of the map.
@@ -372,8 +294,6 @@ def diagonal_witness(model: KripkeModel, mapping: Sequence[ModalSet]) -> tuple[M
     m, n = scope.num_entities, scope.num_worlds
     if len(mapping) != m:
         raise HomlError(f"mapping must assign a modal set to each of the {m} entities")
-    diag = ModalSet(
-        tuple(tuple(not mapping[e].table[e][w] for w in range(n)) for e in range(m))
-    )
-    outside = all(diag != mapping[e] for e in range(m))
-    return diag, outside
+    full = (1 << n) - 1
+    diag = position([full ^ digits(f, m, full + 1)[e] for e, f in enumerate(mapping)], full + 1)
+    return diag, diag not in mapping

@@ -14,7 +14,7 @@ import sys
 from dataclasses import replace
 
 from .analysis import (
-    PropertyFamily,
+    PROPERTY_TYPE,
     count_positive,
     is_modal_ultrafilter,
     min_positive_count,
@@ -38,6 +38,7 @@ from .semantics import (
     ValidUpToScope,
     model_to_json,
     mvalid,
+    position_to_json,
 )
 from .solver import DEFAULT_CONFLICT_BUDGET
 from .surface import load_theory
@@ -269,8 +270,7 @@ def cmd_goedel_suite(args) -> tuple[int, dict]:
 
     ultra = []
     for tag, found in collected:
-        family = PropertyFamily.from_model(found, manifest["positive_constant"])
-        rep = is_modal_ultrafilter(found, family, mode)
+        rep = is_modal_ultrafilter(found, manifest["positive_constant"], mode)
         ok = ok and rep.globally
         witnesses = positive_sets(found, manifest["positive_constant"], world)
         ultra.append({
@@ -279,9 +279,8 @@ def cmd_goedel_suite(args) -> tuple[int, dict]:
             "per_world": list(rep.per_world),
             "ultrafilter": rep.globally,
             "positive_count": len(witnesses),
-            "positive_sets": [
-                [[bool(v) for v in row] for row in s.table] for s in witnesses
-            ],
+            "positive_sets": [position_to_json(s, PROPERTY_TYPE, found.scope)
+                              for s in witnesses],
         })
     report["results"]["ultrafilter"] = ultra
     report["ok"] = ok

@@ -669,13 +669,22 @@ def position_to_json(i: int, ty: LogicType, scope: Scope):
                                    for d in digits(i, view[0], view[1])]
 
 
-def value_from_json(data, ty: LogicType, scope: Scope) -> SemValue:
+def position_from_json(data, ty: LogicType, scope: Scope) -> int:
+    """Inverse of position_to_json, checking the shape: a world bit is a JSON
+    boolean, an entity an int of the scope, a table a list of its length."""
     if ty is bool:
-        return TRUE if data else FALSE
+        if type(data) is not bool:
+            raise HomlError(f"world bit {data!r} is not a boolean")
+        return int(data)
     view = table_view(ty, scope)
     if view is None:
-        return SEntity(int(data))
-    return STable(tuple(value_from_json(e, view[2], scope) for e in data))
+        if type(data) is not int or not 0 <= data < scope.num_entities:
+            raise HomlError(f"not an entity of scope {scope}: {data!r}")
+        return data
+    length, base, entry = view
+    if type(data) is not list or len(data) != length:
+        raise HomlError(f"not a table of {length} entries at scope {scope}: {data!r}")
+    return position([position_from_json(e, entry, scope) for e in data], base)
 
 
 def model_to_json(model: KripkeModel) -> dict:
@@ -700,17 +709,26 @@ def model_to_json_str(model: KripkeModel) -> str:
 def model_from_json(data: dict) -> KripkeModel:
     from .surface import parse_type_text
 
-    scope = Scope(data["num_worlds"], data["num_entities"])
-    n = scope.num_worlds
+    size = data["num_worlds"], data["num_entities"]
+    if any(type(k) is not int for k in size):
+        raise HomlError(f"scope {list(size)} is not two ints")
+    scope = Scope(*size)
+    n, m = size
     acc = [[False] * n for _ in range(n)]
     for pair in data["accessibility"]:
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2
                 and all(type(w) is int and 0 <= w < n for w in pair)):
             raise HomlError(f"accessibility pair {pair!r} is not two worlds of 0..{n - 1}")
         acc[pair[0]][pair[1]] = True
-    exists = tuple(tuple(bool(v) for v in row) for row in data["exists_at"])
+    rows = data["exists_at"]
+    if type(rows) is not list or len(rows) != m:
+        raise HomlError(f"existence table {rows!r} is not {m} rows")
+    # An entity's row is a prop's table of world bits.
+    exists = tuple(tuple(d == 1 for d in digits(position_from_json(row, Prop, scope), n, 2))
+                   for row in rows)
     entries = data.get("constants", {})
     types = {name: parse_type_text(entry["type"]) for name, entry in entries.items()}
-    constants = {name: value_from_json(entry["value"], types[name], scope)
+    positions = {name: position_from_json(entry["value"], types[name], scope)
                  for name, entry in entries.items()}
-    return KripkeModel(scope, tuple(tuple(row) for row in acc), exists, constants, types)
+    return KripkeModel(scope, tuple(tuple(row) for row in acc), exists, constant_types=types,
+                       positions=positions)

@@ -15,8 +15,7 @@ import pathlib
 import time
 
 from homlkit.analysis import (
-    PropertyFamily,
-    all_modal_sets,
+    FAMILY_TYPE,
     is_modal_ultrafilter,
     min_positive_count,
     successor_cardinal_check,
@@ -29,6 +28,7 @@ from homlkit.semantics import (
     Scope,
     ValidUpToScope,
     model_from_json,
+    position,
 )
 from homlkit.theories import check_church_postulates, load_bundle
 from reference import brute_force_find_model, count_full_models, holds_at, mvalid
@@ -112,8 +112,7 @@ def test_criterion_4_ultrafilter():
     models = _criteria_1_to_3_models()
     failures = 0
     for model in models:
-        family = PropertyFamily.from_model(model, "P")
-        if not is_modal_ultrafilter(model, family, mode).globally:
+        if not is_modal_ultrafilter(model, "P", mode).globally:
             failures += 1
     assert models
     assert failures == 0
@@ -222,14 +221,19 @@ def test_criterion_8_filter_oracle():
     for m in (1, 2, 3):
         scope = Scope(1, m)
         model = KripkeModel(scope, ((True,),), tuple((True,) for _ in range(m)))
-        sets = all_modal_sets(scope)
+        # At one world a modal set's position is its m-bit entity mask, and
+        # a family's position is its membership bits read as one number.
+        sets = range(2 ** m)
         ultra_count = 0
         for bits in itertools.product([False, True], repeat=len(sets)):
             members = [s for s, b in zip(sets, bits) if b]
-            rows = tuple((b,) for b in bits)
-            family = PropertyFamily(scope, rows)
-            expected = _classical_is_ultrafilter(m, [s.extension(0) for s in members])
-            assert is_modal_ultrafilter(model, family, "intension").globally == expected
+            family = KripkeModel(scope, model.accessibility, model.exists_at,
+                                 constant_types={"P": FAMILY_TYPE},
+                                 positions={"P": position(bits, 2)})
+            extensions = [frozenset(e for e in range(m) if s >> (m - 1 - e) & 1)
+                          for s in members]
+            expected = _classical_is_ultrafilter(m, extensions)
+            assert is_modal_ultrafilter(family, "P", "intension").globally == expected
             ultra_count += expected
         assert ultra_count == m
 

@@ -328,10 +328,22 @@ def test_hand_built_model_rejects_ill_typed_value(value, ty):
     assert dataclasses.replace(model, constants={"c": index_value(0, ty, scope)}).positions == {"c": 0}
 
 
-@pytest.mark.parametrize("value,ty", [([True], "prop"), (2, "i"), ([[True, True]] * 3, "i > prop")])
+@pytest.mark.parametrize("value,ty", [
+    ([True], "prop"), (2, "i"), ([[True, True]] * 3, "i > prop"),
+    (1.7, "i"), (True, "i"), (-1, "i"), ("0", "i"),      # not an entity of 0..1
+    (["no", True], "prop"), ([1, 0], "prop"), ([None, False], "prop"),  # not booleans
+    ({"0": True, "1": True}, "prop"), ([[True, True], [True, 1]], "i > prop"),
+    # A field of the document rather than a constant's type: the value replaces it.
+    ([[1, "x"], [0, 0]], "exists_at"), ([[True, True]], "exists_at"),
+    ([[True], [True]], "exists_at"), ("TT", "exists_at"),
+    (2.0, "num_worlds"), (True, "num_worlds"), ("2", "num_entities"), (0, "num_entities"),
+])
 def test_model_from_json_rejects_ill_typed_value(value, ty):
     data = model_to_json(full_model(Scope(2, 2), total_relation(2), ((True, True),) * 2))
-    data["constants"] = {"c": {"type": ty, "value": value}}
+    if ty in data:
+        data[ty] = value
+    else:
+        data["constants"] = {"c": {"type": ty, "value": value}}
     with pytest.raises(HomlError):
         model_from_json(data)
 

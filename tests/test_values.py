@@ -10,7 +10,7 @@ import pickle
 
 import pytest
 
-from homlkit.analysis import CountResult, FilterReport, ModalSet, PropertyFamily
+from homlkit.analysis import CountResult, FilterReport
 from homlkit.logictypes import Fun, Ind, Prop
 from homlkit.semantics import (
     Countermodel,
@@ -48,7 +48,6 @@ from homlkit.theories import PostulateResult, load_bundle
 P, Q = Const("p", Prop), Const("q", Prop)
 SCOPE = Scope(1, 2)
 MODEL = KripkeModel(SCOPE, ((True,),), ((True,), (False,)))
-TABLE = ((True, False), (False, True))
 
 # (class, fields in order with a sample value each); a second sample of every
 # compared field is derived by the test.
@@ -77,8 +76,6 @@ CASES = [
     (Satisfiable, {"model": MODEL}),
     (Unsatisfiable, {"scope": SCOPE}),
     (Indeterminate, {"reason": "budget"}),
-    (ModalSet, {"table": TABLE}),
-    (PropertyFamily, {"scope": SCOPE, "membership": TABLE}),
     (FilterReport, {"per_world": (True, False), "failures": ("w1: empty set is a member",)}),
     (CountResult, {"minimum": 1, "maximum": 2, "model_count": 3, "complete": True,
                    "empty_model_class": False}),
@@ -187,7 +184,6 @@ def test_repr_text():
     assert repr(Token("kw", "box", 3, 7)) == "Token(kind='kw', text='box', line=3, col=7)"
     assert repr(STable((SBool(True), SEntity(0)))) == (
         "STable(entries=(SBool(value=True), SEntity(index=0)))")
-    assert repr(ModalSet(((True,), (False,)))) == "ModalSet(table=((True,), (False,)))"
     assert repr(ValidUpToScope(Scope(2, 1))) == (
         "ValidUpToScope(scope=Scope(num_worlds=2, num_entities=1))")
     assert repr(Indeterminate("budget")) == "Indeterminate(reason='budget')"
