@@ -33,11 +33,9 @@ from .semantics import (
     KripkeModel,
     Satisfiable,
     Scope,
-    SemValue,
     Unsatisfiable,
     ValidUpToScope,
     denotation_size,
-    enumerate_denotation,
     eval_term,
     holds_at,
     model_from_json,
@@ -58,8 +56,8 @@ __all__ = [
     "check_validity_bounded", "enumerate_models", "export_dimacs", "find_model",
     "ground", "solve", "Fun", "Ind", "LogicType", "Prop",
     "Countermodel", "Indeterminate", "KripkeModel", "Satisfiable", "Scope",
-    "SemValue", "Unsatisfiable", "ValidUpToScope", "denotation_size",
-    "enumerate_denotation", "eval_term", "holds_at", "model_from_json",
+    "Unsatisfiable", "ValidUpToScope", "denotation_size", "eval_term",
+    "holds_at", "model_from_json",
     "model_to_json", "mvalid", "elaborate", "load_theory", "parse", "typecheck",
     "Term", "check_church_postulates", "load_bundle", "Theory", "format_theory",
     "__version__",

@@ -157,8 +157,7 @@ class GroundProblem:
         exists = tuple([tuple([model[v - 1] == 1 for v in row]) for row in self.ex_vars])
         positions = {name: _position(self.const_cells[name], ty, model, self.scope)
                      for name, ty in self.signature}
-        return KripkeModel(self.scope, acc, exists, constant_types=dict(self.signature),
-                           positions=positions)
+        return KripkeModel(self.scope, acc, exists, positions, dict(self.signature))
 
 
 def _position(cells, ty, model: list[int], scope: Scope) -> int:

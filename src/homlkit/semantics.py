@@ -2,8 +2,9 @@
 
 Denotations are enumerated: individuals are entity indices, propositions are
 world-indexed truth tables, and function types are full (standard) function
-spaces. Every value of a type has a canonical position in a deterministic
-enumeration, and the evaluator works on those integer positions internally.
+spaces. A value is its position in a deterministic enumeration of its type,
+an int; its one structured form is the nested JSON lists of
+``position_to_json``, which ``position_from_json`` reads back with checks.
 
 A value of a table type is a row of entries, and its position is the row
 read as a number in base |entry| (``table_view``):
@@ -28,10 +29,10 @@ connectives ``not_``/``and_``/``or_``/``implies``/``iff``, ``box``,
 ``model_free``). There are two carriers:
 
 * ``_EvalCtx`` is concrete: a value is its position, a proposition its world
-  mask, so ``mvalid``, ``holds_at``, ``eval_mask`` and ``eval_term`` run on
-  it. It skips the right side of ``&`` and ``->`` once the left mask is 0,
-  and of ``|`` once it is full; the constants of the whole term are checked
-  before it runs, so a skipped side cannot turn an error into a verdict.
+  mask, so ``mvalid``, ``holds_at`` and ``eval_term`` run on it. It skips
+  the right side of ``&`` and ``->`` once the left mask is 0, and of ``|``
+  once it is full; the constants of the whole term are checked before it
+  runs, so a skipped side cannot turn an error into a verdict.
 * The grounder's ``_Grounding`` is symbolic: a value is a tuple of formula
   nodes over the model's unknowns. It evaluates left before right, always.
 
@@ -40,8 +41,8 @@ maximal model-free subterm runs in the concrete carrier, and the symbolic
 carrier lifts its value once (``model_free``). ``Lam`` and the quantifiers
 memoise their value on the values of their free de Bruijn slots. The memo
 belongs to the carrier of one top-level call (``mvalid``, ``holds_at``,
-``eval_mask``, ``eval_term`` or a ``ground``) and is emptied whenever it
-reaches ``MEMO_BOUND`` entries; nothing of it stays on a model.
+``eval_term`` or a ``ground``) and is emptied whenever it reaches
+``MEMO_BOUND`` entries; nothing of it stays on a model.
 """
 
 from __future__ import annotations
@@ -50,8 +51,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from types import MappingProxyType
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import HomlError, ScopeCapError, depth_guarded
 from .frozen import Frozen
@@ -93,6 +93,8 @@ class Scope:
     num_entities: int
 
     def __post_init__(self):
+        if type(self.num_worlds) is not int or type(self.num_entities) is not int:
+            raise HomlError(f"scope ({self.num_worlds!r}, {self.num_entities!r}) is not two ints")
         if self.num_worlds < 1 or self.num_entities < 1:
             raise HomlError("scope requires at least one world and one entity")
 
@@ -102,28 +104,6 @@ class Scope:
 
 # ---------------------------------------------------------------------------
 # Semantic values
-
-class SemValue(Frozen):
-    __slots__ = ()
-
-
-class SBool(SemValue):
-    value: bool
-
-
-class SEntity(SemValue):
-    index: int
-
-
-class STable(SemValue):
-    """Total function value; entries follow the domain type's enumeration order."""
-
-    entries: tuple[SemValue, ...]
-
-
-TRUE = SBool(True)
-FALSE = SBool(False)
-
 
 def digits(i: int, length: int, base: int) -> list[int]:
     """The entries of position i of a table: ``length`` base-``base`` digits,
@@ -169,39 +149,14 @@ def denotation_size(ty: LogicType, scope: Scope) -> int:
     return size
 
 
-def index_value(i: int, ty: LogicType, scope: Scope) -> SemValue:
-    """Canonical SemValue at position i of the enumeration of ty."""
-    if ty is bool:
-        return (FALSE, TRUE)[i]
+def _check_position(i, ty: LogicType, scope: Scope, what: str) -> None:
+    """Raise unless i, the value of ``what``, is a position of ty's values.
+    A value may lie past the denotation cap, which bounds only what is
+    enumerated, so the bound is read from ty's table view."""
     view = table_view(ty, scope)
-    if view is None:
-        return SEntity(i)
-    length, base, entry = view
-    return STable(tuple(index_value(d, entry, scope) for d in digits(i, length, base)))
-
-
-def value_index(value: SemValue, ty: LogicType, scope: Scope) -> int:
-    """Inverse of index_value."""
-    if ty is bool:
-        if not isinstance(value, SBool):
-            raise HomlError(f"proposition table entry is not a Bool: {value!r}")
-        return value.value
-    view = table_view(ty, scope)
-    if view is None:
-        if not isinstance(value, SEntity) or not 0 <= value.index < scope.num_entities:
-            raise HomlError(f"not an entity of scope {scope}: {value!r}")
-        return value.index
-    length, base, entry = view
-    if not isinstance(value, STable) or len(value.entries) != length:
-        raise HomlError(f"not a table of {length} entries at scope {scope}: {value!r}")
-    return position([value_index(e, entry, scope) for e in value.entries], base)
-
-
-def enumerate_denotation(ty: LogicType, scope: Scope) -> Iterator[SemValue]:
-    """All values of ty at the scope, in canonical order, without duplicates."""
-    size = denotation_size(ty, scope)
-    for i in range(size):
-        yield index_value(i, ty, scope)
+    size = scope.num_entities if view is None else view[1] ** view[0]
+    if type(i) is not int or not 0 <= i < size:
+        raise HomlError(f"{what} has position {i!r}, not one of the {ty} values at scope {scope}")
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +171,8 @@ class KripkeModel:
     to its value's position in the enumeration of its type in
     ``constant_types``; two models are equal when these five fields are.
 
-    Built from SemValues (``constants``), each is validated through
-    `value_index`. Built from ``positions`` alone, as `GroundProblem.decode`
-    builds it, nothing is checked. ``constants`` reads the SemValues back.
+    The constructor checks nothing, so `GroundProblem.decode` pays only for
+    the build; the first evaluation checks the model (``_int_form``).
     """
 
     scope: Scope
@@ -227,29 +181,9 @@ class KripkeModel:
     positions: dict[str, int]
     constant_types: dict[str, LogicType]
 
-    def __init__(self, scope: Scope, accessibility, exists_at, constants=None,
-                 constant_types=None, *, positions=None):
-        types = constant_types or {}
-        if positions is None or constants is not None:
-            n, m = scope.num_worlds, scope.num_entities
-            if list(map(len, accessibility)) != [n] * n:
-                raise HomlError("accessibility relation has wrong shape")
-            if list(map(len, exists_at)) != [n] * m:
-                raise HomlError("existence table has wrong shape")
-            positions = {}
-            for name, value in (constants or {}).items():
-                if name not in types:
-                    raise HomlError(f"constant {name!r} has no declared type")
-                # Raises if the value does not inhabit the declared type.
-                positions[name] = value_index(value, types[name], scope)
+    def __init__(self, scope: Scope, accessibility, exists_at, positions=None, constant_types=None):
         self.__dict__.update(scope=scope, accessibility=accessibility, exists_at=exists_at,
-                             positions=positions, constant_types=types)
-
-    @cached_property
-    def constants(self) -> Mapping[str, SemValue]:
-        """Each constant's canonical SemValue, built on first read."""
-        return MappingProxyType({name: index_value(i, self.constant_types[name], self.scope)
-                                 for name, i in self.positions.items()})
+                             positions=positions or {}, constant_types=constant_types or {})
 
     def satisfies_frame(self, flags) -> bool:
         n = self.scope.num_worlds
@@ -266,8 +200,20 @@ class KripkeModel:
     @cached_property
     def _int_form(self) -> tuple[int, tuple[int, ...], dict[str, int]]:
         """(full world mask, accessibility masks, constant positions), the
-        model in integer form."""
-        full = (1 << self.scope.num_worlds) - 1
+        model in integer form. Every evaluation reads it, so the model is
+        checked here, once: the shape of both tables, and each constant's
+        position against its declared type."""
+        scope, types = self.scope, self.constant_types
+        n, m = scope.num_worlds, scope.num_entities
+        if list(map(len, self.accessibility)) != [n] * n:
+            raise HomlError("accessibility relation has wrong shape")
+        if list(map(len, self.exists_at)) != [n] * m:
+            raise HomlError("existence table has wrong shape")
+        for name, i in self.positions.items():
+            if name not in types:
+                raise HomlError(f"constant {name!r} has no declared type")
+            _check_position(i, types[name], scope, f"constant {name!r}")
+        full = (1 << n) - 1
         # A row of the accessibility or existence table is a prop's table of
         # world bits, so its position is the world mask.
         acc_masks = tuple(position(row, 2) for row in self.accessibility)
@@ -600,15 +546,15 @@ def _run(model: KripkeModel, term: Term, env: list) -> int:
     return _Compiler(model.scope).code(term)(ctx, env)
 
 
-def eval_term(model: KripkeModel, env: Sequence[SemValue], term: Term) -> SemValue:
-    """Denotation of term under env (env[k] interprets de Bruijn index k)."""
+def eval_term(model: KripkeModel, env: Sequence[int], term: Term) -> int:
+    """The position of term's value in the model, env[k] the position of de
+    Bruijn index k's value; a closed prop term's position is its world mask."""
     var_types = free_vars(term)
     if var_types and (not env or max(var_types) >= len(env)):
         raise HomlError("term is not closed under the supplied environment")
-    int_env = [0] * len(env)
     for k, ty in var_types.items():
-        int_env[len(env) - 1 - k] = value_index(env[k], ty, model.scope)
-    return index_value(_run(model, term, int_env), term.ty, model.scope)
+        _check_position(env[k], ty, model.scope, f"de Bruijn index {k}")
+    return _run(model, term, list(reversed(env)))
 
 
 def holds_at(model: KripkeModel, formula: Term, world: int) -> bool:
@@ -626,11 +572,6 @@ def mvalid(model: KripkeModel, formula: Term) -> bool:
     if formula.ty != Prop:
         raise HomlError(f"mvalid requires a prop-typed term, got {formula.ty}")
     return _run(model, formula, []) == (1 << model.scope.num_worlds) - 1
-
-
-def eval_mask(model: KripkeModel, formula: Term) -> int:
-    """World bitmask of a closed prop formula (bit n-1-w set iff true at w)."""
-    return _run(model, formula, [])
 
 
 # ---------------------------------------------------------------------------
@@ -707,15 +648,23 @@ def model_to_json_str(model: KripkeModel) -> str:
 
 
 def model_from_json(data: dict) -> KripkeModel:
+    """The model of a document in model_to_json's form, checking its
+    structure and every value; anything else raises HomlError."""
     from .surface import parse_type_text
 
-    size = data["num_worlds"], data["num_entities"]
-    if any(type(k) is not int for k in size):
-        raise HomlError(f"scope {list(size)} is not two ints")
-    scope = Scope(*size)
-    n, m = size
+    if type(data) is not dict:
+        raise HomlError(f"model document {data!r} is not a JSON object")
+    missing = [key for key in ("num_worlds", "num_entities", "accessibility", "exists_at")
+               if key not in data]
+    if missing:
+        raise HomlError(f"model document has no {', '.join(missing)}")
+    scope = Scope(data["num_worlds"], data["num_entities"])
+    n, m = scope.num_worlds, scope.num_entities
+    pairs = data["accessibility"]
+    if type(pairs) is not list:
+        raise HomlError(f"accessibility {pairs!r} is not a list of pairs")
     acc = [[False] * n for _ in range(n)]
-    for pair in data["accessibility"]:
+    for pair in pairs:
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2
                 and all(type(w) is int and 0 <= w < n for w in pair)):
             raise HomlError(f"accessibility pair {pair!r} is not two worlds of 0..{n - 1}")
@@ -727,8 +676,12 @@ def model_from_json(data: dict) -> KripkeModel:
     exists = tuple(tuple(d == 1 for d in digits(position_from_json(row, Prop, scope), n, 2))
                    for row in rows)
     entries = data.get("constants", {})
-    types = {name: parse_type_text(entry["type"]) for name, entry in entries.items()}
-    positions = {name: position_from_json(entry["value"], types[name], scope)
-                 for name, entry in entries.items()}
-    return KripkeModel(scope, tuple(tuple(row) for row in acc), exists, constant_types=types,
-                       positions=positions)
+    if type(entries) is not dict:
+        raise HomlError(f"constants {entries!r} is not an object")
+    types, positions = {}, {}
+    for name, entry in entries.items():
+        if type(entry) is not dict or type(entry.get("type")) is not str or "value" not in entry:
+            raise HomlError(f"constant {name!r} is not an object with a type and a value: {entry!r}")
+        types[name] = parse_type_text(entry["type"])
+        positions[name] = position_from_json(entry["value"], types[name], scope)
+    return KripkeModel(scope, tuple(tuple(row) for row in acc), exists, positions, types)

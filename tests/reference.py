@@ -4,8 +4,10 @@
 and carriers: one ``isinstance`` ladder over the node kinds, on positions
 and world masks, with its own model context. The oracle tests check the
 library (grounder, solver, rule table, both carriers) against it, so no
-oracle compares the library's evaluator with itself. It shares only the
-value codec and ``leibniz_shape`` with the library.
+oracle compares the library's evaluator with itself. It shares with the
+library only what defines a value: ``KripkeModel`` (whose ``positions`` it
+reads unchecked), ``denotation_size`` and ``position`` (a value is its
+position in its type's enumeration), and ``leibniz_shape``.
 
 ``brute_force_find_model`` visits every candidate model of a signature in a
 fixed order and checks the axioms with this ``mvalid``.
@@ -22,10 +24,8 @@ from homlkit.semantics import (
     KripkeModel,
     Scope,
     denotation_size,
-    index_value,
     leibniz_shape,
     position,
-    value_index,
 )
 from homlkit.terms import (
     EXISTS_AT,
@@ -63,10 +63,7 @@ class _EvalCtx:
         self.leib_cache: dict[int, tuple] = {}
         self.acc_masks = [position(row, 2) for row in model.accessibility]
         self.exists_masks = [position(row, 2) for row in model.exists_at]
-        self.const_idx = {
-            name: value_index(value, model.constant_types[name], model.scope)
-            for name, value in model.constants.items()
-        }
+        self.const_idx = dict(model.positions)
         self.const_idx[EXISTS_AT] = position(self.exists_masks, self.full + 1)
 
     def size(self, ty: LogicType) -> int:
@@ -188,16 +185,18 @@ def _eval(term: Term, env: list[int], ctx: _EvalCtx) -> int:
     raise HomlError(f"cannot evaluate term node {term!r}")
 
 
-def eval_mask(model: KripkeModel, formula: Term) -> int:
-    """World bitmask of a closed prop formula (bit n-1-w set iff true at w)."""
-    return _eval(formula, [], _ctx(model))
+def eval_term(model: KripkeModel, env: list[int], term: Term) -> int:
+    """The position of term's value, env[k] the position of de Bruijn index
+    k's value; a closed prop formula's is its world mask (bit n-1-w set iff
+    true at w)."""
+    return _eval(term, env[::-1], _ctx(model))
 
 
 def holds_at(model: KripkeModel, formula: Term, world: int) -> bool:
     """Truth of a closed prop formula at one world."""
     n = model.scope.num_worlds
     assert 0 <= world < n, world
-    return bool((eval_mask(model, formula) >> (n - 1 - world)) & 1)
+    return bool((eval_term(model, [], formula) >> (n - 1 - world)) & 1)
 
 
 def mvalid(model: KripkeModel, formula: Term) -> bool:
@@ -245,10 +244,8 @@ def _candidates(signature, scope: Scope, frame_flags=frozenset()):
 
 
 def _candidate_model(signature, scope: Scope, relation, existence, positions) -> KripkeModel:
-    constants = {
-        name: index_value(p, ty, scope) for (name, ty), p in zip(signature, positions)
-    }
-    return KripkeModel(scope, relation, existence, constants, dict(signature))
+    by_name = {name: p for (name, _), p in zip(signature, positions)}
+    return KripkeModel(scope, relation, existence, by_name, dict(signature))
 
 
 def enumerate_full_models(signature, scope: Scope) -> Iterator[KripkeModel]:

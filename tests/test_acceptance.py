@@ -22,6 +22,7 @@ from homlkit.analysis import (
 )
 from homlkit.cli import main as cli_main
 from homlkit.grounder import check_validity_bounded, enumerate_models, find_model
+from homlkit.logictypes import Prop
 from homlkit.semantics import (
     Countermodel,
     KripkeModel,
@@ -29,6 +30,7 @@ from homlkit.semantics import (
     ValidUpToScope,
     model_from_json,
     position,
+    position_to_json,
 )
 from homlkit.theories import check_church_postulates, load_bundle
 from reference import brute_force_find_model, count_full_models, holds_at, mvalid
@@ -131,8 +133,8 @@ def test_criterion_5_church():
     # the goal evaluated at the world where both are false.
     assert model.scope.num_worlds == 2
     assert all(model.accessibility[w][v] for w in range(2) for v in range(2))
-    p_bits = [b.value for b in model.constants["p"].entries]
-    q_bits = [b.value for b in model.constants["q"].entries]
+    p_bits = position_to_json(model.positions["p"], Prop, model.scope)
+    q_bits = position_to_json(model.positions["q"], Prop, model.scope)
     assert p_bits == [False, False]
     assert sum(q_bits) == 1
     assert q_bits[world] is False

@@ -23,7 +23,7 @@ from homlkit.analysis import (
 )
 from homlkit.errors import HomlError
 from homlkit.grounder import enumerate_models, find_model, ground
-from homlkit.semantics import KripkeModel, SBool, STable, Scope, digits, position
+from homlkit.semantics import KripkeModel, Scope, digits, position
 from homlkit.surface import load_theory
 from homlkit.theories import load_bundle
 
@@ -216,11 +216,8 @@ def test_two_world_agreement_with_oracles(generators, flips):
 
 def test_count_when_only_full_set_positive():
     scope = Scope(1, 2)
-    only_full = STable(tuple(
-        STable((SBool(extension(scope, s, 0) == {0, 1}),)) for s in modal_sets(scope)
-    ))
-    model = KripkeModel(scope, ((True,),), ((True,), (True,)),
-                        {"P": only_full}, {"P": FAMILY_TYPE})
+    model = family_model(one_world_model(2),
+                         [[extension(scope, s, 0) == {0, 1}] for s in modal_sets(scope)])
     assert distinct_positive_count(model) == 1
 
 
@@ -343,12 +340,8 @@ def test_surjection_blocked_by_pigeonhole():
 
 def test_surjection_exists_when_few_positives():
     scope = Scope(1, 2)
-    family = STable(tuple(
-        STable((SBool(extension(scope, s, 0) == frozenset({0, 1})),))
-        for s in modal_sets(scope)
-    ))
-    model = KripkeModel(scope, ((True,),), ((True,), (True,)),
-                        {"P": family}, {"P": FAMILY_TYPE})
+    model = family_model(one_world_model(2), [[extension(scope, s, 0) == frozenset({0, 1})]
+                                              for s in modal_sets(scope)])
     assert distinct_positive_count(model) == 1
     assert surjection_exists(model)
 

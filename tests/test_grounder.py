@@ -76,7 +76,7 @@ def _leaves(cells):
 @pytest.mark.parametrize("n,m", [(1, 2), (2, 1)])
 def test_decode_reads_each_constants_position_from_its_cells(n, m):
     # Bits set as lift lays out position i decode to position i, and the
-    # decoded model equals the model built by hand from its SemValues.
+    # decoded model equals the model built by hand from those positions.
     scope = Scope(n, m)
     problem = ground(load_theory("".join(f"const c{k} : {ty}\n"
                                          for k, ty in enumerate(CODEC_TYPES))), scope)
@@ -92,8 +92,8 @@ def test_decode_reads_each_constants_position_from_its_cells(n, m):
         assert model.positions == want
         assert model.accessibility == tuple(tuple(bits[v - 1] == 1 for v in row)
                                             for row in problem.r_vars)
-        by_hand = KripkeModel(scope, model.accessibility, model.exists_at,
-                              dict(model.constants), dict(problem.signature))
+        by_hand = KripkeModel(scope, model.accessibility, model.exists_at, want,
+                              dict(problem.signature))
         assert by_hand == model and by_hand.positions == want
 
 
@@ -224,7 +224,7 @@ def test_enumerate_free_components_count():
 def test_enumerate_respects_axioms():
     theory = load_theory("const c : prop\naxiom c\n")
     for model in enumerate_models(theory, Scope(1, 1)):
-        assert model.constants["c"].entries[0].value is True
+        assert model.positions["c"] == 1  # true at the one world
 
 
 def test_iterate_models_leaves_problem_unchanged():
@@ -238,7 +238,7 @@ def test_individual_constant_decoding():
     theory = load_theory("const k : i\naxiom existsAt k\n")
     model = find_model(theory, Scope(1, 2))
     assert model is not None
-    entity = model.constants["k"].index
+    entity = model.positions["k"]
     assert model.exists_at[entity][0] is True
 
 

@@ -1,6 +1,5 @@
 """Denotation enumeration and the finite-scope evaluator."""
 
-import dataclasses
 import functools
 import itertools
 import json
@@ -13,21 +12,17 @@ from homlkit.errors import HomlError, ScopeCapError
 from homlkit.logictypes import Fun, Ind, Prop
 from homlkit.semantics import (
     KripkeModel,
-    SBool,
     Scope,
-    SEntity,
-    STable,
     denotation_size,
-    enumerate_denotation,
-    eval_mask,
+    digits,
     eval_term,
     holds_at,
-    index_value,
     model_from_json,
     model_to_json,
     model_to_json_str,
     mvalid,
-    value_index,
+    position_from_json,
+    position_to_json,
 )
 from homlkit.surface import load_theory, parse, typecheck
 from homlkit.terms import (
@@ -43,6 +38,7 @@ from homlkit.terms import (
     Iff,
     Implies,
     LeibnizEq,
+    Not,
     Or,
     Var,
     children,
@@ -62,16 +58,8 @@ import reference
 TAU = Fun(Ind, Prop)
 
 
-def full_model(scope, accessibility, exists_at, constants=None, types=None):
-    return KripkeModel(scope, accessibility, exists_at, constants or {}, types or {})
-
-
 def total_relation(n):
     return tuple(tuple(True for _ in range(n)) for _ in range(n))
-
-
-def prop_value(bits):
-    return STable(tuple(SBool(b) for b in bits))
 
 
 def test_denotation_sizes():
@@ -86,14 +74,18 @@ def test_denotation_cap_exceeded_names_type():
     assert "(i > prop) > prop" in str(err.value)
 
 
+def enumeration(ty, scope):
+    """The values of ty at the scope in the JSON of position_to_json, in
+    position order."""
+    return [position_to_json(i, ty, scope) for i in range(denotation_size(ty, scope))]
+
+
 def test_enumerate_prop_single_world():
-    values = list(enumerate_denotation(Prop, Scope(1, 1)))
-    assert values == [prop_value([False]), prop_value([True])]
+    assert enumeration(Prop, Scope(1, 1)) == [[False], [True]]
 
 
 def test_enumerate_property_space_smallest_scope():
-    values = list(enumerate_denotation(Fun(Ind, Prop), Scope(1, 1)))
-    assert len(values) == 2
+    assert enumeration(Fun(Ind, Prop), Scope(1, 1)) == [[[False]], [[True]]]
 
 
 def product_order(ty, scope):
@@ -101,34 +93,31 @@ def product_order(ty, scope):
     table's entries vary like the digits of a number, the first entry
     slowest."""
     if ty == Ind:
-        return [SEntity(e) for e in range(scope.num_entities)]
+        return list(range(scope.num_entities))
     if ty == Prop:
-        return [prop_value(bits)
-                for bits in itertools.product((False, True), repeat=scope.num_worlds)]
-    entries = list(enumerate_denotation(ty.codomain, scope))
-    return [STable(row)
+        return [list(bits) for bits in itertools.product((False, True), repeat=scope.num_worlds)]
+    entries = product_order(ty.codomain, scope)
+    return [list(row)
             for row in itertools.product(entries, repeat=denotation_size(ty.domain, scope))]
 
 
 def test_enumerate_lengths_and_uniqueness():
     scope = Scope(2, 2)
     for ty in (Ind, Prop, Fun(Ind, Prop), Fun(Ind, Ind), Fun(Prop, Prop)):
-        values = list(enumerate_denotation(ty, scope))
+        values = enumeration(ty, scope)
         assert len(values) == denotation_size(ty, scope)
-        assert len(set(values)) == len(values)
+        assert len({json.dumps(v) for v in values}) == len(values)
         assert values == product_order(ty, scope)
         for i, v in enumerate(values):
-            assert value_index(v, ty, scope) == i
+            assert position_from_json(v, ty, scope) == i
 
 
 def test_single_reflexive_world_box_is_identity():
     scope = Scope(1, 1)
-    model = full_model(scope, ((True,),), ((True,),),
-                       {"c": prop_value([True])}, {"c": Prop})
+    model = KripkeModel(scope, ((True,),), ((True,),), {"c": 1}, {"c": Prop})
     c = Const("c", Prop)
     assert holds_at(model, Box(c), 0) == holds_at(model, c, 0)
-    model2 = full_model(scope, ((True,),), ((True,),),
-                        {"c": prop_value([False])}, {"c": Prop})
+    model2 = KripkeModel(scope, ((True,),), ((True,),), {"c": 0}, {"c": Prop})
     assert holds_at(model2, Box(c), 0) == holds_at(model2, c, 0)
 
 
@@ -136,9 +125,9 @@ def test_two_world_footnote_model():
     # phi false at both worlds, psi false at i1 and true at i2, total r:
     # the lifted equivalence holds at i1 although the tables differ.
     scope = Scope(2, 1)
-    model = full_model(
+    model = KripkeModel(
         scope, total_relation(2), ((True, True),),
-        {"phi": prop_value([False, False]), "psi": prop_value([False, True])},
+        {"phi": 0b00, "psi": 0b01},  # a prop's position is its world mask, world 0 first
         {"phi": Prop, "psi": Prop},
     )
     phi, psi = Const("phi", Prop), Const("psi", Prop)
@@ -151,8 +140,8 @@ def test_two_world_footnote_model():
 def test_top_bot():
     theory = load_theory("const c : prop\naxiom top\ngoal bot\n")
     scope = Scope(2, 2)
-    model = full_model(scope, total_relation(2), ((True, True), (True, True)),
-                       {"c": prop_value([True, False])}, {"c": Prop})
+    model = KripkeModel(scope, total_relation(2), ((True, True), (True, True)),
+                        {"c": 0b10}, {"c": Prop})
     top, bot = theory.axioms[0], theory.goals[0]
     for w in range(2):
         assert holds_at(model, top, w) is True
@@ -228,7 +217,7 @@ def test_leibniz_on_individuals_is_index_identity():
     native = LeibnizEq(Const("a", Ind), Const("b", Ind))
     signature = (("a", Ind), ("b", Ind))
     for model in enumerate_full_models(signature, Scope(2, 2)):
-        same = model.constants["a"] == model.constants["b"]
+        same = model.positions["a"] == model.positions["b"]
         assert mvalid(model, goal) == same
         assert mvalid(model, native) == same
 
@@ -237,9 +226,9 @@ def test_eval_deterministic():
     theory = load_theory("const P : i > prop\ngoal forallP x:i. (P x) | (not (P x))\n")
     goal = theory.goals[0]
     scope = Scope(2, 2)
-    model = full_model(
+    model = KripkeModel(
         scope, total_relation(2), ((True, False), (False, True)),
-        {"P": index_value(7, TAU, scope)}, {"P": TAU},
+        {"P": 7}, {"P": TAU},
     )
     first = eval_term(model, [], goal)
     again = eval_term(model, [], goal)
@@ -248,28 +237,27 @@ def test_eval_deterministic():
 
 def test_eval_term_with_environment():
     scope = Scope(2, 2)
-    model = full_model(scope, total_relation(2), ((True, True), (True, True)))
+    model = KripkeModel(scope, total_relation(2), ((True, True), (True, True)))
     applied = App(Var(0, TAU, "f"), Var(1, Ind, "x"))
-    env = [index_value(5, TAU, scope), SEntity(1)]
-    expected = index_value(5, TAU, scope).entries[1]
+    env = [5, 1]  # f at position 5 of TAU, x entity 1
+    expected = digits(5, 2, 4)[1]  # f's entry for entity 1, a prop position
     assert eval_term(model, env, applied) == expected
 
 
 def test_exists_actualist_empty_domain_vacuous():
     # existsAt all-false: actualist exists is false, actualist forall vacuous.
     scope = Scope(1, 2)
-    model = full_model(scope, ((True,),), ((False,), (False,)),
-                       {"A": index_value(3, TAU, scope)}, {"A": TAU})
+    model = KripkeModel(scope, ((True,),), ((False,), (False,)), {"A": 3}, {"A": TAU})
     assert holds_at(model, ExistsA(Ind, App(Const("A", TAU), Var(0, Ind))), 0) is False
-    assert eval_mask(model, ForallP(Ind, Implies(App(Const("existsAt", TAU), Var(0, Ind)),
-                                                 App(Const("A", TAU), Var(0, Ind))))) == 1
+    assert eval_term(model, [], ForallP(Ind, Implies(App(Const("existsAt", TAU), Var(0, Ind)),
+                                                     App(Const("A", TAU), Var(0, Ind))))) == 1
 
 
 def test_model_json_round_trip():
     scope = Scope(2, 2)
-    model = full_model(
+    model = KripkeModel(
         scope, ((True, False), (True, True)), ((True, False), (False, True)),
-        {"P": index_value(9, TAU, scope), "c": SEntity(1)},
+        {"P": 9, "c": 1},
         {"P": TAU, "c": Ind},
     )
     text = model_to_json_str(model)
@@ -286,9 +274,8 @@ ROUND_TRIP_TYPES = (Prop, Ind, TAU, Fun(Prop, Prop), Fun(Ind, Ind), Fun(TAU, Pro
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_positions_round_trip_through_json(data):
-    # A model of random positions at a random scope up to (2,2) equals the
-    # model built from their SemValues, and comes back from JSON with the
-    # same positions and the same SemValues.
+    # A model of random positions at a random scope up to (2,2): each
+    # position comes back from its JSON, and the model from its document.
     scope = Scope(data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2)))
     n, m = scope.num_worlds, scope.num_entities
     types = {f"c{k}": ty for k, ty in enumerate(ROUND_TRIP_TYPES) if _within_cap([ty], scope)}
@@ -297,35 +284,77 @@ def test_positions_round_trip_through_json(data):
     row = st.lists(st.booleans(), min_size=n, max_size=n).map(tuple)
     acc = tuple(data.draw(row) for _ in range(n))
     exists = tuple(data.draw(row) for _ in range(m))
-    model = KripkeModel(scope, acc, exists, constant_types=types, positions=positions)
-    values = {name: index_value(i, types[name], scope) for name, i in positions.items()}
-    assert model.constants == values
-    assert model == KripkeModel(scope, acc, exists, values, types)
+    model = KripkeModel(scope, acc, exists, positions, types)
+    for name, i in positions.items():
+        assert position_from_json(position_to_json(i, types[name], scope), types[name], scope) == i
     back = model_from_json(json.loads(model_to_json_str(model)))
     assert back.positions == positions
-    assert back.constants == values
     assert back == model
     assert model_to_json(back) == model_to_json(model)
 
 
 @pytest.mark.parametrize("value,ty", [
-    (STable((SBool(True),)), Prop),               # one world bit at two worlds
-    (SEntity(2), Ind),                            # no entity 2 at two entities
-    (SEntity(-1), Ind),
-    (STable((SEntity(0), SBool(True))), Prop),    # an entity where a Bool is due
-    (SBool(True), Prop),                          # a Bool where a table is due
-    (STable((prop_value([True, False]),) * 3), TAU),  # three entries for two entities
+    ([True], Prop),               # one world bit at two worlds
+    (2, Ind),                     # no entity 2 at two entities
+    (-1, Ind),
+    ([0, True], Prop),            # an entity where a world bit is due
+    (True, Prop),                 # a world bit where a table is due
+    ([[True, False]] * 3, TAU),   # three entries for two entities
 ])
-def test_hand_built_model_rejects_ill_typed_value(value, ty):
+def test_position_from_json_rejects_ill_typed_value(value, ty):
     scope = Scope(2, 2)
     with pytest.raises(HomlError):
-        full_model(scope, total_relation(2), ((True, True),) * 2, {"c": value}, {"c": ty})
-    # New values given to a model that has positions are validated too.
-    model = full_model(scope, total_relation(2), ((True, True),) * 2,
-                       {"c": index_value(1, ty, scope)}, {"c": ty})
-    with pytest.raises(HomlError):
-        dataclasses.replace(model, constants={"c": value})
-    assert dataclasses.replace(model, constants={"c": index_value(0, ty, scope)}).positions == {"c": 0}
+        position_from_json(value, ty, scope)
+    assert position_from_json(position_to_json(1, ty, scope), ty, scope) == 1
+
+
+HAND_BUILT = {"scope": Scope(2, 2), "accessibility": ((True, True),) * 2,
+              "exists_at": ((True, True),) * 2, "positions": {"c": 3},
+              "constant_types": {"c": TAU}}
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("accessibility", ((True, True), (True,)), "accessibility relation has wrong shape"),
+    ("accessibility", ((True, True),), "accessibility relation has wrong shape"),
+    ("exists_at", ((True, True), (True,)), "existence table has wrong shape"),
+    ("exists_at", ((True, True),) * 3, "existence table has wrong shape"),
+    ("positions", {"c": 3, "d": 0}, "constant 'd' has no declared type"),
+    ("positions", {"c": 16}, "constant 'c' has position 16,"),  # TAU has 16 values
+    ("positions", {"c": -1}, "constant 'c' has position -1,"),
+    ("positions", {"c": True}, "constant 'c' has position True,"),
+    ("positions", {"c": 3.0}, "constant 'c' has position 3.0,"),
+])
+def test_hand_built_model_is_checked_when_first_evaluated(field, value, message):
+    # The constructor checks nothing; every evaluation checks the whole
+    # model, also constants the formula does not mention.
+    model = KripkeModel(**{**HAND_BUILT, field: value})
+    top = ExistsP(Prop, Var(0, Prop))
+    for evaluate in (mvalid, lambda m, f: eval_term(m, [], f), lambda m, f: holds_at(m, f, 0)):
+        with pytest.raises(HomlError, match=message):
+            evaluate(model, top)
+    assert mvalid(KripkeModel(**HAND_BUILT), top)
+
+
+def test_position_past_the_denotation_cap_is_checked_against_its_table():
+    # (i > prop) > prop has 4^16 values at (2,2), past the cap, which bounds
+    # only what is enumerated: goedel's models hold such a value.
+    ty, scope = Fun(TAU, Prop), Scope(2, 2)
+    applied = App(Const("P", ty), Const("existsAt", TAU))
+    frame = (scope, total_relation(2), ((True, True),) * 2)
+    model = KripkeModel(*frame, {"P": 4 ** 16 - 1}, {"P": ty})
+    assert eval_term(model, [], applied) == 0b11  # every entry of P is true everywhere
+    with pytest.raises(HomlError, match="constant 'P' has position 4294967296,"):
+        eval_term(KripkeModel(*frame, {"P": 4 ** 16}, {"P": ty}), [], applied)
+
+
+@pytest.mark.parametrize("env", [[4], [-1], [True], [1.0], [4, 0]])
+def test_eval_term_rejects_env_position_outside_its_type(env):
+    # Var(0) is a prop at two worlds, positions 0..3; a slot the term does
+    # not read is not checked.
+    model = KripkeModel(Scope(2, 1), total_relation(2), ((True, True),))
+    with pytest.raises(HomlError, match="de Bruijn index 0 has position"):
+        eval_term(model, env, Not(Var(0, Prop)))
+    assert eval_term(model, [0b01, 4], Not(Var(0, Prop))) == 0b10
 
 
 @pytest.mark.parametrize("value,ty", [
@@ -339,7 +368,7 @@ def test_hand_built_model_rejects_ill_typed_value(value, ty):
     (2.0, "num_worlds"), (True, "num_worlds"), ("2", "num_entities"), (0, "num_entities"),
 ])
 def test_model_from_json_rejects_ill_typed_value(value, ty):
-    data = model_to_json(full_model(Scope(2, 2), total_relation(2), ((True, True),) * 2))
+    data = model_to_json(KripkeModel(Scope(2, 2), total_relation(2), ((True, True),) * 2))
     if ty in data:
         data[ty] = value
     else:
@@ -355,12 +384,40 @@ def test_model_from_json_rejects_ill_typed_value(value, ty):
     [0.0, 1], [True, 0], [None, 0],
 ])
 def test_model_from_json_rejects_bad_accessibility_pair(pair):
-    data = model_to_json(full_model(Scope(2, 2), total_relation(2), ((True, True),) * 2))
+    data = model_to_json(KripkeModel(Scope(2, 2), total_relation(2), ((True, True),) * 2))
     data["accessibility"] = [[0, 1], pair]
     with pytest.raises(HomlError, match="accessibility pair"):
         model_from_json(data)
     data["accessibility"] = [[0, 1], [1, 1]]
     assert model_from_json(data).accessibility == ((False, True), (False, True))
+
+
+# A document of the wrong structure, each built from a valid one.
+WRONG_STRUCTURE = {
+    "accessibility-not-a-list": lambda d: {**d, "accessibility": 5},
+    "constants-a-list": lambda d: {**d, "constants": []},
+    "no-exists_at": lambda d: {k: v for k, v in d.items() if k != "exists_at"},
+    "no-num_worlds": lambda d: {k: v for k, v in d.items() if k != "num_worlds"},
+    "constant-without-type": lambda d: {**d, "constants": {"c": {"value": 1}}},
+    "constant-type-not-text": lambda d: {**d, "constants": {"c": {"type": 5, "value": 1}}},
+    "constant-not-an-object": lambda d: {**d, "constants": {"c": 3}},
+    "top-level-list": lambda d: [d],
+}
+
+
+@pytest.mark.parametrize("case", WRONG_STRUCTURE)
+def test_model_from_json_rejects_wrong_structure(case):
+    data = model_to_json(KripkeModel(Scope(2, 2), total_relation(2), ((True, True),) * 2,
+                                     {"c": 1}, {"c": Ind}))
+    assert model_from_json(data).positions == {"c": 1}
+    with pytest.raises(HomlError):
+        model_from_json(WRONG_STRUCTURE[case](data))
+
+
+@pytest.mark.parametrize("size", [(2.5, 1), (1, 2.0), ("2", 1), (True, True), (1, False)])
+def test_scope_sizes_are_ints(size):
+    with pytest.raises(HomlError, match="is not two ints"):
+        Scope(*size)
 
 
 @pytest.mark.parametrize("connective,left", [
@@ -373,9 +430,9 @@ def test_decided_left_side_still_reports_uninterpreted_constant(connective, left
     # evaluated; the constant it mentions must still be interpreted.
     from homlkit.errors import HomlError
 
-    model = full_model(Scope(2, 1), total_relation(2), ((True, True),))
+    model = KripkeModel(Scope(2, 1), total_relation(2), ((True, True),))
     formula = connective(left, Const("q", Prop))
-    for evaluate in (mvalid, eval_mask, lambda m, f: holds_at(m, f, 0)):
+    for evaluate in (mvalid, lambda m, f: eval_term(m, [], f), lambda m, f: holds_at(m, f, 0)):
         with pytest.raises(HomlError, match="does not interpret constant 'q'"):
             evaluate(model, formula)
 
@@ -387,7 +444,7 @@ def test_eval_error_cases():
     with pytest.raises(HomlError):
         Scope(0, 1)
     scope = Scope(1, 1)
-    model = full_model(scope, ((True,),), ((True,),))
+    model = KripkeModel(scope, ((True,),), ((True,),))
     with pytest.raises(HomlError):
         eval_term(model, [], Const("missing", Prop))
     with pytest.raises(HomlError):
@@ -398,8 +455,7 @@ def test_diamond_dual_of_box():
     scope = Scope(2, 1)
     for model in enumerate_full_models((("p", Prop),), scope):
         p = Const("p", Prop)
-        from homlkit.terms import Not
-        assert eval_mask(model, Diamond(p)) == eval_mask(model, Not(Box(Not(p))))
+        assert eval_term(model, [], Diamond(p)) == eval_term(model, [], Not(Box(Not(p))))
 
 
 def test_holds_at_rejects_worlds_outside_scope():
@@ -407,8 +463,7 @@ def test_holds_at_rejects_worlds_outside_scope():
 
     scope = Scope(2, 1)
     p = Const("p", Prop)
-    model = full_model(scope, total_relation(2), ((True, True),),
-                       {"p": prop_value([True, True])}, {"p": Prop})
+    model = KripkeModel(scope, total_relation(2), ((True, True),), {"p": 0b11}, {"p": Prop})
     assert holds_at(model, p, 0) and holds_at(model, p, 1)
     for world in (-1, 2):
         with pytest.raises(HomlError, match="outside 0..1"):
@@ -449,7 +504,7 @@ def test_rule_table_agrees_with_reference():
                     if t.ty == Prop and not free_vars(t)}
         for model in _random_models(theory.signature, scope, rng, 8):
             for formula in formulas:
-                assert eval_mask(model, formula) == reference.eval_mask(model, formula), \
+                assert eval_term(model, [], formula) == reference.eval_term(model, [], formula), \
                     (theory.name, formula)
                 compared += 1
     assert compared > 1000
@@ -513,7 +568,7 @@ def test_rule_table_agrees_with_reference_at_random_scopes(data):
     rng = data.draw(st.randoms(use_true_random=False))
     model = next(_random_models(theory.signature, scope, rng, 1))
     for formula in formulas:
-        assert eval_mask(model, formula) == reference.eval_mask(model, formula), \
+        assert eval_term(model, [], formula) == reference.eval_term(model, [], formula), \
             (theory.name, scope, formula)
 
 
@@ -528,7 +583,7 @@ def test_threads_share_compiled_terms_and_models():
     scope = Scope(2, 2)
     formulas = list(theory.goals)
     models = list(_random_models(theory.signature, scope, random.Random(1), 6))
-    expected = [[reference.eval_mask(m, f) for f in formulas] for m in models]
+    expected = [[reference.eval_term(m, [], f) for f in formulas] for m in models]
     barrier = threading.Barrier(4)
     wrong = []
 
@@ -536,7 +591,7 @@ def test_threads_share_compiled_terms_and_models():
         try:
             barrier.wait(timeout=10)
             for _ in range(300):
-                got = [[eval_mask(m, f) for f in formulas] for m in models]
+                got = [[eval_term(m, [], f) for f in formulas] for m in models]
                 if got != expected:
                     wrong.append(got)
         except Exception as exc:  # a thread's exception never reaches the test

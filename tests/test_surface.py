@@ -5,7 +5,7 @@ import pytest
 from homlkit.errors import HomlError, NestingDepthError, ParseError, TypeCheckError
 from homlkit.grounder import check_validity_bounded
 from homlkit.logictypes import Fun, Ind, Prop
-from homlkit.semantics import KripkeModel, SBool, Scope, STable, mvalid
+from homlkit.semantics import KripkeModel, Scope, mvalid
 from homlkit.surface import (
     SApp,
     SBinder,
@@ -319,8 +319,7 @@ def test_deeply_nested_input_raises_nesting_depth_error():
     theory = load_theory(source)
     with pytest.raises(NestingDepthError, match="^input nested too deeply: "):
         check_validity_bounded(theory, theory.goals[0], Scope(1, 1))
-    model = KripkeModel(Scope(1, 1), ((True,),), ((True,),),
-                        {"p": STable((SBool(True),))}, {"p": Prop})
+    model = KripkeModel(Scope(1, 1), ((True,),), ((True,),), {"p": 1}, {"p": Prop})
     with pytest.raises(NestingDepthError):
         mvalid(model, theory.goals[0])
     with pytest.raises(NestingDepthError):

@@ -5,7 +5,8 @@ import pytest
 from homlkit import theories
 from homlkit.errors import BundleError
 from homlkit.grounder import check_validity_bounded, find_model, ground
-from homlkit.semantics import Countermodel, Scope, ValidUpToScope
+from homlkit.logictypes import Prop
+from homlkit.semantics import Countermodel, Scope, ValidUpToScope, position_to_json
 from homlkit.theories import BUNDLE_IDS, check_church_postulates, load_bundle
 from reference import holds_at, mvalid
 
@@ -96,8 +97,8 @@ def test_bool_ext_countermodel_matches_footnote_shape():
     assert n == 2
     # total accessibility
     assert all(model.accessibility[w][w2] for w in range(n) for w2 in range(n))
-    p = [b.value for b in model.constants["p"].entries]
-    q = [b.value for b in model.constants["q"].entries]
+    p = position_to_json(model.positions["p"], Prop, model.scope)
+    q = position_to_json(model.positions["q"], Prop, model.scope)
     assert p == [False, False]
     assert sum(q) == 1
     # evaluated where both are false

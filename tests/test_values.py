@@ -1,8 +1,8 @@
-"""The contract of the frozen value classes: terms, surface nodes, semantic
-values, verdicts and analysis results. Each compares equal only to its own
-class, leaves ``hint`` out of ``==`` and ``hash``, hashes as the tuple of its
-compared fields, refuses assignment and deletion, keeps its repr, and builds
-from positional or keyword arguments."""
+"""The contract of the frozen value classes: terms, surface nodes, verdicts
+and analysis results. Each compares equal only to its own class, leaves
+``hint`` out of ``==`` and ``hash``, hashes as the tuple of its compared
+fields, refuses assignment and deletion, keeps its repr, and builds from
+positional or keyword arguments."""
 
 import copy
 import dataclasses
@@ -17,10 +17,7 @@ from homlkit.semantics import (
     Indeterminate,
     KripkeModel,
     Satisfiable,
-    SBool,
     Scope,
-    SEntity,
-    STable,
     Unsatisfiable,
     ValidUpToScope,
 )
@@ -68,9 +65,6 @@ CASES = [
     (SUnary, {"kind": "not", "arg": "a", "line": 1, "col": 2}),
     (SBinary, {"kind": "&", "left": "a", "right": "b", "line": 1, "col": 2}),
     (SConst, {"kind": "top", "line": 1, "col": 2}),
-    (SBool, {"value": True}),
-    (SEntity, {"index": 1}),
-    (STable, {"entries": (SBool(True), SBool(False))}),
     (ValidUpToScope, {"scope": SCOPE}),
     (Countermodel, {"model": MODEL, "world": 0}),
     (Satisfiable, {"model": MODEL}),
@@ -88,7 +82,7 @@ IDS = [cls.__name__ for cls, _ in CASES]
 # compare equal to each other.
 SAME_SHAPE = [(And, Or), (Implies, Iff), (Iff, LeibnizEq), (Not, Box), (Box, Diamond),
               (ForallP, ExistsP), (ForallA, ExistsA), (ForallP, Lam),
-              (ValidUpToScope, Unsatisfiable), (SBool, SEntity)]
+              (ValidUpToScope, Unsatisfiable)]
 
 
 def _other(value):
@@ -182,8 +176,6 @@ def test_repr_text():
     assert repr(ForallA(Ind, Not(P), "z")) == (
         "ForallA(var_type=Ind, body=Not(arg=Const(name='p', const_type=Prop)), hint='z')")
     assert repr(Token("kw", "box", 3, 7)) == "Token(kind='kw', text='box', line=3, col=7)"
-    assert repr(STable((SBool(True), SEntity(0)))) == (
-        "STable(entries=(SBool(value=True), SEntity(index=0)))")
     assert repr(ValidUpToScope(Scope(2, 1))) == (
         "ValidUpToScope(scope=Scope(num_worlds=2, num_entities=1))")
     assert repr(Indeterminate("budget")) == "Indeterminate(reason='budget')"
