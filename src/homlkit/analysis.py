@@ -219,7 +219,7 @@ def count_positive(models: Iterable[KripkeModel], constant: str = "P", world: in
     except BudgetExceededError:
         complete = False
     if minimum is None:
-        return CountResult(0, 0, seen, complete, True)
+        return CountResult(0, 0, seen, complete, complete)
     return CountResult(minimum, maximum, seen, complete, False)
 
 

@@ -172,7 +172,9 @@ class KripkeModel:
     ``constant_types``; two models are equal when these five fields are.
 
     The constructor checks nothing, so `GroundProblem.decode` pays only for
-    the build; the first evaluation checks the model (``_int_form``).
+    the build; the first evaluation checks the model (``_int_form``). It
+    copies the two dicts, so a caller that changes its own afterwards changes
+    nothing here; the rows of the two tables are read as given.
     """
 
     scope: Scope
@@ -183,7 +185,8 @@ class KripkeModel:
 
     def __init__(self, scope: Scope, accessibility, exists_at, positions=None, constant_types=None):
         self.__dict__.update(scope=scope, accessibility=accessibility, exists_at=exists_at,
-                             positions=positions or {}, constant_types=constant_types or {})
+                             positions=dict(positions or {}),
+                             constant_types=dict(constant_types or {}))
 
     def satisfies_frame(self, flags) -> bool:
         n = self.scope.num_worlds
@@ -347,9 +350,9 @@ def leibniz_shape(term: Term):
 # One compile rule per node kind: ``rule(k, t)`` returns t's closure
 # ``code(c, env)``, where ``env[-1 - i]`` is the value of de Bruijn index i
 # and ``c`` is the carrier that supplies the value operations. Sizes are
-# resolved here, once per scope. The sugar nodes mean what elaborate expands
-# them to: an actualist quantifier ranges over Ind guarded by existsAt, and
-# Leibniz equality is identity.
+# resolved here, once per scope. The sugar nodes, which elaborate keeps, get
+# their only meaning here: an actualist quantifier ranges over Ind guarded by
+# existsAt, and Leibniz equality is identity.
 
 def _var(k, t: Var):
     slot = -1 - t.index

@@ -40,11 +40,7 @@ from .terms import (
     beta_normalize,
     check_bound_type,
     check_term,
-    children,
-    existence_guard,
-    rebuild,
     replace_consts,
-    shift,
 )
 from .theory import DEFAULT_NAME, FRAME_FLAGS, Theory
 
@@ -447,27 +443,13 @@ def typecheck(theory: Theory, filename: str = "<input>") -> Theory:
                    goals=tuple(checked_goals))
 
 
-def _expand_sugar(term: Term) -> Term:
-    """Bottom-up expansion of Leibniz equality and actualist quantifiers."""
-    kids = [_expand_sugar(k) for k in children(term)]
-    if isinstance(term, ForallA):
-        return ForallP(Ind, Implies(existence_guard(term.hint), kids[0]), term.hint)
-    if isinstance(term, ExistsA):
-        return ExistsP(Ind, And(existence_guard(term.hint), kids[0]), term.hint)
-    if isinstance(term, LeibnizEq):
-        left, right = shift(kids[0], 1), shift(kids[1], 1)
-        qty = Fun(term.left.ty, Prop)
-        q = Var(0, qty, "q")
-        return ForallP(qty, Implies(App(q, left), App(q, right)), "q")
-    return rebuild(term, kids)
-
-
 @depth_guarded
 def elaborate(theory: Theory) -> Theory:
-    """Inline definitions, expand sugar, and beta-normalize a checked theory.
+    """Inline definitions and beta-normalize a checked theory.
 
-    The result contains no defined constants, no LeibnizEq nodes, and no
-    actualist quantifiers; types are preserved.
+    The result contains no defined constants and keeps its types. Leibniz
+    equality and the actualist quantifiers stay nodes: they mean what their
+    compile rules in ``semantics`` say.
     """
     # A definition mentions only earlier ones, so each inlined body is free
     # of defined constants and one replace_consts pass inlines a term fully.
@@ -476,7 +458,7 @@ def elaborate(theory: Theory) -> Theory:
         inlined[name] = replace_consts(body, inlined)
 
     def elab(term: Term) -> Term:
-        return beta_normalize(_expand_sugar(replace_consts(term, inlined)))
+        return beta_normalize(replace_consts(term, inlined))
 
     return replace(theory, definitions=(), axioms=tuple(elab(ax) for ax in theory.axioms),
                    goals=tuple(elab(goal) for goal in theory.goals))

@@ -30,7 +30,7 @@ def _manifest() -> dict:
 class Bundle:
     id: str
     variant: str
-    theory: Theory  # elaborated
+    theory: Theory  # elaborated: definitions inlined, sugar nodes kept
     checked: Theory  # type-checked, before elaboration (for printing)
     source: str
     goal_labels: tuple[str, ...]

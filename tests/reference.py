@@ -9,8 +9,14 @@ library only what defines a value: ``KripkeModel`` (whose ``positions`` it
 reads unchecked), ``denotation_size`` and ``position`` (a value is its
 position in its type's enumeration), and ``leibniz_shape``.
 
+``expand_sugar`` is the textbook expansion of the sugar nodes into core
+terms; the library keeps the nodes and gives them their meaning through its
+compile rules, and the oracle tests check the two against each other.
+
 ``brute_force_find_model`` visits every candidate model of a signature in a
-fixed order and checks the axioms with this ``mvalid``.
+fixed order and checks the axioms with this ``mvalid``. ``random_models``
+draws models at random, and ``bundle_variants`` loads every variant of every
+bundle, for sweeps over all of them.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import itertools
 from typing import Iterator, Optional
 
 from homlkit.errors import HomlError
-from homlkit.logictypes import LogicType
+from homlkit.logictypes import Fun, Ind, LogicType, Prop
 from homlkit.semantics import (
     KripkeModel,
     Scope,
@@ -46,9 +52,13 @@ from homlkit.terms import (
     Or,
     Term,
     Var,
+    children,
     constants_of,
+    rebuild,
+    shift,
     subterms,
 )
+from homlkit.theories import BUNDLE_IDS, Bundle, load_bundle
 
 
 class _EvalCtx:
@@ -205,6 +215,24 @@ def mvalid(model: KripkeModel, formula: Term) -> bool:
     return _eval(formula, [], ctx) == ctx.full
 
 
+def expand_sugar(term: Term) -> Term:
+    """Bottom-up expansion of the sugar nodes: an actualist quantifier ranges
+    over Ind guarded by existsAt, and Leibniz equality says that every
+    property of the left side holds of the right side."""
+    kids = [expand_sugar(k) for k in children(term)]
+    if isinstance(term, (ForallA, ExistsA)):
+        guard = App(Const(EXISTS_AT, Fun(Ind, Prop)), Var(0, Ind, term.hint))
+        if isinstance(term, ForallA):
+            return ForallP(Ind, Implies(guard, kids[0]), term.hint)
+        return ExistsP(Ind, And(guard, kids[0]), term.hint)
+    if isinstance(term, LeibnizEq):
+        left, right = shift(kids[0], 1), shift(kids[1], 1)
+        qty = Fun(term.left.ty, Prop)
+        q = Var(0, qty, "q")
+        return ForallP(qty, Implies(App(q, left), App(q, right)), "q")
+    return rebuild(term, kids)
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive model enumeration (the semantic-side oracle)
 
@@ -258,6 +286,16 @@ def enumerate_full_models(signature, scope: Scope) -> Iterator[KripkeModel]:
         yield _candidate_model(signature, scope, relation, existence, positions)
 
 
+def random_models(signature, scope: Scope, rng, count: int) -> Iterator[KripkeModel]:
+    """``count`` models at the scope with every component drawn at random."""
+    n, m = scope.num_worlds, scope.num_entities
+    for _ in range(count):
+        positions = [rng.randrange(denotation_size(ty, scope)) for _, ty in signature]
+        yield _candidate_model(signature, scope,
+                               relation_from_bits(rng.getrandbits(n * n), n),
+                               exists_from_bits(rng.getrandbits(m * n), m, n), positions)
+
+
 def term_dependencies(term) -> tuple[bool, bool, frozenset]:
     """(uses Box/Diamond, uses the existence table, constants mentioned)."""
     consts = constants_of(term)
@@ -299,3 +337,12 @@ def brute_force_find_model(theory, scope: Scope) -> Optional[KripkeModel]:
                 model = _candidate_model(signature, scope, relation, existence, positions)
             return model
     return None
+
+
+def bundle_variants() -> Iterator[Bundle]:
+    """Every variant of every bundle, in manifest order."""
+    for bundle_id in BUNDLE_IDS:
+        entry = load_bundle(bundle_id).manifest
+        keys = entry.get("params") or {}
+        for variant in entry["files"]:
+            yield load_bundle(bundle_id, **dict(zip(keys, variant.split(":"))))

@@ -7,6 +7,9 @@ import pathlib
 import pytest
 
 from homlkit.cli import main
+from homlkit.grounder import export_dimacs, ground
+from homlkit.semantics import Scope
+from reference import bundle_variants
 
 
 def run_cli(argv, capsys):
@@ -114,6 +117,23 @@ def test_count_positive_matches_manifest(capsys):
     report = json.loads(out)
     assert report["minimum"] == 4
     assert report["expected_min"] == 4
+
+
+@pytest.mark.parametrize("stop", [["--limit", "0"], ["--budget", "0"]])
+def test_incomplete_count_reports_no_empty_model_class(stop, capsys, monkeypatch):
+    # Goedel has a model at (1,1); a count stopped before the first model
+    # does not know whether the class is empty.
+    monkeypatch.delenv("HOMLKIT_BUDGET", raising=False)
+    code, out = run_cli(["count-positive", "--bundle", "goedel", "--entities", "1", *stop],
+                        capsys)
+    report = json.loads(out)
+    assert code == 3
+    assert (report["models"], report["complete"], report["empty_model_class"]) == \
+        (0, False, False)
+    code, out = run_cli(["count-positive", "--bundle", "goedel", "--entities", "1"], capsys)
+    report = json.loads(out)
+    assert (report["models"], report["complete"], report["empty_model_class"]) == \
+        (1, True, False)
 
 
 def test_export_cnf_to_file(tmp_path, capsys):
@@ -249,6 +269,30 @@ def test_export_cnf_bytes_pinned(tmp_path, capsys):
     capsys.readouterr()
     pinned = EXPORT_CNF_DIGESTS.read_text(encoding="utf-8").splitlines()
     assert digests == pinned, "\n".join(digests)
+
+
+# One "<sha256>  <bundle> <variant> <n,m> <problem>" line per ground problem
+# of every bundle variant at each sweep scope: the satisfiability problem of
+# its axioms, then the refutation of each goal, named by its label.
+SWEEP_SCOPES = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (1, 3)]
+EXPORT_CNF_SWEEP = pathlib.Path(__file__).parent / "data" / "export_cnf_sweep.sha256"
+
+
+def _export_cnf_sweep() -> list[str]:
+    lines = []
+    for bundle in bundle_variants():
+        problems = [("satisfy", None), *zip(bundle.goal_labels, bundle.theory.goals)]
+        for n, m in SWEEP_SCOPES:
+            for label, goal in problems:
+                data = export_dimacs(ground(bundle.theory, Scope(n, m), negated_goal=goal))
+                digest = hashlib.sha256(data).hexdigest()
+                lines.append(f"{digest}  {bundle.id} {bundle.variant} {n},{m} {label}")
+    return lines
+
+
+def test_export_cnf_sweep_pinned():
+    lines = _export_cnf_sweep()
+    assert lines == EXPORT_CNF_SWEEP.read_text(encoding="utf-8").splitlines(), "\n".join(lines)
 
 
 def test_memo_bound_of_one_changes_no_verdict_and_no_byte(tmp_path, capsys, monkeypatch):

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from homlkit.errors import BudgetExceededError, GroundingError, HomlError
+from homlkit.errors import BudgetExceededError, GroundingError, HomlError, ScopeCapError
 from homlkit.grounder import (
     _FALSE,
     _TRUE,
@@ -27,16 +27,22 @@ from homlkit.semantics import (
     KripkeModel,
     Scope,
     ValidUpToScope,
+    denotation_size,
+    eval_term,
 )
 from homlkit.solver import SAT, solve_cnf
-from homlkit.surface import elaborate, load_theory, parse, typecheck
+from homlkit.surface import load_theory
+from homlkit.terms import ExistsA, ForallA, LeibnizEq, subterms
 from homlkit.theories import load_bundle
 from reference import (
     brute_force_find_model,
+    bundle_variants,
     count_full_models,
     enumerate_full_models,
+    expand_sugar,
     holds_at,
     mvalid,
+    random_models,
 )
 
 
@@ -504,14 +510,53 @@ SUGAR_SOURCE = (
 )
 
 
+def _sugar_nodes(theory) -> int:
+    return sum(type(t) in (ForallA, ExistsA, LeibnizEq)
+               for f in theory.axioms + theory.goals for t in subterms(f))
+
+
+def _assert_sugar_means_its_expansion(theory, scope):
+    """The sugar nodes, which elaboration keeps, ground to the same DIMACS
+    bytes and evaluate to the same masks as their textbook expansion."""
+    expanded = dataclasses.replace(
+        theory, axioms=tuple(map(expand_sugar, theory.axioms)),
+        goals=tuple(map(expand_sugar, theory.goals)))
+    problems = [(None, None), *zip(theory.goals, expanded.goals)]
+    for sugar_goal, core_goal in problems:
+        assert export_dimacs(ground(theory, scope, sugar_goal)) == \
+            export_dimacs(ground(expanded, scope, core_goal)), (theory.name, scope, sugar_goal)
+    formulas = list(zip(theory.axioms + theory.goals, expanded.axioms + expanded.goals))
+    for model in random_models(theory.signature, scope, random.Random(0), 4):
+        for sugar, core in formulas:
+            assert eval_term(model, [], sugar) == eval_term(model, [], core), \
+                (theory.name, scope, sugar)
+
+
 @pytest.mark.parametrize("n,m", [(1, 1), (2, 2), (2, 3)])
 def test_sugar_grounds_as_its_elaboration(n, m):
-    """Actualist quantifiers and Leibniz equality, left in the terms, ground
-    to the same DIMACS bytes as the terms elaborate expands them to."""
-    checked = typecheck(parse(SUGAR_SOURCE))
-    core = elaborate(checked)
-    scope = Scope(n, m)
-    goals = [(None, None)] + list(zip(checked.goals, core.goals))
-    for sugar_goal, core_goal in goals:
-        assert export_dimacs(ground(checked, scope, sugar_goal)) == \
-            export_dimacs(ground(core, scope, core_goal)), sugar_goal
+    theory = load_theory(SUGAR_SOURCE)
+    assert _sugar_nodes(theory) == 6
+    _assert_sugar_means_its_expansion(theory, Scope(n, m))
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (1, 2)])
+def test_bundle_sugar_grounds_as_its_expansion(n, m):
+    assert _sugar_nodes(load_bundle("modal_math").theory) == 30
+    for bundle in bundle_variants():
+        _assert_sugar_means_its_expansion(bundle.theory, Scope(n, m))
+
+
+def test_definitional_leibniz_past_the_cap_is_identity():
+    # LogiKEy texts define Leibniz equality; inlined, it quantifies over
+    # (i>prop)>prop, past the denotation cap at (2,2), so only the compile
+    # rule's recognition of its shape can answer these goals.
+    theory = load_theory(
+        "def leq := \\x:i>prop. \\y:i>prop. forallP q:(i>prop)>prop. (q x) -> (q y)\n"
+        "goal forallP p:i>prop. leq p p\n"
+        "goal forallP p:i>prop. forallP r:i>prop. (leq p r) -> (leq r p)\n")
+    scope = Scope(2, 2)
+    with pytest.raises(ScopeCapError):
+        denotation_size(Fun(Fun(Ind, Prop), Prop), scope)
+    for goal in theory.goals:
+        assert check_validity_bounded(theory, goal, scope) == ValidUpToScope(scope)
+

@@ -24,7 +24,7 @@ from homlkit.semantics import (
     position_from_json,
     position_to_json,
 )
-from homlkit.surface import load_theory, parse, typecheck
+from homlkit.surface import load_theory
 from homlkit.terms import (
     BINDERS,
     And,
@@ -49,7 +49,7 @@ from homlkit.theories import BUNDLE_IDS, load_bundle
 from reference import (
     _candidate_model,
     enumerate_full_models,
-    exists_from_bits,
+    random_models,
     relation_from_bits,
     term_dependencies,
 )
@@ -212,13 +212,16 @@ def test_refl_gives_t_and_equivalence_gives_s5_pattern():
 
 
 def test_leibniz_on_individuals_is_index_identity():
-    theory = load_theory("const a : i\nconst b : i\ngoal a == b\n")
-    goal = theory.goals[0]  # elaborated Leibniz equality
-    native = LeibnizEq(Const("a", Ind), Const("b", Ind))
+    theory = load_theory(
+        "const a : i\nconst b : i\n"
+        "def leq := \\x:i. \\y:i. forallP q:i>prop. (q x) -> (q y)\n"
+        "goal leq a b\ngoal a == b\n")
+    defined, native = theory.goals
+    assert native == LeibnizEq(Const("a", Ind), Const("b", Ind))
     signature = (("a", Ind), ("b", Ind))
     for model in enumerate_full_models(signature, Scope(2, 2)):
         same = model.positions["a"] == model.positions["b"]
-        assert mvalid(model, goal) == same
+        assert mvalid(model, defined) == same
         assert mvalid(model, native) == same
 
 
@@ -333,6 +336,20 @@ def test_hand_built_model_is_checked_when_first_evaluated(field, value, message)
         with pytest.raises(HomlError, match=message):
             evaluate(model, top)
     assert mvalid(KripkeModel(**HAND_BUILT), top)
+
+
+def test_model_keeps_its_own_dicts():
+    # Changing the caller's dicts, before or after the first evaluation,
+    # changes neither the model nor what it answers.
+    p = Const("p", Prop)
+    for evaluate_first in (False, True):
+        positions, types = {"p": 3}, {"p": Prop}
+        model = KripkeModel(Scope(2, 1), total_relation(2), ((True, True),), positions, types)
+        if evaluate_first:
+            assert mvalid(model, p)
+        positions["p"], types["p"] = 99, Ind
+        assert model.positions == {"p": 3} and model.constant_types == {"p": Prop}
+        assert mvalid(model, p)
 
 
 def test_position_past_the_denotation_cap_is_checked_against_its_table():
@@ -470,20 +487,14 @@ def test_holds_at_rejects_worlds_outside_scope():
             holds_at(model, p, world)
 
 
-def _random_models(signature, scope, rng, count):
-    """``count`` models at the scope with every component drawn at random."""
-    n, m = scope.num_worlds, scope.num_entities
-    for _ in range(count):
-        positions = [rng.randrange(denotation_size(ty, scope)) for _, ty in signature]
-        yield _candidate_model(signature, scope,
-                               relation_from_bits(rng.getrandbits(n * n), n),
-                               exists_from_bits(rng.getrandbits(m * n), m, n), positions)
-
-
+# Sugar nodes, kept by elaboration, and Leibniz equality written as a
+# definition, which inlines to the shape that leibniz_shape recognises.
 SUGAR_SOURCE = (
     "const P : i > prop\nconst c : i\nconst d : i\nconst p : prop\n"
+    "def leq := \\x:i>prop. \\y:i>prop. forallP q:(i>prop)>prop. (q x) -> (q y)\n"
     "goal forallA x. box (P x)\ngoal existsA x. (P x) & (dia p)\n"
     "goal c == d\ngoal (P c) == p\ngoal (forallA x. P x) -> (existsA y. P y)\n"
+    "goal leq P (\\x:i. (P x) & p)\n"
 )
 
 
@@ -497,12 +508,12 @@ def test_rule_table_agrees_with_reference():
     rng = random.Random(0)
     theories = [(load_bundle(b).theory, scope)
                 for b in BUNDLE_IDS for scope in (Scope(2, 1), Scope(1, 2))]
-    theories.append((typecheck(parse(SUGAR_SOURCE)), Scope(2, 2)))
+    theories.append((load_theory(SUGAR_SOURCE), Scope(2, 2)))
     compared = 0
     for theory, scope in theories:
         formulas = {t for f in theory.axioms + theory.goals for t in subterms(f)
                     if t.ty == Prop and not free_vars(t)}
-        for model in _random_models(theory.signature, scope, rng, 8):
+        for model in random_models(theory.signature, scope, rng, 8):
             for formula in formulas:
                 assert eval_term(model, [], formula) == reference.eval_term(model, [], formula), \
                     (theory.name, formula)
@@ -540,7 +551,7 @@ def _comparable_cases():
     """(theory, scope, formulas) for every theory whose constants fit the
     scope's cap, with its closed prop subterms within the visit budget."""
     theories = [load_bundle(b).theory for b in BUNDLE_IDS]
-    theories.append(typecheck(parse(SUGAR_SOURCE)))
+    theories.append(load_theory(SUGAR_SOURCE))
     cases = []
     for theory in theories:
         closed = list(dict.fromkeys(
@@ -566,7 +577,7 @@ def test_rule_table_agrees_with_reference_at_random_scopes(data):
     # scope on a random model.
     theory, scope, formulas = data.draw(st.sampled_from(_comparable_cases()))
     rng = data.draw(st.randoms(use_true_random=False))
-    model = next(_random_models(theory.signature, scope, rng, 1))
+    model = next(random_models(theory.signature, scope, rng, 1))
     for formula in formulas:
         assert eval_term(model, [], formula) == reference.eval_term(model, [], formula), \
             (theory.name, scope, formula)
@@ -579,10 +590,10 @@ def test_threads_share_compiled_terms_and_models():
     import sys
     import threading
 
-    theory = typecheck(parse(SUGAR_SOURCE))
+    theory = load_theory(SUGAR_SOURCE)
     scope = Scope(2, 2)
     formulas = list(theory.goals)
-    models = list(_random_models(theory.signature, scope, random.Random(1), 6))
+    models = list(random_models(theory.signature, scope, random.Random(1), 6))
     expected = [[reference.eval_term(m, [], f) for f in formulas] for m in models]
     barrier = threading.Barrier(4)
     wrong = []
