@@ -86,12 +86,14 @@ def empty_cnf_models(num_vars=12):
 def k_models(n, m):
     """Every model of K at (n, m), as the values of its decision variables:
     accessibility, existence, then the world bits of the propositional
-    constants in signature order, read from each constant's position."""
+    constants in signature order, each read from its position: a world's
+    accessibility mask, existsAt's m rows of n world bits, a prop's mask."""
     from homlkit.theories import load_bundle
 
     problem = ground(load_bundle("k").theory, Scope(n, m))
     for model in iterate_models(problem):
-        rows = (*model.accessibility, *model.exists_at,
+        rows = (*(digits(mask, n, 2) for mask in model.accessibility),
+                digits(model.exists_at, n * m, 2),
                 *(digits(model.positions[name], n, 2) for name, _ in problem.signature))
         yield tuple(bit for row in rows for bit in row)
 

@@ -2,10 +2,11 @@
 
 Unknowns are the accessibility relation, the existence table, and one Boolean
 per constant "cell": prop-valued cells get one variable per world, individual-
-valued cells get selector bits with an exactly-one constraint. Formulas are
-grounded by full expansion of quantifiers over enumerated denotations, then
-converted to clauses by a Tseitin transform over hash-consed formula nodes, so
-identical inputs always produce identical problems.
+valued cells get selector bits with an exactly-one constraint, and the frame
+flags get `theory.frame_clauses` over the relation. Formulas are grounded by
+full expansion of quantifiers over enumerated denotations, then converted to
+clauses by a Tseitin transform over hash-consed formula nodes, so identical
+inputs always produce identical problems.
 
 Grounding is evaluation in a symbolic carrier: ``_Grounding`` runs the
 closures that the evaluator's compile rules (``semantics._RULES``) build for
@@ -50,7 +51,7 @@ from .semantics import (
 )
 from .solver import DEFAULT_CONFLICT_BUDGET, UNKNOWN, UNSAT, Solver, solve_cnf
 from .terms import EXISTS_AT, EXISTS_AT_TYPE, Term
-from .theory import Theory
+from .theory import Theory, frame_clauses
 
 MAX_CONSTANT_ORDER = 3
 
@@ -151,10 +152,12 @@ class GroundProblem:
 
     def decode(self, model: list[int]) -> KripkeModel:
         """The Kripke model of a solver model: a list of num_vars 0/1 values,
-        variable v at index v - 1. The model satisfies the clauses, so only
+        variable v at index v - 1. Each part is a position read from its cell
+        bits, first most significant: world w's mask from ``r_vars[w]``,
+        existsAt's from ``ex_vars``. The model satisfies the clauses, so only
         the selector bits of an individual are checked (see `_position`)."""
-        acc = tuple([tuple([model[v - 1] == 1 for v in row]) for row in self.r_vars])
-        exists = tuple([tuple([model[v - 1] == 1 for v in row]) for row in self.ex_vars])
+        acc = tuple([position([model[v - 1] for v in row], 2) for row in self.r_vars])
+        exists = position([model[v - 1] for row in self.ex_vars for v in row], 2)
         positions = {name: _position(self.const_cells[name], ty, model, self.scope)
                      for name, ty in self.signature}
         return KripkeModel(self.scope, acc, exists, positions, dict(self.signature))
@@ -193,8 +196,7 @@ class _Grounding:
         self.size = self.compiler.size
         self.table = self.compiler.table
         # Model-free subterms run in the concrete carrier over an empty frame.
-        row = (False,) * self.n
-        self.concrete = _EvalCtx(KripkeModel(scope, (row,) * self.n, (row,) * self.m))
+        self.concrete = _EvalCtx(KripkeModel(scope, (0,) * self.n, 0))
         # Both carriers' binder memos live as long as this grounding.
         self.memo: dict = {}
         # Symbolic constants by (position, type), dropped with the grounding.
@@ -220,7 +222,7 @@ class _Grounding:
         self.decision_vars = tuple(range(1, self.num_vars + 1))
         # existsAt viewed as an unknown Fun(Ind, Prop) table.
         self.const_sym[EXISTS_AT] = self._cells_to_sym(self.ex_vars, EXISTS_AT_TYPE)
-        self._frame_clauses()
+        self.clauses.extend(frame_clauses(theory.frame_flags, self.r_vars))
 
     def _new_var(self, meaning: Optional[str] = None) -> int:
         self.num_vars += 1
@@ -249,25 +251,6 @@ class _Grounding:
             return self.f.var(cells)
         entry = self.entry(ty)
         return tuple(self._cells_to_sym(sub, entry) for sub in cells)
-
-    def _frame_clauses(self):
-        flags = self.theory.frame_flags
-        n, r = self.n, self.r_vars
-        if "refl" in flags:
-            for w in range(n):
-                self.clauses.append([r[w][w]])
-        if "symm" in flags:
-            for w in range(n):
-                for v in range(n):
-                    if w != v:
-                        self.clauses.append([-r[w][v], r[v][w]])
-        if "trans" in flags:
-            for u in range(n):
-                for v in range(n):
-                    for w in range(n):
-                        if u == v or v == w:
-                            continue
-                        self.clauses.append([-r[u][v], -r[v][w], r[u][w]])
 
     # -- symbolic values ---------------------------------------------------
     # A symbolic value of a table type is a tuple of its entries' symbolic

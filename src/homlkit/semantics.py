@@ -58,6 +58,7 @@ from .frozen import Frozen
 from .logictypes import Fun, LogicType, Prop
 from .terms import (
     EXISTS_AT,
+    EXISTS_AT_TYPE,
     And,
     App,
     Box,
@@ -81,6 +82,7 @@ from .terms import (
     free_vars,
     shift,
 )
+from .theory import frame_clauses
 
 DEFAULT_CAP = 2 ** 20
 
@@ -164,22 +166,22 @@ def _check_position(i, ty: LogicType, scope: Scope, what: str) -> None:
 
 @dataclass(frozen=True, init=False)
 class KripkeModel:
-    """Finite model: worlds, accessibility, existence table, interpretations.
-
-    ``accessibility[w][w']`` is True iff world w sees w'. ``exists_at[e][w]``
-    is True iff entity e exists at world w. ``positions`` maps each constant
-    to its value's position in the enumeration of its type in
+    """Finite model, held as positions: worlds, accessibility, existence,
+    interpretations. ``accessibility`` is a tuple of n world masks: bit
+    n-1-v of ``accessibility[w]`` is set iff world w sees v. ``exists_at``
+    is the position of ``existsAt : Fun(Ind, Prop)``. ``positions`` maps
+    each constant to its value's position in the enumeration of its type in
     ``constant_types``; two models are equal when these five fields are.
 
     The constructor checks nothing, so `GroundProblem.decode` pays only for
-    the build; the first evaluation checks the model (``_int_form``). It
-    copies the two dicts, so a caller that changes its own afterwards changes
-    nothing here; the rows of the two tables are read as given.
+    the build; the first evaluation, ``satisfies_frame`` or `model_to_json`
+    checks the model (``_int_form``). It copies the two dicts, so a caller
+    that changes its own afterwards changes nothing here.
     """
 
     scope: Scope
-    accessibility: tuple[tuple[bool, ...], ...]
-    exists_at: tuple[tuple[bool, ...], ...]
+    accessibility: tuple[int, ...]
+    exists_at: int
     positions: dict[str, int]
     constant_types: dict[str, LogicType]
 
@@ -189,40 +191,37 @@ class KripkeModel:
                              constant_types=dict(constant_types or {}))
 
     def satisfies_frame(self, flags) -> bool:
-        n = self.scope.num_worlds
-        r = self.accessibility
-        if "refl" in flags and any(not r[w][w] for w in range(n)):
-            return False
-        if "symm" in flags and any(r[w][v] and not r[v][w] for w in range(n) for v in range(n)):
-            return False
-        if "trans" in flags and any(r[u][v] and r[v][w] and not r[u][w]
-                                    for u in range(n) for v in range(n) for w in range(n)):
-            return False
-        return True
+        """Whether every clause of the frame conditions of ``flags``
+        (`frame_clauses`) holds on the model's masks."""
+        n, acc = self.scope.num_worlds, self._int_form[1]
+        # Literal w*n + v + 1 says that w sees v: bit n-1-v of acc[w].
+        sees = [None] + [acc[w] >> (n - 1 - v) & 1 for w in range(n) for v in range(n)]
+        cells = [[w * n + v + 1 for v in range(n)] for w in range(n)]
+        return all(any(sees[lit] if lit > 0 else not sees[-lit] for lit in clause)
+                   for clause in frame_clauses(flags, cells))
 
     @cached_property
     def _int_form(self) -> tuple[int, tuple[int, ...], dict[str, int]]:
-        """(full world mask, accessibility masks, constant positions), the
-        model in integer form. Every evaluation reads it, so the model is
-        checked here, once: the shape of both tables, and each constant's
-        position against its declared type."""
-        scope, types = self.scope, self.constant_types
-        n, m = scope.num_worlds, scope.num_entities
-        if list(map(len, self.accessibility)) != [n] * n:
-            raise HomlError("accessibility relation has wrong shape")
-        if list(map(len, self.exists_at)) != [n] * m:
-            raise HomlError("existence table has wrong shape")
+        """(full world mask, accessibility masks, constant positions with
+        existsAt's), the model in integer form. Every evaluation reads it, so
+        the model is checked here, once, by range: a tuple of n masks, each
+        an int in 0..2^n-1, and the position of existsAt and of each
+        constant."""
+        scope, types, acc = self.scope, self.constant_types, self.accessibility
+        n, full = scope.num_worlds, (1 << scope.num_worlds) - 1
+        if type(acc) is not tuple or len(acc) != n or not all(
+                type(mask) is int and 0 <= mask <= full for mask in acc):
+            raise HomlError(f"accessibility relation has wrong shape: {acc!r} "
+                            f"is not a tuple of {n} masks of 0..{full}")
+        exists = self.exists_at  # m entity rows of n world bits
+        if type(exists) is not int or not 0 <= exists < (full + 1) ** scope.num_entities:
+            raise HomlError(f"existence table has wrong shape: {exists!r} "
+                            f"is not a position of {EXISTS_AT} : {EXISTS_AT_TYPE}")
         for name, i in self.positions.items():
             if name not in types:
                 raise HomlError(f"constant {name!r} has no declared type")
             _check_position(i, types[name], scope, f"constant {name!r}")
-        full = (1 << n) - 1
-        # A row of the accessibility or existence table is a prop's table of
-        # world bits, so its position is the world mask.
-        acc_masks = tuple(position(row, 2) for row in self.accessibility)
-        exists_masks = [position(row, 2) for row in self.exists_at]
-        # existsAt as a Fun(Ind, Prop) position: one prop entry per entity.
-        return full, acc_masks, {**self.positions, EXISTS_AT: position(exists_masks, full + 1)}
+        return full, acc, {**self.positions, EXISTS_AT: exists}
 
 
 # ---------------------------------------------------------------------------
@@ -632,16 +631,17 @@ def position_from_json(data, ty: LogicType, scope: Scope) -> int:
 
 
 def model_to_json(model: KripkeModel) -> dict:
-    n, m = model.scope.num_worlds, model.scope.num_entities
-    pairs = [[w, w2] for w in range(n) for w2 in range(n) if model.accessibility[w][w2]]
-    scope, types = model.scope, model.constant_types
+    """The model's document, read through its one check (``_int_form``)."""
+    scope, types, n = model.scope, model.constant_types, model.scope.num_worlds
+    pairs = [[w, v] for w, mask in enumerate(model._int_form[1])
+             for v in range(n) if mask >> (n - 1 - v) & 1]
     constants = {name: {"type": str(types[name]), "value": position_to_json(i, types[name], scope)}
                  for name, i in sorted(model.positions.items())}
     return {
         "num_worlds": n,
-        "num_entities": m,
+        "num_entities": scope.num_entities,
         "accessibility": pairs,
-        "exists_at": [[bool(v) for v in row] for row in model.exists_at],
+        "exists_at": position_to_json(model.exists_at, EXISTS_AT_TYPE, scope),
         "constants": constants,
     }
 
@@ -662,22 +662,17 @@ def model_from_json(data: dict) -> KripkeModel:
     if missing:
         raise HomlError(f"model document has no {', '.join(missing)}")
     scope = Scope(data["num_worlds"], data["num_entities"])
-    n, m = scope.num_worlds, scope.num_entities
+    n = scope.num_worlds
     pairs = data["accessibility"]
     if type(pairs) is not list:
         raise HomlError(f"accessibility {pairs!r} is not a list of pairs")
-    acc = [[False] * n for _ in range(n)]
+    acc = [0] * n
     for pair in pairs:
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2
                 and all(type(w) is int and 0 <= w < n for w in pair)):
             raise HomlError(f"accessibility pair {pair!r} is not two worlds of 0..{n - 1}")
-        acc[pair[0]][pair[1]] = True
-    rows = data["exists_at"]
-    if type(rows) is not list or len(rows) != m:
-        raise HomlError(f"existence table {rows!r} is not {m} rows")
-    # An entity's row is a prop's table of world bits.
-    exists = tuple(tuple(d == 1 for d in digits(position_from_json(row, Prop, scope), n, 2))
-                   for row in rows)
+        acc[pair[0]] |= 1 << (n - 1 - pair[1])
+    exists = position_from_json(data["exists_at"], EXISTS_AT_TYPE, scope)
     entries = data.get("constants", {})
     if type(entries) is not dict:
         raise HomlError(f"constants {entries!r} is not an object")
@@ -687,4 +682,4 @@ def model_from_json(data: dict) -> KripkeModel:
             raise HomlError(f"constant {name!r} is not an object with a type and a value: {entry!r}")
         types[name] = parse_type_text(entry["type"])
         positions[name] = position_from_json(entry["value"], types[name], scope)
-    return KripkeModel(scope, tuple(tuple(row) for row in acc), exists, positions, types)
+    return KripkeModel(scope, tuple(acc), exists, positions, types)

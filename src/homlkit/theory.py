@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from .errors import HomlError
 from .logictypes import LogicType, format_type
 from .terms import Term, format_term
 
@@ -24,6 +25,24 @@ class Theory:
 
     def with_axioms(self, axioms) -> "Theory":
         return replace(self, axioms=tuple(axioms))
+
+
+def frame_clauses(flags, r) -> list[list[int]]:
+    """The frame conditions of ``flags``, stated once: clauses over literals
+    ``r[w][v]``, each saying that world w sees v, in the order refl, symm,
+    trans, without the clauses that always hold. The grounder passes its
+    relation variables; ``KripkeModel.satisfies_frame`` numbers the cells."""
+    unknown = set(flags).difference(FRAME_FLAGS)
+    if unknown:
+        raise HomlError(f"unknown frame flags {sorted(unknown, key=str)}")
+    worlds = range(len(r))
+    clauses = [[r[w][w]] for w in worlds] if "refl" in flags else []
+    if "symm" in flags:
+        clauses += ([-r[w][v], r[v][w]] for w in worlds for v in worlds if w != v)
+    if "trans" in flags:
+        clauses += ([-r[u][v], -r[v][w], r[u][w]]
+                    for u in worlds for v in worlds for w in worlds if u != v and v != w)
+    return clauses
 
 
 def format_theory(theory: Theory) -> str:

@@ -5,8 +5,8 @@ and carriers: one ``isinstance`` ladder over the node kinds, on positions
 and world masks, with its own model context. The oracle tests check the
 library (grounder, solver, rule table, both carriers) against it, so no
 oracle compares the library's evaluator with itself. It shares with the
-library only what defines a value: ``KripkeModel`` (whose ``positions`` it
-reads unchecked), ``denotation_size`` and ``position`` (a value is its
+library only what defines a value: ``KripkeModel`` (whose fields it reads
+unchecked), ``denotation_size``, ``digits`` and ``position`` (a value is its
 position in its type's enumeration), and ``leibniz_shape``.
 
 ``expand_sugar`` is the textbook expansion of the sugar nodes into core
@@ -14,9 +14,11 @@ terms; the library keeps the nodes and gives them their meaning through its
 compile rules, and the oracle tests check the two against each other.
 
 ``brute_force_find_model`` visits every candidate model of a signature in a
-fixed order and checks the axioms with this ``mvalid``. ``random_models``
-draws models at random, and ``bundle_variants`` loads every variant of every
-bundle, for sweeps over all of them.
+fixed order, keeps the relations that ``frame_holds`` (the textbook frame
+conditions over the relation's rows) accepts, and checks the axioms with
+this ``mvalid``. ``random_models`` draws models at random, and
+``bundle_variants`` loads every variant of every bundle, for sweeps over all
+of them.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from homlkit.semantics import (
     KripkeModel,
     Scope,
     denotation_size,
+    digits,
     leibniz_shape,
     position,
 )
@@ -71,10 +74,10 @@ class _EvalCtx:
         self.full = (1 << self.n) - 1
         self.sizes: dict[LogicType, int] = {}
         self.leib_cache: dict[int, tuple] = {}
-        self.acc_masks = [position(row, 2) for row in model.accessibility]
-        self.exists_masks = [position(row, 2) for row in model.exists_at]
+        self.acc_masks = list(model.accessibility)
+        self.exists_masks = digits(model.exists_at, self.scope.num_entities, self.full + 1)
         self.const_idx = dict(model.positions)
-        self.const_idx[EXISTS_AT] = position(self.exists_masks, self.full + 1)
+        self.const_idx[EXISTS_AT] = model.exists_at
 
     def size(self, ty: LogicType) -> int:
         s = self.sizes.get(ty)
@@ -237,11 +240,27 @@ def expand_sugar(term: Term) -> Term:
 # Exhaustive model enumeration (the semantic-side oracle)
 
 def relation_from_bits(bits: int, n: int) -> tuple[tuple[bool, ...], ...]:
+    """The rows of a relation: ``r[w][w2]`` iff w sees w2."""
     return tuple(tuple(bool((bits >> (w * n + w2)) & 1) for w2 in range(n)) for w in range(n))
 
 
 def exists_from_bits(bits: int, m: int, n: int) -> tuple[tuple[bool, ...], ...]:
+    """The rows of an existence table: ``x[e][w]`` iff entity e exists at w."""
     return tuple(tuple(bool((bits >> (e * n + w)) & 1) for w in range(n)) for e in range(m))
+
+
+def frame_holds(r, flags) -> bool:
+    """The textbook frame conditions on a relation's rows, written apart
+    from the library's clause templates."""
+    n = len(r)
+    if "refl" in flags and any(not r[w][w] for w in range(n)):
+        return False
+    if "symm" in flags and any(r[w][v] and not r[v][w] for w in range(n) for v in range(n)):
+        return False
+    if "trans" in flags and any(r[u][v] and r[v][w] and not r[u][w]
+                                for u in range(n) for v in range(n) for w in range(n)):
+        return False
+    return True
 
 
 def count_full_models(signature, scope: Scope) -> int:
@@ -257,13 +276,12 @@ def _candidates(signature, scope: Scope, frame_flags=frozenset()):
     """(r_bits, relation, e_bits, existence, positions) of every candidate
     model in the fixed enumeration order: relations, then existence tables,
     then the constants' positions with the last constant fastest. Relations
-    that violate the frame flags are skipped."""
+    that violate the frame flags (``frame_holds``) are skipped."""
     n, m = scope.num_worlds, scope.num_entities
     ranges = [range(denotation_size(ty, scope)) for _, ty in signature]
-    everyone = tuple(tuple(True for _ in range(n)) for _ in range(m))
     for r_bits in range(2 ** (n * n)):
         relation = relation_from_bits(r_bits, n)
-        if not KripkeModel(scope, relation, everyone).satisfies_frame(frame_flags):
+        if not frame_holds(relation, frame_flags):
             continue
         for e_bits in range(2 ** (m * n)):
             existence = exists_from_bits(e_bits, m, n)
@@ -272,8 +290,12 @@ def _candidates(signature, scope: Scope, frame_flags=frozenset()):
 
 
 def _candidate_model(signature, scope: Scope, relation, existence, positions) -> KripkeModel:
+    """The model of a relation's and an existence table's rows: a row of
+    world bits is a prop's table, so its position is the world mask."""
     by_name = {name: p for (name, _), p in zip(signature, positions)}
-    return KripkeModel(scope, relation, existence, by_name, dict(signature))
+    masks = [position(row, 2) for row in existence]
+    return KripkeModel(scope, tuple(position(row, 2) for row in relation),
+                       position(masks, 1 << scope.num_worlds), by_name, dict(signature))
 
 
 def enumerate_full_models(signature, scope: Scope) -> Iterator[KripkeModel]:

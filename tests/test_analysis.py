@@ -30,7 +30,7 @@ from homlkit.theories import load_bundle
 
 def one_world_model(m):
     scope = Scope(1, m)
-    return KripkeModel(scope, ((True,),), tuple((True,) for _ in range(m)))
+    return KripkeModel(scope, (1,), (1 << m) - 1)
 
 
 # A modal set is its Fun(Ind, Prop) position: m entity rows of n world bits.
@@ -198,7 +198,7 @@ def test_two_world_agreement_with_oracles(generators, flips):
                   for s in SETS22]
     for j, w in flips:
         membership[j][w] = not membership[j][w]
-    model = KripkeModel(SCOPE22, ((True, True), (True, True)), ((True, True), (True, True)))
+    model = KripkeModel(SCOPE22, (0b11, 0b11), 0b11_11)
     family = family_model(model, membership)
     by_extension = is_modal_ultrafilter(family, "P", "extension").per_world
     intension = is_modal_ultrafilter(family, "P", "intension").per_world
@@ -293,8 +293,7 @@ def test_equipollent_examples():
 
 def test_equipollent_needs_uniform_witness_across_worlds():
     scope = Scope(2, 2)
-    model = KripkeModel(scope, ((True, True), (True, True)),
-                        ((True, True), (True, True)))
+    model = KripkeModel(scope, (0b11, 0b11), 0b11_11)
     rigid_a = modal_set(((True, True), (False, False)))
     drifting = modal_set(((True, False), (False, True)))
     assert not equipollent(model, rigid_a, drifting)
@@ -304,11 +303,7 @@ def test_equipollent_needs_uniform_witness_across_worlds():
 @pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3)])
 def test_successor_checks_all_k(n, m):
     scope = Scope(n, m)
-    model = KripkeModel(
-        scope,
-        tuple(tuple(True for _ in range(n)) for _ in range(n)),
-        tuple(tuple(True for _ in range(n)) for _ in range(m)),
-    )
+    model = KripkeModel(scope, ((1 << n) - 1,) * n, (1 << n * m) - 1)
     for k in range(m):
         assert successor_cardinal_check(model, k), (n, m, k)
     with pytest.raises(HomlError):
@@ -382,7 +377,7 @@ def test_every_family_agrees_with_classical_oracle(n, m):
     scope = Scope(n, m)
     sets = modal_sets(scope)
     cells = frozenset(itertools.product(range(m), range(n)))
-    model = KripkeModel(scope, ((True,) * n,) * n, ((True,) * n,) * m)
+    model = KripkeModel(scope, ((1 << n) - 1,) * n, (1 << n * m) - 1)
     families = 2 ** (len(sets) * n)
     assert families == {(1, 2): 16, (2, 1): 256, (1, 3): 256}[(n, m)]
     for p in range(families):

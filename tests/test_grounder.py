@@ -34,15 +34,18 @@ from homlkit.solver import SAT, solve_cnf
 from homlkit.surface import load_theory
 from homlkit.terms import ExistsA, ForallA, LeibnizEq, subterms
 from homlkit.theories import load_bundle
+from homlkit.theory import FRAME_FLAGS, Theory
 from reference import (
     brute_force_find_model,
     bundle_variants,
     count_full_models,
     enumerate_full_models,
     expand_sugar,
+    frame_holds,
     holds_at,
     mvalid,
     random_models,
+    relation_from_bits,
 )
 
 
@@ -96,8 +99,12 @@ def test_decode_reads_each_constants_position_from_its_cells(n, m):
                 bits[v - 1] = int(cell == _TRUE)
         model = problem.decode(bits)
         assert model.positions == want
-        assert model.accessibility == tuple(tuple(bits[v - 1] == 1 for v in row)
-                                            for row in problem.r_vars)
+        # Bit n-1-v of world w's mask is the cell r(w,v); existsAt's m rows
+        # of n world bits are its cells in order, the first most significant.
+        assert model.accessibility == tuple(
+            sum(bits[v - 1] << (n - 1 - k) for k, v in enumerate(row)) for row in problem.r_vars)
+        cells = [v for row in problem.ex_vars for v in row]
+        assert model.exists_at == sum(bits[v - 1] << (n * m - 1 - k) for k, v in enumerate(cells))
         by_hand = KripkeModel(scope, model.accessibility, model.exists_at, want,
                               dict(problem.signature))
         assert by_hand == model and by_hand.positions == want
@@ -162,9 +169,9 @@ def test_solve_direct_problems():
     sat = GroundProblem(num_vars=2, clauses=[[1, 2]],
                         **dict(base, decision_vars=[1, 2], ex_vars=[[2]]))
     model = solve(sat)
-    assert model.accessibility[0][0] or model.exists_at[0][0]
+    assert model.accessibility[0] or model.exists_at
     # The least model sets variable 1 false.
-    assert (model.accessibility, model.exists_at) == (((False,),), ((True,),))
+    assert (model.accessibility, model.exists_at) == ((0,), 1)
 
 
 def test_solve_raises_budget_exceeded_with_conflicts_reached():
@@ -245,7 +252,8 @@ def test_individual_constant_decoding():
     model = find_model(theory, Scope(1, 2))
     assert model is not None
     entity = model.positions["k"]
-    assert model.exists_at[entity][0] is True
+    # One world: existsAt's position has one bit per entity, entity 0 first.
+    assert model.exists_at >> (1 - entity) & 1
 
 
 def test_order_limit_rejected():
@@ -353,6 +361,25 @@ def test_oracle_equivalence_on_bundled_suite():
                     assert mvalid(found, ax), (label, scope)
             checked += 1
     assert checked >= 30
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_frame_models_are_counted_by_the_textbook_conditions(n, m):
+    # With no constants, the models are the relations that the reference's
+    # frame check accepts, each with every existence table.
+    for k in range(len(FRAME_FLAGS) + 1):
+        for flags in itertools.combinations(FRAME_FLAGS, k):
+            theory = Theory("frames", frame_flags=frozenset(flags))
+            relations = sum(frame_holds(relation_from_bits(bits, n), flags)
+                            for bits in range(2 ** (n * n)))
+            found = list(enumerate_models(theory, Scope(n, m)))
+            assert len(found) == relations * 2 ** (n * m), (n, m, flags)
+            assert all(model.satisfies_frame(flags) for model in found)
+
+
+def test_unknown_frame_flag_is_not_grounded():
+    with pytest.raises(HomlError, match="unknown frame flags"):
+        ground(Theory("t", frame_flags=frozenset({"reflexive"})), Scope(1, 1))
 
 
 def test_determinism_identical_problems_and_models():

@@ -46,9 +46,11 @@ from homlkit.terms import (
     subterms,
 )
 from homlkit.theories import BUNDLE_IDS, load_bundle
+from homlkit.theory import FRAME_FLAGS
 from reference import (
     _candidate_model,
     enumerate_full_models,
+    frame_holds,
     random_models,
     relation_from_bits,
     term_dependencies,
@@ -59,7 +61,8 @@ TAU = Fun(Ind, Prop)
 
 
 def total_relation(n):
-    return tuple(tuple(True for _ in range(n)) for _ in range(n))
+    """Every world sees every world: n full world masks."""
+    return ((1 << n) - 1,) * n
 
 
 def test_denotation_sizes():
@@ -114,10 +117,10 @@ def test_enumerate_lengths_and_uniqueness():
 
 def test_single_reflexive_world_box_is_identity():
     scope = Scope(1, 1)
-    model = KripkeModel(scope, ((True,),), ((True,),), {"c": 1}, {"c": Prop})
+    model = KripkeModel(scope, (1,), 1, {"c": 1}, {"c": Prop})
     c = Const("c", Prop)
     assert holds_at(model, Box(c), 0) == holds_at(model, c, 0)
-    model2 = KripkeModel(scope, ((True,),), ((True,),), {"c": 0}, {"c": Prop})
+    model2 = KripkeModel(scope, (1,), 1, {"c": 0}, {"c": Prop})
     assert holds_at(model2, Box(c), 0) == holds_at(model2, c, 0)
 
 
@@ -126,7 +129,7 @@ def test_two_world_footnote_model():
     # the lifted equivalence holds at i1 although the tables differ.
     scope = Scope(2, 1)
     model = KripkeModel(
-        scope, total_relation(2), ((True, True),),
+        scope, total_relation(2), 0b11,
         {"phi": 0b00, "psi": 0b01},  # a prop's position is its world mask, world 0 first
         {"phi": Prop, "psi": Prop},
     )
@@ -140,8 +143,7 @@ def test_two_world_footnote_model():
 def test_top_bot():
     theory = load_theory("const c : prop\naxiom top\ngoal bot\n")
     scope = Scope(2, 2)
-    model = KripkeModel(scope, total_relation(2), ((True, True), (True, True)),
-                        {"c": 0b10}, {"c": Prop})
+    model = KripkeModel(scope, total_relation(2), 0b11_11, {"c": 0b10}, {"c": Prop})
     top, bot = theory.axioms[0], theory.goals[0]
     for w in range(2):
         assert holds_at(model, top, w) is True
@@ -211,6 +213,27 @@ def test_refl_gives_t_and_equivalence_gives_s5_pattern():
                     assert mvalid(model, five_schema)
 
 
+def test_satisfies_frame_agrees_with_the_textbook_conditions():
+    # Every relation up to three worlds under every set of flags: the clause
+    # templates, read on the model's masks, against the reference's rows.
+    flag_sets = [set(c) for k in range(4) for c in itertools.combinations(FRAME_FLAGS, k)]
+    for n in (1, 2, 3):
+        for r_bits in range(2 ** (n * n)):
+            relation = relation_from_bits(r_bits, n)
+            model = _candidate_model((), Scope(n, 1), relation, ((True,) * n,), ())
+            for flags in flag_sets:
+                want = frame_holds(relation, flags)
+                assert model.satisfies_frame(flags) == want, (n, r_bits, flags)
+
+
+@pytest.mark.parametrize("flags", [{"reflexive"}, {"refl", "Trans"}, "refl"])
+def test_unknown_frame_flag_is_an_error(flags):
+    model = KripkeModel(Scope(1, 1), (1,), 1)
+    with pytest.raises(HomlError, match="unknown frame flags"):
+        model.satisfies_frame(flags)
+    assert model.satisfies_frame({"refl"})
+
+
 def test_leibniz_on_individuals_is_index_identity():
     theory = load_theory(
         "const a : i\nconst b : i\n"
@@ -230,7 +253,7 @@ def test_eval_deterministic():
     goal = theory.goals[0]
     scope = Scope(2, 2)
     model = KripkeModel(
-        scope, total_relation(2), ((True, False), (False, True)),
+        scope, total_relation(2), 0b10_01,  # entity 0 exists at world 0, entity 1 at world 1
         {"P": 7}, {"P": TAU},
     )
     first = eval_term(model, [], goal)
@@ -240,7 +263,7 @@ def test_eval_deterministic():
 
 def test_eval_term_with_environment():
     scope = Scope(2, 2)
-    model = KripkeModel(scope, total_relation(2), ((True, True), (True, True)))
+    model = KripkeModel(scope, total_relation(2), 0b11_11)
     applied = App(Var(0, TAU, "f"), Var(1, Ind, "x"))
     env = [5, 1]  # f at position 5 of TAU, x entity 1
     expected = digits(5, 2, 4)[1]  # f's entry for entity 1, a prop position
@@ -250,7 +273,7 @@ def test_eval_term_with_environment():
 def test_exists_actualist_empty_domain_vacuous():
     # existsAt all-false: actualist exists is false, actualist forall vacuous.
     scope = Scope(1, 2)
-    model = KripkeModel(scope, ((True,),), ((False,), (False,)), {"A": 3}, {"A": TAU})
+    model = KripkeModel(scope, (1,), 0b0_0, {"A": 3}, {"A": TAU})
     assert holds_at(model, ExistsA(Ind, App(Const("A", TAU), Var(0, Ind))), 0) is False
     assert eval_term(model, [], ForallP(Ind, Implies(App(Const("existsAt", TAU), Var(0, Ind)),
                                                      App(Const("A", TAU), Var(0, Ind))))) == 1
@@ -259,7 +282,7 @@ def test_exists_actualist_empty_domain_vacuous():
 def test_model_json_round_trip():
     scope = Scope(2, 2)
     model = KripkeModel(
-        scope, ((True, False), (True, True)), ((True, False), (False, True)),
+        scope, (0b10, 0b11), 0b10_01,
         {"P": 9, "c": 1},
         {"P": TAU, "c": Ind},
     )
@@ -284,9 +307,8 @@ def test_positions_round_trip_through_json(data):
     types = {f"c{k}": ty for k, ty in enumerate(ROUND_TRIP_TYPES) if _within_cap([ty], scope)}
     positions = {name: data.draw(st.integers(0, denotation_size(ty, scope) - 1))
                  for name, ty in types.items()}
-    row = st.lists(st.booleans(), min_size=n, max_size=n).map(tuple)
-    acc = tuple(data.draw(row) for _ in range(n))
-    exists = tuple(data.draw(row) for _ in range(m))
+    acc = tuple(data.draw(st.integers(0, 2 ** n - 1)) for _ in range(n))
+    exists = data.draw(st.integers(0, 2 ** (n * m) - 1))
     model = KripkeModel(scope, acc, exists, positions, types)
     for name, i in positions.items():
         assert position_from_json(position_to_json(i, types[name], scope), types[name], scope) == i
@@ -311,31 +333,50 @@ def test_position_from_json_rejects_ill_typed_value(value, ty):
     assert position_from_json(position_to_json(1, ty, scope), ty, scope) == 1
 
 
-HAND_BUILT = {"scope": Scope(2, 2), "accessibility": ((True, True),) * 2,
-              "exists_at": ((True, True),) * 2, "positions": {"c": 3},
+HAND_BUILT = {"scope": Scope(2, 2), "accessibility": (0b11, 0b11),
+              "exists_at": 0b11_11, "positions": {"c": 3},
               "constant_types": {"c": TAU}}
 
 
 @pytest.mark.parametrize("field,value,message", [
-    ("accessibility", ((True, True), (True,)), "accessibility relation has wrong shape"),
-    ("accessibility", ((True, True),), "accessibility relation has wrong shape"),
-    ("exists_at", ((True, True), (True,)), "existence table has wrong shape"),
-    ("exists_at", ((True, True),) * 3, "existence table has wrong shape"),
+    # The old row-shape cases, now counts: three masks and one for two
+    # worlds; one mask per entity and rows of bits where existsAt's position
+    # is due.
+    ("accessibility", (0b11,) * 3, "accessibility relation has wrong shape"),
+    ("accessibility", (0b11,), "accessibility relation has wrong shape"),
+    ("exists_at", (0b11, 0b11), "existence table has wrong shape"),
+    ("exists_at", ((True, True),) * 2, "existence table has wrong shape"),
     ("positions", {"c": 3, "d": 0}, "constant 'd' has no declared type"),
     ("positions", {"c": 16}, "constant 'c' has position 16,"),  # TAU has 16 values
     ("positions", {"c": -1}, "constant 'c' has position -1,"),
     ("positions", {"c": True}, "constant 'c' has position True,"),
     ("positions", {"c": 3.0}, "constant 'c' has position 3.0,"),
+    # Rows of world bits, one int, or a list where a tuple of masks is due.
+    ("accessibility", ((True, True),) * 2, "is not a tuple of 2 masks of 0..3"),
+    ("accessibility", 0b1111, "is not a tuple of 2 masks of 0..3"),
+    ("accessibility", [0b11, 0b11], "is not a tuple of 2 masks of 0..3"),
+    # A mask out of range would see a world outside the frame.
+    ("accessibility", (0b100, 0b01), "is not a tuple of 2 masks of 0..3"),
+    ("accessibility", (-1, 0b11), "is not a tuple of 2 masks of 0..3"),
+    ("accessibility", (True, 0b11), "is not a tuple of 2 masks of 0..3"),
+    ("accessibility", (1.0, 0b11), "is not a tuple of 2 masks of 0..3"),
+    # existsAt has 16 positions at (2,2).
+    ("exists_at", 16, "existence table has wrong shape: 16 "),
+    ("exists_at", -1, "existence table has wrong shape: -1 "),
+    ("exists_at", True, "existence table has wrong shape: True "),
 ])
 def test_hand_built_model_is_checked_when_first_evaluated(field, value, message):
-    # The constructor checks nothing; every evaluation checks the whole
-    # model, also constants the formula does not mention.
+    # The constructor checks nothing; every evaluation, the frame check and
+    # the JSON writer check the whole model, also constants the formula does
+    # not mention.
     model = KripkeModel(**{**HAND_BUILT, field: value})
     top = ExistsP(Prop, Var(0, Prop))
-    for evaluate in (mvalid, lambda m, f: eval_term(m, [], f), lambda m, f: holds_at(m, f, 0)):
+    for evaluate in (mvalid, lambda m, f: eval_term(m, [], f), lambda m, f: holds_at(m, f, 0),
+                     lambda m, f: m.satisfies_frame(FRAME_FLAGS), lambda m, f: model_to_json(m)):
         with pytest.raises(HomlError, match=message):
             evaluate(model, top)
-    assert mvalid(KripkeModel(**HAND_BUILT), top)
+    good = KripkeModel(**HAND_BUILT)
+    assert mvalid(good, top) and good.satisfies_frame(FRAME_FLAGS) and model_to_json(good)
 
 
 def test_model_keeps_its_own_dicts():
@@ -344,7 +385,7 @@ def test_model_keeps_its_own_dicts():
     p = Const("p", Prop)
     for evaluate_first in (False, True):
         positions, types = {"p": 3}, {"p": Prop}
-        model = KripkeModel(Scope(2, 1), total_relation(2), ((True, True),), positions, types)
+        model = KripkeModel(Scope(2, 1), total_relation(2), 0b11, positions, types)
         if evaluate_first:
             assert mvalid(model, p)
         positions["p"], types["p"] = 99, Ind
@@ -357,7 +398,7 @@ def test_position_past_the_denotation_cap_is_checked_against_its_table():
     # only what is enumerated: goedel's models hold such a value.
     ty, scope = Fun(TAU, Prop), Scope(2, 2)
     applied = App(Const("P", ty), Const("existsAt", TAU))
-    frame = (scope, total_relation(2), ((True, True),) * 2)
+    frame = (scope, total_relation(2), 0b11_11)
     model = KripkeModel(*frame, {"P": 4 ** 16 - 1}, {"P": ty})
     assert eval_term(model, [], applied) == 0b11  # every entry of P is true everywhere
     with pytest.raises(HomlError, match="constant 'P' has position 4294967296,"):
@@ -368,7 +409,7 @@ def test_position_past_the_denotation_cap_is_checked_against_its_table():
 def test_eval_term_rejects_env_position_outside_its_type(env):
     # Var(0) is a prop at two worlds, positions 0..3; a slot the term does
     # not read is not checked.
-    model = KripkeModel(Scope(2, 1), total_relation(2), ((True, True),))
+    model = KripkeModel(Scope(2, 1), total_relation(2), 0b11)
     with pytest.raises(HomlError, match="de Bruijn index 0 has position"):
         eval_term(model, env, Not(Var(0, Prop)))
     assert eval_term(model, [0b01, 4], Not(Var(0, Prop))) == 0b10
@@ -385,7 +426,7 @@ def test_eval_term_rejects_env_position_outside_its_type(env):
     (2.0, "num_worlds"), (True, "num_worlds"), ("2", "num_entities"), (0, "num_entities"),
 ])
 def test_model_from_json_rejects_ill_typed_value(value, ty):
-    data = model_to_json(KripkeModel(Scope(2, 2), total_relation(2), ((True, True),) * 2))
+    data = model_to_json(KripkeModel(Scope(2, 2), total_relation(2), 0b11_11))
     if ty in data:
         data[ty] = value
     else:
@@ -401,12 +442,12 @@ def test_model_from_json_rejects_ill_typed_value(value, ty):
     [0.0, 1], [True, 0], [None, 0],
 ])
 def test_model_from_json_rejects_bad_accessibility_pair(pair):
-    data = model_to_json(KripkeModel(Scope(2, 2), total_relation(2), ((True, True),) * 2))
+    data = model_to_json(KripkeModel(Scope(2, 2), total_relation(2), 0b11_11))
     data["accessibility"] = [[0, 1], pair]
     with pytest.raises(HomlError, match="accessibility pair"):
         model_from_json(data)
     data["accessibility"] = [[0, 1], [1, 1]]
-    assert model_from_json(data).accessibility == ((False, True), (False, True))
+    assert model_from_json(data).accessibility == (0b01, 0b01)
 
 
 # A document of the wrong structure, each built from a valid one.
@@ -424,7 +465,7 @@ WRONG_STRUCTURE = {
 
 @pytest.mark.parametrize("case", WRONG_STRUCTURE)
 def test_model_from_json_rejects_wrong_structure(case):
-    data = model_to_json(KripkeModel(Scope(2, 2), total_relation(2), ((True, True),) * 2,
+    data = model_to_json(KripkeModel(Scope(2, 2), total_relation(2), 0b11_11,
                                      {"c": 1}, {"c": Ind}))
     assert model_from_json(data).positions == {"c": 1}
     with pytest.raises(HomlError):
@@ -447,7 +488,7 @@ def test_decided_left_side_still_reports_uninterpreted_constant(connective, left
     # evaluated; the constant it mentions must still be interpreted.
     from homlkit.errors import HomlError
 
-    model = KripkeModel(Scope(2, 1), total_relation(2), ((True, True),))
+    model = KripkeModel(Scope(2, 1), total_relation(2), 0b11)
     formula = connective(left, Const("q", Prop))
     for evaluate in (mvalid, lambda m, f: eval_term(m, [], f), lambda m, f: holds_at(m, f, 0)):
         with pytest.raises(HomlError, match="does not interpret constant 'q'"):
@@ -461,7 +502,7 @@ def test_eval_error_cases():
     with pytest.raises(HomlError):
         Scope(0, 1)
     scope = Scope(1, 1)
-    model = KripkeModel(scope, ((True,),), ((True,),))
+    model = KripkeModel(scope, (1,), 1)
     with pytest.raises(HomlError):
         eval_term(model, [], Const("missing", Prop))
     with pytest.raises(HomlError):
@@ -480,7 +521,7 @@ def test_holds_at_rejects_worlds_outside_scope():
 
     scope = Scope(2, 1)
     p = Const("p", Prop)
-    model = KripkeModel(scope, total_relation(2), ((True, True),), {"p": 0b11}, {"p": Prop})
+    model = KripkeModel(scope, total_relation(2), 0b11, {"p": 0b11}, {"p": Prop})
     assert holds_at(model, p, 0) and holds_at(model, p, 1)
     for world in (-1, 2):
         with pytest.raises(HomlError, match="outside 0..1"):

@@ -193,7 +193,7 @@ def test_budget_exhausted_mid_enumeration_raises():
         for model in iterate_models(guarded, budget=5):
             models.append(model)
     assert len(models) == 8
-    assert all(model.accessibility == ((False,),) for model in models)
+    assert all(model.accessibility == (0,) for model in models)
     assert len(list(iterate_models(guarded))) == 8
 
 

@@ -197,8 +197,8 @@ def test_elaborate_actualist_uses_exists_at():
     assert ax == ExistsA(Ind, App(Const("A", Fun(Ind, Prop)), Var(0, Ind)), "x")
     everywhere = {"A": 1}  # A holds of the one entity at the one world
     types = {"A": Fun(Ind, Prop)}
-    present = KripkeModel(Scope(1, 1), ((True,),), ((True,),), everywhere, types)
-    absent = KripkeModel(Scope(1, 1), ((True,),), ((False,),), everywhere, types)
+    present = KripkeModel(Scope(1, 1), (1,), 1, everywhere, types)
+    absent = KripkeModel(Scope(1, 1), (1,), 0, everywhere, types)
     assert mvalid(present, ax) and not mvalid(absent, ax)
 
 
@@ -307,7 +307,7 @@ def test_deeply_nested_input_raises_nesting_depth_error():
     theory = load_theory(source)
     with pytest.raises(NestingDepthError, match="^input nested too deeply: "):
         check_validity_bounded(theory, theory.goals[0], Scope(1, 1))
-    model = KripkeModel(Scope(1, 1), ((True,),), ((True,),), {"p": 1}, {"p": Prop})
+    model = KripkeModel(Scope(1, 1), (1,), 1, {"p": 1}, {"p": Prop})
     with pytest.raises(NestingDepthError):
         mvalid(model, theory.goals[0])
     with pytest.raises(NestingDepthError):

@@ -96,7 +96,7 @@ def test_bool_ext_countermodel_matches_footnote_shape():
     n = model.scope.num_worlds
     assert n == 2
     # total accessibility
-    assert all(model.accessibility[w][w2] for w in range(n) for w2 in range(n))
+    assert model.accessibility == ((1 << n) - 1,) * n
     p = position_to_json(model.positions["p"], Prop, model.scope)
     q = position_to_json(model.positions["q"], Prop, model.scope)
     assert p == [False, False]

@@ -44,7 +44,7 @@ from homlkit.theories import PostulateResult, load_bundle
 
 P, Q = Const("p", Prop), Const("q", Prop)
 SCOPE = Scope(1, 2)
-MODEL = KripkeModel(SCOPE, ((True,),), ((True,), (False,)))
+MODEL = KripkeModel(SCOPE, (1,), 0b1_0)  # entity 0 exists, entity 1 does not
 
 # (class, fields in order with a sample value each); a second sample of every
 # compared field is derived by the test.
@@ -102,7 +102,7 @@ def _other(value):
     if isinstance(value, Scope):
         return Scope(value.num_worlds + 1, value.num_entities)
     if isinstance(value, KripkeModel):
-        return KripkeModel(value.scope, ((False,),), value.exists_at)
+        return KripkeModel(value.scope, (0,), value.exists_at)
     if isinstance(value, ValidUpToScope):
         return Unsatisfiable(value.scope)
     return Const(value.name + "'", value.const_type)
