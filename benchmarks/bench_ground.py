@@ -1,0 +1,49 @@
+#!/usr/bin/env python3
+"""Grounder-layer microbenchmark: Goedel's axioms (actualist) at (3,2) and
+(2,3).
+
+Grounds each scope in-process three times and prints the best time, the
+variables and clauses of the problem, and the formula nodes and operation
+memo entries of the last grounding. Exits 1 only when grounding fails.
+
+    PYTHONPATH=src python benchmarks/bench_ground.py
+"""
+
+import sys
+import time
+
+from homlkit.errors import HomlError
+from homlkit.grounder import _ground
+from homlkit.semantics import Scope
+from homlkit.theories import load_bundle
+
+SCOPES = ((3, 2), (2, 3))
+
+
+def bench(theory, n, m, repeat=3):
+    """Print one row for the scope (n, m)."""
+    best = None
+    for _ in range(repeat):
+        start = time.perf_counter()
+        g = _ground(theory, Scope(n, m))
+        problem = g.to_problem()
+        elapsed = time.perf_counter() - start
+        best = elapsed if best is None else min(best, elapsed)
+    print(f"goedel actualist ({n},{m}) {best * 1000:9.2f} ms  {problem.num_vars:7d} vars "
+          f"{len(problem.clauses):8d} clauses {len(g.f.nodes):8d} nodes "
+          f"{len(g.ops):7d} memo entries")
+
+
+def main():
+    theory = load_bundle("goedel", quantifier="actualist").theory
+    try:
+        for n, m in SCOPES:
+            bench(theory, n, m)
+    except HomlError as err:
+        print(f"grounding failed: {err}")
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

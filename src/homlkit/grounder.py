@@ -14,10 +14,16 @@ the scope, with a value being a tuple of formula node ids. Which subterms
 mention no unknown is decided when they are compiled: a maximal such subterm
 runs in the concrete carrier over an empty frame, and its value is lifted
 once. Nodes are created left before right, with no short-circuit, and bound
-values in ascending order, which fixes the Tseitin numbering. A binder's
-value is memoised on its free variables for one ``ground`` call; a hit
-returns the node ids that interning would have returned anyway, so the
-numbering does not move.
+values in ascending order, which fixes the Tseitin numbering.
+
+Two memos live as long as one ``ground`` call. A binder's value is memoised
+on its free variables, and ``_per_grounding`` memoises operations on their
+arguments: ``lift``, the position of ``apply``'s argument, ``box``,
+``diamond``, and the node building of ``&``, ``|``, ``->`` and the
+quantifiers once all their operands are evaluated. ``_Formulas`` is
+hash-consed and each of these is a pure function of the node ids it
+receives, so a hit returns the ids that interning would have returned
+anyway, and the numbering does not move.
 
 A solver answer reaches a model or a verdict by one path. ``_model`` reads
 the answer's status, raising `BudgetExceededError` when the budget ran out,
@@ -31,6 +37,7 @@ then call them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 from types import MappingProxyType
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -124,6 +131,22 @@ class _Formulas:
         return self.conj([self.disj([self.neg(a), b]), self.disj([self.neg(b), a])])
 
 
+def _per_grounding(op):
+    """op memoised on its arguments for one grounding, in its ``ops`` dict,
+    keyed by the whole call."""
+
+    @wraps(op)
+    def memoised(self, *args):
+        key = (op, *args)
+        try:
+            return self.ops[key]
+        except KeyError:
+            value = self.ops[key] = op(self, *args)
+            return value
+
+    return memoised
+
+
 def _const_bool(nid: int) -> Optional[bool]:
     if nid == _TRUE:
         return True
@@ -197,10 +220,9 @@ class _Grounding:
         self.table = self.compiler.table
         # Model-free subterms run in the concrete carrier over an empty frame.
         self.concrete = _EvalCtx(KripkeModel(scope, (0,) * self.n, 0))
-        # Both carriers' binder memos live as long as this grounding.
+        # The binder memo and the operation memo live as long as this grounding.
         self.memo: dict = {}
-        # Symbolic constants by (position, type), dropped with the grounding.
-        self._lifted: dict[tuple, tuple] = {}
+        self.ops: dict = {}
 
         self.r_vars = tuple(
             tuple(self._new_var(f"r(w{w},w{w2})") for w2 in range(self.n)) for w in range(self.n)
@@ -263,21 +285,16 @@ class _Grounding:
         view = self.table(ty)
         return bool if view is None else view[2]
 
+    @_per_grounding
     def lift(self, i: int, ty: LogicType):
         """The constant symbolic value at position i of ty."""
         if ty is bool:
             return (_FALSE, _TRUE)[i]
-        key = (i, ty)
-        sv = self._lifted.get(key)
-        if sv is None:
-            view = self.table(ty)
-            if view is None:
-                sv = tuple(_TRUE if e == i else _FALSE for e in range(self.m))
-            else:
-                length, base, entry = view
-                sv = tuple(self.lift(d, entry) for d in digits(i, length, base))
-            self._lifted[key] = sv
-        return sv
+        view = self.table(ty)
+        if view is None:
+            return tuple(_TRUE if e == i else _FALSE for e in range(self.m))
+        length, base, entry = view
+        return tuple(self.lift(d, entry) for d in digits(i, length, base))
 
     def concrete_index(self, sv, ty: LogicType) -> Optional[int]:
         """The position of a symbolic value whose cells are all constant,
@@ -295,6 +312,8 @@ class _Grounding:
                 return None
             found.append(d)
         return position(found, view[1])
+
+    arg_index = _per_grounding(concrete_index)
 
     def sym_eq(self, sv, ty: LogicType, i: int) -> int:
         """Formula: the symbolic value equals the i-th enumerated value of ty."""
@@ -342,47 +361,59 @@ class _Grounding:
         return sym
 
     def apply(self, fn_sv, arg_sv, fn_ty: Fun, length: int, base: int):
-        idx = self.concrete_index(arg_sv, fn_ty.domain)
+        idx = self.arg_index(arg_sv, fn_ty.domain)
         if idx is not None:
             return fn_sv[idx]
         branches = [(self.sym_eq(arg_sv, fn_ty.domain, j), fn_sv[j]) for j in range(length)]
         return self.mux(branches, fn_ty.codomain)
 
-    def _rows(self, size: int, body, env: list) -> list:
+    def _rows(self, size: int, body, env: list) -> tuple:
         """The body's value for each value of the bound variable, in order."""
         rows = []
         for j in range(size):
             env.append(j)
             rows.append(body(self, env))
             env.pop()
-        return rows
+        return tuple(rows)
 
     def lam(self, length, base, body, env):
-        return tuple(self._rows(length, body, env))
+        return self._rows(length, body, env)
 
     def not_(self, a):
         return tuple(map(self.f.neg, a))
 
-    # The right side is always evaluated, after the left.
+    # The right side is always evaluated, after the left, and then the nodes
+    # are built.
 
     def and_(self, a, right, env):
-        return tuple(map(self.f.conj, zip(a, right(self, env))))
+        return self.fold("conj", (a, right(self, env)))
 
     def or_(self, a, right, env):
-        return tuple(map(self.f.disj, zip(a, right(self, env))))
+        return self.fold("disj", (a, right(self, env)))
 
     def implies(self, a, right, env):
-        return tuple(map(self.f.implies, a, right(self, env)))
+        return self.implies_nodes(a, right(self, env))
+
+    @_per_grounding
+    def fold(self, op: str, rows: tuple):
+        """Each world's conj or disj (op) of the rows' bits at it."""
+        return tuple(map(getattr(self.f, op), zip(*rows)))
+
+    @_per_grounding
+    def implies_nodes(self, a, b):
+        return tuple(map(self.f.implies, a, b))
 
     def iff(self, a, b):
         return tuple(map(self.f.iff, a, b))
 
+    @_per_grounding
     def box(self, a):
         f = self.f
         return tuple(
             f.conj([f.implies(f.var(r), x) for r, x in zip(row, a)]) for row in self.r_vars
         )
 
+    @_per_grounding
     def diamond(self, a):
         f = self.f
         return tuple(
@@ -390,10 +421,10 @@ class _Grounding:
         )
 
     def forall(self, size, body, env):
-        return tuple(map(self.f.conj, zip(*self._rows(size, body, env))))
+        return self.fold("conj", self._rows(size, body, env))
 
     def exists(self, size, body, env):
-        return tuple(map(self.f.disj, zip(*self._rows(size, body, env))))
+        return self.fold("disj", self._rows(size, body, env))
 
     def equal(self, a, b, ty):
         return (self.sym_values_eq(a, b, ty),) * self.n
@@ -465,6 +496,11 @@ class _Grounding:
 def ground(theory: Theory, scope: Scope, negated_goal: Optional[Term] = None) -> GroundProblem:
     """Compile frame flags + globally-valid axioms (+ optionally the negation
     of a goal at some world) into a GroundProblem."""
+    return _ground(theory, scope, negated_goal).to_problem()
+
+
+def _ground(theory: Theory, scope: Scope, negated_goal: Optional[Term] = None) -> _Grounding:
+    """The grounding, its roots asserted, that `ground` reads its problem from."""
     g = _Grounding(theory, scope)
     roots = []
     for ax in theory.axioms:
@@ -477,7 +513,7 @@ def ground(theory: Theory, scope: Scope, negated_goal: Optional[Term] = None) ->
         bits = g.eval(negated_goal, [])
         roots.append(g.f.disj([g.f.neg(b) for b in bits]))
     g.assert_roots(roots)
-    return g.to_problem()
+    return g
 
 
 def _model(problem: GroundProblem, answer: tuple, budget: int) -> Optional[KripkeModel]:

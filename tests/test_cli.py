@@ -9,6 +9,7 @@ import pytest
 from homlkit.cli import main
 from homlkit.grounder import export_dimacs, ground
 from homlkit.semantics import Scope
+from homlkit.theories import load_bundle
 from reference import bundle_variants
 
 
@@ -278,15 +279,18 @@ SWEEP_SCOPES = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (1, 3)]
 EXPORT_CNF_SWEEP = pathlib.Path(__file__).parent / "data" / "export_cnf_sweep.sha256"
 
 
+def _dimacs_line(bundle, n: int, m: int, label: str, goal) -> str:
+    data = export_dimacs(ground(bundle.theory, Scope(n, m), negated_goal=goal))
+    return f"{hashlib.sha256(data).hexdigest()}  {bundle.id} {bundle.variant} {n},{m} {label}"
+
+
 def _export_cnf_sweep() -> list[str]:
     lines = []
     for bundle in bundle_variants():
         problems = [("satisfy", None), *zip(bundle.goal_labels, bundle.theory.goals)]
         for n, m in SWEEP_SCOPES:
             for label, goal in problems:
-                data = export_dimacs(ground(bundle.theory, Scope(n, m), negated_goal=goal))
-                digest = hashlib.sha256(data).hexdigest()
-                lines.append(f"{digest}  {bundle.id} {bundle.variant} {n},{m} {label}")
+                lines.append(_dimacs_line(bundle, n, m, label, goal))
     return lines
 
 
@@ -295,13 +299,24 @@ def test_export_cnf_sweep_pinned():
     assert lines == EXPORT_CNF_SWEEP.read_text(encoding="utf-8").splitlines(), "\n".join(lines)
 
 
+# The same line format for Goedel's satisfiability problem, both quantifier
+# variants, at the two scopes past the sweep where the grounder's operation
+# memo does most of its work.
+EXPORT_CNF_GOEDEL = pathlib.Path(__file__).parent / "data" / "export_cnf_goedel.sha256"
+
+
+def test_export_cnf_goedel_pinned():
+    lines = [_dimacs_line(load_bundle("goedel", quantifier=q), n, m, "satisfy", None)
+             for q in ("actualist", "possibilist") for n, m in ((3, 2), (2, 3))]
+    assert lines == EXPORT_CNF_GOEDEL.read_text(encoding="utf-8").splitlines(), "\n".join(lines)
+
+
 def test_memo_bound_of_one_changes_no_verdict_and_no_byte(tmp_path, capsys, monkeypatch):
     # With room for one entry, every binder memo is emptied before each
     # store, in both carriers. Values must not depend on what was evicted.
     import homlkit.semantics
     from homlkit.grounder import check_validity_bounded, find_model
     from homlkit.semantics import Scope, ValidUpToScope
-    from homlkit.theories import load_bundle
 
     core = load_bundle("modal_math")
     checks = [c for c in core.manifest["checks"] if c["scope"] in ([1, 2], [2, 2])]

@@ -11,6 +11,7 @@ from homlkit.grounder import (
     _FALSE,
     _TRUE,
     GroundProblem,
+    _ground,
     _Grounding,
     check_validity_bounded,
     enumerate_models,
@@ -75,6 +76,27 @@ def test_lifted_constants_round_trip(n, m):
             assert g.concrete_index((row,) * m, Fun(Ind, Ind)) is None, row
     unknown = g.f.var(1)
     assert g.concrete_index((unknown,) + g.lift(0, Prop)[1:], Prop) is None
+
+
+@pytest.mark.parametrize("n,m", [(1, 2), (2, 1), (2, 2)])
+def test_operation_memo_hits_are_sound(n, m):
+    # Every entry of the per-grounding operation memo is keyed by a whole
+    # call of an undecorated operation; run again, that call returns the
+    # stored value and makes no new formula node.
+    # The methods that _per_grounding wraps share one code object.
+    undecorated = {f.__wrapped__ for f in vars(_Grounding).values()
+                   if getattr(f, "__code__", None) is _Grounding.box.__code__}
+    checked = set()
+    for bundle in bundle_variants():
+        for goal in (None, *bundle.theory.goals):
+            g = _ground(bundle.theory, Scope(n, m), negated_goal=goal)
+            for (op, *args), value in list(g.ops.items()):
+                assert op in undecorated and op.__code__.co_argcount == 1 + len(args), (op, args)
+                nodes = len(g.f.nodes)
+                assert op(g, *args) == value, (bundle.id, bundle.variant, op.__name__, args)
+                assert len(g.f.nodes) == nodes, (bundle.id, bundle.variant, op.__name__, args)
+                checked.add(op)
+    assert checked == undecorated
 
 
 def _leaves(cells):
