@@ -4,7 +4,9 @@
 
 Grounds each scope in-process three times and prints the best time, the
 variables and clauses of the problem, and the formula nodes and operation
-memo entries of the last grounding. Exits 1 only when grounding fails.
+memo entries of the last grounding. Then loads the problem's clauses into a
+`Solver` three times and prints the best load time. Exits 1 only when
+grounding fails.
 
     PYTHONPATH=src python benchmarks/bench_ground.py
 """
@@ -15,6 +17,7 @@ import time
 from homlkit.errors import HomlError
 from homlkit.grounder import _ground
 from homlkit.semantics import Scope
+from homlkit.solver import Solver
 from homlkit.theories import load_bundle
 
 SCOPES = ((3, 2), (2, 3))
@@ -29,9 +32,14 @@ def bench(theory, n, m, repeat=3):
         problem = g.to_problem()
         elapsed = time.perf_counter() - start
         best = elapsed if best is None else min(best, elapsed)
+    loads = []
+    for _ in range(repeat):
+        start = time.perf_counter()
+        Solver(problem.num_vars, problem.clauses)
+        loads.append(time.perf_counter() - start)
     print(f"goedel actualist ({n},{m}) {best * 1000:9.2f} ms  {problem.num_vars:7d} vars "
           f"{len(problem.clauses):8d} clauses {len(g.f.nodes):8d} nodes "
-          f"{len(g.ops):7d} memo entries")
+          f"{len(g.ops):7d} memo entries  load {min(loads) * 1000:8.2f} ms")
 
 
 def main():

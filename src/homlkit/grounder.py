@@ -6,7 +6,10 @@ valued cells get selector bits with an exactly-one constraint, and the frame
 flags get `theory.frame_clauses` over the relation. Formulas are grounded by
 full expansion of quantifiers over enumerated denotations, then converted to
 clauses by a Tseitin transform over hash-consed formula nodes, so identical
-inputs always produce identical problems.
+inputs always produce identical problems. The transform collects the nodes
+the roots need, then numbers and emits them in one pass in ascending id
+order: a node's children are older than it, so their literals are known
+when it is reached, and each and/or node gets the next variable.
 
 Grounding is evaluation in a symbolic carrier: ``_Grounding`` runs the
 closures that the evaluator's compile rules (``semantics._RULES``) build for
@@ -433,51 +436,54 @@ class _Grounding:
 
     def assert_roots(self, roots: list[int]) -> None:
         """Add clauses forcing every root formula to be true."""
+        nodes = self.f.nodes
         needed = set()
-        stack = [r for r in roots]
+        stack = list(roots)
         while stack:
             nid = stack.pop()
             if nid in needed or nid in (_TRUE, _FALSE):
                 continue
             needed.add(nid)
-            node = self.f.nodes[nid]
+            node = nodes[nid]
             if node[0] == "not":
                 stack.append(node[1])
             elif node[0] in ("and", "or"):
                 stack.extend(node[1])
 
-        # A node's children are older than it, so ascending ids see each
-        # child's literal first; only and/or nodes get a Tseitin variable.
-        lit_of: dict[int, int] = {}
+        # One ascending pass numbers and emits: a node's children are older
+        # than it, so their literals are known when it is reached. Only
+        # and/or nodes get a Tseitin variable.
+        clauses = self.clauses
+        num_vars = self.num_vars
+        lit_of = [0] * len(nodes)  # by node id; 0 for a node not needed
+        child_lit = lit_of.__getitem__
         for nid in sorted(needed):
-            node = self.f.nodes[nid]
-            if node[0] == "var":
+            node = nodes[nid]
+            kind = node[0]
+            if kind == "var":
                 lit_of[nid] = node[1]
-            elif node[0] == "not":
+            elif kind == "not":
                 lit_of[nid] = -lit_of[node[1]]
             else:
-                lit_of[nid] = self._new_var()
-        for nid in sorted(needed):
-            node = self.f.nodes[nid]
-            if node[0] == "and":
-                t = lit_of[nid]
-                child_lits = [lit_of[c] for c in node[1]]
-                for cl in child_lits:
-                    self.clauses.append([-t, cl])
-                self.clauses.append([t] + [-cl for cl in child_lits])
-            elif node[0] == "or":
-                t = lit_of[nid]
-                child_lits = [lit_of[c] for c in node[1]]
-                for cl in child_lits:
-                    self.clauses.append([t, -cl])
-                self.clauses.append([-t] + child_lits)
+                num_vars += 1
+                t = lit_of[nid] = num_vars
+                child_lits = list(map(child_lit, node[1]))
+                if kind == "and":
+                    for cl in child_lits:
+                        clauses.append([-t, cl])
+                    clauses.append([t] + [-cl for cl in child_lits])
+                else:
+                    for cl in child_lits:
+                        clauses.append([t, -cl])
+                    clauses.append([-t] + child_lits)
+        self.num_vars = num_vars
         for r in roots:
             if r == _TRUE:
                 continue
             if r == _FALSE:
-                self.clauses.append([])
+                clauses.append([])
                 continue
-            self.clauses.append([lit_of[r]])
+            clauses.append([lit_of[r]])
 
     def to_problem(self) -> GroundProblem:
         return GroundProblem(

@@ -8,6 +8,15 @@ clauses stay valid when clauses are added, so one `Solver` can answer a
 sequence of calls that each add clauses, such as model enumeration with
 blocking clauses.
 
+Clauses enter by one loader, `Solver.add_clauses`, which the constructor and
+`add_clause` both call. It checks the range of every literal before it adds
+any clause, then backjumps to level 0 once and simplifies each clause there
+as MiniSat does: duplicate literals are dropped, tautologies and satisfied
+clauses skipped, false literals removed; an empty clause makes the solver
+unsatisfiable, a unit is assigned, and any other clause is watched on its
+first two literals. Loading a list of clauses at once and loading them one by
+one build the same watch lists and trail, so they meet the same conflicts.
+
 The first model found is the lexicographically least one (variable 1 first,
 false before true). Because every decision sets the lowest unassigned
 variable false and the search never restarts, a literal implied at decision
@@ -30,11 +39,16 @@ asserts is implied by the clauses and the decisions at lower levels. So every
 each model in turn yields the projections in lexicographic order.
 """
 
+from itertools import chain, compress
+from operator import not_
+
 SAT = 10
 UNSAT = 20
 UNKNOWN = 0
 
 DEFAULT_CONFLICT_BUDGET = 10_000_000
+
+_CHECK_CHUNK = 4096  # clauses whose literals `add_clauses` range-checks at once
 
 
 class Solver:
@@ -55,33 +69,67 @@ class Solver:
         self._trail_lim = []  # trail length at each decision
         self._qhead = 0
         self._ok = True  # False once the clauses are known unsatisfiable
-        for clause in clauses:
-            self.add_clause(clause)
+        self.add_clauses(clauses)
 
     def add_clause(self, clause):
-        """Add a clause of non-zero literals within range. The solver first
-        backjumps to decision level 0, where assigned literals are final."""
-        lits = list(dict.fromkeys(clause))
+        """Add one clause; see `add_clauses`."""
+        self.add_clauses((clause,))
+
+    def add_clauses(self, clauses):
+        """Add clauses, each a sequence of literals, as MiniSat adds them at
+        decision level 0.
+
+        Every literal of every clause is checked first: a literal that is 0
+        or beyond num_vars raises `ValueError` naming it, and then no clause
+        is added and the solver is left as it was. Otherwise the solver
+        backjumps to level 0, where assigned literals are final, and takes
+        the clauses in order. A clause's duplicate literals are dropped, and
+        a tautology or a clause already satisfied is skipped. Its false
+        literals are removed: none left makes the solver unsatisfiable, one
+        is assigned, and two or more are watched on the first two. The
+        solver stores its own copy of each clause, and the caller's are
+        never changed.
+        """
+        if not isinstance(clauses, (list, tuple)):
+            clauses = list(clauses)
         num_vars = self.num_vars
-        for lit in lits:
-            if lit == 0 or abs(lit) > num_vars:
+        # In chunks, so the flat copy of the literals stays small.
+        for start in range(0, len(clauses), _CHECK_CHUNK):
+            chunk = clauses[start:start + _CHECK_CHUNK]
+            flat = list(chain.from_iterable(chunk))
+            if flat and (min(flat) < -num_vars or max(flat) > num_vars or 0 in flat):
+                lit = next(lit for lit in flat if lit == 0 or abs(lit) > num_vars)
                 raise ValueError(f"literal {lit} out of range")
+        if not clauses:
+            return
         if self._trail_lim:
             self._backjump(0)
-        if not self._ok or len(set(map(abs, lits))) < len(lits):
-            return  # already unsatisfiable, or a tautology
-        if self._trail:
-            value = self._value
-            if any(value[lit] == 1 for lit in lits):
-                return  # satisfied at level 0
-            lits = [lit for lit in lits if value[lit] == 0]
-        if not lits:
-            self._ok = False
-        elif len(lits) == 1:
-            self._assign(lits[0], None)
-        else:
-            self._watches[lits[0]].append(lits)
-            self._watches[lits[1]].append(lits)
+        if not self._ok:
+            return  # already unsatisfiable
+        value_of = self._value.__getitem__
+        watches = self._watches
+        trail = self._trail
+        for clause in clauses:
+            lits = clause
+            if len(set(map(abs, lits))) < len(lits):
+                lits = list(dict.fromkeys(lits))
+                if len(set(map(abs, lits))) < len(lits):
+                    continue  # a tautology
+            if trail and any(map(value_of, lits)):
+                values = list(map(value_of, lits))
+                if 1 in values:
+                    continue  # satisfied at level 0
+                lits = list(compress(lits, map(not_, values)))
+            if len(lits) > 1:
+                if lits is clause:
+                    lits = list(clause)  # its own copy: propagation reorders it
+                watches[lits[0]].append(lits)
+                watches[lits[1]].append(lits)
+            elif lits:
+                self._assign(lits[0], None)
+            else:
+                self._ok = False
+                return
 
     def solve(self, conflict_budget=DEFAULT_CONFLICT_BUDGET):
         """Search for a model of the clauses added so far.

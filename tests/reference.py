@@ -13,6 +13,11 @@ position in its type's enumeration), and ``leibniz_shape``.
 terms; the library keeps the nodes and gives them their meaning through its
 compile rules, and the oracle tests check the two against each other.
 
+``TextbookSolver`` is the library's solver with the textbook clause loader:
+each clause on its own is range-checked, de-duplicated and simplified at
+decision level 0, as MiniSat's ``addClause`` does. The solver tests check
+that ``Solver.add_clauses`` builds the same watch lists, trail and values.
+
 ``brute_force_find_model`` visits every candidate model of a signature in a
 fixed order, keeps the relations that ``frame_holds`` (the textbook frame
 conditions over the relation's rows) accepts, and checks the axioms with
@@ -36,6 +41,7 @@ from homlkit.semantics import (
     leibniz_shape,
     position,
 )
+from homlkit.solver import Solver
 from homlkit.terms import (
     EXISTS_AT,
     And,
@@ -62,6 +68,37 @@ from homlkit.terms import (
     subterms,
 )
 from homlkit.theories import BUNDLE_IDS, Bundle, load_bundle
+
+
+class TextbookSolver(Solver):
+    """The solver, loading its clauses one at a time."""
+
+    def add_clauses(self, clauses):
+        for clause in clauses:
+            self._add_one(clause)
+
+    def _add_one(self, clause):
+        lits = list(dict.fromkeys(clause))
+        num_vars = self.num_vars
+        for lit in lits:
+            if lit == 0 or abs(lit) > num_vars:
+                raise ValueError(f"literal {lit} out of range")
+        if self._trail_lim:
+            self._backjump(0)
+        if not self._ok or len(set(map(abs, lits))) < len(lits):
+            return  # already unsatisfiable, or a tautology
+        if self._trail:
+            value = self._value
+            if any(value[lit] == 1 for lit in lits):
+                return  # satisfied at level 0
+            lits = [lit for lit in lits if value[lit] == 0]
+        if not lits:
+            self._ok = False
+        elif len(lits) == 1:
+            self._assign(lits[0], None)
+        else:
+            self._watches[lits[0]].append(lits)
+            self._watches[lits[1]].append(lits)
 
 
 class _EvalCtx:

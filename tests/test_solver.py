@@ -1,6 +1,7 @@
 """CDCL solver: the lexicographically least model, incremental enumeration
-against brute force, budget."""
+against brute force, budget, and the clause loader against the textbook one."""
 
+import copy
 import dataclasses
 import itertools
 
@@ -13,6 +14,7 @@ from homlkit.grounder import ground, iterate_models
 from homlkit.semantics import Scope
 from homlkit.solver import SAT, UNKNOWN, UNSAT, Solver, solve_cnf
 from homlkit.theories import load_bundle
+from reference import TextbookSolver
 
 
 def brute_force_models(num_vars, clauses):
@@ -202,3 +204,100 @@ def test_enumeration_needs_a_prefix_of_decision_variables():
     shuffled = dataclasses.replace(problem, decision_vars=[2, 1, 3, 4])
     with pytest.raises(HomlError):
         next(iterate_models(shuffled))
+
+
+def solver_state(solver):
+    return (solver._watches, solver._trail, solver._value, solver._level,
+            solver._reason, solver._ok, solver._trail_lim, solver._qhead)
+
+
+# Few variables, so that clauses repeat literals, are tautologies, and meet
+# units that satisfy or falsify them; a clause is a list or a tuple.
+loose_literal = st.integers(min_value=1, max_value=5).flatmap(lambda v: st.sampled_from([v, -v]))
+loose_clause = st.one_of(
+    st.just([]),
+    st.lists(loose_literal, min_size=1, max_size=1),
+    st.lists(loose_literal, max_size=6),
+).flatmap(lambda c: st.sampled_from([c, tuple(c)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(loose_clause, max_size=16),
+       st.lists(st.tuples(st.one_of(st.none(), st.integers(min_value=0, max_value=5)),
+                          loose_clause), max_size=6))
+def test_loader_matches_the_textbook_loader(clauses, later):
+    """`Solver(n, clauses)` and `add_clause`, after a SAT answer and after
+    `block`, build the textbook loader's state, and every `solve` gives
+    its answer, conflicts included."""
+    bulk, oracle = Solver(5, clauses), TextbookSolver(5, clauses)
+    assert solver_state(bulk) == solver_state(oracle)
+    for k, clause in later:
+        answer = bulk.solve()
+        assert answer == oracle.solve()
+        assert solver_state(bulk) == solver_state(oracle)
+        if answer[0] == SAT and k is not None:
+            bulk.block(k)
+            oracle.block(k)
+            assert solver_state(bulk) == solver_state(oracle)
+        bulk.add_clause(clause)
+        oracle.add_clause(clause)
+        assert solver_state(bulk) == solver_state(oracle)
+    assert bulk.solve() == oracle.solve()
+    assert solver_state(bulk) == solver_state(oracle)
+
+
+@pytest.mark.parametrize("bundle_id", ["k", "t", "s4", "s5"])
+def test_loader_matches_the_textbook_loader_on_frame_checks(bundle_id):
+    bundle = load_bundle(bundle_id)
+    for check in bundle.manifest["checks"]:
+        problem = ground(bundle.theory, Scope(*check["scope"]), bundle.goal(check["goal"]))
+        bulk = Solver(problem.num_vars, problem.clauses)
+        oracle = TextbookSolver(problem.num_vars, problem.clauses)
+        assert solver_state(bulk) == solver_state(oracle)
+        assert bulk.solve() == oracle.solve()
+
+
+def test_out_of_range_literal_changes_nothing():
+    """The literals are checked before any clause is added, so a bad one
+    leaves a solver in the middle of its trail as it was."""
+    solver = Solver(3, [[1, 2, 3], [-1, 2]])
+    assert solver.solve()[1] == [0, 0, 1]
+    assert solver._trail_lim
+    before = copy.deepcopy(solver_state(solver))
+    for bad, lit in (([[1], [2, 4]], 4), ([[-4]], -4), ([[1, 0]], 0),
+                     (([3], (-2, 7, 1)), 7), ([[5, 1], [-6]], 5)):
+        with pytest.raises(ValueError, match=f"literal {lit} "):
+            solver.add_clauses(bad)
+        assert solver_state(solver) == before
+    with pytest.raises(ValueError, match="literal 4 "):
+        solver.add_clause([1, 4])
+    assert solver_state(solver) == before
+    solver.block(3)  # the model is still on the trail
+    assert solver.solve()[1] == [0, 1, 0]
+    with pytest.raises(ValueError, match="literal -5 "):
+        Solver(3, [[1, 2], [3, -5, 0]])
+
+
+@pytest.mark.parametrize("form", ["lists", "tuples", "generator"])
+def test_loading_solving_and_blocking_leave_the_clauses_alone(form):
+    """Duplicates, a tautology, a unit that falsifies later literals, and
+    propagation that reorders watched clauses: the caller's clauses stay as
+    they were."""
+    source = [[1, 1, 2], [-3], [3, 4, 2], [-1, 1], [-2, -4, 5], [2, 3, -5, 4], [-2, 5, 4]]
+    kept = copy.deepcopy(source)
+    if form == "tuples":
+        clauses = tuple(tuple(c) for c in source)
+    elif form == "generator":
+        clauses = (c for c in source)
+    else:
+        clauses = source
+    solver = Solver(5, clauses)
+    extra = [4, -5, 4]
+    while solver.solve()[0] == SAT:
+        solver.block(5)
+    solver.add_clause(extra)
+    assert solver.solve()[0] == UNSAT
+    assert source == kept
+    assert extra == [4, -5, 4]
+    if form == "tuples":
+        assert clauses == tuple(tuple(c) for c in kept)
