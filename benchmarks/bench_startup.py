@@ -4,9 +4,11 @@ classes cost per instance.
 
 Prints the best of N fresh-interpreter times of ``import homlkit.cli``
 (the interpreter's own start-up excluded), once with bytecode cached, as a
-user's second run finds it, and once compiling every module; the classes that
-``dataclasses`` built for homlkit during the import; and the best per-instance
-construct, ``==`` and ``hash`` times of ``App``, ``Var`` and ``Token``.
+user's second run finds it, and once compiling every module; the
+standard-library modules that the import adds to those the bare interpreter
+has loaded; and the best per-instance construct, ``==`` and ``hash`` times of
+``App``, ``Var``, ``Token``, and of ``Fun`` and ``Scope``, which key the
+compiler's type and size tables.
 Bytecode goes to a temporary ``PYTHONPYCACHEPREFIX``, so nothing is written
 into the tree. Exits 1 only when the import fails.
 
@@ -25,21 +27,17 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# Run in a fresh interpreter: the import's time, then the homlkit classes
-# that dataclasses built.
+# Run in a fresh interpreter: the import's time, then the modules other than
+# homlkit's that it added.
 PROBE = """
-import time
+import sys, time
+before = set(sys.modules)
 t0 = time.perf_counter()
 import homlkit.cli
 elapsed = time.perf_counter() - t0
-import dataclasses, sys
-built = sorted(f"{name.split('.', 1)[-1]}.{cls.__name__}"
-               for name, module in list(sys.modules.items()) if name.startswith("homlkit")
-               for cls in vars(module).values()
-               if isinstance(cls, type) and dataclasses.is_dataclass(cls)
-               and cls.__module__ == name)
 print(elapsed)
-print(" ".join(built))
+print(" ".join(sorted(name for name in set(sys.modules) - before
+                      if name.split(".")[0] != "homlkit")))
 """
 
 
@@ -49,7 +47,7 @@ def import_times(runs: int, cached: bool) -> tuple[list[float], list[str]]:
         env.pop("PYTHONDONTWRITEBYTECODE", None)
         if not cached:
             env["PYTHONDONTWRITEBYTECODE"] = "1"
-        times, built = [], []
+        times, added = [], []
         # A cached run first writes the bytecode, untimed.
         for i in range(runs + cached):
             out = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True,
@@ -58,14 +56,15 @@ def import_times(runs: int, cached: bool) -> tuple[list[float], list[str]]:
                 sys.stderr.write(out.stderr)
                 sys.exit(1)
             elapsed, names = out.stdout.splitlines()
-            built = names.split()
+            added = names.split()
             if i or not cached:
                 times.append(float(elapsed))
-    return times, built
+    return times, added
 
 
 def per_instance_ns() -> dict[str, tuple[float, float, float]]:
     from homlkit.logictypes import Fun, Ind, Prop
+    from homlkit.semantics import Scope
     from homlkit.surface import Token
     from homlkit.terms import App, Const, Var
 
@@ -74,6 +73,8 @@ def per_instance_ns() -> dict[str, tuple[float, float, float]]:
         "App": (App, (f, x)),
         "Var": (Var, (0, Ind, "x")),
         "Token": (Token, ("ident", "p", 3, 7)),
+        "Fun": (Fun, (Fun(Ind, Prop), Prop)),
+        "Scope": (Scope, (3, 2)),
     }
     number = 20_000
     best = lambda stmt: min(timeit.repeat(stmt, number=number, repeat=7)) / number * 1e9
@@ -91,11 +92,11 @@ def main() -> None:
     print(f"Python {platform.python_version()} on {platform.machine()}, "
           f"{os.cpu_count()} CPUs; best of {args.runs} fresh interpreters")
     for cached in (True, False):
-        times, built = import_times(args.runs, cached)
+        times, added = import_times(args.runs, cached)
         label = "bytecode cached" if cached else "bytecode uncached (compiles every module)"
         print(f"import homlkit.cli, {label}: best {min(times) * 1e3:.1f} ms, "
               f"median {statistics.median(times) * 1e3:.1f} ms")
-    print(f"homlkit classes built by dataclasses: {len(built)} ({', '.join(built)})")
+    print(f"standard-library modules the import adds: {len(added)} ({', '.join(added)})")
     print(f"{'class':<10}{'construct ns':>14}{'== ns':>8}{'hash ns':>9}")
     for name, (init, eq, hsh) in per_instance_ns().items():
         print(f"{name:<10}{init:>14.0f}{eq:>8.0f}{hsh:>9.0f}")

@@ -13,11 +13,10 @@ Prop)`` value: one world mask per modal set, saying where the set is in it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
 from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetExceededError, HomlError
-from .frozen import Frozen
+from .frozen import Frozen, replace
 from .grounder import GroundProblem, ground, iterate_models
 from .logictypes import Fun, Ind, Prop
 from .semantics import (

@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 from .analysis import (
     PROPERTY_TYPE,
@@ -21,6 +20,7 @@ from .analysis import (
     positive_sets,
 )
 from .errors import BudgetExceededError, HomlError
+from .frozen import replace
 from .grounder import (
     check_validity_bounded,
     enumerate_models,
@@ -93,8 +93,12 @@ def _load_theory_arg(args) -> tuple[Theory, dict]:
         meta = {"bundle": args.bundle, "variant": bundle.variant,
                 "goal_labels": list(bundle.goal_labels), "manifest": bundle.manifest}
     else:
-        with open(args.file, "r", encoding="utf-8") as handle:
-            theory = load_theory(handle.read(), args.file)
+        try:
+            with open(args.file, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise HomlError(f"{args.file}: not UTF-8 text: {exc}") from None
+        theory = load_theory(text, args.file)
         meta = {"file": args.file,
                 "goal_labels": [f"goal{i}" for i in range(len(theory.goals))]}
     if args.frame is not None:
@@ -453,6 +457,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _format_report(report: dict, fmt: str) -> str:
+    if fmt == "json":
+        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return _render_text(report) + "\n"
+
+
 def main(argv=None) -> int:
     # Parsing fills in this namespace: the command is set as soon as it is
     # read, so a usage error found after that names it in its report.
@@ -466,15 +476,16 @@ def main(argv=None) -> int:
         report = {"command": args.command, "error": str(exc)}
         exit_code = EXIT_BUDGET if isinstance(exc, BudgetExceededError) else EXIT_USAGE
     if report:
-        if args.format == "json":
-            text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-        else:
-            text = _render_text(report) + "\n"
+        text = _format_report(report, args.format)
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
+            try:
+                with open(args.out, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+                return exit_code
+            except OSError as exc:  # the report that says so goes to stdout
+                exit_code = EXIT_USAGE
+                text = _format_report({"command": args.command, "error": str(exc)}, args.format)
+        sys.stdout.write(text)
     return exit_code
 
 

@@ -6,11 +6,11 @@ class attribute (``hint: str = "x"``). Its instances behave as those of a
 instance of the same class with equal compared fields, hashed as the tuple of
 those fields, shown field by field, and raising ``FrozenInstanceError`` on
 assignment or deletion. A base names the fields that ``==`` and ``hash``
-leave out in ``_uncompared``. The methods are closures over the field names;
-``dataclasses`` compiles source for each class, a millisecond apiece.
+leave out in ``_uncompared``; a method that a class defines itself stays.
+The methods are closures over the field names; ``dataclasses`` compiles
+source for each class, a millisecond apiece, and is imported only to raise.
 """
 
-from dataclasses import FrozenInstanceError
 from operator import attrgetter
 
 _set = object.__setattr__
@@ -51,14 +51,22 @@ class Frozen:
 
         cls._fields = names
         for method in (__init__, __eq__, __hash__, __repr__):
-            method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
-            setattr(cls, method.__name__, method)
+            if method.__name__ not in cls.__dict__:
+                method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+                setattr(cls, method.__name__, method)
 
     def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def replace(obj, **changes):
+    """obj's class called on obj's fields, with ``changes`` in place of some."""
+    return type(obj)(**{**{name: getattr(obj, name) for name in obj._fields}, **changes})
 
 
 def _bind(cls, defaults, args, kwargs):

@@ -39,12 +39,12 @@ then call them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import wraps
 from types import MappingProxyType
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .errors import BudgetExceededError, GroundingError, HomlError, depth_guarded
+from .frozen import Frozen
 from .logictypes import Fun, Ind, LogicType, Prop, type_order
 from .semantics import (
     Countermodel,
@@ -158,12 +158,11 @@ def _const_bool(nid: int) -> Optional[bool]:
     return None
 
 
-@dataclass(frozen=True)
-class GroundProblem:
+class GroundProblem(Frozen):
     """A CNF with decode information back to Kripke model components.
 
     ``ground`` stores every field but ``clauses`` as a tuple or a read-only
-    mapping; to add clauses, build a new problem with ``dataclasses.replace``.
+    mapping; to add clauses, build a new problem with ``frozen.replace``.
     """
 
     scope: Scope

@@ -6,9 +6,8 @@ from ``i`` and ``prop`` with a right-associative arrow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import TypeCheckError
+from .frozen import Frozen
 
 MAX_TYPE_DEPTH = 32
 
@@ -48,8 +47,7 @@ Ind = _Ind()
 Prop = _Prop()
 
 
-@dataclass(frozen=True)
-class Fun(LogicType):
+class Fun(LogicType, Frozen):
     domain: LogicType
     codomain: LogicType
 

@@ -48,7 +48,6 @@ belongs to the carrier of one top-level call (``mvalid``, ``holds_at``,
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from typing import Optional, Sequence
@@ -87,18 +86,19 @@ from .theory import frame_clauses
 DEFAULT_CAP = 2 ** 20
 
 
-@dataclass(frozen=True)
-class Scope:
+class Scope(Frozen):
     """Finite bound at which model finding and evaluation are exhaustive."""
 
     num_worlds: int
     num_entities: int
 
-    def __post_init__(self):
-        if type(self.num_worlds) is not int or type(self.num_entities) is not int:
-            raise HomlError(f"scope ({self.num_worlds!r}, {self.num_entities!r}) is not two ints")
-        if self.num_worlds < 1 or self.num_entities < 1:
+    def __init__(self, num_worlds: int, num_entities: int):
+        if type(num_worlds) is not int or type(num_entities) is not int:
+            raise HomlError(f"scope ({num_worlds!r}, {num_entities!r}) is not two ints")
+        if num_worlds < 1 or num_entities < 1:
             raise HomlError("scope requires at least one world and one entity")
+        object.__setattr__(self, "num_worlds", num_worlds)
+        object.__setattr__(self, "num_entities", num_entities)
 
     def __str__(self):
         return f"(n={self.num_worlds}, m={self.num_entities})"
@@ -164,8 +164,7 @@ def _check_position(i, ty: LogicType, scope: Scope, what: str) -> None:
 # ---------------------------------------------------------------------------
 # Kripke models
 
-@dataclass(frozen=True, init=False)
-class KripkeModel:
+class KripkeModel(Frozen):
     """Finite model, held as positions: worlds, accessibility, existence,
     interpretations. ``accessibility`` is a tuple of n world masks: bit
     n-1-v of ``accessibility[w]`` is set iff world w sees v. ``exists_at``

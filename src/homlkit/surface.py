@@ -8,11 +8,10 @@ and ``a > b`` (right-associative). Errors are reported as ``file:line:col: messa
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import replace
 from typing import Optional
 
 from .errors import LexError, ParseError, TypeCheckError, depth_guarded
-from .frozen import Frozen
+from .frozen import Frozen, replace
 from .logictypes import Fun, Ind, LogicType, Prop, check_type_depth
 from .terms import (
     EXISTS_AT,

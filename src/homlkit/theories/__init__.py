@@ -7,11 +7,9 @@ the expected verdicts (and the scopes they were recorded at)."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from importlib import resources
 
 from ..errors import BundleError, HomlError
-from ..frozen import Frozen
+from ..frozen import Frozen, replace
 from ..grounder import check_validity_bounded, ground, refute
 from ..semantics import Countermodel, Scope, ValidUpToScope, mvalid
 from ..solver import DEFAULT_CONFLICT_BUDGET
@@ -21,20 +19,20 @@ from ..theory import Theory
 BUNDLE_IDS = ("k", "t", "s4", "s5", "church", "filters", "goedel", "modal_math")
 
 
-def _manifest() -> dict:
-    text = resources.files(__package__).joinpath("data/manifest.json").read_text("utf-8")
-    return json.loads(text)
+def _data(filename: str) -> str:
+    # Imported on use: from Python 3.12 on, importlib.resources imports inspect.
+    from importlib import resources
+    return resources.files(__package__).joinpath(f"data/{filename}").read_text("utf-8")
 
 
-@dataclass(frozen=True)
-class Bundle:
+class Bundle(Frozen):
     id: str
     variant: str
     theory: Theory  # elaborated: definitions inlined, sugar nodes kept
     checked: Theory  # type-checked, before elaboration (for printing)
     source: str
     goal_labels: tuple[str, ...]
-    manifest: dict = field(repr=False)
+    manifest: dict
 
     def goal(self, label):
         """Goal term by manifest label or integer index."""
@@ -76,7 +74,7 @@ def load_bundle(bundle_id: str, **params) -> Bundle:
     Variant parameters: goedel takes quantifier=actualist|possibilist and
     formulation=scott|goedel-1970; modal_math takes extension=core|infinity.
     """
-    manifest = _manifest()
+    manifest = json.loads(_data("manifest.json"))
     entry = manifest.get(bundle_id)
     if entry is None:
         raise BundleError(f"unknown bundle id {bundle_id!r} (known: {', '.join(BUNDLE_IDS)})")
@@ -84,7 +82,7 @@ def load_bundle(bundle_id: str, **params) -> Bundle:
     filename = entry["files"].get(variant)
     if filename is None:
         raise BundleError(f"bundle {bundle_id!r} has no variant {variant!r}")
-    source = resources.files(__package__).joinpath(f"data/{filename}").read_text("utf-8")
+    source = _data(filename)
     try:
         checked = typecheck(parse(source, filename), filename)
         theory = elaborate(checked)

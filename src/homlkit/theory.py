@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .errors import HomlError
+from .frozen import Frozen, replace
 from .logictypes import LogicType, format_type
 from .terms import Term, format_term
 
@@ -14,8 +13,7 @@ FRAME_FLAGS = ("refl", "symm", "trans")
 DEFAULT_NAME = "theory"
 
 
-@dataclass(frozen=True)
-class Theory:
+class Theory(Frozen):
     name: str
     signature: tuple[tuple[str, LogicType], ...] = ()
     definitions: tuple[tuple[str, Term], ...] = ()

@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -55,6 +58,48 @@ def test_deeply_nested_source_exits_two(tmp_path, capsys):
     assert report["command"] == "check"
     assert "nested too deeply" in report["error"]
     assert "Traceback" not in captured.err
+
+
+def test_non_utf8_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "latin1.homl"
+    path.write_bytes("const p : prop\ngoal p \u00e9\n".encode("latin-1"))
+    code = main(["check", "--file", str(path), "--scope", "1,1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    report = json.loads(captured.out)
+    assert report["command"] == "check"
+    assert "latin1.homl: not UTF-8 text" in report["error"]
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [["check", "--bundle", "k", "--scope", "1,1"],
+                                  ["check", "--bundle", "k", "--scope", "1,1", "--format", "text"],
+                                  ["export-cnf", "--bundle", "k", "--scope", "1,1"]],
+                         ids=["check", "check-text", "export-cnf"])
+def test_unwritable_out_exits_two_with_a_report_on_stdout(argv, tmp_path, capsys):
+    out = tmp_path / "no" / "such" / "dir" / "x.json"
+    code = main([*argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and not out.parent.exists()
+    expected = {"command": argv[0], "error": f"[Errno 2] No such file or directory: '{out}'"}
+    if "text" in argv:
+        assert captured.out == "".join(f"{k}: {v}\n" for k, v in expected.items())
+    else:
+        assert json.loads(captured.out) == expected
+    assert "Traceback" not in captured.err
+
+
+def test_import_adds_neither_dataclasses_nor_inspect():
+    """``import homlkit.cli`` loads neither module, in a fresh interpreter,
+    beyond what the bare interpreter (its ``site`` included) already has."""
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).parent.parent / "src")}
+    probe = "import sys{}; print(' '.join(sys.modules))"
+    bare, cli = (set(subprocess.run([sys.executable, "-c", probe.format(extra)], env=env,
+                                    capture_output=True, text=True, check=True,
+                                    timeout=60).stdout.split())
+                 for extra in ("", "; import homlkit.cli"))
+    assert "homlkit.cli" in cli
+    assert not {"dataclasses", "inspect"} & (cli - bare)
 
 
 def test_unknown_bundle_exits_two(capsys):

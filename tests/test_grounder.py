@@ -7,6 +7,7 @@ import random
 import pytest
 
 from homlkit.errors import BudgetExceededError, GroundingError, HomlError, ScopeCapError
+from homlkit.frozen import replace
 from homlkit.grounder import (
     _FALSE,
     _TRUE,
@@ -157,7 +158,7 @@ def test_ground_problem_fields_reject_mutation():
     with pytest.raises(dataclasses.FrozenInstanceError):
         problem.meanings = {}
     # Decision variables given as a list enumerate the same models.
-    listed = dataclasses.replace(problem, decision_vars=list(problem.decision_vars))
+    listed = replace(problem, decision_vars=list(problem.decision_vars))
     assert list(iterate_models(listed, limit=5)) == list(iterate_models(problem, limit=5))
 
 
@@ -567,7 +568,7 @@ def _sugar_nodes(theory) -> int:
 def _assert_sugar_means_its_expansion(theory, scope):
     """The sugar nodes, which elaboration keeps, ground to the same DIMACS
     bytes and evaluate to the same masks as their textbook expansion."""
-    expanded = dataclasses.replace(
+    expanded = replace(
         theory, axioms=tuple(map(expand_sugar, theory.axioms)),
         goals=tuple(map(expand_sugar, theory.goals)))
     problems = [(None, None), *zip(theory.goals, expanded.goals)]

@@ -2,7 +2,6 @@
 against brute force, budget, and the clause loader against the textbook one."""
 
 import copy
-import dataclasses
 import itertools
 
 import pytest
@@ -10,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homlkit.errors import BudgetExceededError, HomlError
+from homlkit.frozen import replace
 from homlkit.grounder import ground, iterate_models
 from homlkit.semantics import Scope
 from homlkit.solver import SAT, UNKNOWN, UNSAT, Solver, solve_cnf
@@ -188,8 +188,7 @@ def test_budget_exhausted_mid_enumeration_raises():
     num_vars, gadget = pigeonhole(4)
     base = problem.num_vars
     shifted = [[-1] + [lit + base if lit > 0 else lit - base for lit in c] for c in gadget]
-    guarded = dataclasses.replace(problem, num_vars=base + num_vars,
-                                  clauses=problem.clauses + shifted)
+    guarded = replace(problem, num_vars=base + num_vars, clauses=problem.clauses + shifted)
     models = []
     with pytest.raises(BudgetExceededError):
         for model in iterate_models(guarded, budget=5):
@@ -201,7 +200,7 @@ def test_budget_exhausted_mid_enumeration_raises():
 
 def test_enumeration_needs_a_prefix_of_decision_variables():
     problem = ground(load_bundle("k").theory, Scope(1, 1))
-    shuffled = dataclasses.replace(problem, decision_vars=[2, 1, 3, 4])
+    shuffled = replace(problem, decision_vars=[2, 1, 3, 4])
     with pytest.raises(HomlError):
         next(iterate_models(shuffled))
 

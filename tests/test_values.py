@@ -1,8 +1,9 @@
-"""The contract of the frozen value classes: terms, surface nodes, verdicts
-and analysis results. Each compares equal only to its own class, leaves
-``hint`` out of ``==`` and ``hash``, hashes as the tuple of its compared
-fields, refuses assignment and deletion, keeps its repr, and builds from
-positional or keyword arguments."""
+"""The contract of the frozen value classes: terms, types, scopes, models,
+theories, ground problems, bundles, surface nodes, verdicts and analysis
+results. Each compares equal only to its own class, leaves ``hint`` out of
+``==`` and ``hash``, hashes as the tuple of its compared fields, refuses
+assignment and deletion, keeps its repr, and builds from positional or
+keyword arguments; ``frozen.replace`` copies one through its constructor."""
 
 import copy
 import dataclasses
@@ -11,6 +12,9 @@ import pickle
 import pytest
 
 from homlkit.analysis import CountResult, FilterReport
+from homlkit.errors import HomlError
+from homlkit.frozen import replace
+from homlkit.grounder import GroundProblem
 from homlkit.logictypes import Fun, Ind, Prop
 from homlkit.semantics import (
     Countermodel,
@@ -40,11 +44,13 @@ from homlkit.terms import (
     Or,
     Var,
 )
-from homlkit.theories import PostulateResult, load_bundle
+from homlkit.theories import Bundle, PostulateResult, load_bundle
+from homlkit.theory import Theory
 
 P, Q = Const("p", Prop), Const("q", Prop)
 SCOPE = Scope(1, 2)
 MODEL = KripkeModel(SCOPE, (1,), 0b1_0)  # entity 0 exists, entity 1 does not
+THEORY = Theory("t", (("p", Prop), ("q", Prop)), (("d", P),), (P,), (Q,), frozenset({"refl"}))
 
 # (class, fields in order with a sample value each); a second sample of every
 # compared field is derived by the test.
@@ -75,8 +81,30 @@ CASES = [
                    "empty_model_class": False}),
     (PostulateResult, {"label": "ext", "scope": SCOPE, "expected": "valid",
                        "verdict": ValidUpToScope(SCOPE), "as_expected": True}),
+    (Fun, {"domain": Ind, "codomain": Prop}),
+    (Scope, {"num_worlds": 1, "num_entities": 2}),
+    (KripkeModel, {"scope": SCOPE, "accessibility": (1,), "exists_at": 0b1_0,
+                   "positions": {"p": 1}, "constant_types": {"p": Prop}}),
+    (Theory, {"name": "t", "signature": THEORY.signature, "definitions": THEORY.definitions,
+              "axioms": THEORY.axioms, "goals": THEORY.goals,
+              "frame_flags": THEORY.frame_flags}),
+    (GroundProblem, {"scope": SCOPE, "num_vars": 4, "clauses": [[1, -2]],
+                     "meanings": {1: "r(w0,w0)"}, "decision_vars": (1,), "r_vars": ((1,),),
+                     "ex_vars": ((2, 3),), "const_cells": {"p": 4},
+                     "signature": (("p", Prop),)}),
+    (Bundle, {"id": "k", "variant": "default", "theory": THEORY, "checked": THEORY,
+              "source": "const p : prop\n", "goal_labels": ("K",),
+              "manifest": {"default_variant": "default"}}),
 ]
 IDS = [cls.__name__ for cls, _ in CASES]
+
+# The fields that a call may leave out, where they are more than a binder's hint.
+OPTIONAL = {KripkeModel: ("positions", "constant_types"),
+            Theory: ("signature", "definitions", "axioms", "goals", "frame_flags")}
+# A model's constructor copies its dicts, so a caller's later changes do not reach it.
+COPIED = {KripkeModel: ("positions", "constant_types")}
+# Classes that keep a repr of their own, with that repr of their CASES sample.
+OWN_REPR = {Fun: "Fun(Ind, Prop)"}
 
 # Classes whose fields have the same names and sample values: they must not
 # compare equal to each other.
@@ -93,8 +121,14 @@ def _other(value):
         return value + 1
     if isinstance(value, str):
         return value + "'"
-    if isinstance(value, tuple):
+    if isinstance(value, (tuple, list)):
         return value[::-1] if value[::-1] != value else value + value
+    if isinstance(value, dict):
+        return {**value, "other": 0}
+    if isinstance(value, frozenset):
+        return value ^ {"symm"}
+    if isinstance(value, Theory):
+        return replace(value, name=value.name + "'")
     if value is Ind:
         return Prop
     if value is Prop:
@@ -141,7 +175,7 @@ def test_hash_is_the_hash_of_the_compared_fields(cls, fields):
     key = tuple(_compared(fields).values())
     try:
         expected = hash(key)
-    except TypeError:  # a KripkeModel holds dicts
+    except TypeError:  # a KripkeModel, GroundProblem or Bundle holds dicts
         with pytest.raises(TypeError):
             hash(x)
         return
@@ -165,7 +199,7 @@ def test_fields_cannot_be_assigned_or_deleted(cls, fields):
 @pytest.mark.parametrize("cls,fields", CASES, ids=IDS)
 def test_repr_names_every_field(cls, fields):
     args = ", ".join(f"{name}={value!r}" for name, value in fields.items())
-    assert repr(cls(*fields.values())) == f"{cls.__name__}({args})"
+    assert repr(cls(*fields.values())) == OWN_REPR.get(cls, f"{cls.__name__}({args})")
 
 
 def test_repr_text():
@@ -189,12 +223,17 @@ def test_construction_by_position_or_keyword(cls, fields):
     x = cls(*fields.values())
     assert cls(**fields) == x
     assert cls(*list(fields.values())[:1], **dict(list(fields.items())[1:])) == x
-    assert all(getattr(x, name) is value for name, value in fields.items())
+    for name, value in fields.items():
+        if name in COPIED.get(cls, ()):
+            assert getattr(x, name) == value and getattr(x, name) is not value
+        else:
+            assert getattr(x, name) is value
     with pytest.raises(TypeError):
         cls(*fields.values(), None)
     with pytest.raises(TypeError):
         cls(**fields, unknown=1)
-    required = [name for name in fields if name != "hint"]
+    required = [name for name in fields if name not in OPTIONAL.get(cls, ("hint",))]
+    cls(*[fields[name] for name in required])
     with pytest.raises(TypeError):
         cls(*[fields[name] for name in required[:-1]])
     with pytest.raises(TypeError):
@@ -228,3 +267,26 @@ def test_term_copies_drop_cached_types_and_closures():
         assert back == term and hash(back) == hash(term)
         assert not [k for k in back.__dict__ if k.startswith("_")]
         assert back.ty == Prop
+
+
+def test_replace_builds_through_the_constructor():
+    assert replace(Var(0, Ind, "y"), index=1) == Var(1, Ind, "y")
+    assert replace(Var(0, Ind, "y"), index=1).hint == "y"
+    assert replace(THEORY, axioms=()) == Theory("t", THEORY.signature, THEORY.definitions,
+                                                (), THEORY.goals, THEORY.frame_flags)
+    assert replace(SCOPE) == SCOPE and replace(SCOPE) is not SCOPE
+    for value in (Var(0, Ind), SCOPE, MODEL, THEORY):  # generated and own constructors
+        with pytest.raises(TypeError):
+            replace(value, unknown=1)
+    with pytest.raises(HomlError, match="at least one world"):
+        replace(Scope(1, 1), num_worlds=0)
+
+
+def test_a_replaced_model_has_dicts_of_its_own():
+    model = KripkeModel(SCOPE, (1,), 0b1_0, {"p": 1}, {"p": Prop})
+    other = replace(model, exists_at=0b1_1)
+    assert other == KripkeModel(SCOPE, (1,), 0b1_1, {"p": 1}, {"p": Prop})
+    assert other.positions is not model.positions
+    assert other.constant_types is not model.constant_types
+    model.positions["p"] = 0
+    assert other.positions == {"p": 1}
