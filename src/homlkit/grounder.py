@@ -20,13 +20,13 @@ once. Nodes are created left before right, with no short-circuit, and bound
 values in ascending order, which fixes the Tseitin numbering.
 
 Two memos live as long as one ``ground`` call. A binder's value is memoised
-on its free variables, and ``_per_grounding`` memoises operations on their
-arguments: ``lift``, the position of ``apply``'s argument, ``box``,
-``diamond``, and the node building of ``&``, ``|``, ``->`` and the
-quantifiers once all their operands are evaluated. ``_Formulas`` is
-hash-consed and each of these is a pure function of the node ids it
-receives, so a hit returns the ids that interning would have returned
-anyway, and the numbering does not move.
+on its free variables where that key can repeat (``semantics._memoised``),
+and ``_per_grounding`` memoises operations on their arguments: ``lift``,
+the position of ``apply``'s argument, ``box``, ``diamond``, and the node
+building of ``&``, ``|``, ``->`` and the quantifiers once all their operands
+are evaluated. ``_Formulas`` is hash-consed and each of these is a pure
+function of the node ids it receives, so a hit returns the ids that
+interning would have returned anyway, and the numbering does not move.
 
 A solver answer reaches a model or a verdict by one path. ``_model`` reads
 the answer's status, raising `BudgetExceededError` when the budget ran out,
@@ -52,6 +52,7 @@ from .semantics import (
     KripkeModel,
     Scope,
     ValidUpToScope,
+    _check_closed,
     _Compiler,
     _EvalCtx,
     digits,
@@ -349,12 +350,16 @@ class _Grounding:
     # -- the symbolic carrier of the compiled rules --------------------------
 
     @depth_guarded
-    def eval(self, term: Term, env: list):
-        """The symbolic value of term, compiled at this scope."""
-        return self.compiler(term)(self, env)
+    def eval(self, root: Term):
+        """The symbolic value of a root, compiled at this scope; a root must
+        be closed."""
+        _check_closed(root, GroundingError)
+        return self.compiler(root)(self, [])
 
     def model_free(self, code, ty, env):
         return self.lift(code(self.concrete, env), ty)
+
+    bound = lift
 
     def const(self, name: str):
         sym = self.const_sym.get(name)
@@ -362,11 +367,11 @@ class _Grounding:
             raise GroundingError(f"constant {name!r} is not in the signature")
         return sym
 
-    def apply(self, fn_sv, arg_sv, fn_ty: Fun, length: int, base: int):
+    def apply(self, fn_sv, arg_sv, fn_ty: Fun, divs, base: int):
         idx = self.arg_index(arg_sv, fn_ty.domain)
         if idx is not None:
             return fn_sv[idx]
-        branches = [(self.sym_eq(arg_sv, fn_ty.domain, j), fn_sv[j]) for j in range(length)]
+        branches = [(self.sym_eq(arg_sv, fn_ty.domain, j), fn_sv[j]) for j in range(len(divs))]
         return self.mux(branches, fn_ty.codomain)
 
     def _rows(self, size: int, body, env: list) -> tuple:
@@ -511,11 +516,11 @@ def _ground(theory: Theory, scope: Scope, negated_goal: Optional[Term] = None) -
     for ax in theory.axioms:
         if ax.ty != Prop:
             raise GroundingError("axioms must be prop-typed")
-        roots.extend(g.eval(ax, []))
+        roots.extend(g.eval(ax))
     if negated_goal is not None:
         if negated_goal.ty != Prop:
             raise GroundingError("goal must be prop-typed")
-        bits = g.eval(negated_goal, [])
+        bits = g.eval(negated_goal)
         roots.append(g.f.disj([g.f.neg(b) for b in bits]))
     g.assert_roots(roots)
     return g

@@ -25,8 +25,8 @@ and scope: sizes of types and the shape of Leibniz equality are resolved
 then, not on each evaluation. A closure computes through a carrier ``c``,
 which supplies the value operations (``const``, ``apply``, ``lam``, the
 connectives ``not_``/``and_``/``or_``/``implies``/``iff``, ``box``,
-``diamond``, the quantifiers ``forall``/``exists``, ``equal`` and
-``model_free``). There are two carriers:
+``diamond``, the quantifiers ``forall``/``exists``, ``equal``,
+``model_free`` and ``bound``). There are two carriers:
 
 * ``_EvalCtx`` is concrete: a value is its position, a proposition its world
   mask, so ``mvalid``, ``holds_at`` and ``eval_term`` run on it. It skips
@@ -38,8 +38,18 @@ connectives ``not_``/``and_``/``or_``/``implies``/``iff``, ``box``,
 
 Whether a subterm can depend on the model is decided at compile time: a
 maximal model-free subterm runs in the concrete carrier, and the symbolic
-carrier lifts its value once (``model_free``). ``Lam`` and the quantifiers
-memoise their value on the values of their free de Bruijn slots. The memo
+carrier lifts its value once (``model_free``; ``bound`` for a bare bound
+variable, whose value is read in place). A model-free application or
+equality also reads a bare bound variable operand in place.
+
+``Lam`` and the quantifiers memoise their value on the values of their free
+de Bruijn slots, but only where that key can repeat (``_memoised``). A
+top-level term is closed under its env, so a binder's free slots are some of
+the env; when they are all of it, the key is the whole env, which recurs
+only where one term instance sits twice under the same binders, and the
+binder runs unmemoised. A binder with no free slots stays memoised. This is
+read from the env's length at run time: a closure is compiled once per term
+instance, and a shared subtree can sit at two binder depths. The memo
 belongs to the carrier of one top-level call (``mvalid``, ``holds_at``,
 ``eval_term`` or a ``ground``) and is emptied whenever it reaches
 ``MEMO_BOUND`` entries; nothing of it stays on a model.
@@ -47,7 +57,6 @@ belongs to the carrier of one top-level call (``mvalid``, ``holds_at``,
 
 from __future__ import annotations
 
-import json
 from functools import cached_property
 from operator import itemgetter
 from typing import Optional, Sequence
@@ -79,6 +88,7 @@ from .terms import (
     constants_of,
     existence_guard,
     free_vars,
+    is_closed,
     shift,
 )
 from .theory import frame_clauses
@@ -281,22 +291,46 @@ class _Compiler:
         """The closure of a part of the node being compiled, or of a root. A
         maximal model-free subterm runs in the concrete carrier, and
         ``c.model_free`` hands its value over: the symbolic carrier lifts it
-        once."""
+        once. A bare bound variable's value is read in place and handed
+        over by ``c.bound``."""
         code = self.code(t)
         if self.free or not _model_free(t):
             return code
         ty = t.ty
+        if type(t) is Var:
+            slot = -1 - t.index
+            return lambda c, env: c.bound(env[slot], ty)
         return lambda c, env: c.model_free(code, ty, env)
+
+    def slot(self, t: Term) -> Optional[int]:
+        """The env slot of t when t is a bare bound variable that a model-free
+        node reads in place, else None."""
+        return -1 - t.index if self.free and type(t) is Var else None
 
 
 def _memoised(t: Term, run):
     """``run`` memoised on the values of t's free de Bruijn slots, in the
-    carrier's per-call memo (``c.memo``)."""
+    carrier's per-call memo (``c.memo``), where its key can repeat.
+
+    A top-level term is closed under the caller's env, which stays fixed
+    for the call, so t's free slots are some of ``env``. When they are all
+    of it, the key is the whole env, which recurs only where the same term
+    instance sits twice under the same binders: the body runs and nothing
+    is stored. This is read from ``len(env)`` at run time, not fixed at
+    compile time from t's depth: a closure is compiled once per term
+    instance (``_codes``), and ``rebuild`` shares unchanged subtrees, so one
+    instance can sit at two depths. A closed t stays memoised."""
     slots = [-1 - k for k in sorted(free_vars(t))]
     get = itemgetter(*slots) if slots else None
+    n = len(slots)
 
     def code(c, env):
-        key = (run, get(env)) if get else run
+        if get:
+            if len(env) == n:
+                return run(c, env)
+            key = (run, get(env))
+        else:
+            key = run
         memo = c.memo
         value = memo.get(key)
         if value is None:
@@ -362,11 +396,45 @@ def _const(k, t: Const):
     return lambda c, env: c.const(name)
 
 
+def _places(length: int, base: int):
+    """The place values of a table of ``length`` entries in base ``base``:
+    entry a is ``base ** (length - 1 - a)``, the first most significant.
+    Listed, they take about length² · log2(base) / 2 bits, so where
+    length² times the bit length of base passes ``DEFAULT_CAP``, each one
+    is computed when it is read."""
+    if length * length * base.bit_length() > DEFAULT_CAP:
+        return _Places(length, base)
+    return tuple([base ** e for e in range(length - 1, -1, -1)])
+
+
+class _Places:
+    """The place values of a long table (``_places``), one per read."""
+
+    __slots__ = ("length", "base")
+
+    def __init__(self, length: int, base: int):
+        self.length, self.base = length, base
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __getitem__(self, a: int) -> int:
+        return self.base ** (self.length - 1 - a)
+
+
 def _app(k, t: App):
     fn, arg = k(t.fn), k(t.arg)
     ty = t.fn.ty
-    length, base = k.size(ty.domain), k.size(ty.codomain)
-    return lambda c, env: c.apply(fn(c, env), arg(c, env), ty, length, base)
+    base = k.size(ty.codomain)
+    divs = _places(k.size(ty.domain), base)
+    f, a = k.slot(t.fn), k.slot(t.arg)
+    if f is not None and a is not None:
+        return lambda c, env: c.apply(env[f], env[a], ty, divs, base)
+    if f is not None:
+        return lambda c, env: c.apply(env[f], arg(c, env), ty, divs, base)
+    if a is not None:
+        return lambda c, env: c.apply(fn(c, env), env[a], ty, divs, base)
+    return lambda c, env: c.apply(fn(c, env), arg(c, env), ty, divs, base)
 
 
 def _lam(k, t: Lam):
@@ -416,6 +484,13 @@ def _iff(k, t: Iff):
 def _equal(k, left: Term, right: Term):
     a, b = k(left), k(right)
     ty = left.ty
+    i, j = k.slot(left), k.slot(right)
+    if i is not None and j is not None:
+        return lambda c, env: c.equal(env[i], env[j], ty)
+    if i is not None:
+        return lambda c, env: c.equal(env[i], b(c, env), ty)
+    if j is not None:
+        return lambda c, env: c.equal(a(c, env), env[j], ty)
     return lambda c, env: c.equal(a(c, env), b(c, env), ty)
 
 
@@ -476,8 +551,11 @@ class _EvalCtx:
     def model_free(self, code, ty, env: list) -> int:
         return code(self, env)
 
-    def apply(self, f: int, a: int, ty, length: int, base: int) -> int:
-        return f // base ** (length - 1 - a) % base
+    def bound(self, i: int, ty) -> int:
+        return i
+
+    def apply(self, f: int, a: int, ty, divs, base: int) -> int:
+        return f // divs[a] % base
 
     def lam(self, length: int, base: int, body, env: list) -> int:
         acc = 0
@@ -533,11 +611,22 @@ class _EvalCtx:
         return self.full if a == b else 0
 
 
+def _check_closed(term: Term, error: type = HomlError) -> None:
+    """Raise ``error``, naming a free de Bruijn index, unless the term is
+    closed; a term found closed is not walked again."""
+    if "_closed" not in term.__dict__:
+        if not is_closed(term):
+            raise error(f"formula is not closed: de Bruijn index {min(free_vars(term))} is free")
+        term.__dict__["_closed"] = True
+
+
 @depth_guarded
 def _run(model: KripkeModel, term: Term, env: list) -> int:
     """The position of term's value in the model, compiled at its scope.
-    Every constant is checked first, since a connective may skip the
-    subterm that mentions it."""
+    A term run without an env must be closed. Every constant is checked
+    first, since a connective may skip the subterm that mentions it."""
+    if not env:
+        _check_closed(term)
     constants = term.__dict__.get("_constants")
     if constants is None:
         constants = term.__dict__["_constants"] = sorted(constants_of(term))
@@ -643,10 +732,6 @@ def model_to_json(model: KripkeModel) -> dict:
         "exists_at": position_to_json(model.exists_at, EXISTS_AT_TYPE, scope),
         "constants": constants,
     }
-
-
-def model_to_json_str(model: KripkeModel) -> str:
-    return json.dumps(model_to_json(model), sort_keys=True, separators=(",", ":"))
 
 
 def model_from_json(data: dict) -> KripkeModel:

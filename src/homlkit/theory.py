@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .errors import HomlError
-from .frozen import Frozen, replace
+from .frozen import Frozen
 from .logictypes import LogicType, format_type
 from .terms import Term, format_term
 
@@ -20,9 +20,6 @@ class Theory(Frozen):
     axioms: tuple[Term, ...] = ()
     goals: tuple[Term, ...] = ()
     frame_flags: frozenset[str] = frozenset()
-
-    def with_axioms(self, axioms) -> "Theory":
-        return replace(self, axioms=tuple(axioms))
 
 
 def frame_clauses(flags, r) -> list[list[int]]:

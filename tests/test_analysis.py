@@ -22,6 +22,7 @@ from homlkit.analysis import (
     surjection_exists,
 )
 from homlkit.errors import HomlError
+from homlkit.frozen import replace
 from homlkit.grounder import enumerate_models, find_model, ground
 from homlkit.semantics import KripkeModel, Scope, digits, position
 from homlkit.surface import load_theory
@@ -238,12 +239,12 @@ def test_min_count_unsat_theory_flagged():
 
 def test_min_count_monotone_under_added_axiom():
     base = load_bundle("goedel").theory
-    stronger = base.with_axioms(
+    stronger = replace(base, axioms=(
         base.axioms + load_theory(
             "const P : (i > prop) > prop\n"
             "axiom forallP phi:i>prop. (P phi) -> box (existsA y. phi y)\n"
         ).axioms
-    )
+    ))
     scope = Scope(1, 2)
     base_count = min_positive_count(base, scope)
     strong_count = min_positive_count(stronger, scope)

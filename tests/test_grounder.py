@@ -34,7 +34,7 @@ from homlkit.semantics import (
 )
 from homlkit.solver import SAT, solve_cnf
 from homlkit.surface import load_theory
-from homlkit.terms import ExistsA, ForallA, LeibnizEq, subterms
+from homlkit.terms import And, ExistsA, ForallA, ForallP, LeibnizEq, Var, subterms
 from homlkit.theories import load_bundle
 from homlkit.theory import FRAME_FLAGS, Theory
 from reference import (
@@ -173,6 +173,19 @@ def test_false_axiom_grounds_to_empty_clause():
     problem = ground(theory, Scope(2, 1))
     assert [] in problem.clauses
     assert find_model(theory, Scope(2, 1)) is None
+
+
+@pytest.mark.parametrize("formula,index", [
+    (Var(0, Prop), 0),
+    (ForallP(Prop, And(Var(0, Prop), Var(2, Prop))), 1),
+])
+def test_open_root_is_a_grounding_error_naming_its_free_index(formula, index):
+    # An open axiom or goal is a GroundingError, not an IndexError.
+    scope = Scope(1, 1)
+    with pytest.raises(GroundingError, match=f"de Bruijn index {index} is free"):
+        ground(Theory(name="x", axioms=(formula,)), scope)
+    with pytest.raises(GroundingError, match=f"de Bruijn index {index} is free"):
+        check_validity_bounded(Theory(name="x"), formula, scope)
 
 
 def test_refl_flag_forces_reflexive_edges():

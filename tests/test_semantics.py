@@ -13,13 +13,14 @@ from homlkit.logictypes import Fun, Ind, Prop
 from homlkit.semantics import (
     KripkeModel,
     Scope,
+    _Compiler,
+    _EvalCtx,
     denotation_size,
     digits,
     eval_term,
     holds_at,
     model_from_json,
     model_to_json,
-    model_to_json_str,
     mvalid,
     position_from_json,
     position_to_json,
@@ -37,6 +38,7 @@ from homlkit.terms import (
     ForallP,
     Iff,
     Implies,
+    Lam,
     LeibnizEq,
     Not,
     Or,
@@ -286,11 +288,10 @@ def test_model_json_round_trip():
         {"P": 9, "c": 1},
         {"P": TAU, "c": Ind},
     )
-    text = model_to_json_str(model)
-    import json
+    text = json.dumps(model_to_json(model), sort_keys=True, separators=(",", ":"))
     back = model_from_json(json.loads(text))
     assert back == model
-    assert model_to_json_str(back) == text
+    assert json.dumps(model_to_json(back), sort_keys=True, separators=(",", ":")) == text
 
 
 # The value codec's types; (i>prop)>prop is past the cap at (2,2).
@@ -312,7 +313,8 @@ def test_positions_round_trip_through_json(data):
     model = KripkeModel(scope, acc, exists, positions, types)
     for name, i in positions.items():
         assert position_from_json(position_to_json(i, types[name], scope), types[name], scope) == i
-    back = model_from_json(json.loads(model_to_json_str(model)))
+    back = model_from_json(json.loads(
+        json.dumps(model_to_json(model), sort_keys=True, separators=(",", ":"))))
     assert back.positions == positions
     assert back == model
     assert model_to_json(back) == model_to_json(model)
@@ -509,6 +511,21 @@ def test_eval_error_cases():
         eval_term(model, [], Var(0, Prop, "free"))
 
 
+@pytest.mark.parametrize("formula,index", [
+    (Var(0, Prop), 0),
+    (ForallP(Prop, And(Var(0, Prop), Var(2, Prop))), 1),
+])
+def test_open_formula_is_an_error_naming_its_free_index(formula, index):
+    # A formula evaluated without an env must be closed; an open one is a
+    # HomlError that names its least free index, not an IndexError.
+    model = KripkeModel(Scope(1, 1), (1,), 1)
+    for evaluate in (mvalid, lambda m, f: holds_at(m, f, 0)):
+        with pytest.raises(HomlError, match=f"de Bruijn index {index} is free"):
+            evaluate(model, formula)
+    # The same term under an env that closes it evaluates.
+    assert eval_term(model, [0] * (index + 1), formula) in (0, 1)
+
+
 def test_diamond_dual_of_box():
     scope = Scope(2, 1)
     for model in enumerate_full_models((("p", Prop),), scope):
@@ -661,3 +678,137 @@ def test_threads_share_compiled_terms_and_models():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+
+
+# The binder memo stores a binder's value only where its key can repeat: a
+# binder whose free slots are the whole env runs unmemoised. R x y over
+# individuals, at a scope where each binder has two values to range over.
+REL = Const("R", Fun(Ind, Fun(Ind, Prop)))
+
+
+def _rel(x: int, y: int):
+    return App(App(REL, Var(x, Ind)), Var(y, Ind))
+
+
+def _memo_after(model, formula):
+    """The formula's mask in one concrete call, and the call's binder memo."""
+    ctx = _EvalCtx(model)
+    mask = _Compiler(model.scope).code(formula)(ctx, [])
+    return mask, ctx.memo
+
+
+def _rel_models(count, seed=3):
+    import random
+
+    return list(random_models((("R", REL.const_type),), Scope(2, 2), random.Random(seed), count))
+
+
+def test_binder_over_every_enclosing_variable_stores_nothing():
+    # forallP x. existsP y. R x y: the inner binder's one free slot is the
+    # whole env, so only the closed outer binder leaves an entry.
+    formula = ForallP(Ind, ExistsP(Ind, _rel(1, 0)))
+    for model in _rel_models(6):
+        mask, memo = _memo_after(model, formula)
+        assert mask == reference.eval_term(model, [], formula)
+        assert len(memo) == 1 and not any(isinstance(key, tuple) for key in memo)
+
+
+def test_binder_that_skips_an_enclosing_variable_is_memoised():
+    # forallP x. forallP y. existsP z. R x z: the inner binder skips y, so
+    # its value is stored per x; the middle binder mentions only x, the
+    # whole env there, and stores nothing.
+    formula = ForallP(Ind, ForallP(Ind, ExistsP(Ind, _rel(2, 0))))
+    for model in _rel_models(6):
+        mask, memo = _memo_after(model, formula)
+        assert mask == reference.eval_term(model, [], formula)
+        keyed = [key for key in memo if isinstance(key, tuple)]
+        # Keyed entries come from one binder only, the inner one.
+        assert keyed and len({run for run, _ in keyed}) == 1
+        assert len(memo) == 1 + len(keyed)
+
+
+def test_one_binder_instance_at_two_depths_gives_the_reference_mask():
+    # One instance of existsP y. R x y sits under one binder (its free slot
+    # is the whole env, unmemoised) and under two (memoised on the inner
+    # one); a compiled closure serves both, in either order.
+    inner = ExistsP(Ind, _rel(1, 0))
+    shallow, deep = ForallP(Ind, inner), ForallP(Ind, ForallP(Ind, inner))
+    formulas = [Iff(deep, shallow), Iff(shallow, deep), Or(Not(shallow), deep),
+                And(deep, Diamond(shallow))]
+    for model in _rel_models(8, seed=5):
+        for formula in formulas:
+            assert _memo_after(model, formula)[0] == reference.eval_term(model, [], formula)
+            assert mvalid(model, formula) == reference.mvalid(model, formula)
+
+
+# Applications and equalities with a bare bound variable on either side: in
+# model-free nodes (read in place from the env) and in model-dependent ones
+# (handed over by the carrier's ``bound``). Signature: P : i > prop, c : i,
+# p : prop.
+PRED, IND_C, PROP_P = Const("P", TAU), Const("c", Ind), Const("p", Prop)
+IDENTITY = Lam(Ind, Var(0, Ind))
+BOUND_OPERAND_FORMULAS = [
+    ForallP(Ind, App(PRED, Var(0, Ind))),                            # Const Var
+    ExistsP(TAU, And(App(Var(0, TAU), IND_C), PROP_P)),              # Var Const
+    ExistsP(Ind, LeibnizEq(Var(0, Ind), IND_C)),                     # Var == Const
+    ForallP(Ind, Implies(LeibnizEq(IND_C, Var(0, Ind)), App(PRED, Var(0, Ind)))),
+    Or(PROP_P, ForallP(Ind, ExistsP(TAU, App(Var(0, TAU), Var(1, Ind))))),   # free: Var Var
+    And(PROP_P, ForallP(Ind, ExistsP(Ind, LeibnizEq(Var(0, Ind), Var(1, Ind))))),
+    Iff(PROP_P, ForallP(TAU, ForallP(Ind, Iff(App(Var(1, TAU), App(IDENTITY, Var(0, Ind))),
+                                              App(Var(1, TAU), Var(0, Ind)))))),
+    Iff(PROP_P, ForallP(Ind, And(LeibnizEq(App(IDENTITY, Var(0, Ind)), Var(0, Ind)),
+                                 LeibnizEq(Var(0, Ind), App(IDENTITY, Var(0, Ind)))))),
+    ForallP(Ind, Iff(App(PRED, Var(0, Ind)),
+                     ExistsP(Ind, LeibnizEq(App(IDENTITY, Var(1, Ind)), Var(0, Ind))))),
+    ForallP(TAU, Implies(ForallP(Ind, App(Var(1, TAU), Var(0, Ind))), App(Var(0, TAU), IND_C))),
+    # Leibniz's expansion, compiled as an equality of two bound variables.
+    ForallP(Ind, ForallP(Ind, Implies(
+        ForallP(TAU, Implies(App(Var(0, TAU), Var(2, Ind)), App(Var(0, TAU), Var(1, Ind)))),
+        Iff(App(PRED, Var(1, Ind)), App(PRED, Var(0, Ind)))))),
+]
+BOUND_OPERAND_SIGNATURE = (("P", TAU), ("c", Ind), ("p", Prop))
+
+
+@pytest.mark.parametrize("scope", [Scope(2, 1), Scope(1, 2), Scope(2, 2)])
+def test_bound_operands_agree_with_the_reference(scope):
+    import random
+
+    models = list(random_models(BOUND_OPERAND_SIGNATURE, scope, random.Random(11), 12))
+    for formula in BOUND_OPERAND_FORMULAS:
+        for model in models:
+            assert eval_term(model, [], formula) == reference.eval_term(model, [], formula), formula
+
+
+@pytest.mark.parametrize("scope", [Scope(2, 1), Scope(1, 2)])
+def test_bound_operands_ground_to_the_reference_models(scope):
+    # The symbolic carrier: each formula as the one axiom of a theory has
+    # exactly the models that the reference evaluator accepts.
+    from homlkit.grounder import enumerate_models
+    from homlkit.theory import Theory
+
+    def doc(model):
+        return json.dumps(model_to_json(model), sort_keys=True)
+
+    candidates = list(enumerate_full_models(BOUND_OPERAND_SIGNATURE, scope))
+    for formula in BOUND_OPERAND_FORMULAS:
+        theory = Theory(name="bound", signature=BOUND_OPERAND_SIGNATURE, axioms=(formula,))
+        oracle = {doc(m) for m in candidates if reference.mvalid(m, formula)}
+        assert {doc(m) for m in enumerate_models(theory, scope)} == oracle, formula
+
+
+def test_application_past_the_listed_place_values_agrees_with_the_reference():
+    # Q : (i > prop) > prop at (2,5) is a table of 1,024 entries in base 4,
+    # too long for its place values to be listed: each is computed when
+    # read.
+    import random
+
+    rng = random.Random(4)
+    scope = Scope(2, 5)
+    family = Fun(TAU, Prop)
+    types = {"Q": family, "r": TAU}
+    for _ in range(4):
+        positions = {"Q": rng.randrange(4 ** 1024), "r": rng.randrange(1024)}
+        model = KripkeModel(scope, total_relation(2), 0, positions, types)
+        for formula in (App(Const("Q", family), Const("r", TAU)),
+                        Not(App(Const("Q", family), Lam(Ind, Not(App(Const("r", TAU), Var(0, Ind))))))):
+            assert eval_term(model, [], formula) == reference.eval_term(model, [], formula)
