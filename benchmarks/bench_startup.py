@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
-"""Start-up microbenchmark: what importing the CLI costs, and what the value
-classes cost per instance.
+"""Start-up microbenchmark: what importing the CLI and loading a bundle cost,
+and what the value classes cost per instance.
 
 Prints the best of N fresh-interpreter times of ``import homlkit.cli``
 (the interpreter's own start-up excluded), once with bytecode cached, as a
 user's second run finds it, and once compiling every module; the
 standard-library modules that the import adds to those the bare interpreter
-has loaded; and the best per-instance construct, ``==`` and ``hash`` times of
-``App``, ``Var``, ``Token``, and of ``Fun`` and ``Scope``, which key the
-compiler's type and size tables.
+has loaded; the best of N fresh-interpreter times of the first
+``load_bundle`` of ``goedel`` and of ``modal_math`` and of a repeated one,
+which returns the bundle the first loaded; and the best per-instance
+construct, ``==`` and ``hash`` times of ``App``, ``Var``, ``Token``, and of
+``Fun`` and ``Scope``, which key the compiler's type and size tables.
 Bytecode goes to a temporary ``PYTHONPYCACHEPREFIX``, so nothing is written
-into the tree. Exits 1 only when the import fails.
+into the tree. Exits 1 only when the import or a load fails.
 
     PYTHONPATH=src python benchmarks/bench_startup.py [--runs N]
 """
@@ -41,25 +43,46 @@ print(" ".join(sorted(name for name in set(sys.modules) - before
 """
 
 
-def import_times(runs: int, cached: bool) -> tuple[list[float], list[str]]:
+# Run in a fresh interpreter: a bundle's first load, then a repeated one.
+LOAD_PROBE = """
+import sys, time
+from homlkit.theories import load_bundle
+for _ in range(2):
+    t0 = time.perf_counter()
+    load_bundle(sys.argv[1])
+    print(time.perf_counter() - t0)
+"""
+
+
+def fresh_runs(probe: str, runs: int, cached: bool, *args: str) -> list[list[str]]:
+    """The stdout lines of ``runs`` fresh interpreters running ``probe``."""
     with tempfile.TemporaryDirectory() as prefix:
         env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONPYCACHEPREFIX": prefix}
         env.pop("PYTHONDONTWRITEBYTECODE", None)
         if not cached:
             env["PYTHONDONTWRITEBYTECODE"] = "1"
-        times, added = [], []
-        # A cached run first writes the bytecode, untimed.
+        outputs = []
+        # A cached run first writes the bytecode, unreported.
         for i in range(runs + cached):
-            out = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True,
-                                 text=True, timeout=120)
+            out = subprocess.run([sys.executable, "-c", probe, *args], env=env,
+                                 capture_output=True, text=True, timeout=120)
             if out.returncode != 0:
                 sys.stderr.write(out.stderr)
                 sys.exit(1)
-            elapsed, names = out.stdout.splitlines()
-            added = names.split()
             if i or not cached:
-                times.append(float(elapsed))
-    return times, added
+                outputs.append(out.stdout.splitlines())
+    return outputs
+
+
+def import_times(runs: int, cached: bool) -> tuple[list[float], list[str]]:
+    outputs = fresh_runs(PROBE, runs, cached)
+    return [float(elapsed) for elapsed, _ in outputs], outputs[-1][1].split()
+
+
+def load_times(bundle_id: str, runs: int) -> tuple[float, float]:
+    """Best first and repeated ``load_bundle`` times, bytecode cached."""
+    outputs = fresh_runs(LOAD_PROBE, runs, True, bundle_id)
+    return min(float(first) for first, _ in outputs), min(float(again) for _, again in outputs)
 
 
 def per_instance_ns() -> dict[str, tuple[float, float, float]]:
@@ -97,6 +120,10 @@ def main() -> None:
         print(f"import homlkit.cli, {label}: best {min(times) * 1e3:.1f} ms, "
               f"median {statistics.median(times) * 1e3:.1f} ms")
     print(f"standard-library modules the import adds: {len(added)} ({', '.join(added)})")
+    for bundle_id in ("goedel", "modal_math"):
+        first, again = load_times(bundle_id, args.runs)
+        print(f"load_bundle({bundle_id!r}), bytecode cached: first best {first * 1e3:.1f} ms, "
+              f"repeated best {again * 1e6:.1f} us")
     print(f"{'class':<10}{'construct ns':>14}{'== ns':>8}{'hash ns':>9}")
     for name, (init, eq, hsh) in per_instance_ns().items():
         print(f"{name:<10}{init:>14.0f}{eq:>8.0f}{hsh:>9.0f}")

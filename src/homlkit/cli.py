@@ -8,6 +8,7 @@ is rendered from it. Exit codes: 0 expected verdicts, 1 counter-result,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -110,6 +111,13 @@ def _load_theory_arg(args) -> tuple[Theory, dict]:
     return theory, meta
 
 
+def _goal(theory: Theory, labels: list, label: str):
+    """The theory's goal with this label."""
+    if label not in labels:
+        raise HomlError(f"no goal labelled {label!r} (have {labels})")
+    return theory.goals[labels.index(label)]
+
+
 def _bundle_keys(meta: dict) -> dict:
     """The report's ``bundle`` and ``variant`` for a theory loaded from a bundle."""
     return {key: meta[key] for key in ("bundle", "variant") if key in meta}
@@ -154,9 +162,7 @@ def cmd_check(args) -> tuple[int, dict]:
     results = []
     verdicts = []
     for label in wanted:
-        if label not in labels:
-            raise HomlError(f"no goal labelled {label!r} (have {labels})")
-        goal = theory.goals[labels.index(label)]
+        goal = _goal(theory, labels, label)
         verdict = check_validity_bounded(theory, goal, scope, budget)
         results.append({"goal": label, "scope": _scope_list(scope), **_verdict_json(verdict)})
         verdicts.append(verdict)
@@ -340,10 +346,9 @@ def cmd_export_cnf(args) -> tuple[int, dict]:
     negated_goal = None
     if args.mode == "refute":
         labels = meta["goal_labels"]
-        label = args.goal if args.goal is not None else (labels[0] if labels else None)
-        if label is None or label not in labels:
+        if not labels:
             raise HomlError("refute mode requires a goal")
-        negated_goal = theory.goals[labels.index(label)]
+        negated_goal = _goal(theory, labels, labels[0] if args.goal is None else args.goal)
     problem = ground(theory, scope, negated_goal=negated_goal)
     data = export_dimacs(problem)
     if args.out:
@@ -457,6 +462,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on first use, not at import, and reused: parsing changes nothing in
+# the parser, and each call parses into a namespace of its own.
+_parser = functools.cache(build_parser)
+
+
 def _format_report(report: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report, sort_keys=True, indent=2) + "\n"
@@ -468,7 +478,7 @@ def main(argv=None) -> int:
     # read, so a usage error found after that names it in its report.
     args = argparse.Namespace(command=None, format="json", out=None)
     try:
-        build_parser().parse_args(argv, namespace=args)
+        _parser().parse_args(argv, namespace=args)
         exit_code, report = args.handler(args)
     except SystemExit as exc:  # --help
         return EXIT_USAGE if exc.code not in (0, None) else 0

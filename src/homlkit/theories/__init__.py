@@ -6,7 +6,9 @@ the expected verdicts (and the scopes they were recorded at)."""
 
 from __future__ import annotations
 
+import functools
 import json
+import os
 
 from ..errors import BundleError, HomlError
 from ..frozen import Frozen, replace
@@ -18,11 +20,19 @@ from ..theory import Theory
 
 BUNDLE_IDS = ("k", "t", "s4", "s5", "church", "filters", "goedel", "modal_math")
 
+_DATA = os.path.join(os.path.dirname(__file__), "data")
+
 
 def _data(filename: str) -> str:
-    # Imported on use: from Python 3.12 on, importlib.resources imports inspect.
-    from importlib import resources
-    return resources.files(__package__).joinpath(f"data/{filename}").read_text("utf-8")
+    # A plain open, not importlib.resources: from Python 3.12 on, that
+    # imports inspect.
+    with open(os.path.join(_DATA, filename), encoding="utf-8") as handle:
+        return handle.read()
+
+
+@functools.cache
+def _manifest() -> dict:
+    return json.loads(_data("manifest.json"))
 
 
 class Bundle(Frozen):
@@ -73,12 +83,27 @@ def load_bundle(bundle_id: str, **params) -> Bundle:
 
     Variant parameters: goedel takes quantifier=actualist|possibilist and
     formulation=scott|goedel-1970; modal_math takes extension=core|infinity.
+
+    A bundle is loaded once per process and variant, and shared: every call
+    that names the same id and resolves to the same variant returns the same
+    ``Bundle``, so ``load_bundle("goedel")`` is
+    ``load_bundle("goedel", quantifier="actualist")``. Its terms are
+    immutable, but its ``manifest`` is a plain dict shared by every caller,
+    which must not change it. The id and the parameters are checked on every
+    call; a call that raises stores nothing.
     """
-    manifest = json.loads(_data("manifest.json"))
-    entry = manifest.get(bundle_id)
+    entry = _manifest().get(bundle_id)
     if entry is None:
         raise BundleError(f"unknown bundle id {bundle_id!r} (known: {', '.join(BUNDLE_IDS)})")
-    variant = resolve_variant(bundle_id, entry, dict(params))
+    return _load(bundle_id, resolve_variant(bundle_id, entry, dict(params)))
+
+
+# One Bundle per (id, resolved variant), kept for the life of the process: the
+# manifest names 13 files, so the cache needs no bound. Two threads may both
+# load a variant; one result is kept.
+@functools.cache
+def _load(bundle_id: str, variant: str) -> Bundle:
+    entry = _manifest()[bundle_id]
     filename = entry["files"].get(variant)
     if filename is None:
         raise BundleError(f"bundle {bundle_id!r} has no variant {variant!r}")

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from homlkit import theories
 from homlkit.cli import main
 from homlkit.grounder import export_dimacs, ground
 from homlkit.semantics import Scope
@@ -100,6 +101,19 @@ def test_import_adds_neither_dataclasses_nor_inspect():
                  for extra in ("", "; import homlkit.cli"))
     assert "homlkit.cli" in cli
     assert not {"dataclasses", "inspect"} & (cli - bare)
+
+
+def test_loading_a_bundle_reads_no_importlib_resources():
+    """Importing the CLI and loading a bundle, in an isolated interpreter
+    without ``site``, loads neither ``importlib.resources`` nor ``inspect``
+    (which ``importlib.resources`` imports from Python 3.12 on)."""
+    src = str(pathlib.Path(__file__).parent.parent / "src")
+    probe = (f"import sys; sys.path.insert(0, {src!r}); import homlkit.cli; "
+             "homlkit.cli.load_bundle('k'); print(' '.join(sys.modules))")
+    loaded = set(subprocess.run([sys.executable, "-I", "-S", "-c", probe], capture_output=True,
+                                text=True, check=True, timeout=60).stdout.split())
+    assert "homlkit.theories" in loaded
+    assert not {"importlib.resources", "inspect"} & loaded
 
 
 def test_unknown_bundle_exits_two(capsys):
@@ -199,6 +213,24 @@ def test_export_cnf_refute_mode(capsys):
     assert "p cnf" in out
 
 
+def test_export_cnf_refute_names_an_unknown_goal(capsys):
+    code, out = run_cli(["export-cnf", "--bundle", "k", "--scope", "1,1",
+                         "--mode", "refute", "--goal", "nope"], capsys)
+    assert code == 2
+    assert json.loads(out) == {"command": "export-cnf",
+                               "error": "no goal labelled 'nope' (have ['K', 'T', '4', '5'])"}
+
+
+@pytest.mark.parametrize("goal", [[], ["--goal", "nope"]])
+def test_export_cnf_refute_without_goals_exits_two(goal, tmp_path, capsys):
+    path = tmp_path / "t.homl"
+    path.write_text("const p : prop\naxiom p\n")
+    code, out = run_cli(["export-cnf", "--file", str(path), "--scope", "1,1",
+                         "--mode", "refute", *goal], capsys)
+    assert code == 2
+    assert json.loads(out) == {"command": "export-cnf", "error": "refute mode requires a goal"}
+
+
 def test_church_suite_exits_zero(capsys):
     code, out = run_cli(["church-suite"], capsys)
     assert code == 0
@@ -277,6 +309,44 @@ def test_zero_counts_are_valid(capsys):
 def test_help_exits_zero(capsys):
     assert main(["count-positive", "--help"]) == 0
     assert "--counting-world" in capsys.readouterr().out
+
+
+# A goal, a usage error, help, then no goal: nothing of one call may reach
+# the next, now that the parser is built once per process.
+SEQUENCE = [
+    ["check", "--bundle", "goedel", "--goal", "necessary_existence"],
+    ["check", "--bundle", "goedel", "--scope"],
+    ["check", "--help"],
+    ["check", "--bundle", "goedel"],
+    ["check", "--bundle", "k", "--scope", "2,1", "--goal", "K", "--format", "text"],
+    ["check", "--bundle", "k", "--scope", "2,1"],
+]
+
+
+def test_each_call_in_one_process_reports_as_if_run_alone(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # help text is wrapped to the terminal's width
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).parent.parent / "src")}
+    in_process = [run_cli(argv, capsys) for argv in SEQUENCE]
+    alone = []
+    for argv in SEQUENCE:
+        out = subprocess.run([sys.executable, "-m", "homlkit.cli", *argv], env=env,
+                             capture_output=True, text=True, timeout=120)
+        alone.append((out.returncode, out.stdout))
+    assert in_process == alone
+    assert [code for code, _ in in_process] == [0, 2, 0, 0, 0, 1]
+    assert len(json.loads(in_process[-1][1])["results"]) == 4
+
+
+def test_no_command_changes_a_bundle_manifest(capsys):
+    from test_acceptance import DETERMINISM_INVOCATIONS
+
+    for argv in DETERMINISM_INVOCATIONS:
+        main(argv)
+    capsys.readouterr()
+    path = pathlib.Path(theories.__file__).parent / "data" / "manifest.json"
+    fresh = json.loads(path.read_text(encoding="utf-8"))
+    for bundle in bundle_variants():
+        assert bundle.manifest == fresh[bundle.id], (bundle.id, bundle.variant)
 
 
 def test_unknown_positive_constant_exits_two(capsys):

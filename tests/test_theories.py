@@ -23,10 +23,26 @@ def test_unknown_bundle():
 
 
 def test_unknown_variant_parameter():
-    with pytest.raises(BundleError):
-        load_bundle("k", quantifier="actualist")
-    with pytest.raises(BundleError):
-        load_bundle("goedel", quantifier="nonsense")
+    # Checked on every call, also once the bundle's default variant is loaded.
+    load_bundle("k")
+    load_bundle("goedel")
+    for bundle_id, params in [("k", {"quantifier": "actualist"}),
+                              ("goedel", {"quantifier": "nonsense"}),
+                              ("goedel", {"colour": "red"}),
+                              ("unknown", {})]:
+        for _ in range(2):
+            with pytest.raises(BundleError):
+                load_bundle(bundle_id, **params)
+
+
+def test_a_bundle_is_loaded_once_per_variant():
+    goedel = load_bundle("goedel")
+    assert load_bundle("goedel", quantifier="actualist") is goedel
+    assert load_bundle("goedel", quantifier="actualist", formulation="scott") is goedel
+    possibilist = load_bundle("goedel", quantifier="possibilist")
+    assert possibilist is not goedel
+    assert (goedel.variant, possibilist.variant) == ("actualist:scott", "possibilist:scott")
+    assert load_bundle("goedel", quantifier="possibilist") is possibilist
 
 
 def test_frame_flags_per_bundle():
