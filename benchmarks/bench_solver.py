@@ -9,6 +9,10 @@ not the known one. Then enumerates every model of the empty CNF over 12
 variables with `Solver.block`, and every model of K at (2,1) and at (2,2)
 through `iterate_models`; prints the best time and model count of each, and
 exits non-zero on a wrong count or a model out of lexicographic order.
+Last, prints the best per-model time of `GroundProblem.decode` over up to 64
+solver models of K at (2,1), goedel at (2,2) and church at (1,3), whose
+selector rows cover ``c : i`` and ``f : i > i``, and the time of a fresh
+problem's first decode, which builds its reader; these rows never fail.
 
     PYTHONPATH=src python benchmarks/bench_solver.py
 """
@@ -17,6 +21,7 @@ import random
 import sys
 import time
 
+from homlkit.frozen import replace
 from homlkit.grounder import ground, iterate_models
 from homlkit.semantics import Scope, digits
 from homlkit.solver import SAT, UNKNOWN, UNSAT, Solver
@@ -52,12 +57,13 @@ def goedel_refutation():
     return problem.num_vars, problem.clauses
 
 
-def best_of(run, repeat):
-    """The fastest of ``repeat`` timed calls of ``run``, and the last result."""
+def best_of(run, repeat, *args):
+    """The fastest of ``repeat`` timed calls of ``run(*args)``, and the last
+    result."""
     best = None
     for _ in range(repeat):
         start = time.perf_counter()
-        result = run()
+        result = run(*args)
         elapsed = time.perf_counter() - start
         best = elapsed if best is None else min(best, elapsed)
     return best, result
@@ -119,6 +125,32 @@ def bench_enumeration(name, expected, models, repeat=3):
     return ok
 
 
+def solver_models(problem, limit=64):
+    """Up to ``limit`` of the problem's solver models, as 0/1 lists."""
+    solver = Solver(problem.num_vars, problem.clauses)
+    models = []
+    while len(models) < limit:
+        status, model, _ = solver.solve()
+        if status != SAT:
+            break
+        models.append(list(model))
+        solver.block(len(problem.decision_vars))
+    return models
+
+
+def bench_decode(bundle, n, m, repeat=20):
+    """Print one row: the best per-model decode time, and the best time of
+    a first decode on a copy of the problem that has no reader yet."""
+    from homlkit.theories import load_bundle
+
+    problem = ground(load_bundle(bundle).theory, Scope(n, m))
+    models = solver_models(problem)
+    best, _ = best_of(lambda: [problem.decode(model) for model in models], repeat)
+    first = min(best_of(replace(problem).decode, 1, models[0])[0] for _ in range(repeat))
+    print(f"{f'decode {bundle} at ({n},{m})':28s} {best / len(models) * 1e6:9.2f} us per model  "
+          f"first {first * 1e6:8.2f} us  {len(models):5d} models")
+
+
 def main():
     rows = [
         ("pigeonhole(6)", UNSAT, *pigeonhole(6)),
@@ -134,6 +166,8 @@ def main():
         ("enumerate K at (2,2)", 2 ** 12, lambda: k_models(2, 2)),
     ]
     ok = all([bench_enumeration(*row) for row in enumerations]) and ok
+    for row in (("k", 2, 1), ("goedel", 2, 2), ("church", 1, 3)):
+        bench_decode(*row)
     return 0 if ok else 1
 
 

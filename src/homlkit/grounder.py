@@ -30,7 +30,11 @@ interning would have returned anyway, and the numbering does not move.
 
 A solver answer reaches a model or a verdict by one path. ``_model`` reads
 the answer's status, raising `BudgetExceededError` when the budget ran out,
-and decodes the solver's 0/1 list with `GroundProblem.decode`. `solve`
+and decodes the solver's 0/1 list with `GroundProblem.decode`. A problem
+builds its reader on its first decode, and reads every later model through
+it: the decision bits as one binary numeral, and each part (a world's mask,
+existsAt, a constant) cut out of it as a mixed-radix number over its leaves,
+world bits of radix 2 or selector rows of radix m. `solve`
 answers a problem in one call, `iterate_models` answers each step of one
 incremental solver, and `refute` turns the answer to a problem that negates
 a goal into a verdict; `find_model` and `check_validity_bounded` ground and
@@ -39,7 +43,9 @@ then call them.
 
 from __future__ import annotations
 
-from functools import wraps
+from functools import cached_property, wraps
+from itertools import chain
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -58,7 +64,6 @@ from .semantics import (
     digits,
     holds_at,
     position,
-    table_view,
 )
 from .solver import DEFAULT_CONFLICT_BUDGET, UNKNOWN, UNSAT, Solver, solve_cnf
 from .terms import EXISTS_AT, EXISTS_AT_TYPE, Term
@@ -178,29 +183,102 @@ class GroundProblem(Frozen):
 
     def decode(self, model: list[int]) -> KripkeModel:
         """The Kripke model of a solver model: a list of num_vars 0/1 values,
-        variable v at index v - 1. Each part is a position read from its cell
-        bits, first most significant: world w's mask from ``r_vars[w]``,
-        existsAt's from ``ex_vars``. The model satisfies the clauses, so only
-        the selector bits of an individual are checked (see `_position`)."""
-        acc = tuple([position([model[v - 1] for v in row], 2) for row in self.r_vars])
-        exists = position([model[v - 1] for row in self.ex_vars for v in row], 2)
-        positions = {name: _position(self.const_cells[name], ty, model, self.scope)
-                     for name, ty in self.signature}
-        return KripkeModel(self.scope, acc, exists, positions, dict(self.signature))
+        variable v at index v - 1. Raises `HomlError` on a list of another
+        length, on a value that it reads and that is not 0 or 1, and on an
+        individual's selector row that has no bit or two bits set; the
+        model satisfies the clauses, so nothing else is checked.
+
+        Each part is a mixed-radix number over its leaves, read from its
+        cell bits, first most significant: world w's mask from ``r_vars[w]``,
+        existsAt's from ``ex_vars``, each constant's position from its cells.
+        A leaf is a world bit (radix 2) or an individual's selector row
+        (radix m), and a part's leaves are all of one kind. The reader
+        (``_reader``) is built on the first call: the bits are read as one
+        binary numeral, and each part is cut out of it by shift and mask."""
+        read, order, parts, names, types = self._reader
+        if len(model) != self.num_vars:
+            raise HomlError(f"solver model has {len(model)} values, "
+                            f"not the problem's {self.num_vars} variables")
+        try:
+            bits = int(bytes(read(model)).translate(_BINARY), 2)
+        except (TypeError, ValueError):
+            raise _not_binary(model, order) from None
+        values = [bits >> shift & mask if not rows
+                  else _selected(bits >> shift & mask, rows, self.scope.num_entities)
+                  for shift, mask, rows in parts]
+        n = self.scope.num_worlds
+        return KripkeModel(self.scope, tuple(values[:n]), values[n],
+                           dict(zip(names, values[n + 1:])), types)
+
+    def __reduce__(self):
+        """Copied and pickled by its fields. A mappingproxy does not pickle,
+        so a read-only mapping travels as a dict and is wrapped again; the
+        reader is derived, so a copy builds its own."""
+        return _problem, tuple(dict(v) if type(v) is MappingProxyType else v
+                               for v in map(self.__getattribute__, self._fields))
+
+    @cached_property
+    def _reader(self) -> tuple:
+        """(read, order, parts, names, types), built on the first decode.
+        ``order`` holds the 0-based indices of the bits decode reads, part
+        by part, and ``read`` is their itemgetter (a scope has a world and
+        an entity, so there are at least two). Part k is ``(shift, mask,
+        rows)``: its bits are ``bits >> shift & mask`` of their numeral, and
+        ``rows`` counts its selector rows, 0 for world bits."""
+        m = self.scope.num_entities
+        cells = [*self.r_vars, [v for row in self.ex_vars for v in row]]
+        rows = [0] * len(cells)
+        for name, ty in self.signature:
+            flat = self.const_cells[name]
+            while isinstance(ty, Fun):  # a table's cells are a tuple of its entries'
+                ty, flat = ty.codomain, chain.from_iterable(flat)
+            flat = tuple(flat)
+            cells.append(flat)
+            rows.append(len(flat) // m if ty == Ind else 0)
+        order = tuple(v - 1 for part in cells for v in part)
+        shift, parts = len(order), []
+        for part, part_rows in zip(cells, rows):
+            shift -= len(part)
+            parts.append((shift, (1 << len(part)) - 1, part_rows))
+        names = tuple(name for name, _ in self.signature)
+        return itemgetter(*order), order, tuple(parts), names, dict(self.signature)
 
 
-def _position(cells, ty, model: list[int], scope: Scope) -> int:
-    """The position of the ty-value a solver model gives cells: a table's
-    entries in base |entry|, a world bit 0/1, an individual its one selector."""
-    if ty is bool:
-        return model[cells - 1]
-    view = table_view(ty, scope)
-    if view is None:
-        chosen = [e for e, v in enumerate(cells) if model[v - 1]]
-        if len(chosen) != 1:
+def _problem(*fields) -> GroundProblem:
+    """The problem of `GroundProblem.__reduce__`'s fields."""
+    return GroundProblem(*(MappingProxyType(v) if type(v) is dict else v for v in fields))
+
+
+# Bytes 0 and 1 to the digits "0" and "1", any other to "2", which no base-2
+# numeral holds.
+_BINARY = b"01" + b"2" * 254
+
+
+def _selected(x: int, rows: int, m: int) -> int:
+    """The base-m number whose digits are the selected entries of ``rows``
+    one-hot rows of m bits in x, the first row most significant: a row
+    whose bit m-1-e alone is set selects e."""
+    full = (1 << m) - 1
+    acc = 0
+    for shift in range(m * (rows - 1), -1, -m):
+        row = x >> shift & full
+        if not row or row & (row - 1):
             raise HomlError("selector bits violate the exactly-one constraint")
-        return chosen[0]
-    return position([_position(sub, view[2], model, scope) for sub in cells], view[1])
+        acc = acc * m + m - row.bit_length()
+    return acc
+
+
+def _not_binary(model, order) -> HomlError:
+    """The error naming the first value at an index in order that is not 0
+    or 1."""
+    for i in order:
+        try:
+            ok = bytes((model[i],)) in (b"\0", b"\1")
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            return HomlError(f"solver model value {model[i]!r} of variable {i + 1} is not 0 or 1")
+    return HomlError("solver model values are not all 0 or 1")
 
 
 class _Grounding:
@@ -586,6 +664,8 @@ def iterate_models(problem: GroundProblem, budget: int = DEFAULT_CONFLICT_BUDGET
     d = len(problem.decision_vars)
     if list(problem.decision_vars) != list(range(1, d + 1)):
         raise HomlError("the decision variables must be 1..d to enumerate models")
+    if limit is not None and limit < 1:
+        return
     solver = Solver(problem.num_vars, problem.clauses)
     produced = 0
     while limit is None or produced < limit:

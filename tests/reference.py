@@ -18,6 +18,11 @@ each clause on its own is range-checked, de-duplicated and simplified at
 decision level 0, as MiniSat's ``addClause`` does. The solver tests check
 that ``Solver.add_clauses`` builds the same watch lists, trail and values.
 
+``decode`` is ``GroundProblem.decode`` as a recursion over each
+constant's cells: a table's entries in base |entry|, a world bit 0/1, an
+individual its one selector bit. The grounder tests check the library's
+reader, which cuts each part out of one binary numeral, against it.
+
 ``brute_force_find_model`` visits every candidate model of a signature in a
 fixed order, keeps the relations that ``frame_holds`` (the textbook frame
 conditions over the relation's rows) accepts, and checks the axioms with
@@ -99,6 +104,32 @@ class TextbookSolver(Solver):
         else:
             self._watches[lits[0]].append(lits)
             self._watches[lits[1]].append(lits)
+
+
+def decode(problem, model: list[int]) -> KripkeModel:
+    """The Kripke model of a solver model, read cell by cell: world w's mask
+    from ``r_vars[w]``, existsAt's from ``ex_vars`` and each constant's
+    position from its cells, first bit most significant."""
+    bit = lambda v: model[v - 1]
+    scope = problem.scope
+    acc = tuple(position(map(bit, row), 2) for row in problem.r_vars)
+    exists = position([bit(v) for row in problem.ex_vars for v in row], 2)
+    positions = {name: _position(problem.const_cells[name], ty, bit, scope)
+                 for name, ty in problem.signature}
+    return KripkeModel(scope, acc, exists, positions, dict(problem.signature))
+
+
+def _position(cells, ty: LogicType, bit, scope: Scope) -> int:
+    """The position of the ty-value that ``bit`` gives a constant's cells."""
+    if isinstance(ty, Fun):
+        base = denotation_size(ty.codomain, scope)
+        return position([_position(sub, ty.codomain, bit, scope) for sub in cells], base)
+    if ty == Prop:
+        return position(map(bit, cells), 2)
+    chosen = [e for e, v in enumerate(cells) if bit(v)]
+    if len(chosen) != 1:
+        raise HomlError("selector bits violate the exactly-one constraint")
+    return chosen[0]
 
 
 class _EvalCtx:

@@ -1,11 +1,16 @@
 """Grounding, solving, decoding: oracle equivalence against exhaustive eval."""
 
+import copy
 import dataclasses
 import itertools
+import pickle
 import random
+import re
+from types import MappingProxyType
 
 import pytest
 
+import homlkit.grounder as grounder
 from homlkit.errors import BudgetExceededError, GroundingError, HomlError, ScopeCapError
 from homlkit.frozen import replace
 from homlkit.grounder import (
@@ -41,6 +46,7 @@ from reference import (
     brute_force_find_model,
     bundle_variants,
     count_full_models,
+    decode as reference_decode,
     enumerate_full_models,
     expand_sugar,
     frame_holds,
@@ -105,18 +111,39 @@ def _leaves(cells):
     return [cells] if isinstance(cells, int) else [v for sub in cells for v in _leaves(sub)]
 
 
-@pytest.mark.parametrize("n,m", [(1, 2), (2, 1)])
+DECODE_SCOPES = [(1, 2), (2, 1), (1, 3), (2, 2)]
+
+
+def _codec_problem(scope):
+    """The ground problem of one constant of each of CODEC_TYPES."""
+    return ground(load_theory("".join(f"const c{k} : {ty}\n"
+                                      for k, ty in enumerate(CODEC_TYPES))), scope)
+
+
+def _selector_rows(cells, ty):
+    """A constant's selector rows, in the order of its bits."""
+    if ty == Ind:
+        return [cells]
+    if isinstance(ty, Fun):
+        return [row for sub in cells for row in _selector_rows(sub, ty.codomain)]
+    return []
+
+
+@pytest.mark.parametrize("n,m", DECODE_SCOPES)
 def test_decode_reads_each_constants_position_from_its_cells(n, m):
     # Bits set as lift lays out position i decode to position i, and the
     # decoded model equals the model built by hand from those positions.
+    # At (2,2), (i > prop) > prop has 2^32 values, past the denotation cap,
+    # so positions are drawn below its table's bound.
     scope = Scope(n, m)
-    problem = ground(load_theory("".join(f"const c{k} : {ty}\n"
-                                         for k, ty in enumerate(CODEC_TYPES))), scope)
+    problem = _codec_problem(scope)
     g = _Grounding(load_theory(""), scope)
+    bound = {ty: m if g.table(ty) is None else g.table(ty)[1] ** g.table(ty)[0]
+             for ty in CODEC_TYPES}
     rng = random.Random(n * 10 + m)
     for _ in range(50):
         bits = [rng.randrange(2) for _ in range(problem.num_vars)]
-        want = {name: rng.randrange(g.size(ty)) for name, ty in problem.signature}
+        want = {name: rng.randrange(bound[ty]) for name, ty in problem.signature}
         for name, ty in problem.signature:
             for v, cell in zip(_leaves(problem.const_cells[name]), _leaves(g.lift(want[name], ty))):
                 bits[v - 1] = int(cell == _TRUE)
@@ -131,21 +158,111 @@ def test_decode_reads_each_constants_position_from_its_cells(n, m):
         by_hand = KripkeModel(scope, model.accessibility, model.exists_at, want,
                               dict(problem.signature))
         assert by_hand == model and by_hand.positions == want
+        assert model._int_form[2] == {**want, "existsAt": model.exists_at}
 
 
 def test_decode_checks_selector_bits():
-    # The solver's model passes; an individual's selector row with no bit
-    # or two bits set, at the top level or inside a table, does not.
-    problem = ground(load_theory("const c : i\nconst f : i > i\n"), Scope(1, 2))
-    _, bits, _ = solve_cnf(problem.num_vars, problem.clauses)
-    assert problem.decode(bits) is not None
-    for cells in (problem.const_cells["c"], problem.const_cells["f"][1]):
-        for value in (0, 1):
-            bad = list(bits)
-            for v in cells:
-                bad[v - 1] = value
+    # The solver's model passes; an individual's selector row with no bit,
+    # two bits or every bit set, at the top level or inside a table keyed
+    # by individuals or by props, does not.
+    for source, scope, rows in (
+            ("const c : i\nconst f : i > i\n", Scope(1, 2), [("c",), ("f", 1)]),
+            ("const h : prop > i\n", Scope(1, 3), [("h", 0), ("h", 1)])):
+        problem = ground(load_theory(source), scope)
+        _, bits, _ = solve_cnf(problem.num_vars, problem.clauses)
+        assert problem.decode(bits) == reference_decode(problem, bits)
+        m = scope.num_entities
+        for name, *path in rows:
+            cells = problem.const_cells[name]
+            for k in path:
+                cells = cells[k]
+            for count in (0, *range(2, m + 1)):
+                for chosen in itertools.combinations(range(m), count):
+                    bad = list(bits)
+                    for e, v in enumerate(cells):
+                        bad[v - 1] = int(e in chosen)
+                    with pytest.raises(HomlError, match="exactly-one"):
+                        problem.decode(bad)
+
+
+@pytest.mark.parametrize("n,m", DECODE_SCOPES)
+def test_decode_agrees_with_the_reference_reader(n, m):
+    # On random 0/1 lists over every codec type, where most selector rows
+    # are one-hot and some are not, decode gives the reference's model, or
+    # raises where the reference finds a broken row.
+    problem = _codec_problem(Scope(n, m))
+    rng = random.Random(1000 + n * 10 + m)
+    broken = 0
+    for _ in range(200):
+        bits = [rng.randrange(2) for _ in range(problem.num_vars)]
+        for name, ty in problem.signature:
+            for row in _selector_rows(problem.const_cells[name], ty):
+                if rng.random() < 0.95:
+                    pick = rng.randrange(m)
+                    for e, v in enumerate(row):
+                        bits[v - 1] = int(e == pick)
+        try:
+            want = reference_decode(problem, bits)
+        except HomlError:
+            broken += 1
             with pytest.raises(HomlError, match="exactly-one"):
-                problem.decode(bad)
+                problem.decode(bits)
+        else:
+            assert problem.decode(bits) == want
+    assert 0 < broken < 200
+
+
+def test_decode_rejects_a_list_that_is_not_a_model_of_the_problem():
+    # The list must hold num_vars values, and each value decode reads must
+    # be 0 or 1 (False and True are those ints).
+    problem = ground(load_bundle("k").theory, Scope(2, 1))
+    _, bits, _ = solve_cnf(problem.num_vars, problem.clauses)
+    assert problem.decode([bool(b) for b in bits]) == problem.decode(bits)
+    with pytest.raises(HomlError, match="has 9 values, not the problem's 10 variables"):
+        problem.decode(bits[:-1])
+    with pytest.raises(HomlError, match="has 13 values, not the problem's 10 variables"):
+        problem.decode(bits + [0, 0, 0])
+    goedel = ground(load_bundle("goedel").theory, Scope(1, 1))
+    _, goedel_bits, _ = solve_cnf(goedel.num_vars, goedel.clauses)
+    d = len(goedel.decision_vars)
+    assert d < goedel.num_vars
+    with pytest.raises(HomlError, match=f"has {d} values, not the problem's {goedel.num_vars} "):
+        goedel.decode(goedel_bits[:d])
+    signed = [v if b else -v for v, b in enumerate(bits, 1)]
+    with pytest.raises(HomlError, match="of variable 1 is not 0 or 1"):
+        problem.decode(signed)
+    for value in (2, -1, 256, 1.0, "1", None, b"\x01"):
+        bad = list(bits)
+        bad[4] = value
+        with pytest.raises(HomlError, match=re.escape(f"value {value!r} of variable 5 is not 0 or 1")):
+            problem.decode(bad)
+
+
+def test_ground_problem_copies_and_pickles_after_decoding():
+    # A problem that has decoded a model copies, deep-copies and pickles to
+    # an equal problem with read-only mappings, which decodes alike.
+    problem = _codec_problem(Scope(1, 3))
+    _, bits, _ = solve_cnf(problem.num_vars, problem.clauses)
+    model = problem.decode(bits)
+    flipped = list(bits)
+    flipped[0] ^= 1
+    for twin in (copy.copy(problem), copy.deepcopy(problem), pickle.loads(pickle.dumps(problem))):
+        assert twin == problem
+        assert type(twin.meanings) is type(twin.const_cells) is MappingProxyType
+        assert twin.decode(bits) == model
+        assert twin.decode(flipped) == problem.decode(flipped) != model
+
+
+def test_iterate_models_with_limit_0_builds_no_solver(monkeypatch):
+    class NoSolver:
+        def __init__(self, *args):
+            raise AssertionError("a solver was built")
+
+    problem = ground(load_bundle("k").theory, Scope(2, 1))
+    monkeypatch.setattr(grounder, "Solver", NoSolver)
+    assert list(iterate_models(problem, limit=0)) == []
+    with pytest.raises(AssertionError, match="a solver was built"):
+        next(iterate_models(problem, limit=1))
 
 
 def test_ground_problem_fields_reject_mutation():
