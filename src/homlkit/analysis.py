@@ -270,18 +270,11 @@ def successor_cardinal_check(model: KripkeModel, k: int) -> bool:
 
 def surjection_exists(model: KripkeModel, constant: str = "P", world: int = 0,
                       strict: bool = False) -> bool:
-    """Whether any total map from entities onto the positive modal sets exists
-    (exhaustive over enumerated maps)."""
-    positives = positive_sets(model, constant, world, strict)
-    m = model.scope.num_entities
-    if not positives:
-        return False
-    if len(positives) > m:
-        return False
-    for image in itertools.product(range(len(positives)), repeat=m):
-        if len(set(image)) == len(positives):
-            return True
-    return False
+    """Whether a total map from the entities onto the positive modal sets
+    exists: exactly when there is a positive set and there are no more of
+    them than entities (send one entity to each set, the rest to any)."""
+    k = len(positive_sets(model, constant, world, strict))
+    return 0 < k <= model.scope.num_entities
 
 
 def diagonal_witness(model: KripkeModel, mapping: Sequence[int]) -> tuple[int, bool]:

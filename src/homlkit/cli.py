@@ -44,7 +44,7 @@ from .semantics import (
 from .solver import DEFAULT_CONFLICT_BUDGET
 from .surface import load_theory
 from .theories import check_church_postulates, load_bundle
-from .theory import FRAME_FLAGS, Theory
+from .theory import Theory, check_frame_flags
 
 EXIT_OK = 0
 EXIT_COUNTER = 1
@@ -104,9 +104,7 @@ def _load_theory_arg(args) -> tuple[Theory, dict]:
                 "goal_labels": [f"goal{i}" for i in range(len(theory.goals))]}
     if args.frame is not None:
         flags = frozenset(f for f in args.frame.split(",") if f)
-        bad = flags - set(FRAME_FLAGS)
-        if bad:
-            raise HomlError(f"unknown frame flags {sorted(bad)}")
+        check_frame_flags(flags)
         theory = replace(theory, frame_flags=flags)
     return theory, meta
 

@@ -3,6 +3,13 @@
 The concrete syntax is line-oriented: one declaration per line, ``#`` comments,
 ASCII keywords with optional Unicode aliases. Types are written ``i``, ``prop``
 and ``a > b`` (right-associative). Errors are reported as ``file:line:col: message``.
+
+The parser maps each keyword to its core node kind once, as it reads it: an
+application or connective becomes an ``SNode`` tagged with its ``terms``
+class, a binder an ``SBinder``, and ``top``/``bot`` their core terms. Only
+names wait for the checker, which resolves them and builds the core nodes. A
+core term may stand anywhere in a surface tree; the checker checks it as it
+is, under the binders above it.
 """
 
 from __future__ import annotations
@@ -114,7 +121,7 @@ class SName(Frozen):
 
 
 class SBinder(Frozen):
-    kind: str  # the keyword: \\ | forallP | existsP | forallA | existsA
+    kind: type  # the binder's node kind: Lam, ForallP, ExistsP, ForallA or ExistsA
     name: str
     var_type: Optional[LogicType]
     body: object
@@ -122,30 +129,9 @@ class SBinder(Frozen):
     col: int
 
 
-class SApp(Frozen):
-    fn: object
-    arg: object
-    line: int
-    col: int
-
-
-class SUnary(Frozen):
-    kind: str  # not | box | dia
-    arg: object
-    line: int
-    col: int
-
-
-class SBinary(Frozen):
-    kind: str  # & | "|" | -> | <-> | ==
-    left: object
-    right: object
-    line: int
-    col: int
-
-
-class SConst(Frozen):
-    kind: str  # top | bot
+class SNode(Frozen):
+    kind: type  # App or a connective's node kind: Not, Box, And, LeibnizEq, ...
+    args: tuple  # its children in the order of the kind's fields
     line: int
     col: int
 
@@ -215,7 +201,7 @@ class _TermParser:
                 return left
             self.next()
             right = self.parse_term(prec if right_assoc else prec + 1)
-            left = SBinary(tok.kind, left, right, tok.line, tok.col)
+            left = SNode(_NODE[tok.kind], (left, right), tok.line, tok.col)
 
     def parse_operand(self, min_prec: int):
         tok = self.peek()
@@ -225,11 +211,12 @@ class _TermParser:
             return self.parse_binder()
         if tok.kind == "kw" and tok.text in _UNARY_KWS:
             self.next()
-            return SUnary(tok.text, self.parse_operand(min_prec), tok.line, tok.col)
+            return SNode(_NODE[tok.text], (self.parse_operand(min_prec),), tok.line, tok.col)
         return self.parse_app()
 
     def parse_binder(self):
         tok = self.next()
+        kind = _NODE[tok.text]
         name_tok = self.peek()
         if name_tok is None or name_tok.kind != "ident":
             self.error("expected a bound variable name")
@@ -238,12 +225,12 @@ class _TermParser:
         if self.peek() and self.peek().kind == ":":
             self.next()
             var_type = self.parse_type()
-        elif _NODE[tok.text] not in (ForallA, ExistsA):
-            kind = "lam" if tok.kind == "\\" else tok.text
-            self.error(f"binder {kind!r} requires a type annotation", name_tok)
+        elif kind not in (ForallA, ExistsA):
+            name = "lam" if kind is Lam else tok.text
+            self.error(f"binder {name!r} requires a type annotation", name_tok)
         self.expect(".")
         body = self.parse_term(0)
-        return SBinder(tok.text, name_tok.text, var_type, body, tok.line, tok.col)
+        return SBinder(kind, name_tok.text, var_type, body, tok.line, tok.col)
 
     def parse_app(self):
         term = self.parse_atom()
@@ -253,7 +240,7 @@ class _TermParser:
                 return term
             if tok.kind == "ident" or tok.kind == "(" or (tok.kind == "kw" and tok.text in ("top", "bot")):
                 arg = self.parse_atom()
-                term = SApp(term, arg, tok.line, tok.col)
+                term = SNode(App, (term, arg), tok.line, tok.col)
             else:
                 return term
 
@@ -262,7 +249,9 @@ class _TermParser:
         if tok.kind == "ident":
             return SName(tok.text, tok.line, tok.col)
         if tok.kind == "kw" and tok.text in ("top", "bot"):
-            return SConst(tok.text, tok.line, tok.col)
+            # top := forallP p:prop. p -> p,  bot := forallP p:prop. p
+            p = Var(0, Prop, "p")
+            return ForallP(Prop, Implies(p, p) if tok.text == "top" else p, "p")
         if tok.kind == "(":
             inner = self.parse_term(0)
             self.expect(")")
@@ -364,8 +353,9 @@ class _Checker:
             self.err(exc.message, node)
 
     def check(self, node, env) -> Term:
-        """env is a list of (name, type), innermost binder first."""
-        if isinstance(node, SName):
+        """env is a list of (name, type), innermost binder first. A node that
+        is not a surface node is a core term, checked as it is under env."""
+        if type(node) is SName:
             for idx, (bname, bty) in enumerate(env):
                 if bname == node.name:
                     return Var(idx, bty, bname)
@@ -376,27 +366,18 @@ class _Checker:
             if node.name in self.def_types:
                 return Const(node.name, self.def_types[node.name])
             self.err(f"unbound identifier {node.name!r}", node)
-        if isinstance(node, SConst):
-            # top := forallP p:prop. p -> p,  bot := forallP p:prop. p
-            v = Var(0, Prop, "p")
-            body = Implies(v, v) if node.kind == "top" else v
-            return ForallP(Prop, body, "p")
-        if isinstance(node, SBinder):
-            kind = _NODE[node.kind]
+        if type(node) is SBinder:
             var_type = node.var_type if node.var_type is not None else Ind
             check_type_depth(var_type)
             with self.at(node):
-                check_bound_type(kind, var_type)
+                check_bound_type(node.kind, var_type)
             body = self.check(node.body, [(node.name, var_type)] + env)
-            core = kind(var_type, body, node.name)
-        elif isinstance(node, SApp):
-            core = App(self.check(node.fn, env), self.check(node.arg, env))
-        elif isinstance(node, SUnary):
-            core = _NODE[node.kind](self.check(node.arg, env))
-        elif isinstance(node, SBinary):
-            core = _NODE[node.kind](self.check(node.left, env), self.check(node.right, env))
+            core = node.kind(var_type, body, node.name)
+        elif type(node) is SNode:
+            core = node.kind(*[self.check(arg, env) for arg in node.args])
         else:
-            raise AssertionError(f"unhandled surface node {node!r}")
+            check_term(node, [ty for _, ty in env])
+            return node
         with self.at(node):
             core.ty  # runs the node kind's typing rule
         return core
@@ -408,27 +389,23 @@ def typecheck(theory: Theory, filename: str = "<input>") -> Theory:
 
     Definition bodies may reference only signature constants and earlier
     definitions, so acyclicity holds by construction. Axioms and goals must be
-    closed terms of type prop. Core terms among them are checked as they are.
+    closed terms of type prop. A core term may stand anywhere in a surface
+    tree, or be the whole of one; it is checked as it is, under the surface
+    binders above it.
     """
     def_types: dict[str, LogicType] = {}
     checker = _Checker(theory.signature, def_types, filename)
     for name, ty in theory.signature:
         check_type_depth(ty)
 
-    def check(node) -> Term:
-        if isinstance(node, Term):
-            check_term(node)
-            return node
-        return checker.check(node, [])
-
     checked_defs = []
     for name, body in theory.definitions:
-        core = check(body)
+        core = checker.check(body, [])
         def_types[name] = core.ty
         checked_defs.append((name, core))
 
     def check_formula(node, kind):
-        core = check(node)
+        core = checker.check(node, [])
         if core.ty != Prop:
             line = getattr(node, "line", 0)
             col = getattr(node, "col", 0)

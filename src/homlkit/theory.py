@@ -22,14 +22,19 @@ class Theory(Frozen):
     frame_flags: frozenset[str] = frozenset()
 
 
+def check_frame_flags(flags) -> None:
+    """Raise HomlError naming every flag of ``flags`` not in FRAME_FLAGS."""
+    unknown = set(flags).difference(FRAME_FLAGS)
+    if unknown:
+        raise HomlError(f"unknown frame flags {sorted(unknown, key=str)}")
+
+
 def frame_clauses(flags, r) -> list[list[int]]:
     """The frame conditions of ``flags``, stated once: clauses over literals
     ``r[w][v]``, each saying that world w sees v, in the order refl, symm,
     trans, without the clauses that always hold. The grounder passes its
     relation variables; ``KripkeModel.satisfies_frame`` numbers the cells."""
-    unknown = set(flags).difference(FRAME_FLAGS)
-    if unknown:
-        raise HomlError(f"unknown frame flags {sorted(unknown, key=str)}")
+    check_frame_flags(flags)
     worlds = range(len(r))
     clauses = [[r[w][w]] for w in worlds] if "refl" in flags else []
     if "symm" in flags:

@@ -342,6 +342,25 @@ def test_surjection_exists_when_few_positives():
     assert surjection_exists(model)
 
 
+def _brute_force_surjection(m, k):
+    """The definition, searched: some map from m entities hits each of k
+    positive sets, and there is at least one."""
+    return k > 0 and any(len(set(image)) == k
+                         for image in itertools.product(range(k), repeat=m))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_surjection_exists_matches_the_brute_force_search(m):
+    # The fewest worlds that give at least five modal sets to choose from.
+    n = next(n for n in itertools.count(1) if 2 ** (n * m) >= 5)
+    scope = Scope(n, m)
+    base = KripkeModel(scope, ((1 << n) - 1,) * n, (1 << (n * m)) - 1)
+    for k in range(6):
+        model = family_from_sets(base, set(range(k)))
+        assert distinct_positive_count(model) == k
+        assert surjection_exists(model) == _brute_force_surjection(m, k), (m, k)
+
+
 def test_diagonal_differs_from_every_image():
     model = one_world_model(2)
     scope = model.scope

@@ -253,6 +253,14 @@ def test_frame_override(tmp_path, capsys):
     assert code == 0
 
 
+def test_unknown_frame_flags_are_named_before_the_scope_is_read(capsys):
+    # The same message as the grounder's, and reported ahead of a bad scope.
+    code, out = run_cli(["check", "--bundle", "k", "--scope", "x",
+                         "--frame", "trans,shiny,dull"], capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == "unknown frame flags ['dull', 'shiny']"
+
+
 def test_budget_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("HOMLKIT_BUDGET", "1")
     code, out = run_cli(["check", "--bundle", "goedel", "--scope", "2,2"], capsys)

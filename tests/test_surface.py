@@ -7,10 +7,9 @@ from homlkit.grounder import check_validity_bounded
 from homlkit.logictypes import Fun, Ind, Prop
 from homlkit.semantics import KripkeModel, Scope, mvalid
 from homlkit.surface import (
-    SApp,
     SBinder,
     SName,
-    SUnary,
+    SNode,
     elaborate,
     load_theory,
     parse,
@@ -19,11 +18,14 @@ from homlkit.surface import (
     typecheck,
 )
 from homlkit.terms import (
+    And,
     App,
     Box,
     Const,
     ExistsA,
     ForallP,
+    Implies,
+    Lam,
     LeibnizEq,
     Not,
     Var,
@@ -39,10 +41,10 @@ def test_parse_axiom_ast_shape():
     theory = parse("const P : i > prop\naxiom box (forallP x:i. P x)\n")
     assert len(theory.axioms) == 1
     ax = theory.axioms[0]
-    assert isinstance(ax, SUnary) and ax.kind == "box"
-    quant = ax.arg
-    assert isinstance(quant, SBinder) and quant.kind == "forallP"
-    assert isinstance(quant.body, SApp)
+    assert isinstance(ax, SNode) and ax.kind is Box
+    (quant,) = ax.args
+    assert isinstance(quant, SBinder) and quant.kind is ForallP
+    assert isinstance(quant.body, SNode) and quant.body.kind is App
 
 
 def test_parse_unmatched_paren_reports_position():
@@ -259,6 +261,48 @@ def test_typecheck_checks_core_terms(theory, message):
     assert err.value.message == message
 
 
+PRED = (("P", Fun(Ind, Prop)), ("R", Fun(Ind, Fun(Ind, Prop))))
+
+
+def test_core_terms_nest_under_surface_binders():
+    # P x and R y x as surface nodes around core terms, checked under the
+    # surface binders above them: Var(1) is y below "forallP y. forallP x".
+    lam = SBinder(Lam, "x", Ind, SNode(App, (SName("P", 1, 11), Var(0, Ind, "x")), 1, 13), 1, 7)
+    pair = SNode(App, (App(Const("R", PRED[1][1]), Var(1, Ind, "y")), SName("x", 1, 40)), 1, 40)
+    axiom = SBinder(ForallP, "y", Ind, SBinder(ForallP, "x", Ind, pair, 1, 20), 1, 7)
+    theory = Theory("t", signature=PRED, definitions=(("d", lam),), axioms=(axiom,))
+    source = ("const P : i > prop\nconst R : i > i > prop\ndef d := \\x:i. P x\n"
+              "axiom forallP y:i. forallP x:i. R y x\n")
+    expected = typecheck(parse(source))
+    checked = typecheck(theory)
+    assert checked.definitions == expected.definitions
+    assert checked.axioms == expected.axioms
+
+
+@pytest.mark.parametrize("core,message", [
+    (Var(1, Ind, "x"), "unbound de Bruijn index 1"),
+    (Var(0, Prop, "x"), "variable type mismatch: expected i, got prop"),
+])
+def test_core_variable_is_checked_against_the_surface_binders(core, message):
+    body = SNode(App, (SName("P", 1, 11), core), 1, 13)
+    theory = Theory("t", signature=PRED, definitions=(("d", SBinder(Lam, "x", Ind, body, 1, 7)),))
+    with pytest.raises(TypeCheckError) as err:
+        typecheck(theory)
+    assert err.value.message == message
+
+
+def test_top_and_bot_parse_to_their_core_terms():
+    p = Var(0, Prop, "p")
+    top, bot = ForallP(Prop, Implies(p, p), "p"), ForallP(Prop, p, "p")
+    assert parse_term_text("top") == parse_term_text("⊤") == top
+    assert parse_term_text("bot") == parse_term_text("⊥") == bot
+    assert parse_term_text("P top") == SNode(App, (SName("P", 1, 1), top), 1, 3)
+    assert parse_term_text("top & bot") == SNode(And, (top, bot), 1, 5)
+    theory = load_theory("const P : prop > prop\naxiom P top -> not (P bot)\n")
+    const_p = Const("P", Fun(Prop, Prop))
+    assert theory.axioms == (Implies(App(const_p, top), Not(App(const_p, bot))),)
+
+
 @pytest.mark.parametrize("bundle_id", ["k", "church", "filters", "goedel", "modal_math"])
 def test_elaboration_preserves_types_and_is_core(bundle_id):
     # Core here means free of defined constants; the sugar nodes stay.
@@ -296,7 +340,7 @@ def test_type_depth_limit():
 def test_binder_swallows_to_the_right():
     term = parse_term_text("forallP x:i. p -> q")
     assert isinstance(term, SBinder)
-    assert term.kind == "forallP"
+    assert term.kind is ForallP
 
 
 def test_deeply_nested_input_raises_nesting_depth_error():
@@ -314,7 +358,7 @@ def test_deeply_nested_input_raises_nesting_depth_error():
         parse("goal " + "not " * 5000 + "p\n")
     surface = SName("p", 1, 1)
     for _ in range(5000):
-        surface = SUnary("not", surface, 1, 1)
+        surface = SNode(Not, (surface,), 1, 1)
     with pytest.raises(NestingDepthError):
         typecheck(Theory("deep", signature=(("p", Prop),), axioms=(surface,)))
     core = Const("p", Prop)

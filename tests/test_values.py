@@ -25,7 +25,7 @@ from homlkit.semantics import (
     Unsatisfiable,
     ValidUpToScope,
 )
-from homlkit.surface import SApp, SBinary, SBinder, SConst, SName, SUnary, Token
+from homlkit.surface import SBinder, SName, SNode, Token
 from homlkit.terms import (
     And,
     App,
@@ -65,12 +65,9 @@ CASES = [
       for kind in (ForallP, ExistsP, ForallA, ExistsA)],
     (Token, {"kind": "ident", "text": "p", "line": 1, "col": 2}),
     (SName, {"name": "p", "line": 1, "col": 2}),
-    (SBinder, {"kind": "forallP", "name": "x", "var_type": Ind, "body": "b", "line": 1,
+    (SBinder, {"kind": ForallP, "name": "x", "var_type": Ind, "body": "b", "line": 1,
                "col": 2}),
-    (SApp, {"fn": "f", "arg": "a", "line": 1, "col": 2}),
-    (SUnary, {"kind": "not", "arg": "a", "line": 1, "col": 2}),
-    (SBinary, {"kind": "&", "left": "a", "right": "b", "line": 1, "col": 2}),
-    (SConst, {"kind": "top", "line": 1, "col": 2}),
+    (SNode, {"kind": And, "args": (P, Q), "line": 1, "col": 2}),
     (ValidUpToScope, {"scope": SCOPE}),
     (Countermodel, {"model": MODEL, "world": 0}),
     (Satisfiable, {"model": MODEL}),
@@ -117,6 +114,8 @@ def _other(value):
     """A sample different from ``value``, of the same kind."""
     if isinstance(value, bool):
         return not value
+    if isinstance(value, type):  # a surface node's kind
+        return Or if value is And else And
     if isinstance(value, int):
         return value + 1
     if isinstance(value, str):
