@@ -52,6 +52,12 @@ SCOPE = Scope(1, 2)
 MODEL = KripkeModel(SCOPE, (1,), 0b1_0)  # entity 0 exists, entity 1 does not
 THEORY = Theory("t", (("p", Prop), ("q", Prop)), (("d", P),), (P,), (Q,), frozenset({"refl"}))
 
+# The three shapes of SNode the parser builds, each with the id of its row:
+# an application, a unary and a binary connective.
+SNODE_SHAPES = {"SApp": (App, (Const("f", Fun(Prop, Prop)), P)),
+                "SUnary": (Not, (P,)),
+                "SBinary": (And, (P, Q))}
+
 # (class, fields in order with a sample value each); a second sample of every
 # compared field is derived by the test.
 CASES = [
@@ -67,7 +73,8 @@ CASES = [
     (SName, {"name": "p", "line": 1, "col": 2}),
     (SBinder, {"kind": ForallP, "name": "x", "var_type": Ind, "body": "b", "line": 1,
                "col": 2}),
-    (SNode, {"kind": And, "args": (P, Q), "line": 1, "col": 2}),
+    *[(SNode, {"kind": kind, "args": args, "line": 1, "col": 2})
+      for kind, args in SNODE_SHAPES.values()],
     (ValidUpToScope, {"scope": SCOPE}),
     (Countermodel, {"model": MODEL, "world": 0}),
     (Satisfiable, {"model": MODEL}),
@@ -93,7 +100,8 @@ CASES = [
               "source": "const p : prop\n", "goal_labels": ("K",),
               "manifest": {"default_variant": "default"}}),
 ]
-IDS = [cls.__name__ for cls, _ in CASES]
+_SHAPE_IDS = iter(SNODE_SHAPES)
+IDS = [next(_SHAPE_IDS) if cls is SNode else cls.__name__ for cls, _ in CASES]
 
 # The fields that a call may leave out, where they are more than a binder's hint.
 OPTIONAL = {KripkeModel: ("positions", "constant_types"),
