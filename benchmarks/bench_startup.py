@@ -10,7 +10,8 @@ has loaded; the best of N fresh-interpreter times of the first
 ``load_bundle`` of ``goedel`` and of ``modal_math`` and of a repeated one,
 which returns the bundle the first loaded; and the best per-instance
 construct, ``==`` and ``hash`` times of ``App``, ``Var``, ``Token``, and of
-``Fun`` and ``Scope``, which key the compiler's type and size tables.
+``Fun`` and ``Scope``, which key the per-(type, scope) caches of
+``semantics.table_view`` and ``denotation_size``.
 Bytecode goes to a temporary ``PYTHONPYCACHEPREFIX``, so nothing is written
 into the tree. Exits 1 only when the import or a load fails.
 

@@ -61,12 +61,14 @@ from .semantics import (
     _check_closed,
     _Compiler,
     _EvalCtx,
+    denotation_size,
     digits,
     holds_at,
     position,
+    table_view,
 )
 from .solver import DEFAULT_CONFLICT_BUDGET, UNKNOWN, UNSAT, Solver, solve_cnf
-from .terms import EXISTS_AT, EXISTS_AT_TYPE, Term
+from .terms import EXISTS_AT, Term
 from .theory import Theory, frame_clauses
 
 MAX_CONSTANT_ORDER = 3
@@ -288,6 +290,9 @@ class _Grounding:
     def __init__(self, theory: Theory, scope: Scope):
         if theory.definitions:
             raise GroundingError("theory must be elaborated before grounding")
+        if any(name == EXISTS_AT for name, _ in theory.signature):
+            raise GroundingError(f"{EXISTS_AT!r} is reserved for the existence table "
+                                 "and cannot be declared")
         self.theory = theory
         self.scope = scope
         self.n = scope.num_worlds
@@ -297,8 +302,6 @@ class _Grounding:
         self.meanings: dict[int, str] = {}
         self.clauses: list[list[int]] = []
         self.compiler = _Compiler(scope)
-        self.size = self.compiler.size
-        self.table = self.compiler.table
         # Model-free subterms run in the concrete carrier over an empty frame.
         self.concrete = _EvalCtx(KripkeModel(scope, (0,) * self.n, 0))
         # The binder memo and the operation memo live as long as this grounding.
@@ -321,10 +324,10 @@ class _Grounding:
                 )
             cells = self._alloc_cells(name, ty, ())
             self.const_cells[name] = cells
-            self.const_sym[name] = self._cells_to_sym(cells, ty)
+            self.const_sym[name] = self._cells_to_sym(cells)
         self.decision_vars = tuple(range(1, self.num_vars + 1))
         # existsAt viewed as an unknown Fun(Ind, Prop) table.
-        self.const_sym[EXISTS_AT] = self._cells_to_sym(self.ex_vars, EXISTS_AT_TYPE)
+        self.const_sym[EXISTS_AT] = self._cells_to_sym(self.ex_vars)
         self.clauses.extend(frame_clauses(theory.frame_flags, self.r_vars))
 
     def _new_var(self, meaning: Optional[str] = None) -> int:
@@ -346,32 +349,29 @@ class _Grounding:
                     self.clauses.append([-sel[i], -sel[j]])
             return sel
         assert isinstance(ty, Fun)
-        dom = self.size(ty.domain)
+        dom = denotation_size(ty.domain, self.scope)
         return tuple(self._alloc_cells(name, ty.codomain, args + (j,)) for j in range(dom))
 
-    def _cells_to_sym(self, cells, ty):
-        if ty is bool:
+    def _cells_to_sym(self, cells):
+        """The symbolic value of nested cells: each variable's formula node."""
+        if type(cells) is int:
             return self.f.var(cells)
-        entry = self.entry(ty)
-        return tuple(self._cells_to_sym(sub, entry) for sub in cells)
+        return tuple(map(self._cells_to_sym, cells))
 
     # -- symbolic values ---------------------------------------------------
     # A symbolic value of a table type is a tuple of its entries' symbolic
     # values, a prop's world bits being formula ids; an Ind is a flat tuple
-    # of m one-hot formula ids.
-
-    def entry(self, ty: LogicType):
-        """The type of a symbolic value's components: its table entry, and
-        ``bool`` (a selector bit) for ``Ind``."""
-        view = self.table(ty)
-        return bool if view is None else view[2]
+    # of m one-hot formula ids. A leaf is an int, so ``_cells_to_sym``,
+    # ``sym_values_eq`` and ``mux`` walk a value by its nesting alone; only
+    # ``lift``, ``concrete_index`` and ``sym_eq``, which need a position's
+    # digits, read the type's ``table_view``.
 
     @_per_grounding
     def lift(self, i: int, ty: LogicType):
         """The constant symbolic value at position i of ty."""
         if ty is bool:
             return (_FALSE, _TRUE)[i]
-        view = self.table(ty)
+        view = table_view(ty, self.scope)
         if view is None:
             return tuple(_TRUE if e == i else _FALSE for e in range(self.m))
         length, base, entry = view
@@ -382,7 +382,7 @@ class _Grounding:
         else None."""
         if ty is bool:
             return _const_bool(sv)
-        view = self.table(ty)
+        view = table_view(ty, self.scope)
         if view is None:
             bits = [_const_bool(cell) for cell in sv]
             return bits.index(True) if None not in bits and bits.count(True) == 1 else None
@@ -400,7 +400,7 @@ class _Grounding:
         """Formula: the symbolic value equals the i-th enumerated value of ty."""
         if ty is bool:
             return sv if i else self.f.neg(sv)
-        view = self.table(ty)
+        view = table_view(ty, self.scope)
         if view is None:
             return sv[i]
         length, base, entry = view
@@ -408,21 +408,19 @@ class _Grounding:
             [self.sym_eq(sub, entry, d) for sub, d in zip(sv, digits(i, length, base))]
         )
 
-    def sym_values_eq(self, a, b, ty) -> int:
-        """Formula: two symbolic values of ty are equal."""
-        if ty is bool:
+    def sym_values_eq(self, a, b) -> int:
+        """Formula: two symbolic values of one type are equal."""
+        if type(a) is int:
             return self.f.iff(a, b)
-        entry = self.entry(ty)
-        return self.f.conj([self.sym_values_eq(x, y, entry) for x, y in zip(a, b)])
+        return self.f.conj([self.sym_values_eq(x, y) for x, y in zip(a, b)])
 
-    def mux(self, branches, ty):
-        """Symbolic value: the ty-value of the branch whose condition holds."""
-        if ty is bool:
+    def mux(self, branches):
+        """Symbolic value: the value of the branch whose condition holds."""
+        first = branches[0][1]
+        if type(first) is int:
             return self.f.disj([self.f.conj([cond, sv]) for cond, sv in branches])
-        entry = self.entry(ty)
         return tuple(
-            self.mux([(cond, sv[k]) for cond, sv in branches], entry)
-            for k in range(len(branches[0][1]))
+            self.mux([(cond, sv[k]) for cond, sv in branches]) for k in range(len(first))
         )
 
     # -- the symbolic carrier of the compiled rules --------------------------
@@ -450,7 +448,7 @@ class _Grounding:
         if idx is not None:
             return fn_sv[idx]
         branches = [(self.sym_eq(arg_sv, fn_ty.domain, j), fn_sv[j]) for j in range(len(divs))]
-        return self.mux(branches, fn_ty.codomain)
+        return self.mux(branches)
 
     def _rows(self, size: int, body, env: list) -> tuple:
         """The body's value for each value of the bound variable, in order."""
@@ -511,8 +509,8 @@ class _Grounding:
     def exists(self, size, body, env):
         return self.fold("disj", self._rows(size, body, env))
 
-    def equal(self, a, b, ty):
-        return (self.sym_values_eq(a, b, ty),) * self.n
+    def equal(self, a, b):
+        return (self.sym_values_eq(a, b),) * self.n
 
     # -- Tseitin -------------------------------------------------------------
 

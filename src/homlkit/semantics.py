@@ -16,16 +16,18 @@ read as a number in base |entry| (``table_view``):
 
 ``digits(i, length, base)`` splits a position into its entries and
 ``position(entries, base)`` joins them back. The order is the one
-itertools.product gives over the entries.
+itertools.product gives over the entries. A type's view and its size
+(``denotation_size``) are derived here and memoised per (type, scope), so
+every reader of a type, here and in the grounder, shares one derivation.
 
 The evaluator states the meaning of each term node kind once, as one
 compile rule in ``_RULES``, keyed by the node's type. ``rule(k, t)`` builds
 t's closure ``code(c, env)`` from the closures of its parts, once per term
-and scope: sizes of types and the shape of Leibniz equality are resolved
-then, not on each evaluation. A closure computes through a carrier ``c``,
-which supplies the value operations (``const``, ``apply``, ``lam``, the
-connectives ``not_``/``and_``/``or_``/``implies``/``iff``, ``box``,
-``diamond``, the quantifiers ``forall``/``exists``, ``equal``,
+and scope: the size of each type it reads and the shape of Leibniz
+equality are resolved then, not on each evaluation. A closure computes through a
+carrier ``c``, which supplies the value operations (``const``, ``apply``,
+``lam``, the connectives ``not_``/``and_``/``or_``/``implies``/``iff``,
+``box``, ``diamond``, the quantifiers ``forall``/``exists``, ``equal``,
 ``model_free`` and ``bound``). There are two carriers:
 
 * ``_EvalCtx`` is concrete: a value is its position, a proposition its world
@@ -35,6 +37,8 @@ connectives ``not_``/``and_``/``or_``/``implies``/``iff``, ``box``,
   runs, so a skipped side cannot turn an error into a verdict.
 * The grounder's ``_Grounding`` is symbolic: a value is a tuple of formula
   nodes over the model's unknowns. It evaluates left before right, always.
+  Its equality and an application's case split walk a value by its
+  nesting, so ``equal`` takes no type.
 
 Whether a subterm can depend on the model is decided at compile time: a
 maximal model-free subterm runs in the concrete carrier, and the symbolic
@@ -57,7 +61,7 @@ belongs to the carrier of one top-level call (``mvalid``, ``holds_at``,
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -134,6 +138,11 @@ def position(entries, base: int) -> int:
     return acc
 
 
+# A type's view and size are derived once per (type, scope), here, and every
+# caller reads them from these two caches. A call that raises ScopeCapError
+# stores nothing, so it raises again on every call.
+
+@cache
 def table_view(ty: LogicType, scope: Scope) -> Optional[tuple[int, int, object]]:
     """(length, base, entry) of a table type: ``Fun(a, b)`` is |a| entries
     of b and ``prop`` is n world bits (entry type ``bool``). None for
@@ -145,6 +154,7 @@ def table_view(ty: LogicType, scope: Scope) -> Optional[tuple[int, int, object]]
     return None
 
 
+@cache
 def denotation_size(ty: LogicType, scope: Scope) -> int:
     """|Ind| = m, |prop| = 2^n, |Fun(a, b)| = |b|^|a|; errors past the cap."""
     view = table_view(ty, scope)
@@ -215,7 +225,7 @@ class KripkeModel(Frozen):
         existsAt's), the model in integer form. Every evaluation reads it, so
         the model is checked here, once, by range: a tuple of n masks, each
         an int in 0..2^n-1, and the position of existsAt and of each
-        constant."""
+        constant, none of which may be named existsAt."""
         scope, types, acc = self.scope, self.constant_types, self.accessibility
         n, full = scope.num_worlds, (1 << scope.num_worlds) - 1
         if type(acc) is not tuple or len(acc) != n or not all(
@@ -226,6 +236,9 @@ class KripkeModel(Frozen):
         if type(exists) is not int or not 0 <= exists < (full + 1) ** scope.num_entities:
             raise HomlError(f"existence table has wrong shape: {exists!r} "
                             f"is not a position of {EXISTS_AT} : {EXISTS_AT_TYPE}")
+        if EXISTS_AT in self.positions:
+            raise HomlError(f"constant {EXISTS_AT!r} is reserved: the existence "
+                            "table is the model's exists_at")
         for name, i in self.positions.items():
             if name not in types:
                 raise HomlError(f"constant {name!r} has no declared type")
@@ -245,38 +258,20 @@ _MODEL_READERS = frozenset((Const, Box, Diamond, ForallA, ExistsA))
 
 
 class _Compiler:
-    """The compile rules' view of one scope: sizes and table views of types,
-    and each term's closure, built once and kept in the term's instance dict
-    (outside its fields, so equality and hashing ignore it).
+    """The compile rules' view of one scope: each term's closure, built once
+    and kept in the term's instance dict (outside its fields, so equality
+    and hashing ignore it). A type's size is read from ``denotation_size``,
+    memoised per (type, scope).
 
-    A compiler comes with a twin that shares its tables: ``free`` says
-    whether the node being compiled is model-free, and the rule of a node
-    gets the one of the two that says so.
+    A compiler comes with a twin: ``free`` says whether the node being
+    compiled is model-free, and the rule of a node gets the one of the two
+    that says so.
     """
 
     def __init__(self, scope: Scope, twin: Optional["_Compiler"] = None):
         self.scope = scope
-        if twin is None:
-            self.free = False
-            self.sizes: dict[LogicType, int] = {}
-            self.tables: dict[LogicType, Optional[tuple[int, int, object]]] = {}
-            self.twin = _Compiler(scope, self)
-        else:
-            self.free = not twin.free
-            self.sizes, self.tables, self.twin = twin.sizes, twin.tables, twin
-
-    def size(self, ty: LogicType) -> int:
-        s = self.sizes.get(ty)
-        if s is None:
-            s = self.sizes[ty] = denotation_size(ty, self.scope)
-        return s
-
-    def table(self, ty: LogicType) -> Optional[tuple[int, int, object]]:
-        try:
-            return self.tables[ty]
-        except KeyError:
-            view = self.tables[ty] = table_view(ty, self.scope)
-            return view
+        self.free = twin is not None
+        self.twin = twin or _Compiler(scope, self)
 
     def code(self, t: Term):
         """The closure ``code(c, env)`` computing t's value in carrier c."""
@@ -425,8 +420,8 @@ class _Places:
 def _app(k, t: App):
     fn, arg = k(t.fn), k(t.arg)
     ty = t.fn.ty
-    base = k.size(ty.codomain)
-    divs = _places(k.size(ty.domain), base)
+    base = denotation_size(ty.codomain, k.scope)
+    divs = _places(denotation_size(ty.domain, k.scope), base)
     f, a = k.slot(t.fn), k.slot(t.arg)
     if f is not None and a is not None:
         return lambda c, env: c.apply(env[f], env[a], ty, divs, base)
@@ -439,7 +434,7 @@ def _app(k, t: App):
 
 def _lam(k, t: Lam):
     body = k(t.body)
-    length, base = k.size(t.var_type), k.size(t.body.ty)
+    length, base = denotation_size(t.var_type, k.scope), denotation_size(t.body.ty, k.scope)
     return _memoised(t, lambda c, env: c.lam(length, base, body, env))
 
 
@@ -483,24 +478,23 @@ def _iff(k, t: Iff):
 
 def _equal(k, left: Term, right: Term):
     a, b = k(left), k(right)
-    ty = left.ty
     i, j = k.slot(left), k.slot(right)
     if i is not None and j is not None:
-        return lambda c, env: c.equal(env[i], env[j], ty)
+        return lambda c, env: c.equal(env[i], env[j])
     if i is not None:
-        return lambda c, env: c.equal(env[i], b(c, env), ty)
+        return lambda c, env: c.equal(env[i], b(c, env))
     if j is not None:
-        return lambda c, env: c.equal(a(c, env), env[j], ty)
-    return lambda c, env: c.equal(a(c, env), b(c, env), ty)
+        return lambda c, env: c.equal(a(c, env), env[j])
+    return lambda c, env: c.equal(a(c, env), b(c, env))
 
 
 def _forall(k, t, body: Term):
-    body, size = k(body), k.size(t.var_type)
+    body, size = k(body), denotation_size(t.var_type, k.scope)
     return _memoised(t, lambda c, env: c.forall(size, body, env))
 
 
 def _exists(k, t, body: Term):
-    body, size = k(body), k.size(t.var_type)
+    body, size = k(body), denotation_size(t.var_type, k.scope)
     return _memoised(t, lambda c, env: c.exists(size, body, env))
 
 
@@ -607,7 +601,7 @@ class _EvalCtx:
                 break
         return out
 
-    def equal(self, a: int, b: int, ty: LogicType) -> int:
+    def equal(self, a: int, b: int) -> int:
         return self.full if a == b else 0
 
 

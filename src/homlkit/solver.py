@@ -8,8 +8,8 @@ clauses stay valid when clauses are added, so one `Solver` can answer a
 sequence of calls that each add clauses, such as model enumeration with
 blocking clauses.
 
-Clauses enter by one loader, `Solver.add_clauses`, which the constructor and
-`add_clause` both call. It checks the range of every literal before it adds
+Clauses enter by one loader, `Solver.add_clauses`, which the constructor
+also calls. It checks the range of every literal before it adds
 any clause, then backjumps to level 0 once and simplifies each clause there
 as MiniSat does: duplicate literals are dropped, tautologies and satisfied
 clauses skipped, false literals removed; an empty clause makes the solver
@@ -70,10 +70,6 @@ class Solver:
         self._qhead = 0
         self._ok = True  # False once the clauses are known unsatisfiable
         self.add_clauses(clauses)
-
-    def add_clause(self, clause):
-        """Add one clause; see `add_clauses`."""
-        self.add_clauses((clause,))
 
     def add_clauses(self, clauses):
         """Add clauses, each a sequence of literals, as MiniSat adds them at

@@ -342,7 +342,9 @@ class _Checker:
         self.filename = filename
 
     def err(self, message, node):
-        raise TypeCheckError(message, node.line, node.col, self.filename)
+        """Raise at ``node``'s source position, or at 0:0 for no node."""
+        raise TypeCheckError(message, getattr(node, "line", 0), getattr(node, "col", 0),
+                             self.filename)
 
     @contextmanager
     def at(self, node):
@@ -352,9 +354,11 @@ class _Checker:
         except TypeCheckError as exc:
             self.err(exc.message, node)
 
-    def check(self, node, env) -> Term:
+    def check(self, node, env, outer=None) -> Term:
         """env is a list of (name, type), innermost binder first. A node that
-        is not a surface node is a core term, checked as it is under env."""
+        is not a surface node is a core term, checked as it is under env; its
+        error is placed at ``outer``, the nearest enclosing surface node, and
+        at 0:0 when it stands alone."""
         if type(node) is SName:
             for idx, (bname, bty) in enumerate(env):
                 if bname == node.name:
@@ -371,12 +375,13 @@ class _Checker:
             check_type_depth(var_type)
             with self.at(node):
                 check_bound_type(node.kind, var_type)
-            body = self.check(node.body, [(node.name, var_type)] + env)
+            body = self.check(node.body, [(node.name, var_type)] + env, node)
             core = node.kind(var_type, body, node.name)
         elif type(node) is SNode:
-            core = node.kind(*[self.check(arg, env) for arg in node.args])
+            core = node.kind(*[self.check(arg, env, node) for arg in node.args])
         else:
-            check_term(node, [ty for _, ty in env])
+            with self.at(outer):
+                check_term(node, [ty for _, ty in env])
             return node
         with self.at(node):
             core.ty  # runs the node kind's typing rule
@@ -391,7 +396,8 @@ def typecheck(theory: Theory, filename: str = "<input>") -> Theory:
     definitions, so acyclicity holds by construction. Axioms and goals must be
     closed terms of type prop. A core term may stand anywhere in a surface
     tree, or be the whole of one; it is checked as it is, under the surface
-    binders above it.
+    binders above it, and its error is placed in ``filename`` at the nearest
+    enclosing surface node, or at 0:0 when it is the whole term.
     """
     def_types: dict[str, LogicType] = {}
     checker = _Checker(theory.signature, def_types, filename)
@@ -407,10 +413,7 @@ def typecheck(theory: Theory, filename: str = "<input>") -> Theory:
     def check_formula(node, kind):
         core = checker.check(node, [])
         if core.ty != Prop:
-            line = getattr(node, "line", 0)
-            col = getattr(node, "col", 0)
-            raise TypeCheckError(f"{kind} must have type prop, got {core.ty}",
-                                 line, col, filename)
+            checker.err(f"{kind} must have type prop, got {core.ty}", node)
         return core
 
     checked_axioms = [check_formula(ax, "axiom") for ax in theory.axioms]

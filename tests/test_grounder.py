@@ -36,6 +36,7 @@ from homlkit.semantics import (
     ValidUpToScope,
     denotation_size,
     eval_term,
+    table_view,
 )
 from homlkit.solver import SAT, solve_cnf
 from homlkit.surface import load_theory
@@ -67,7 +68,7 @@ def test_lifted_constants_round_trip(n, m):
     (at most 2^8 of them at these scopes)."""
     g = _Grounding(load_theory(""), Scope(n, m))
     for ty in CODEC_TYPES:
-        size = g.size(ty)
+        size = denotation_size(ty, g.scope)
         assert size <= 2 ** 8
         for i in range(size):
             sv = g.lift(i, ty)
@@ -138,7 +139,8 @@ def test_decode_reads_each_constants_position_from_its_cells(n, m):
     scope = Scope(n, m)
     problem = _codec_problem(scope)
     g = _Grounding(load_theory(""), scope)
-    bound = {ty: m if g.table(ty) is None else g.table(ty)[1] ** g.table(ty)[0]
+    bound = {ty: m if table_view(ty, scope) is None
+             else table_view(ty, scope)[1] ** table_view(ty, scope)[0]
              for ty in CODEC_TYPES}
     rng = random.Random(n * 10 + m)
     for _ in range(50):
@@ -407,6 +409,14 @@ def test_individual_constant_decoding():
     entity = model.positions["k"]
     # One world: existsAt's position has one bit per entity, entity 0 first.
     assert model.exists_at >> (1 - entity) & 1
+
+
+def test_declared_existence_constant_is_rejected():
+    # existsAt is the existence table's name; a theory built in code that
+    # declares it would get cells that no formula reads.
+    theory = Theory("t", signature=(("existsAt", Fun(Ind, Prop)),))
+    with pytest.raises(GroundingError, match="'existsAt' is reserved"):
+        ground(theory, Scope(1, 2))
 
 
 def test_order_limit_rejected():

@@ -24,6 +24,7 @@ from homlkit.semantics import (
     mvalid,
     position_from_json,
     position_to_json,
+    table_view,
 )
 from homlkit.surface import load_theory
 from homlkit.terms import (
@@ -77,6 +78,23 @@ def test_denotation_cap_exceeded_names_type():
     with pytest.raises(ScopeCapError) as err:
         denotation_size(Fun(Fun(Ind, Prop), Prop), Scope(2, 2))
     assert "(i > prop) > prop" in str(err.value)
+
+
+def test_table_view_is_derived_once_per_type_and_scope():
+    # Equal but distinct types and scopes read the one cached view.
+    tys, scopes = (Fun(Ind, Prop), Fun(Ind, Prop)), (Scope(2, 2), Scope(2, 2))
+    assert tys[0] is not tys[1] and scopes[0] is not scopes[1]
+    view = table_view(tys[0], scopes[0])
+    assert view == (2, 4, Prop)
+    assert table_view(tys[1], scopes[1]) is view
+    # A type past the cap stores nothing: it raises on every call, whether
+    # its own size (i > prop) > prop or its domain's size is too large.
+    over = Fun(Fun(Ind, Prop), Prop)
+    for _ in range(2):
+        with pytest.raises(ScopeCapError):
+            denotation_size(over, Scope(2, 2))
+        with pytest.raises(ScopeCapError):
+            table_view(Fun(over, Prop), Scope(2, 2))
 
 
 def enumeration(ty, scope):
@@ -379,6 +397,19 @@ def test_hand_built_model_is_checked_when_first_evaluated(field, value, message)
             evaluate(model, top)
     good = KripkeModel(**HAND_BUILT)
     assert mvalid(good, top) and good.satisfies_frame(FRAME_FLAGS) and model_to_json(good)
+
+
+def test_existence_constant_in_a_document_is_rejected_when_read():
+    # A document's existence table is its exists_at; a constant named
+    # existsAt beside it is refused, not shadowed by exists_at.
+    doc = model_to_json(KripkeModel(Scope(1, 2), (1,), 0b01))
+    assert doc["exists_at"] == [[False], [True]]
+    doc["constants"]["existsAt"] = {"type": "i > prop", "value": [[False], [False]]}
+    model = model_from_json(doc)
+    top = ExistsP(Prop, Var(0, Prop))
+    for evaluate in (mvalid, lambda m, f: model_to_json(m)):
+        with pytest.raises(HomlError, match="'existsAt' is reserved"):
+            evaluate(model, top)
 
 
 def test_model_keeps_its_own_dicts():

@@ -107,7 +107,7 @@ def test_incremental_enumeration_is_lexicographic(clauses, k):
             break
         assert status == SAT
         found.append(tuple(model[:k]))
-        solver.add_clause([-v if model[v - 1] else v for v in range(1, k + 1)])
+        solver.add_clauses([[-v if model[v - 1] else v for v in range(1, k + 1)]])
     assert found == sorted({bits[:k] for bits in brute_force_models(8, clauses)})
 
 
@@ -158,7 +158,7 @@ def test_block_add_clause_and_solve_mix(clauses, steps):
             solver.block(arg)
             constraints.append([-v if model[v - 1] else v for v in range(1, arg + 1)])
         elif kind == "add":
-            solver.add_clause(arg)
+            solver.add_clauses([arg])
             constraints.append(arg)
 
 
@@ -169,7 +169,7 @@ def test_block_needs_a_model():
     assert solver.solve()[1] == [0, 0, 1]
     with pytest.raises(ValueError):
         solver.block(4)
-    solver.add_clause([1, 2])  # back to level 0, the model is gone
+    solver.add_clauses([[1, 2]])  # back to level 0, the model is gone
     with pytest.raises(ValueError):
         solver.block(3)
     assert solver.solve()[1] == [0, 1, 0]
@@ -225,7 +225,7 @@ loose_clause = st.one_of(
        st.lists(st.tuples(st.one_of(st.none(), st.integers(min_value=0, max_value=5)),
                           loose_clause), max_size=6))
 def test_loader_matches_the_textbook_loader(clauses, later):
-    """`Solver(n, clauses)` and `add_clause`, after a SAT answer and after
+    """`Solver(n, clauses)` and `add_clauses`, after a SAT answer and after
     `block`, build the textbook loader's state, and every `solve` gives
     its answer, conflicts included."""
     bulk, oracle = Solver(5, clauses), TextbookSolver(5, clauses)
@@ -238,8 +238,8 @@ def test_loader_matches_the_textbook_loader(clauses, later):
             bulk.block(k)
             oracle.block(k)
             assert solver_state(bulk) == solver_state(oracle)
-        bulk.add_clause(clause)
-        oracle.add_clause(clause)
+        bulk.add_clauses([clause])
+        oracle.add_clauses([clause])
         assert solver_state(bulk) == solver_state(oracle)
     assert bulk.solve() == oracle.solve()
     assert solver_state(bulk) == solver_state(oracle)
@@ -269,7 +269,7 @@ def test_out_of_range_literal_changes_nothing():
             solver.add_clauses(bad)
         assert solver_state(solver) == before
     with pytest.raises(ValueError, match="literal 4 "):
-        solver.add_clause([1, 4])
+        solver.add_clauses([[1, 4]])
     assert solver_state(solver) == before
     solver.block(3)  # the model is still on the trail
     assert solver.solve()[1] == [0, 1, 0]
@@ -294,7 +294,7 @@ def test_loading_solving_and_blocking_leave_the_clauses_alone(form):
     extra = [4, -5, 4]
     while solver.solve()[0] == SAT:
         solver.block(5)
-    solver.add_clause(extra)
+    solver.add_clauses([extra])
     assert solver.solve()[0] == UNSAT
     assert source == kept
     assert extra == [4, -5, 4]

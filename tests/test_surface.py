@@ -291,6 +291,22 @@ def test_core_variable_is_checked_against_the_surface_binders(core, message):
     assert err.value.message == message
 
 
+def test_core_term_error_is_placed_at_the_enclosing_surface_node():
+    # A core term has no position: its error reads at the nearest surface
+    # node around it, in the file typecheck was given, and at 0:0 only
+    # when it is the whole axiom.
+    unbound, deeper = Var(1, Prop), ForallP(Ind, Var(2, Prop))
+    for axiom, where in [(SNode(Not, (unbound,), 3, 5), "3:5: unbound de Bruijn index 1"),
+                         (SBinder(ForallP, "p", Prop, SNode(Not, (unbound,), 3, 9), 3, 1),
+                          "3:9: unbound de Bruijn index 1"),
+                         (SBinder(ForallP, "p", Prop, deeper, 4, 2),
+                          "4:2: unbound de Bruijn index 2"),
+                         (ForallP(Ind, unbound), "0:0: unbound de Bruijn index 1")]:
+        with pytest.raises(TypeCheckError) as err:
+            typecheck(Theory("t", axioms=(axiom,)), "t.homl")
+        assert str(err.value) == f"t.homl:{where}"
+
+
 def test_top_and_bot_parse_to_their_core_terms():
     p = Var(0, Prop, "p")
     top, bot = ForallP(Prop, Implies(p, p), "p"), ForallP(Prop, p, "p")
