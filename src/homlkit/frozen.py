@@ -7,8 +7,14 @@ instance of the same class with equal compared fields, hashed as the tuple of
 those fields, shown field by field, and raising ``FrozenInstanceError`` on
 assignment or deletion. A base names the fields that ``==`` and ``hash``
 leave out in ``_uncompared``; a method that a class defines itself stays.
+A class declared with ``cache_hash=True`` keeps its hash once computed.
 The methods are closures over the field names; ``dataclasses`` compiles
 source for each class, a millisecond apiece, and is imported only to raise.
+
+Derived data (a term's type and closures, a cached hash, a model's checked
+form) sits in the instance dict under underscore names, and copies and
+pickles carry the fields only: ``Ind`` and ``Prop`` hash by identity, so a
+hash is not valid in another process.
 """
 
 from operator import attrgetter
@@ -21,7 +27,7 @@ class Frozen:
     _fields = ()
     _uncompared = ()
 
-    def __init_subclass__(cls):
+    def __init_subclass__(cls, cache_hash=False):
         super().__init_subclass__()
         names = tuple(cls.__dict__.get("__annotations__", ()))
         if not names:
@@ -45,6 +51,16 @@ class Frozen:
             # An attrgetter of one name gives the bare value, not a 1-tuple.
             return hash((key(self),) if single else key(self))
 
+        if cache_hash:
+            compute = __hash__
+
+            def __hash__(self):
+                try:
+                    return self._hash
+                except AttributeError:
+                    h = self.__dict__["_hash"] = compute(self)
+                    return h
+
         def __repr__(self):
             fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
             return f"{type(self).__qualname__}({fields})"
@@ -54,6 +70,9 @@ class Frozen:
             if method.__name__ not in cls.__dict__:
                 method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
                 setattr(cls, method.__name__, method)
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
 
     def __setattr__(self, name, value):
         from dataclasses import FrozenInstanceError

@@ -24,9 +24,13 @@ on its free variables where that key can repeat (``semantics._memoised``),
 and ``_per_grounding`` memoises operations on their arguments: ``lift``,
 the position of ``apply``'s argument, ``box``, ``diamond``, and the node
 building of ``&``, ``|``, ``->`` and the quantifiers once all their operands
-are evaluated. ``_Formulas`` is hash-consed and each of these is a pure
-function of the node ids it receives, so a hit returns the ids that
-interning would have returned anyway, and the numbering does not move.
+are evaluated. An argument that is a bare bound variable needs neither
+``lift`` nor ``apply``: its position is in the env, and ``at`` reads that
+entry of the function's tuple. ``_Formulas`` is hash-consed and each of
+these is a pure function of the node ids it receives, so a hit returns the
+ids that interning would have returned anyway, and the numbering does not
+move. Its ``implies`` and ``iff`` build their two-child nodes directly, in
+the order and with the folds of ``disj`` and ``conj`` over a pair.
 
 A solver answer reaches a model or a verdict by one path. ``_model`` reads
 the answer's status, raising `BudgetExceededError` when the budget ran out,
@@ -134,12 +138,31 @@ class _Formulas:
         return self._mk(("or", tuple(out)))
 
     def implies(self, a: int, b: int) -> int:
-        return self.disj([self.neg(a), b])
+        """disj([neg(a), b]), without its list, set and sort."""
+        a = self.neg(a)
+        if a == _TRUE or b == _TRUE:
+            return _TRUE
+        if a == _FALSE or a == b:
+            return b
+        if b == _FALSE:
+            return a
+        return self._mk(("or", (a, b) if a < b else (b, a)))
 
     def iff(self, a: int, b: int) -> int:
+        """conj([implies(a, b), implies(b, a)]), and true when a is b.
+
+        For a other than b, x = implies(a, b) is false only when a is true
+        and b false, and then y = implies(b, a) is true, and the other way
+        round; nor is x ever y. So of conj's folds only the true ones can
+        apply."""
         if a == b:
             return _TRUE
-        return self.conj([self.disj([self.neg(a), b]), self.disj([self.neg(b), a])])
+        x, y = self.implies(a, b), self.implies(b, a)
+        if x == _TRUE:
+            return y
+        if y == _TRUE:
+            return x
+        return self._mk(("and", (x, y) if x < y else (y, x)))
 
 
 def _per_grounding(op):
@@ -443,6 +466,9 @@ class _Grounding:
             raise GroundingError(f"constant {name!r} is not in the signature")
         return sym
 
+    def at(self, fn_sv, j: int, fn_ty: Fun, divs, base: int):
+        return fn_sv[j]
+
     def apply(self, fn_sv, arg_sv, fn_ty: Fun, divs, base: int):
         idx = self.arg_index(arg_sv, fn_ty.domain)
         if idx is not None:
@@ -691,5 +717,5 @@ def export_dimacs(problem: GroundProblem) -> bytes:
         lines.append(f"c {v} {problem.meanings[v]}")
     lines.append(f"p cnf {problem.num_vars} {len(problem.clauses)}")
     for clause in problem.clauses:
-        lines.append(" ".join(str(lit) for lit in clause + [0]))
+        lines.append(" ".join(map(str, (*clause, 0))))
     return ("\n".join(lines) + "\n").encode("utf-8")

@@ -26,7 +26,7 @@ t's closure ``code(c, env)`` from the closures of its parts, once per term
 and scope: the size of each type it reads and the shape of Leibniz
 equality are resolved then, not on each evaluation. A closure computes through a
 carrier ``c``, which supplies the value operations (``const``, ``apply``,
-``lam``, the connectives ``not_``/``and_``/``or_``/``implies``/``iff``,
+``at``, ``lam``, the connectives ``not_``/``and_``/``or_``/``implies``/``iff``,
 ``box``, ``diamond``, the quantifiers ``forall``/``exists``, ``equal``,
 ``model_free`` and ``bound``). There are two carriers:
 
@@ -44,7 +44,11 @@ Whether a subterm can depend on the model is decided at compile time: a
 maximal model-free subterm runs in the concrete carrier, and the symbolic
 carrier lifts its value once (``model_free``; ``bound`` for a bare bound
 variable, whose value is read in place). A model-free application or
-equality also reads a bare bound variable operand in place.
+equality also reads a bare bound variable operand in place. A bound value
+is a position in either carrier, so every application to a bare bound
+variable reads its argument in place: ``at(f, j, ...)`` is f's entry at
+position j, which the concrete carrier computes as ``apply`` does and the
+symbolic one reads off f's tuple, with nothing lifted.
 
 ``Lam`` and the quantifiers memoise their value on the values of their free
 de Bruijn slots, but only where that key can repeat (``_memoised``). A
@@ -100,7 +104,7 @@ from .theory import frame_clauses
 DEFAULT_CAP = 2 ** 20
 
 
-class Scope(Frozen):
+class Scope(Frozen, cache_hash=True):
     """Finite bound at which model finding and evaluation are exhaustive."""
 
     num_worlds: int
@@ -418,17 +422,19 @@ class _Places:
 
 
 def _app(k, t: App):
-    fn, arg = k(t.fn), k(t.arg)
-    ty = t.fn.ty
+    fn, ty = k(t.fn), t.fn.ty
     base = denotation_size(ty.codomain, k.scope)
     divs = _places(denotation_size(ty.domain, k.scope), base)
-    f, a = k.slot(t.fn), k.slot(t.arg)
-    if f is not None and a is not None:
-        return lambda c, env: c.apply(env[f], env[a], ty, divs, base)
+    f = k.slot(t.fn)
+    if type(t.arg) is Var:
+        # A bound value is a position in either carrier: read in place.
+        a = -1 - t.arg.index
+        if f is not None:
+            return lambda c, env: c.apply(env[f], env[a], ty, divs, base)
+        return lambda c, env: c.at(fn(c, env), env[a], ty, divs, base)
+    arg = k(t.arg)
     if f is not None:
         return lambda c, env: c.apply(env[f], arg(c, env), ty, divs, base)
-    if a is not None:
-        return lambda c, env: c.apply(fn(c, env), env[a], ty, divs, base)
     return lambda c, env: c.apply(fn(c, env), arg(c, env), ty, divs, base)
 
 
@@ -550,6 +556,8 @@ class _EvalCtx:
 
     def apply(self, f: int, a: int, ty, divs, base: int) -> int:
         return f // divs[a] % base
+
+    at = apply
 
     def lam(self, length: int, base: int, body, env: list) -> int:
         acc = 0

@@ -14,8 +14,10 @@ any clause, then backjumps to level 0 once and simplifies each clause there
 as MiniSat does: duplicate literals are dropped, tautologies and satisfied
 clauses skipped, false literals removed; an empty clause makes the solver
 unsatisfiable, a unit is assigned, and any other clause is watched on its
-first two literals. Loading a list of clauses at once and loading them one by
-one build the same watch lists and trail, so they meet the same conflicts.
+first two literals. A two-literal clause, most of what the grounder emits,
+is simplified by comparing its literals and their two values. Loading a
+list of clauses at once and loading them one by one build the same watch
+lists and trail, so they meet the same conflicts.
 
 The first model found is the lexicographically least one (variable 1 first,
 false before true). Because every decision sets the lowest unassigned
@@ -82,9 +84,11 @@ class Solver:
         the clauses in order. A clause's duplicate literals are dropped, and
         a tautology or a clause already satisfied is skipped. Its false
         literals are removed: none left makes the solver unsatisfiable, one
-        is assigned, and two or more are watched on the first two. The
-        solver stores its own copy of each clause, and the caller's are
-        never changed.
+        is assigned, and two or more are watched on the first two. A clause
+        of two distinct literals gets the same outcome from comparing its
+        literals and their values, with no set or list built. The solver
+        stores its own copy of each clause, and the caller's are never
+        changed.
         """
         if not isinstance(clauses, (list, tuple)):
             clauses = list(clauses)
@@ -102,10 +106,27 @@ class Solver:
             self._backjump(0)
         if not self._ok:
             return  # already unsatisfiable
-        value_of = self._value.__getitem__
+        value = self._value
+        value_of = value.__getitem__
         watches = self._watches
         trail = self._trail
         for clause in clauses:
+            if len(clause) == 2:
+                a, b = clause
+                if a == -b:
+                    continue  # a tautology
+                if a != b:
+                    x, y = value[a], value[b]
+                    if not (x or y):
+                        lits = [a, b]
+                        watches[a].append(lits)
+                        watches[b].append(lits)
+                    elif x != 1 and y != 1:  # not satisfied at level 0
+                        if x and y:
+                            self._ok = False
+                            return
+                        self._assign(b if x else a, None)
+                    continue
             lits = clause
             if len(set(map(abs, lits))) < len(lits):
                 lits = list(dict.fromkeys(lits))

@@ -35,11 +35,6 @@ class Term(Frozen):
     def __str__(self):
         return format_term(self)
 
-    def __getstate__(self):
-        # Types and compiled closures are cached in a term's instance dict
-        # under underscore names; copies and pickles carry the fields only.
-        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
-
 
 class Var(Term):
     index: int

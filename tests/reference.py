@@ -18,6 +18,11 @@ each clause on its own is range-checked, de-duplicated and simplified at
 decision level 0, as MiniSat's ``addClause`` does. The solver tests check
 that ``Solver.add_clauses`` builds the same watch lists, trail and values.
 
+``ListFormulas`` is the grounder's formula store with ``implies`` and
+``iff`` built through the list-based ``disj`` and ``conj``, as the textbook
+encodings ¬a ∨ b and (¬a ∨ b) ∧ (¬b ∨ a). The grounder tests check that
+the store's binary paths make the same nodes in the same order.
+
 ``decode`` is ``GroundProblem.decode`` as a recursion over each
 constant's cells: a table's entries in base |entry|, a world bit 0/1, an
 individual its one selector bit. The grounder tests check the library's
@@ -37,6 +42,7 @@ import itertools
 from typing import Iterator, Optional
 
 from homlkit.errors import HomlError
+from homlkit.grounder import _TRUE, _Formulas
 from homlkit.logictypes import Fun, Ind, LogicType, Prop
 from homlkit.semantics import (
     KripkeModel,
@@ -104,6 +110,18 @@ class TextbookSolver(Solver):
         else:
             self._watches[lits[0]].append(lits)
             self._watches[lits[1]].append(lits)
+
+
+class ListFormulas(_Formulas):
+    """The formula store, its binary connectives built from lists."""
+
+    def implies(self, a: int, b: int) -> int:
+        return self.disj([self.neg(a), b])
+
+    def iff(self, a: int, b: int) -> int:
+        if a == b:
+            return _TRUE
+        return self.conj([self.disj([self.neg(a), b]), self.disj([self.neg(b), a])])
 
 
 def decode(problem, model: list[int]) -> KripkeModel:

@@ -9,6 +9,8 @@ import re
 from types import MappingProxyType
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import homlkit.grounder as grounder
 from homlkit.errors import BudgetExceededError, GroundingError, HomlError, ScopeCapError
@@ -17,6 +19,7 @@ from homlkit.grounder import (
     _FALSE,
     _TRUE,
     GroundProblem,
+    _Formulas,
     _ground,
     _Grounding,
     check_validity_bounded,
@@ -34,6 +37,7 @@ from homlkit.semantics import (
     KripkeModel,
     Scope,
     ValidUpToScope,
+    _places,
     denotation_size,
     eval_term,
     table_view,
@@ -44,6 +48,7 @@ from homlkit.terms import And, ExistsA, ForallA, ForallP, LeibnizEq, Var, subter
 from homlkit.theories import load_bundle
 from homlkit.theory import FRAME_FLAGS, Theory
 from reference import (
+    ListFormulas,
     brute_force_find_model,
     bundle_variants,
     count_full_models,
@@ -84,6 +89,55 @@ def test_lifted_constants_round_trip(n, m):
             assert g.concrete_index((row,) * m, Fun(Ind, Ind)) is None, row
     unknown = g.f.var(1)
     assert g.concrete_index((unknown,) + g.lift(0, Prop)[1:], Prop) is None
+
+
+@pytest.mark.parametrize("n,m", [(1, 2), (2, 1), (1, 3), (2, 2)])
+def test_reading_an_entry_by_position_is_applying_to_the_lifted_position(n, m):
+    # at(f, j) is the entry that apply finds for the lifted value of j, on
+    # the unknowns of a constant of each function type, and neither adds a
+    # formula node.
+    scope = Scope(n, m)
+    theory = load_theory("".join(f"const c{k} : {ty}\n" for k, ty in enumerate(CODEC_TYPES)))
+    g = _Grounding(theory, scope)
+    for k, ty in enumerate(CODEC_TYPES):
+        if not isinstance(ty, Fun):
+            continue
+        sv = g.const_sym[f"c{k}"]
+        base = denotation_size(ty.codomain, scope)
+        divs = _places(denotation_size(ty.domain, scope), base)
+        nodes = len(g.f.nodes)
+        for j in range(len(divs)):
+            assert g.at(sv, j, ty, divs, base) == g.apply(sv, g.lift(j, ty.domain), ty, divs, base)
+        assert len(g.f.nodes) == nodes, ty
+
+
+# Random operations on a formula store: an op and indices into the ids made
+# so far, which start as true and false; few variables, so that operands
+# repeat, fold to constants and are each other's negations.
+_STORE_OPS = st.lists(st.tuples(st.sampled_from(["var", "neg", "conj", "disj", "implies", "iff"]),
+                                st.lists(st.integers(min_value=0, max_value=40), min_size=1,
+                                         max_size=4)), max_size=60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_STORE_OPS)
+def test_binary_connectives_build_the_nodes_of_the_list_based_ones(ops):
+    fast, ref = _Formulas(), ListFormulas()
+    ids = [_TRUE, _FALSE]
+    for op, picks in ops:
+        picked = [ids[i % len(ids)] for i in picks]
+        if op == "var":
+            args = (picks[0] % 4 + 1,)
+        elif op == "neg":
+            args = (picked[0],)
+        elif op in ("implies", "iff"):
+            args = (picked[0], picked[-1])
+        else:
+            args = (picked,)
+        nid = getattr(fast, op)(*args)
+        assert nid == getattr(ref, op)(*args), (op, args)
+        ids.append(nid)
+    assert fast.nodes == ref.nodes and fast.intern == ref.intern
 
 
 @pytest.mark.parametrize("n,m", [(1, 2), (2, 1), (2, 2)])
@@ -433,6 +487,15 @@ def test_export_dimacs_exact_bytes():
     assert export_dimacs(one) == b"p cnf 1 1\n1 0\n"
     empty = GroundProblem(num_vars=0, clauses=[], **dict(base, decision_vars=[]))
     assert export_dimacs(empty) == b"p cnf 0 0\n"
+
+
+def test_export_dimacs_writes_any_sequence_of_literals():
+    # The solver takes a clause as any sequence of ints, and so does export.
+    problem = ground(load_theory("const c : prop\n"), Scope(1, 1))
+    want = export_dimacs(replace(problem, clauses=problem.clauses + [[1, -2], []]))
+    assert want.endswith(b"\n1 -2 0\n0\n")
+    for clause, empty in (((1, -2), ()), (range(1, -3, -3), range(0))):
+        assert export_dimacs(replace(problem, clauses=problem.clauses + [clause, empty])) == want
 
 
 def _parse_dimacs(data: bytes):

@@ -211,11 +211,16 @@ def solver_state(solver):
 
 
 # Few variables, so that clauses repeat literals, are tautologies, and meet
-# units that satisfy or falsify them; a clause is a list or a tuple.
+# units that satisfy or falsify them; a clause is a list or a tuple. Two-
+# literal clauses, which the loader takes on a path of their own, are drawn
+# on their own branch too, over three variables: a pair repeats or
+# complements a literal one time in three.
 loose_literal = st.integers(min_value=1, max_value=5).flatmap(lambda v: st.sampled_from([v, -v]))
+low_literal = st.integers(min_value=1, max_value=3).flatmap(lambda v: st.sampled_from([v, -v]))
 loose_clause = st.one_of(
     st.just([]),
     st.lists(loose_literal, min_size=1, max_size=1),
+    st.lists(low_literal, min_size=2, max_size=2),
     st.lists(loose_literal, max_size=6),
 ).flatmap(lambda c: st.sampled_from([c, tuple(c)]))
 

@@ -7,7 +7,11 @@ keyword arguments; ``frozen.replace`` copies one through its constructor."""
 
 import copy
 import dataclasses
+import os
+import pathlib
 import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -274,6 +278,30 @@ def test_term_copies_drop_cached_types_and_closures():
         assert back == term and hash(back) == hash(term)
         assert not [k for k in back.__dict__ if k.startswith("_")]
         assert back.ty == Prop
+
+
+def test_fun_and_scope_keep_their_hash_but_copies_and_pickles_drop_it():
+    """A Fun's hash depends on the identity hashes of Ind and Prop, so it is
+    valid in one process only: a copy or pickle carries the fields, and an
+    unpickled value in a fresh interpreter hashes as a value built there."""
+    values = (Fun(Fun(Ind, Prop), Prop), Scope(2, 3))
+    for x in values:
+        assert hash(x) == hash(x) and "_hash" in x.__dict__
+        for back in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert "_hash" not in back.__dict__
+            assert back == x and hash(back) == hash(x)
+    for other in (Var(0, Fun(Ind, Prop)), THEORY):  # hashed anew on every call
+        assert hash(other) == hash(other) and "_hash" not in other.__dict__
+    probe = ("import pickle, sys\n"
+             "from homlkit.logictypes import Fun, Ind, Prop\n"
+             "from homlkit.semantics import Scope\n"
+             "fun, scope = pickle.loads(sys.stdin.buffer.read())\n"
+             "table = {Fun(Fun(Ind, Prop), Prop): 'fun', Scope(2, 3): 'scope'}\n"
+             "print(table[fun], table[scope], hash(fun) == hash(Fun(Fun(Ind, Prop), Prop)))\n")
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).parent.parent / "src")}
+    out = subprocess.run([sys.executable, "-c", probe], input=pickle.dumps(values), env=env,
+                         capture_output=True, check=True, timeout=60).stdout
+    assert out.split() == [b"fun", b"scope", b"True"]
 
 
 def test_replace_builds_through_the_constructor():
