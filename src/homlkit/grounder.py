@@ -3,7 +3,11 @@
 Unknowns are the accessibility relation, the existence table, and one Boolean
 per constant "cell": prop-valued cells get one variable per world, individual-
 valued cells get selector bits with an exactly-one constraint, and the frame
-flags get `theory.frame_clauses` over the relation. Formulas are grounded by
+flags get `theory.frame_clauses` over the relation. ``_layout`` states once
+how these decision variables are numbered, 1..d in a fixed order, from the
+scope and signature alone: the grounder allocates through it, and a
+`GroundProblem`, which is its scope, signature, variable count and clauses,
+derives its views and its reader from it. Formulas are grounded by
 full expansion of quantifiers over enumerated denotations, then converted to
 clauses by a Tseitin transform over hash-consed formula nodes, so identical
 inputs always produce identical problems. The transform collects the nodes
@@ -36,7 +40,7 @@ A solver answer reaches a model or a verdict by one path. ``_model`` reads
 the answer's status, raising `BudgetExceededError` when the budget ran out,
 and decodes the solver's 0/1 list with `GroundProblem.decode`. A problem
 builds its reader on its first decode, and reads every later model through
-it: the decision bits as one binary numeral, and each part (a world's mask,
+it: the first d bits as one binary numeral, and each part (a world's mask,
 existsAt, a constant) cut out of it as a mixed-radix number over its leaves,
 world bits of radix 2 or selector rows of radix m. `solve`
 answers a problem in one call, `iterate_models` answers each step of one
@@ -48,10 +52,8 @@ then call them.
 from __future__ import annotations
 
 from functools import cached_property, wraps
-from itertools import chain
-from operator import itemgetter
-from types import MappingProxyType
-from typing import Iterator, Mapping, Optional, Sequence
+from itertools import combinations
+from typing import Iterator, Optional
 
 from .errors import BudgetExceededError, GroundingError, HomlError, depth_guarded
 from .frozen import Frozen
@@ -190,21 +192,34 @@ def _const_bool(nid: int) -> Optional[bool]:
 
 
 class GroundProblem(Frozen):
-    """A CNF with decode information back to Kripke model components.
-
-    ``ground`` stores every field but ``clauses`` as a tuple or a read-only
-    mapping; to add clauses, build a new problem with ``frozen.replace``.
-    """
+    """A CNF over a scope and a signature, whose decision variables are
+    1..d as `_layout` numbers them; every variable above d is a Tseitin
+    variable. A problem whose ``num_vars`` is below d raises `HomlError`
+    when its layout is first read. To add clauses, build a new problem
+    with ``frozen.replace``."""
 
     scope: Scope
+    signature: tuple
     num_vars: int
     clauses: list[list[int]]
-    meanings: Mapping[int, str]
-    decision_vars: Sequence[int]
-    r_vars: Sequence[Sequence[int]]
-    ex_vars: Sequence[Sequence[int]]
-    const_cells: Mapping[str, object]
-    signature: tuple
+
+    # The layout's views, read-only: ``const_cells`` (each constant's nested
+    # cells) and ``meanings`` (v to its name) are new dicts on each read.
+    r_vars = property(lambda self: self._checked_layout[0])
+    ex_vars = property(lambda self: self._checked_layout[1])
+    const_cells = property(lambda self: dict(zip((name for name, _ in self.signature),
+                                                 self._checked_layout[2])))
+    meanings = property(lambda self: dict(enumerate(self._checked_layout[3], 1)))
+    decision_vars = property(lambda self: range(1, len(self._checked_layout[3]) + 1))
+
+    @cached_property
+    def _checked_layout(self) -> tuple:
+        """`_layout` of the scope and signature, once num_vars covers it."""
+        layout = _layout(self.scope, self.signature)
+        if self.num_vars < len(layout[3]):
+            raise HomlError(f"problem has {self.num_vars} variables, fewer than the "
+                            f"{len(layout[3])} decision variables of its scope and signature")
+        return layout
 
     def decode(self, model: list[int]) -> KripkeModel:
         """The Kripke model of a solver model: a list of num_vars 0/1 values,
@@ -218,16 +233,16 @@ class GroundProblem(Frozen):
         existsAt's from ``ex_vars``, each constant's position from its cells.
         A leaf is a world bit (radix 2) or an individual's selector row
         (radix m), and a part's leaves are all of one kind. The reader
-        (``_reader``) is built on the first call: the bits are read as one
+        (``_reader``) is built on the first call: bits 1..d are read as one
         binary numeral, and each part is cut out of it by shift and mask."""
-        read, order, parts, names, types = self._reader
+        d, parts, names, types = self._reader
         if len(model) != self.num_vars:
             raise HomlError(f"solver model has {len(model)} values, "
                             f"not the problem's {self.num_vars} variables")
         try:
-            bits = int(bytes(read(model)).translate(_BINARY), 2)
+            bits = int(bytes(model[:d]).translate(_BINARY), 2)
         except (TypeError, ValueError):
-            raise _not_binary(model, order) from None
+            raise _not_binary(model, d) from None
         values = [bits >> shift & mask if not rows
                   else _selected(bits >> shift & mask, rows, self.scope.num_entities)
                   for shift, mask, rows in parts]
@@ -235,43 +250,65 @@ class GroundProblem(Frozen):
         return KripkeModel(self.scope, tuple(values[:n]), values[n],
                            dict(zip(names, values[n + 1:])), types)
 
-    def __reduce__(self):
-        """Copied and pickled by its fields. A mappingproxy does not pickle,
-        so a read-only mapping travels as a dict and is wrapped again; the
-        reader is derived, so a copy builds its own."""
-        return _problem, tuple(dict(v) if type(v) is MappingProxyType else v
-                               for v in map(self.__getattribute__, self._fields))
-
     @cached_property
     def _reader(self) -> tuple:
-        """(read, order, parts, names, types), built on the first decode.
-        ``order`` holds the 0-based indices of the bits decode reads, part
-        by part, and ``read`` is their itemgetter (a scope has a world and
-        an entity, so there are at least two). Part k is ``(shift, mask,
-        rows)``: its bits are ``bits >> shift & mask`` of their numeral, and
-        ``rows`` counts its selector rows, 0 for world bits."""
-        m = self.scope.num_entities
-        cells = [*self.r_vars, [v for row in self.ex_vars for v in row]]
-        rows = [0] * len(cells)
-        for name, ty in self.signature:
-            flat = self.const_cells[name]
-            while isinstance(ty, Fun):  # a table's cells are a tuple of its entries'
-                ty, flat = ty.codomain, chain.from_iterable(flat)
-            flat = tuple(flat)
-            cells.append(flat)
-            rows.append(len(flat) // m if ty == Ind else 0)
-        order = tuple(v - 1 for part in cells for v in part)
-        shift, parts = len(order), []
-        for part, part_rows in zip(cells, rows):
-            shift -= len(part)
-            parts.append((shift, (1 << len(part)) - 1, part_rows))
+        """(d, parts, names, types), built on the first decode. Part k is
+        ``(shift, mask, rows)``: its bits are ``bits >> shift & mask`` of
+        the numeral of bits 1..d, and ``rows`` counts its selector rows, 0
+        for world bits."""
+        *_, meanings, sizes = self._checked_layout
+        shift = d = len(meanings)
+        parts = []
+        for size, rows in sizes:
+            shift -= size
+            parts.append((shift, (1 << size) - 1, len(rows)))
         names = tuple(name for name, _ in self.signature)
-        return itemgetter(*order), order, tuple(parts), names, dict(self.signature)
+        return d, tuple(parts), names, dict(self.signature)
 
 
-def _problem(*fields) -> GroundProblem:
-    """The problem of `GroundProblem.__reduce__`'s fields."""
-    return GroundProblem(*(MappingProxyType(v) if type(v) is dict else v for v in fields))
+def _layout(scope: Scope, signature: tuple) -> tuple:
+    """The decision variables of the problems over a scope and signature:
+    ``(r_vars, ex_vars, cells, meanings, parts)``.
+
+    They are 1..d, in one order: the relation row by row (``r_vars[w][v]``
+    is r(w,v)), then existsAt entity by entity (``ex_vars[e][w]`` is
+    existsAt(e,w)), then each constant's cells depth-first in signature
+    order (``cells[k]`` for signature entry k). A prop's cells are one
+    variable per world, an individual's a selector row of one variable per
+    entity, and a table's its entries' cells in turn. ``meanings[v - 1]``
+    names variable v. ``parts`` gives each part of a model, in the same
+    order (n world masks, existsAt, each constant), as ``(size, rows)``:
+    its variable count and its selector rows, none for world bits."""
+    n, m = scope.num_worlds, scope.num_entities
+    meanings = []
+
+    def new(labels) -> tuple:
+        first = len(meanings) + 1
+        meanings.extend(labels)
+        return tuple(range(first, len(meanings) + 1))
+
+    def alloc(name: str, ty: LogicType, args: tuple, rows: list):
+        label = f"{name}({','.join(map(str, args))})" if args else name
+        if ty == Prop:
+            return new(f"{label}@w{w}" for w in range(n))
+        if ty == Ind:
+            rows.append(new(f"{label}=e{e}" for e in range(m)))
+            return rows[-1]
+        dom = denotation_size(ty.domain, scope)
+        return tuple(alloc(name, ty.codomain, args + (j,), rows) for j in range(dom))
+
+    r_vars = tuple(new(f"r(w{w},w{v})" for v in range(n)) for w in range(n))
+    ex_vars = tuple(new(f"{EXISTS_AT}(e{e},w{w})" for w in range(n)) for e in range(m))
+    cells, parts = [], [(n, ())] * n + [(n * m, ())]
+    for name, ty in signature:
+        if type_order(ty) > MAX_CONSTANT_ORDER:
+            raise GroundingError(
+                f"constant {name!r} has unsupported type {ty} beyond order {MAX_CONSTANT_ORDER}"
+            )
+        start, rows = len(meanings), []
+        cells.append(alloc(name, ty, (), rows))
+        parts.append((len(meanings) - start, tuple(rows)))
+    return r_vars, ex_vars, tuple(cells), tuple(meanings), tuple(parts)
 
 
 # Bytes 0 and 1 to the digits "0" and "1", any other to "2", which no base-2
@@ -293,10 +330,10 @@ def _selected(x: int, rows: int, m: int) -> int:
     return acc
 
 
-def _not_binary(model, order) -> HomlError:
-    """The error naming the first value at an index in order that is not 0
-    or 1."""
-    for i in order:
+def _not_binary(model, d: int) -> HomlError:
+    """The error naming the first of the model's d first values that is not
+    0 or 1."""
+    for i in range(d):
         try:
             ok = bytes((model[i],)) in (b"\0", b"\1")
         except (TypeError, ValueError):
@@ -321,8 +358,6 @@ class _Grounding:
         self.n = scope.num_worlds
         self.m = scope.num_entities
         self.f = _Formulas()
-        self.num_vars = 0
-        self.meanings: dict[int, str] = {}
         self.clauses: list[list[int]] = []
         self.compiler = _Compiler(scope)
         # Model-free subterms run in the concrete carrier over an empty frame.
@@ -331,49 +366,18 @@ class _Grounding:
         self.memo: dict = {}
         self.ops: dict = {}
 
-        self.r_vars = tuple(
-            tuple(self._new_var(f"r(w{w},w{w2})") for w2 in range(self.n)) for w in range(self.n)
-        )
-        self.ex_vars = tuple(
-            tuple(self._new_var(f"{EXISTS_AT}(e{e},w{w})") for w in range(self.n))
-            for e in range(self.m)
-        )
-        self.const_cells: dict[str, object] = {}
+        self.r_vars, self.ex_vars, cells, meanings, parts = _layout(scope, theory.signature)
+        self.num_vars = len(meanings)
+        for _, rows in parts:  # each selector row has exactly one bit set
+            for sel in rows:
+                self.clauses.append(list(sel))
+                self.clauses.extend([-a, -b] for a, b in combinations(sel, 2))
         self.const_sym: dict[str, object] = {}
-        for name, ty in theory.signature:
-            if type_order(ty) > MAX_CONSTANT_ORDER:
-                raise GroundingError(
-                    f"constant {name!r} has unsupported type {ty} beyond order {MAX_CONSTANT_ORDER}"
-                )
-            cells = self._alloc_cells(name, ty, ())
-            self.const_cells[name] = cells
-            self.const_sym[name] = self._cells_to_sym(cells)
-        self.decision_vars = tuple(range(1, self.num_vars + 1))
+        for (name, _), const_cells in zip(theory.signature, cells):
+            self.const_sym[name] = self._cells_to_sym(const_cells)
         # existsAt viewed as an unknown Fun(Ind, Prop) table.
         self.const_sym[EXISTS_AT] = self._cells_to_sym(self.ex_vars)
         self.clauses.extend(frame_clauses(theory.frame_flags, self.r_vars))
-
-    def _new_var(self, meaning: Optional[str] = None) -> int:
-        self.num_vars += 1
-        if meaning is not None:
-            self.meanings[self.num_vars] = meaning
-        return self.num_vars
-
-    def _alloc_cells(self, name: str, ty: LogicType, args: tuple):
-        arg_str = ",".join(str(a) for a in args)
-        label = f"{name}({arg_str})" if args else name
-        if ty == Prop:
-            return tuple(self._new_var(f"{label}@w{w}") for w in range(self.n))
-        if ty == Ind:
-            sel = tuple(self._new_var(f"{label}=e{e}") for e in range(self.m))
-            self.clauses.append(list(sel))
-            for i in range(self.m):
-                for j in range(i + 1, self.m):
-                    self.clauses.append([-sel[i], -sel[j]])
-            return sel
-        assert isinstance(ty, Fun)
-        dom = denotation_size(ty.domain, self.scope)
-        return tuple(self._alloc_cells(name, ty.codomain, args + (j,)) for j in range(dom))
 
     def _cells_to_sym(self, cells):
         """The symbolic value of nested cells: each variable's formula node."""
@@ -592,17 +596,7 @@ class _Grounding:
             clauses.append([lit_of[r]])
 
     def to_problem(self) -> GroundProblem:
-        return GroundProblem(
-            scope=self.scope,
-            num_vars=self.num_vars,
-            clauses=self.clauses,
-            meanings=MappingProxyType(self.meanings),
-            decision_vars=self.decision_vars,
-            r_vars=self.r_vars,
-            ex_vars=self.ex_vars,
-            const_cells=MappingProxyType(self.const_cells),
-            signature=self.theory.signature,
-        )
+        return GroundProblem(self.scope, self.theory.signature, self.num_vars, self.clauses)
 
 
 def ground(theory: Theory, scope: Scope, negated_goal: Optional[Term] = None) -> GroundProblem:
@@ -683,11 +677,9 @@ def iterate_models(problem: GroundProblem, budget: int = DEFAULT_CONFLICT_BUDGET
     variables, in lexicographic order of those variables.
 
     One solver finds them all: `Solver.block` excludes each model's values
-    of the decision variables, which are the prefix 1..d, and the search
-    resumes from that model. The problem itself is left unchanged."""
+    of the decision variables 1..d, which `_layout` numbers first, and the
+    search resumes from that model. The problem itself is left unchanged."""
     d = len(problem.decision_vars)
-    if list(problem.decision_vars) != list(range(1, d + 1)):
-        raise HomlError("the decision variables must be 1..d to enumerate models")
     if limit is not None and limit < 1:
         return
     solver = Solver(problem.num_vars, problem.clauses)
@@ -712,9 +704,7 @@ def enumerate_models(theory: Theory, scope: Scope, limit: Optional[int] = None,
 
 def export_dimacs(problem: GroundProblem) -> bytes:
     """Standard DIMACS CNF with variable meanings as leading comment lines."""
-    lines = []
-    for v in sorted(problem.meanings):
-        lines.append(f"c {v} {problem.meanings[v]}")
+    lines = [f"c {v} {meaning}" for v, meaning in problem.meanings.items()]
     lines.append(f"p cnf {problem.num_vars} {len(problem.clauses)}")
     for clause in problem.clauses:
         lines.append(" ".join(map(str, (*clause, 0))))

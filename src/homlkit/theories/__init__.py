@@ -44,10 +44,8 @@ class Bundle(Frozen):
     goal_labels: tuple[str, ...]
     manifest: dict
 
-    def goal(self, label):
-        """Goal term by manifest label or integer index."""
-        if isinstance(label, int):
-            return self.theory.goals[label]
+    def goal(self, label: str):
+        """Goal term by manifest label."""
         try:
             idx = self.goal_labels.index(label)
         except ValueError:

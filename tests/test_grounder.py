@@ -6,7 +6,6 @@ import itertools
 import pickle
 import random
 import re
-from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -296,7 +295,8 @@ def test_decode_rejects_a_list_that_is_not_a_model_of_the_problem():
 
 def test_ground_problem_copies_and_pickles_after_decoding():
     # A problem that has decoded a model copies, deep-copies and pickles to
-    # an equal problem with read-only mappings, which decodes alike.
+    # an equal problem, without its derived layout and reader, which lays
+    # out and decodes alike.
     problem = _codec_problem(Scope(1, 3))
     _, bits, _ = solve_cnf(problem.num_vars, problem.clauses)
     model = problem.decode(bits)
@@ -304,7 +304,8 @@ def test_ground_problem_copies_and_pickles_after_decoding():
     flipped[0] ^= 1
     for twin in (copy.copy(problem), copy.deepcopy(problem), pickle.loads(pickle.dumps(problem))):
         assert twin == problem
-        assert type(twin.meanings) is type(twin.const_cells) is MappingProxyType
+        assert not [k for k in vars(twin) if k.startswith("_")]
+        assert (twin.meanings, twin.const_cells) == (problem.meanings, problem.const_cells)
         assert twin.decode(bits) == model
         assert twin.decode(flipped) == problem.decode(flipped) != model
 
@@ -323,16 +324,17 @@ def test_iterate_models_with_limit_0_builds_no_solver(monkeypatch):
 
 def test_ground_problem_fields_reject_mutation():
     problem = ground(load_theory("const c : i\nconst p : prop\n"), Scope(2, 2))
-    for container, key in ((problem.meanings, 1), (problem.const_cells, "c"),
-                           (problem.const_cells["p"], 0), (problem.decision_vars, 0),
+    for container, key in ((problem.const_cells["p"], 0), (problem.decision_vars, 0),
                            (problem.r_vars, 0), (problem.r_vars[0], 0), (problem.ex_vars[1], 0)):
         with pytest.raises(TypeError):
             container[key] = 2
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        problem.meanings = {}
-    # Decision variables given as a list enumerate the same models.
-    listed = replace(problem, decision_vars=list(problem.decision_vars))
-    assert list(iterate_models(listed, limit=5)) == list(iterate_models(problem, limit=5))
+    for name in ("meanings", "const_cells", "r_vars", "decision_vars", "num_vars"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(problem, name, {})
+    # meanings and const_cells are new dicts on each read: changing one
+    # changes nothing in the problem.
+    problem.meanings[1] = problem.const_cells["c"] = 2
+    assert problem.meanings[1] == "r(w0,w0)" and problem.const_cells["c"] == (9, 10)
 
 
 def test_contradictory_axiom_unsat_everywhere():
@@ -370,13 +372,10 @@ def test_refl_flag_forces_reflexive_edges():
 
 
 def test_solve_direct_problems():
-    base = dict(scope=Scope(1, 1), meanings={}, decision_vars=[1],
-                r_vars=[[1]], ex_vars=[[1]], const_cells={}, signature=())
-    unsat = GroundProblem(num_vars=1, clauses=[[1], [-1]], **base)
-    assert solve(unsat) is None
     # r(w0,w0) is variable 1 and existsAt(e0,w0) variable 2.
-    sat = GroundProblem(num_vars=2, clauses=[[1, 2]],
-                        **dict(base, decision_vars=[1, 2], ex_vars=[[2]]))
+    unsat = GroundProblem(Scope(1, 1), (), num_vars=2, clauses=[[1], [-1]])
+    assert solve(unsat) is None
+    sat = GroundProblem(Scope(1, 1), (), num_vars=2, clauses=[[1, 2]])
     model = solve(sat)
     assert model.accessibility[0] or model.exists_at
     # The least model sets variable 1 false.
@@ -481,12 +480,42 @@ def test_order_limit_rejected():
 
 
 def test_export_dimacs_exact_bytes():
-    base = dict(scope=Scope(1, 1), meanings={}, decision_vars=[1],
-                r_vars=[[1]], ex_vars=[[1]], const_cells={}, signature=())
-    one = GroundProblem(num_vars=1, clauses=[[1]], **base)
-    assert export_dimacs(one) == b"p cnf 1 1\n1 0\n"
-    empty = GroundProblem(num_vars=0, clauses=[], **dict(base, decision_vars=[]))
-    assert export_dimacs(empty) == b"p cnf 0 0\n"
+    meanings = b"c 1 r(w0,w0)\nc 2 existsAt(e0,w0)\n"
+    one = GroundProblem(Scope(1, 1), (), num_vars=2, clauses=[[1]])
+    assert export_dimacs(one) == meanings + b"p cnf 2 1\n1 0\n"
+    empty = GroundProblem(Scope(1, 1), (), num_vars=2, clauses=[])
+    assert export_dimacs(empty) == meanings + b"p cnf 2 0\n"
+
+
+def test_a_problem_without_its_layouts_variables_is_refused():
+    # (1,2) with c : i lays out r(w0,w0), existsAt's 2 cells and c's 2
+    # selector bits: 5 decision variables. Built with fewer, the problem
+    # refuses to decode, export or show its layout rather than misread it.
+    short = GroundProblem(Scope(1, 2), (("c", Ind),), num_vars=4, clauses=[[1]])
+    for read in (lambda: short.decode([1, 0, 0, 1]), lambda: export_dimacs(short),
+                 lambda: short.r_vars, lambda: short.decision_vars,
+                 lambda: solve(short), lambda: next(iterate_models(short))):
+        with pytest.raises(HomlError, match="4 variables, fewer than the 5 decision variables"):
+            read()
+    full = replace(short, num_vars=5, clauses=[[1], [4, 5], [-4, -5]])
+    assert len(full.decision_vars) == 5 and solve(full).positions == {"c": 1}
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (1, 2), (2, 2)])
+def test_decision_variables_are_laid_out_as_one_prefix(n, m):
+    # Every bundle variant's problem numbers its decision variables 1..d and
+    # names each: the relation's rows, then existsAt's entity rows, then
+    # each constant's cells in signature order.
+    for bundle in bundle_variants():
+        problem = ground(bundle.theory, Scope(n, m))
+        d = len(problem.decision_vars)
+        assert list(problem.decision_vars) == list(range(1, d + 1))
+        assert list(problem.meanings) == list(range(1, d + 1)) and d <= problem.num_vars
+        cells = [*problem.r_vars, *problem.ex_vars,
+                 *(problem.const_cells[name] for name, _ in problem.signature)]
+        assert [v for part in cells for v in _leaves(part)] == list(range(1, d + 1))
+        assert problem.meanings[problem.r_vars[-1][0]] == f"r(w{n - 1},w0)"
+        assert problem.meanings[problem.ex_vars[-1][-1]] == f"existsAt(e{m - 1},w{n - 1})"
 
 
 def test_export_dimacs_writes_any_sequence_of_literals():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homlkit.errors import BudgetExceededError, HomlError
+from homlkit.errors import BudgetExceededError
 from homlkit.frozen import replace
 from homlkit.grounder import ground, iterate_models
 from homlkit.semantics import Scope
@@ -196,13 +196,6 @@ def test_budget_exhausted_mid_enumeration_raises():
     assert len(models) == 8
     assert all(model.accessibility == (0,) for model in models)
     assert len(list(iterate_models(guarded))) == 8
-
-
-def test_enumeration_needs_a_prefix_of_decision_variables():
-    problem = ground(load_bundle("k").theory, Scope(1, 1))
-    shuffled = replace(problem, decision_vars=[2, 1, 3, 4])
-    with pytest.raises(HomlError):
-        next(iterate_models(shuffled))
 
 
 def solver_state(solver):

@@ -35,6 +35,14 @@ def test_unknown_variant_parameter():
                 load_bundle(bundle_id, **params)
 
 
+def test_a_goal_is_found_by_its_label_only():
+    k = load_bundle("k")
+    assert [k.goal(label) for label in k.goal_labels] == list(k.theory.goals)
+    for key in ("nonsense", 0, 9, -1, True, None):
+        with pytest.raises(BundleError, match="has no goal labelled"):
+            k.goal(key)
+
+
 def test_a_bundle_is_loaded_once_per_variant():
     goedel = load_bundle("goedel")
     assert load_bundle("goedel", quantifier="actualist") is goedel

@@ -96,10 +96,8 @@ CASES = [
     (Theory, {"name": "t", "signature": THEORY.signature, "definitions": THEORY.definitions,
               "axioms": THEORY.axioms, "goals": THEORY.goals,
               "frame_flags": THEORY.frame_flags}),
-    (GroundProblem, {"scope": SCOPE, "num_vars": 4, "clauses": [[1, -2]],
-                     "meanings": {1: "r(w0,w0)"}, "decision_vars": (1,), "r_vars": ((1,),),
-                     "ex_vars": ((2, 3),), "const_cells": {"p": 4},
-                     "signature": (("p", Prop),)}),
+    (GroundProblem, {"scope": SCOPE, "signature": (("p", Prop),), "num_vars": 4,
+                     "clauses": [[1, -2]]}),
     (Bundle, {"id": "k", "variant": "default", "theory": THEORY, "checked": THEORY,
               "source": "const p : prop\n", "goal_labels": ("K",),
               "manifest": {"default_variant": "default"}}),
