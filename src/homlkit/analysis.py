@@ -22,6 +22,7 @@ from .logictypes import Fun, Ind, Prop
 from .semantics import (
     KripkeModel,
     Scope,
+    _check_position,
     denotation_size,
     digits,
     position,
@@ -230,6 +231,8 @@ def equipollent(model: KripkeModel, p: int, q: int) -> bool:
     between p's and q's extensions."""
     scope = model.scope
     m = scope.num_entities
+    for s in (p, q):
+        _check_position(s, PROPERTY_TYPE, scope, "modal set")
     denotation_size(Fun(Ind, Ind), scope)  # enforce the enumeration cap
     worlds = range(scope.num_worlds)
     p_ext = [[e for e, bit in enumerate(_extension(p, w, scope)) if bit] for w in worlds]
@@ -286,6 +289,8 @@ def diagonal_witness(model: KripkeModel, mapping: Sequence[int]) -> tuple[int, b
     m, n = scope.num_entities, scope.num_worlds
     if len(mapping) != m:
         raise HomlError(f"mapping must assign a modal set to each of the {m} entities")
+    for f in mapping:
+        _check_position(f, PROPERTY_TYPE, scope, "modal set")
     full = (1 << n) - 1
     diag = position([full ^ digits(f, m, full + 1)[e] for e, f in enumerate(mapping)], full + 1)
     return diag, diag not in mapping

@@ -382,11 +382,10 @@ def _render_text(report: dict, indent: int = 0) -> str:
     return "\n".join(lines)
 
 
-def _add_theory_args(sub, bundle_only=False):
+def _add_theory_args(sub):
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--bundle", help="bundled theory id")
-    if not bundle_only:
-        group.add_argument("--file", help="theory-DSL source file")
+    group.add_argument("--file", help="theory-DSL source file")
     sub.add_argument("--quantifier", choices=["actualist", "possibilist"])
     sub.add_argument("--formulation", choices=["scott", "goedel-1970"])
     sub.add_argument("--extension", choices=["core", "infinity"])

@@ -4,10 +4,10 @@ A subclass declares its fields as annotations, in order, and a default as a
 class attribute (``hint: str = "x"``). Its instances behave as those of a
 ``@dataclass(frozen=True)``: built by position or keyword, equal only to an
 instance of the same class with equal compared fields, hashed as the tuple of
-those fields, shown field by field, and raising ``FrozenInstanceError`` on
-assignment or deletion. A base names the fields that ``==`` and ``hash``
-leave out in ``_uncompared``; a method that a class defines itself stays.
-A class declared with ``cache_hash=True`` keeps its hash once computed.
+those fields (kept once computed), shown field by field, and raising
+``FrozenInstanceError`` on assignment or deletion. A base names the fields
+that ``==`` and ``hash`` leave out in ``_uncompared``; a method that a class
+defines itself stays.
 The methods are closures over the field names; ``dataclasses`` compiles
 source for each class, a millisecond apiece, and is imported only to raise.
 
@@ -27,7 +27,7 @@ class Frozen:
     _fields = ()
     _uncompared = ()
 
-    def __init_subclass__(cls, cache_hash=False):
+    def __init_subclass__(cls):
         super().__init_subclass__()
         names = tuple(cls.__dict__.get("__annotations__", ()))
         if not names:
@@ -48,18 +48,12 @@ class Frozen:
             return NotImplemented
 
         def __hash__(self):
-            # An attrgetter of one name gives the bare value, not a 1-tuple.
-            return hash((key(self),) if single else key(self))
-
-        if cache_hash:
-            compute = __hash__
-
-            def __hash__(self):
-                try:
-                    return self._hash
-                except AttributeError:
-                    h = self.__dict__["_hash"] = compute(self)
-                    return h
+            try:
+                return self._hash
+            except AttributeError:
+                # An attrgetter of one name gives the bare value, not a 1-tuple.
+                h = self.__dict__["_hash"] = hash((key(self),) if single else key(self))
+                return h
 
         def __repr__(self):
             fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)

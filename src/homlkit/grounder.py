@@ -374,6 +374,8 @@ class _Grounding:
                 self.clauses.extend([-a, -b] for a, b in combinations(sel, 2))
         self.const_sym: dict[str, object] = {}
         for (name, _), const_cells in zip(theory.signature, cells):
+            if name in self.const_sym:  # formulas would read the last one only
+                raise GroundingError(f"constant {name!r} is declared more than once")
             self.const_sym[name] = self._cells_to_sym(const_cells)
         # existsAt viewed as an unknown Fun(Ind, Prop) table.
         self.const_sym[EXISTS_AT] = self._cells_to_sym(self.ex_vars)
@@ -694,12 +696,10 @@ def iterate_models(problem: GroundProblem, budget: int = DEFAULT_CONFLICT_BUDGET
 
 
 def enumerate_models(theory: Theory, scope: Scope, limit: Optional[int] = None,
-                     budget: int = DEFAULT_CONFLICT_BUDGET,
-                     negated_goal: Optional[Term] = None) -> Iterator[KripkeModel]:
+                     budget: int = DEFAULT_CONFLICT_BUDGET) -> Iterator[KripkeModel]:
     """All models at scope (up to limit) that differ on the decision
     variables, in lexicographic order; see `iterate_models`."""
-    problem = ground(theory, scope, negated_goal=negated_goal)
-    yield from iterate_models(problem, budget=budget, limit=limit)
+    yield from iterate_models(ground(theory, scope), budget=budget, limit=limit)
 
 
 def export_dimacs(problem: GroundProblem) -> bytes:

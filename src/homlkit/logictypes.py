@@ -47,7 +47,7 @@ Ind = _Ind()
 Prop = _Prop()
 
 
-class Fun(LogicType, Frozen, cache_hash=True):
+class Fun(LogicType, Frozen):
     domain: LogicType
     codomain: LogicType
 

@@ -104,7 +104,7 @@ from .theory import frame_clauses
 DEFAULT_CAP = 2 ** 20
 
 
-class Scope(Frozen, cache_hash=True):
+class Scope(Frozen):
     """Finite bound at which model finding and evaluation are exhaustive."""
 
     num_worlds: int

@@ -163,6 +163,12 @@ class _TermParser:
         self.pos += 1
         return tok
 
+    def end(self) -> None:
+        """Raise unless the line's tokens are all read."""
+        tok = self.peek()
+        if tok is not None:
+            self.error(f"unexpected trailing {tok.text!r}")
+
     def expect(self, kind: str) -> Token:
         tok = self.peek()
         if tok is None or tok.kind != kind:
@@ -259,20 +265,18 @@ class _TermParser:
         self.error(f"expected a term, got {tok.text!r}", tok)
 
 
-def parse_term_text(text: str, filename: str = "<input>", lineno: int = 1):
-    """Parse a single term; helper for tests and the parser itself."""
-    parser = _TermParser(_lex_line(text, lineno, filename), filename, lineno)
+def parse_term_text(text: str):
+    """Parse a single term, written on one line."""
+    parser = _TermParser(_lex_line(text, 1, "<input>"), "<input>", 1)
     term = parser.parse_term(0)
-    if parser.peek() is not None:
-        parser.error(f"unexpected trailing {parser.peek().text!r}")
+    parser.end()
     return term
 
 
-def parse_type_text(text: str, filename: str = "<input>", lineno: int = 1) -> LogicType:
-    parser = _TermParser(_lex_line(text, lineno, filename), filename, lineno)
+def parse_type_text(text: str) -> LogicType:
+    parser = _TermParser(_lex_line(text, 1, "<input>"), "<input>", 1)
     ty = parser.parse_type()
-    if parser.peek() is not None:
-        parser.error(f"unexpected trailing {parser.peek().text!r}")
+    parser.end()
     return ty
 
 
@@ -294,8 +298,7 @@ def parse(text: str, filename: str = "<input>") -> Theory:
         rest = tokens[1:]
         parser = _TermParser(rest, filename, lineno)
         if head.kind != "kw":
-            raise ParseError(f"expected a declaration keyword, got {head.text!r}",
-                             lineno, head.col, filename)
+            parser.error(f"expected a declaration keyword, got {head.text!r}", head)
         if head.text == "theory":
             tok = parser.expect("ident")
             name = tok.text
@@ -303,14 +306,14 @@ def parse(text: str, filename: str = "<input>") -> Theory:
             while parser.peek() is not None:
                 tok = parser.next()
                 if tok.kind != "ident" or tok.text not in FRAME_FLAGS:
-                    raise ParseError(f"unknown frame flag {tok.text!r}", lineno, tok.col, filename)
+                    parser.error(f"unknown frame flag {tok.text!r}", tok)
                 frame_flags.add(tok.text)
         elif head.text in ("const", "def"):
             tok = parser.expect("ident")
             if tok.text in seen:
-                raise ParseError(f"duplicate declaration of {tok.text!r}", lineno, tok.col, filename)
+                parser.error(f"duplicate declaration of {tok.text!r}", tok)
             if tok.text == EXISTS_AT:
-                raise ParseError(f"{EXISTS_AT!r} is reserved", lineno, tok.col, filename)
+                parser.error(f"{EXISTS_AT!r} is reserved", tok)
             if head.text == "const":
                 parser.expect(":")
                 signature.append((tok.text, parser.parse_type()))
@@ -322,11 +325,8 @@ def parse(text: str, filename: str = "<input>") -> Theory:
             term = parser.parse_term(0)
             (axioms if head.text == "axiom" else goals).append(term)
         else:
-            raise ParseError(f"unexpected keyword {head.text!r} at start of declaration",
-                             lineno, head.col, filename)
-        if parser.peek() is not None and head.text not in ("axiom", "goal"):
-            tok = parser.peek()
-            raise ParseError(f"unexpected trailing {tok.text!r}", lineno, tok.col, filename)
+            parser.error(f"unexpected keyword {head.text!r} at start of declaration", head)
+        parser.end()
     return Theory(name, signature=tuple(signature), definitions=tuple(definitions),
                   axioms=tuple(axioms), goals=tuple(goals), frame_flags=frozenset(frame_flags))
 

@@ -268,11 +268,11 @@ def _map_vars(term: Term, on_var, depth: int = 0) -> Term:
     return rebuild(term, [_map_vars(k, on_var, depth) for k in kids])
 
 
-def shift(term: Term, by: int, cutoff: int = 0) -> Term:
-    """Shift free de Bruijn indices >= cutoff by ``by``."""
+def shift(term: Term, by: int) -> Term:
+    """Shift free de Bruijn indices by ``by``."""
 
     def on_var(v: Var, depth: int) -> Term:
-        if v.index >= cutoff + depth:
+        if v.index >= depth:
             return Var(v.index + by, v.var_type, v.hint)
         return v
 

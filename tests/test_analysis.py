@@ -372,6 +372,23 @@ def test_diagonal_differs_from_every_image():
         assert outside  # pointwise difference forces it out of the range
 
 
+@pytest.mark.parametrize("bad", [999, 4, -1, -5, True, "1", 1.0])
+def test_modal_sets_must_be_positions_at_the_scope(bad):
+    model = one_world_model(2)  # (1,2): four modal sets, positions 0..3
+    with pytest.raises(HomlError, match="i > prop values at scope"):
+        diagonal_witness(model, [bad, 0])
+    with pytest.raises(HomlError, match="i > prop values at scope"):
+        diagonal_witness(model, [0, bad])
+    with pytest.raises(HomlError, match="i > prop values at scope"):
+        equipollent(model, bad, 3)
+    with pytest.raises(HomlError, match="i > prop values at scope"):
+        equipollent(model, 3, bad)
+    with pytest.raises(HomlError, match="i > prop values at scope"):
+        analysis.equipollence_class(model, bad)
+    assert diagonal_witness(model, [3, 0]) == (1, True)
+    assert analysis.equipollence_class(model, 3) == frozenset({3})
+
+
 def test_goedel_models_pass_configured_ultrafilter_mode():
     bundle = load_bundle("goedel")
     mode = bundle.manifest["ultrafilter_mode"]

@@ -472,6 +472,16 @@ def test_declared_existence_constant_is_rejected():
         ground(theory, Scope(1, 2))
 
 
+def test_repeated_constant_name_is_rejected():
+    # The parser refuses a repeated name; a theory built in code is refused
+    # when grounded, since its formulas would read only the last declaration.
+    theory = Theory("t", signature=(("p", Prop), ("q", Prop), ("p", Prop)))
+    with pytest.raises(GroundingError, match="constant 'p' is declared more than once"):
+        list(enumerate_models(theory, Scope(1, 1)))
+    with pytest.raises(GroundingError, match="more than once"):
+        ground(theory, Scope(2, 2))
+
+
 def test_order_limit_rejected():
     theory = load_theory("const F : ((i > prop) > prop) > prop\n")
     with pytest.raises(GroundingError) as err:

@@ -345,6 +345,20 @@ def test_duplicate_and_reserved_declarations():
         parse("frame shiny\n")
 
 
+@pytest.mark.parametrize("read, text, message", [
+    (parse, "const p : prop\naxiom p )\n", "<input>:2:9: unexpected trailing ')'"),
+    (parse, "const p : prop\ngoal p . p\n", "<input>:2:8: unexpected trailing '.'"),
+    (parse, "const p : prop )\n", "<input>:1:16: unexpected trailing ')'"),
+    (parse, "theory t u\n", "<input>:1:10: unexpected trailing 'u'"),
+    (parse_term_text, "p )", "<input>:1:3: unexpected trailing ')'"),
+    (parse_type_text, "i )", "<input>:1:3: unexpected trailing ')'"),
+])
+def test_every_declaration_ends_at_its_line_end(read, text, message):
+    with pytest.raises(ParseError) as err:
+        read(text)
+    assert str(err.value) == message
+
+
 def test_type_depth_limit():
     deep = "i"
     for _ in range(40):
