@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetExceededError, HomlError
 from .frozen import Frozen, replace
-from .grounder import GroundProblem, ground, iterate_models
+from .grounder import exactly, ground, iterate_models
 from .logictypes import Fun, Ind, Prop
 from .semantics import (
     KripkeModel,
@@ -103,13 +103,12 @@ def _filter_report(members_per_world: Sequence[set[int]], width: int,
     return FilterReport(tuple(per_world), tuple(failures))
 
 
-def is_modal_filter(model: KripkeModel, constant: str = "P") -> FilterReport:
-    """The four filter conditions on the family ``constant``, per world:
-    contains the full set, excludes the empty set, upward closed under
-    every-world inclusion, closed under world-wise intersection."""
+def is_modal_filter(model: KripkeModel) -> FilterReport:
+    """The four filter conditions on the family ``P``, per world: contains
+    the full set, excludes the empty set, upward closed under every-world
+    inclusion, closed under world-wise intersection."""
     scope = model.scope
-    return _filter_report(_members(model, constant),
-                          scope.num_worlds * scope.num_entities, False)
+    return _filter_report(_members(model, "P"), scope.num_worlds * scope.num_entities, False)
 
 
 def is_modal_ultrafilter(model: KripkeModel, constant: str = "P",
@@ -131,21 +130,17 @@ def is_modal_ultrafilter(model: KripkeModel, constant: str = "P",
 # ---------------------------------------------------------------------------
 # Positive property counting
 
-def positive_sets(model: KripkeModel, constant: str = "P", world: int = 0,
-                  strict: bool = False) -> list[int]:
-    """Modal sets the family holds positive: at the designated world by
-    default, at every world in strict mode."""
+def positive_sets(model: KripkeModel, constant: str = "P", world: int = 0) -> list[int]:
+    """Modal sets the family holds positive at the given world."""
     scope = model.scope
     _check_world(world, scope)
-    full = (1 << scope.num_worlds) - 1
-    return [s for s, row in enumerate(_family(model, constant))
-            if (row == full if strict else row >> (scope.num_worlds - 1 - world) & 1)]
+    bit = scope.num_worlds - 1 - world
+    return [s for s, row in enumerate(_family(model, constant)) if row >> bit & 1]
 
 
-def distinct_positive_count(model: KripkeModel, constant: str = "P", world: int = 0,
-                            strict: bool = False) -> int:
+def distinct_positive_count(model: KripkeModel, constant: str = "P", world: int = 0) -> int:
     """Number of pairwise structurally-distinct positive modal sets."""
-    return len(positive_sets(model, constant, world, strict))
+    return len(positive_sets(model, constant, world))
 
 
 class CountResult(Frozen):
@@ -156,23 +151,8 @@ class CountResult(Frozen):
     empty_model_class: bool
 
 
-def _exactly_k_clauses(problem: GroundProblem, k: int, world: int) -> list[list[int]]:
-    """Exactly k entities satisfy existsAt at the given world."""
-    vars_at_w = [problem.ex_vars[e][world] for e in range(len(problem.ex_vars))]
-    m = len(vars_at_w)
-    if k > m:
-        raise HomlError(f"cannot require {k} existing entities with only {m} in scope")
-    clauses = []
-    for combo in itertools.combinations(vars_at_w, k + 1):
-        clauses.append([-v for v in combo])
-    for combo in itertools.combinations(vars_at_w, m - k + 1):
-        clauses.append(list(combo))
-    return clauses
-
-
 def min_positive_count(theory: Theory, scope: Scope, constant: str = "P",
-                       world: int = 0, strict: bool = False,
-                       entity_mode: str = "possibilist",
+                       world: int = 0, entity_mode: str = "possibilist",
                        entities: Optional[int] = None,
                        budget: int = DEFAULT_CONFLICT_BUDGET,
                        model_limit: Optional[int] = None) -> CountResult:
@@ -180,27 +160,31 @@ def min_positive_count(theory: Theory, scope: Scope, constant: str = "P",
 
     "Exactly k entities" defaults to the possibilist reading (the scope's
     entity count is k); the actualist reading instead constrains how many
-    entities satisfy existsAt at the designated world.
+    entities satisfy existsAt at the designated world. The arguments are
+    checked before the theory is grounded.
     """
     _check_world(world, scope)
     if entities is not None and entities < 0:
         raise HomlError(f"the actualist entity count must be >= 0, got {entities}")
     if dict(theory.signature).get(constant) != FAMILY_TYPE:
         raise HomlError(f"theory has no property family constant {constant!r}")
-    problem = ground(theory, scope)
     if entity_mode == "actualist":
         if entities is None:
             raise HomlError("actualist entity mode requires an entity count")
-        extra = _exactly_k_clauses(problem, entities, world)
-        problem = replace(problem, clauses=problem.clauses + extra)
+        if entities > scope.num_entities:
+            raise HomlError(f"cannot require {entities} existing entities "
+                            f"with only {scope.num_entities} in scope")
     elif entity_mode != "possibilist":
         raise HomlError(f"unknown entity mode {entity_mode!r}")
-    return count_positive(iterate_models(problem, budget=budget), constant, world, strict,
-                          model_limit)
+    problem = ground(theory, scope)
+    if entity_mode == "actualist":
+        at_world = [row[world] for row in problem.ex_vars]
+        problem = replace(problem, clauses=problem.clauses + exactly(at_world, entities))
+    return count_positive(iterate_models(problem, budget=budget), constant, world, model_limit)
 
 
 def count_positive(models: Iterable[KripkeModel], constant: str = "P", world: int = 0,
-                   strict: bool = False, limit: Optional[int] = None) -> CountResult:
+                   limit: Optional[int] = None) -> CountResult:
     """Minimum and maximum of distinct_positive_count over the first ``limit``
     models; incomplete when the limit is reached or the solver budget runs
     out while the models are produced."""
@@ -210,7 +194,7 @@ def count_positive(models: Iterable[KripkeModel], constant: str = "P", world: in
     complete = True
     try:
         for model in itertools.islice(models, limit):
-            count = distinct_positive_count(model, constant, world, strict)
+            count = distinct_positive_count(model, constant, world)
             minimum = count if minimum is None else min(minimum, count)
             maximum = count if maximum is None else max(maximum, count)
             seen += 1
@@ -271,12 +255,12 @@ def successor_cardinal_check(model: KripkeModel, k: int) -> bool:
     return successor_class == equipollence_class(model, rigid(k + 1))
 
 
-def surjection_exists(model: KripkeModel, constant: str = "P", world: int = 0,
-                      strict: bool = False) -> bool:
-    """Whether a total map from the entities onto the positive modal sets
-    exists: exactly when there is a positive set and there are no more of
-    them than entities (send one entity to each set, the rest to any)."""
-    k = len(positive_sets(model, constant, world, strict))
+def surjection_exists(model: KripkeModel) -> bool:
+    """Whether a total map from the entities onto the modal sets that ``P``
+    holds positive at world 0 exists: exactly when there is such a set and
+    there are no more of them than entities (send one entity to each set,
+    the rest to any)."""
+    k = len(positive_sets(model))
     return 0 < k <= model.scope.num_entities
 
 

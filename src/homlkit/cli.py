@@ -203,7 +203,7 @@ def cmd_church_suite(args) -> tuple[int, dict]:
     scope = _parse_scope(args.scope)
     budget = _budget(args)
     results = check_church_postulates(scope, budget)
-    one_world = _parse_scope(args.one_world_scope)
+    one_world = Scope(*load_bundle("church").manifest["one_world_scope"])
     results += check_church_postulates(one_world, budget)
     entries = [{"postulate": res.label, "scope": _scope_list(res.scope), "expected": res.expected,
                 "as_expected": res.as_expected, **_verdict_json(res.verdict)} for res in results]
@@ -218,8 +218,8 @@ def cmd_goedel_suite(args) -> tuple[int, dict]:
     report_limit = _integer(args.report_limit, "--report-limit", 0)
     bundle = load_bundle("goedel")
     manifest = bundle.manifest
-    mode = args.ultrafilter_mode or manifest["ultrafilter_mode"]
-    world = manifest.get("counting_world", 0)
+    mode = manifest["ultrafilter_mode"]
+    world = manifest["counting_world"]
     report = {"command": "goedel-suite", "ultrafilter_mode": mode, "results": {}}
     collected: list[tuple[str, KripkeModel]] = []
 
@@ -301,21 +301,20 @@ def cmd_count_positive(args) -> tuple[int, dict]:
     constant = manifest.get("positive_constant", "P") if args.constant is None else args.constant
     world = _integer(args.counting_world, "--counting-world")
     entities = _integer(args.entities, "--entities")
-    strict = args.counting_mode == "strict"
     if args.entity_mode == "possibilist":
         scope = Scope(_integer(args.worlds, "--worlds"), entities)
     else:
         scope = _parse_scope(args.scope)
     result = min_positive_count(theory, scope, constant=constant, world=world,
-                                strict=strict, entity_mode=args.entity_mode,
-                                entities=entities, budget=_budget(args),
+                                entity_mode=args.entity_mode, entities=entities,
+                                budget=_budget(args),
                                 model_limit=_integer(args.limit, "--limit", 0))
     report = {
         "command": "count-positive",
         "scope": _scope_list(scope),
         "entities": entities,
         "entity_mode": args.entity_mode,
-        "counting_mode": args.counting_mode,
+        "counting_mode": "designated",
         "counting_world": world,
         "minimum": result.minimum,
         "maximum": result.maximum,
@@ -331,7 +330,7 @@ def cmd_count_positive(args) -> tuple[int, dict]:
         for entry in manifest.get("positive_counts", []):
             if entry["worlds"] == scope.num_worlds and entry["entities"] == scope.num_entities:
                 expected = entry["min"]
-    if expected is not None and args.entity_mode == "possibilist" and not strict:
+    if expected is not None and args.entity_mode == "possibilist":
         report["expected_min"] = expected
         if result.minimum != expected:
             return EXIT_COUNTER, report
@@ -428,11 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("church-suite", parents=[common], help="check the lifted Church postulates")
     sub.add_argument("--scope", default="2,2")
-    sub.add_argument("--one-world-scope", default="1,2")
     sub.set_defaults(handler=cmd_church_suite)
 
     sub = subs.add_parser("goedel-suite", parents=[common], help="consistency, validity, counting, ultrafilter checks")
-    sub.add_argument("--ultrafilter-mode", choices=["intension", "extension"])
     sub.add_argument("--report-limit", default="64",
                      help="model cap for the two-world count report")
     sub.set_defaults(handler=cmd_goedel_suite)
@@ -443,7 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--worlds", default="1")
     sub.add_argument("--scope", default="2,2", help="full scope for actualist entity mode")
     sub.add_argument("--entity-mode", choices=["possibilist", "actualist"], default="possibilist")
-    sub.add_argument("--counting-mode", choices=["designated", "strict"], default="designated")
     sub.add_argument("--counting-world", default="0")
     sub.add_argument("--constant",
                      help="property family to count (default: the bundle's, else P)")

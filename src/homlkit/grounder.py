@@ -311,6 +311,16 @@ def _layout(scope: Scope, signature: tuple) -> tuple:
     return r_vars, ex_vars, tuple(cells), tuple(meanings), tuple(parts)
 
 
+def exactly(lits, k: int) -> list[list[int]]:
+    """Clauses that hold when exactly k of the m literals are true, for
+    0 <= k <= m: at least k (no m - k + 1 of them all false), then at most
+    k (no k + 1 all true). For k = 1 these are the literals' clause, then
+    each pair's."""
+    m = len(lits)
+    return ([list(combo) for combo in combinations(lits, m - k + 1)]
+            + [[-v for v in combo] for combo in combinations(lits, k + 1)])
+
+
 # Bytes 0 and 1 to the digits "0" and "1", any other to "2", which no base-2
 # numeral holds.
 _BINARY = b"01" + b"2" * 254
@@ -370,8 +380,7 @@ class _Grounding:
         self.num_vars = len(meanings)
         for _, rows in parts:  # each selector row has exactly one bit set
             for sel in rows:
-                self.clauses.append(list(sel))
-                self.clauses.extend([-a, -b] for a, b in combinations(sel, 2))
+                self.clauses.extend(exactly(sel, 1))
         self.const_sym: dict[str, object] = {}
         for (name, _), const_cells in zip(theory.signature, cells):
             if name in self.const_sym:  # formulas would read the last one only
@@ -463,8 +472,6 @@ class _Grounding:
 
     def model_free(self, code, ty, env):
         return self.lift(code(self.concrete, env), ty)
-
-    bound = lift
 
     def const(self, name: str):
         sym = self.const_sym.get(name)

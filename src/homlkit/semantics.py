@@ -27,8 +27,8 @@ and scope: the size of each type it reads and the shape of Leibniz
 equality are resolved then, not on each evaluation. A closure computes through a
 carrier ``c``, which supplies the value operations (``const``, ``apply``,
 ``at``, ``lam``, the connectives ``not_``/``and_``/``or_``/``implies``/``iff``,
-``box``, ``diamond``, the quantifiers ``forall``/``exists``, ``equal``,
-``model_free`` and ``bound``). There are two carriers:
+``box``, ``diamond``, the quantifiers ``forall``/``exists``, ``equal``
+and ``model_free``). There are two carriers:
 
 * ``_EvalCtx`` is concrete: a value is its position, a proposition its world
   mask, so ``mvalid``, ``holds_at`` and ``eval_term`` run on it. It skips
@@ -42,13 +42,13 @@ carrier ``c``, which supplies the value operations (``const``, ``apply``,
 
 Whether a subterm can depend on the model is decided at compile time: a
 maximal model-free subterm runs in the concrete carrier, and the symbolic
-carrier lifts its value once (``model_free``; ``bound`` for a bare bound
-variable, whose value is read in place). A model-free application or
-equality also reads a bare bound variable operand in place. A bound value
-is a position in either carrier, so every application to a bare bound
-variable reads its argument in place: ``at(f, j, ...)`` is f's entry at
-position j, which the concrete carrier computes as ``apply`` does and the
-symbolic one reads off f's tuple, with nothing lifted.
+carrier lifts its value once (``model_free``), a bare bound variable's
+too. A model-free application or equality also reads a bare bound
+variable operand in place. A bound value is a position in either
+carrier, so every application to a bare bound variable reads its argument
+in place: ``at(f, j, ...)`` is f's entry at position j, which the concrete
+carrier computes as ``apply`` does and the symbolic one reads off f's
+tuple, with nothing lifted.
 
 ``Lam`` and the quantifiers memoise their value on the values of their free
 de Bruijn slots, but only where that key can repeat (``_memoised``). A
@@ -288,17 +288,13 @@ class _Compiler:
 
     def __call__(self, t: Term):
         """The closure of a part of the node being compiled, or of a root. A
-        maximal model-free subterm runs in the concrete carrier, and
-        ``c.model_free`` hands its value over: the symbolic carrier lifts it
-        once. A bare bound variable's value is read in place and handed
-        over by ``c.bound``."""
+        maximal model-free subterm, a bare bound variable too, runs in the
+        concrete carrier, and ``c.model_free`` hands its value over: the
+        symbolic carrier lifts it once."""
         code = self.code(t)
         if self.free or not _model_free(t):
             return code
         ty = t.ty
-        if type(t) is Var:
-            slot = -1 - t.index
-            return lambda c, env: c.bound(env[slot], ty)
         return lambda c, env: c.model_free(code, ty, env)
 
     def slot(self, t: Term) -> Optional[int]:
@@ -550,9 +546,6 @@ class _EvalCtx:
 
     def model_free(self, code, ty, env: list) -> int:
         return code(self, env)
-
-    def bound(self, i: int, ty) -> int:
-        return i
 
     def apply(self, f: int, a: int, ty, divs, base: int) -> int:
         return f // divs[a] % base

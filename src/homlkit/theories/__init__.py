@@ -170,15 +170,15 @@ def check_church_postulates(scope: Scope,
 
 def _canonical_bool_ext_countermodel(theory: Theory, goal, scope: Scope, budget: int):
     """Countermodel matching the two-world shape, found by constrained search
-    and re-verified against the evaluator."""
-    if scope.num_worlds != 2:
-        return check_validity_bounded(theory, goal, scope, budget)
+    and re-verified against the evaluator. At another world count, or with
+    no shaped countermodel, the verdict on the unconstrained problem, which
+    is grounded once for both searches."""
     problem = ground(theory, scope, negated_goal=goal)
-    problem = replace(problem, clauses=problem.clauses + _footnote_shape_clauses(problem))
-    verdict = refute(problem, goal, budget)
-    if not isinstance(verdict, Countermodel):
-        # No shaped countermodel; fall back to the unconstrained search.
-        return check_validity_bounded(theory, goal, scope, budget)
-    if not all(mvalid(verdict.model, ax) for ax in theory.axioms):
-        raise BundleError("shaped countermodel fails an axiom")
-    return verdict
+    if scope.num_worlds == 2:
+        shaped = replace(problem, clauses=problem.clauses + _footnote_shape_clauses(problem))
+        verdict = refute(shaped, goal, budget)
+        if isinstance(verdict, Countermodel):
+            if not all(mvalid(verdict.model, ax) for ax in theory.axioms):
+                raise BundleError("shaped countermodel fails an axiom")
+            return verdict
+    return refute(problem, goal, budget)

@@ -279,6 +279,27 @@ def test_actualist_count_leaves_ground_problem_unchanged(monkeypatch):
     assert problem.clauses == before
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    ({"entity_mode": "x"}, "unknown entity mode 'x'"),
+    ({"entity_mode": "actualist"}, "actualist entity mode requires an entity count"),
+    ({"entity_mode": "actualist", "entities": 4},
+     "cannot require 4 existing entities with only 3 in scope"),
+])
+def test_count_arguments_are_checked_before_grounding(kwargs, message, monkeypatch):
+    grounded = []
+
+    def recording_ground(*args, **kw):
+        grounded.append(args)
+        return ground(*args, **kw)
+
+    monkeypatch.setattr(analysis, "ground", recording_ground)
+    theory = load_bundle("goedel").theory
+    with pytest.raises(HomlError) as err:
+        min_positive_count(theory, Scope(1, 3), **kwargs)
+    assert str(err.value) == message
+    assert grounded == []
+
+
 # -- equipollence and successor ------------------------------------------------
 
 def test_equipollent_examples():

@@ -238,6 +238,44 @@ def test_church_suite_exits_zero(capsys):
     assert all(entry["as_expected"] for entry in report["results"])
 
 
+def test_church_suite_reads_its_one_world_scope_from_the_manifest(capsys, monkeypatch):
+    manifest = load_bundle("church").manifest
+    monkeypatch.setitem(manifest, "one_world_scope", [1, 1])
+    code, out = run_cli(["church-suite"], capsys)
+    report = json.loads(out)
+    assert code == 0
+    assert report["one_world_scope"] == [1, 1]
+    assert {tuple(entry["scope"]) for entry in report["results"]} == {(2, 2), (1, 1)}
+
+
+@pytest.mark.parametrize("argv,variant", [
+    (["--bundle", "goedel", "--formulation", "goedel-1970", "--scope", "1,1"],
+     "actualist:goedel-1970"),
+    (["--bundle", "goedel", "--formulation", "goedel-1970", "--quantifier", "possibilist",
+      "--scope", "1,1"], "possibilist:goedel-1970"),
+    (["--bundle", "modal_math", "--extension", "infinity", "--scope", "2,2"], "infinity"),
+])
+def test_variant_flags_select_the_unsatisfiable_variants(argv, variant, capsys):
+    code, out = run_cli(["find-model", *argv], capsys)
+    report = json.loads(out)
+    assert code == 1
+    assert report["result"]["verdict"] == "unsatisfiable"
+    assert report["variant"] == variant
+
+
+@pytest.mark.parametrize("argv", [
+    ["count-positive", "--bundle", "goedel", "--entities", "2", "--counting-mode", "strict"],
+    ["goedel-suite", "--ultrafilter-mode", "extension"],
+    ["church-suite", "--one-world-scope", "1,1"],
+])
+def test_suite_settings_are_not_options(argv, capsys):
+    code, out = run_cli(argv, capsys)
+    report = json.loads(out)
+    assert code == 2
+    assert report == {"command": argv[0],
+                      "error": f"unrecognized arguments: {' '.join(argv[-2:])}"}
+
+
 def test_text_format(capsys):
     code, out = run_cli(["check", "--bundle", "s5", "--scope", "2,1",
                          "--goal", "5", "--format", "text"], capsys)

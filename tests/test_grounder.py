@@ -464,6 +464,20 @@ def test_individual_constant_decoding():
     assert model.exists_at >> (1 - entity) & 1
 
 
+@pytest.mark.parametrize("m", range(5))
+def test_exactly_k_holds_on_the_assignments_with_k_true(m):
+    lits = [3 * v - 1 for v in range(1, m + 1)]  # any distinct variables
+    for k in range(m + 1):
+        clauses = grounder.exactly(lits, k)
+        for bits in itertools.product([False, True], repeat=m):
+            true = {v if b else -v for v, b in zip(lits, bits)}
+            holds = all(any(lit in true for lit in clause) for clause in clauses)
+            assert holds == (sum(bits) == k), (m, k, bits)
+    if m:
+        assert grounder.exactly(lits, 1) == [lits] + [[-a, -b] for a, b in
+                                                    itertools.combinations(lits, 2)]
+
+
 def test_declared_existence_constant_is_rejected():
     # existsAt is the existence table's name; a theory built in code that
     # declares it would get cells that no formula reads.

@@ -2,11 +2,12 @@
 
 import pytest
 
-from homlkit import theories
+from homlkit import grounder, theories
 from homlkit.errors import BundleError
 from homlkit.grounder import check_validity_bounded, find_model, ground
 from homlkit.logictypes import Prop
 from homlkit.semantics import Countermodel, Scope, ValidUpToScope, position_to_json
+from homlkit.solver import DEFAULT_CONFLICT_BUDGET
 from homlkit.theories import BUNDLE_IDS, check_church_postulates, load_bundle
 from reference import holds_at, mvalid
 
@@ -142,6 +143,30 @@ def test_shaped_countermodel_search_leaves_ground_problem_unchanged(monkeypatch)
     assert all(r.as_expected for r in results)
     [(problem, before)] = grounded
     assert problem.clauses == before
+
+
+@pytest.mark.parametrize("label,scope,kind", [
+    ("bool_ext_nontrivial", Scope(3, 1), Countermodel),  # not two worlds
+    ("bool_ext_trivial", Scope(2, 2), ValidUpToScope),  # no shaped countermodel
+])
+def test_shaped_search_fallbacks_ground_once_and_agree_with_the_plain_check(
+        label, scope, kind, monkeypatch):
+    bundle = load_bundle("church")
+    goal = bundle.goal(label)
+    expected = check_validity_bounded(bundle.theory, goal, scope)
+    grounded = []
+
+    def recording_ground(*args, **kwargs):
+        grounded.append(args)
+        return ground(*args, **kwargs)
+
+    monkeypatch.setattr(theories, "ground", recording_ground)
+    monkeypatch.setattr(grounder, "ground", recording_ground)
+    verdict = theories._canonical_bool_ext_countermodel(bundle.theory, goal, scope,
+                                                       DEFAULT_CONFLICT_BUDGET)
+    assert isinstance(verdict, kind)
+    assert verdict == expected
+    assert len(grounded) == 1
 
 
 def test_goedel_1970_variants_unsatisfiable():
