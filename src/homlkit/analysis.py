@@ -138,11 +138,6 @@ def positive_sets(model: KripkeModel, constant: str = "P", world: int = 0) -> li
     return [s for s, row in enumerate(_family(model, constant)) if row >> bit & 1]
 
 
-def distinct_positive_count(model: KripkeModel, constant: str = "P", world: int = 0) -> int:
-    """Number of pairwise structurally-distinct positive modal sets."""
-    return len(positive_sets(model, constant, world))
-
-
 class CountResult(Frozen):
     minimum: int
     maximum: int
@@ -152,32 +147,27 @@ class CountResult(Frozen):
 
 
 def min_positive_count(theory: Theory, scope: Scope, constant: str = "P",
-                       world: int = 0, entity_mode: str = "possibilist",
-                       entities: Optional[int] = None,
+                       world: int = 0, entities: Optional[int] = None,
                        budget: int = DEFAULT_CONFLICT_BUDGET,
                        model_limit: Optional[int] = None) -> CountResult:
-    """Minimum of distinct_positive_count over every model at the scope.
+    """Minimum number of positive modal sets over every model at the scope.
 
-    "Exactly k entities" defaults to the possibilist reading (the scope's
-    entity count is k); the actualist reading instead constrains how many
-    entities satisfy existsAt at the designated world. The arguments are
-    checked before the theory is grounded.
+    "Exactly k entities" is read possibilistically when ``entities`` is None
+    (the scope's entity count is k); an int ``entities`` reads it
+    actualistically instead, constraining how many entities satisfy existsAt
+    at the designated world. The arguments are checked before the theory is
+    grounded.
     """
     _check_world(world, scope)
     if entities is not None and entities < 0:
         raise HomlError(f"the actualist entity count must be >= 0, got {entities}")
     if dict(theory.signature).get(constant) != FAMILY_TYPE:
         raise HomlError(f"theory has no property family constant {constant!r}")
-    if entity_mode == "actualist":
-        if entities is None:
-            raise HomlError("actualist entity mode requires an entity count")
-        if entities > scope.num_entities:
-            raise HomlError(f"cannot require {entities} existing entities "
-                            f"with only {scope.num_entities} in scope")
-    elif entity_mode != "possibilist":
-        raise HomlError(f"unknown entity mode {entity_mode!r}")
+    if entities is not None and entities > scope.num_entities:
+        raise HomlError(f"cannot require {entities} existing entities "
+                        f"with only {scope.num_entities} in scope")
     problem = ground(theory, scope)
-    if entity_mode == "actualist":
+    if entities is not None:
         at_world = [row[world] for row in problem.ex_vars]
         problem = replace(problem, clauses=problem.clauses + exactly(at_world, entities))
     return count_positive(iterate_models(problem, budget=budget), constant, world, model_limit)
@@ -185,16 +175,16 @@ def min_positive_count(theory: Theory, scope: Scope, constant: str = "P",
 
 def count_positive(models: Iterable[KripkeModel], constant: str = "P", world: int = 0,
                    limit: Optional[int] = None) -> CountResult:
-    """Minimum and maximum of distinct_positive_count over the first ``limit``
-    models; incomplete when the limit is reached or the solver budget runs
-    out while the models are produced."""
+    """Minimum and maximum number of positive modal sets over the first
+    ``limit`` models; incomplete when the limit is reached or the solver
+    budget runs out while the models are produced."""
     minimum = None
     maximum = None
     seen = 0
     complete = True
     try:
         for model in itertools.islice(models, limit):
-            count = distinct_positive_count(model, constant, world)
+            count = len(positive_sets(model, constant, world))
             minimum = count if minimum is None else min(minimum, count)
             maximum = count if maximum is None else max(maximum, count)
             seen += 1

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 from .analysis import (
@@ -76,12 +75,9 @@ def _integer(text, name: str, least=None):
 
 
 def _budget(args) -> int:
-    if args.budget is not None:
-        return _integer(args.budget, "--budget", 0)
-    env = os.environ.get("HOMLKIT_BUDGET")
-    if not env:
+    if args.budget is None:
         return DEFAULT_CONFLICT_BUDGET
-    return _integer(env, "HOMLKIT_BUDGET", 0)
+    return _integer(args.budget, "--budget", 0)
 
 
 def _load_theory_arg(args) -> tuple[Theory, dict]:
@@ -238,18 +234,19 @@ def cmd_goedel_suite(args) -> tuple[int, dict]:
 
     validity = []
     verdicts = []
-    for quantifier in ("actualist", "possibilist"):
-        variant_bundle = load_bundle("goedel", quantifier=quantifier)
-        for n in (1, 2):
-            for m in (1, 2):
-                scope = Scope(n, m)
-                verdict = check_validity_bounded(
-                    variant_bundle.theory, variant_bundle.theory.goals[0], scope, budget)
-                entry = {"quantifier": quantifier, "scope": [n, m], **_verdict_json(verdict),
-                         "as_expected": isinstance(verdict, ValidUpToScope)}
-                ok = ok and entry["as_expected"]
-                validity.append(entry)
-                verdicts.append(verdict)
+    for check in manifest["checks"]:
+        params = dict(zip(manifest["params"],
+                          check.get("variant", manifest["default_variant"]).split(":")))
+        variant_bundle = load_bundle("goedel", **params)
+        scope = Scope(*check["scope"])
+        verdict = check_validity_bounded(variant_bundle.theory, variant_bundle.goal(check["goal"]),
+                                         scope, budget)
+        expected = Countermodel if check["expect"] == "countermodel" else ValidUpToScope
+        entry = {"quantifier": params["quantifier"], "scope": _scope_list(scope),
+                 **_verdict_json(verdict), "as_expected": isinstance(verdict, expected)}
+        ok = ok and entry["as_expected"]
+        validity.append(entry)
+        verdicts.append(verdict)
     report["results"]["validity"] = validity
 
     # The manifest's counts are asserted; the two-world count is reported,
@@ -299,14 +296,16 @@ def cmd_count_positive(args) -> tuple[int, dict]:
     theory, meta = _load_theory_arg(args)
     manifest = meta.get("manifest", {})
     constant = manifest.get("positive_constant", "P") if args.constant is None else args.constant
-    world = _integer(args.counting_world, "--counting-world")
+    world = (manifest.get("counting_world", 0) if args.counting_world is None
+             else _integer(args.counting_world, "--counting-world"))
     entities = _integer(args.entities, "--entities")
-    if args.entity_mode == "possibilist":
-        scope = Scope(_integer(args.worlds, "--worlds"), entities)
-    else:
+    actualist = args.entity_mode == "actualist"
+    if actualist:
         scope = _parse_scope(args.scope)
+    else:
+        scope = Scope(_integer(args.worlds, "--worlds"), entities)
     result = min_positive_count(theory, scope, constant=constant, world=world,
-                                entity_mode=args.entity_mode, entities=entities,
+                                entities=entities if actualist else None,
                                 budget=_budget(args),
                                 model_limit=_integer(args.limit, "--limit", 0))
     report = {
@@ -330,7 +329,7 @@ def cmd_count_positive(args) -> tuple[int, dict]:
         for entry in manifest.get("positive_counts", []):
             if entry["worlds"] == scope.num_worlds and entry["entities"] == scope.num_entities:
                 expected = entry["min"]
-    if expected is not None and args.entity_mode == "possibilist":
+    if expected is not None and not actualist:
         report["expected_min"] = expected
         if result.minimum != expected:
             return EXIT_COUNTER, report
@@ -440,7 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--worlds", default="1")
     sub.add_argument("--scope", default="2,2", help="full scope for actualist entity mode")
     sub.add_argument("--entity-mode", choices=["possibilist", "actualist"], default="possibilist")
-    sub.add_argument("--counting-world", default="0")
+    sub.add_argument("--counting-world",
+                     help="world to count at (default: the bundle's counting_world, else 0)")
     sub.add_argument("--constant",
                      help="property family to count (default: the bundle's, else P)")
     sub.add_argument("--limit")

@@ -18,8 +18,6 @@ from ..solver import DEFAULT_CONFLICT_BUDGET
 from ..surface import elaborate, parse, typecheck
 from ..theory import Theory
 
-BUNDLE_IDS = ("k", "t", "s4", "s5", "church", "filters", "goedel", "modal_math")
-
 _DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
@@ -33,6 +31,9 @@ def _data(filename: str) -> str:
 @functools.cache
 def _manifest() -> dict:
     return json.loads(_data("manifest.json"))
+
+
+BUNDLE_IDS = tuple(_manifest())
 
 
 class Bundle(Frozen):

@@ -12,7 +12,6 @@ from homlkit.analysis import (
     PROPERTY_TYPE,
     count_positive,
     diagonal_witness,
-    distinct_positive_count,
     equipollent,
     is_modal_filter,
     is_modal_ultrafilter,
@@ -219,7 +218,7 @@ def test_count_when_only_full_set_positive():
     scope = Scope(1, 2)
     model = family_model(one_world_model(2),
                          [[extension(scope, s, 0) == {0, 1}] for s in modal_sets(scope)])
-    assert distinct_positive_count(model) == 1
+    assert len(positive_sets(model)) == 1
 
 
 def test_goedel_counts_at_fixed_entity_counts():
@@ -255,7 +254,7 @@ def test_min_count_monotone_under_added_axiom():
 
 def test_actualist_entity_mode():
     theory = load_bundle("goedel").theory
-    result = min_positive_count(theory, Scope(1, 3), entity_mode="actualist", entities=2)
+    result = min_positive_count(theory, Scope(1, 3), entities=2)
     assert result.complete
     assert result.model_count > 0
     # The constraint is on existsAt only; the possibilist property space still
@@ -273,17 +272,16 @@ def test_actualist_count_leaves_ground_problem_unchanged(monkeypatch):
 
     monkeypatch.setattr(analysis, "ground", recording_ground)
     theory = load_bundle("goedel").theory
-    result = min_positive_count(theory, Scope(1, 3), entity_mode="actualist", entities=2)
+    result = min_positive_count(theory, Scope(1, 3), entities=2)
     assert result.minimum == 4
     [(problem, before)] = grounded
     assert problem.clauses == before
 
 
 @pytest.mark.parametrize("kwargs,message", [
-    ({"entity_mode": "x"}, "unknown entity mode 'x'"),
-    ({"entity_mode": "actualist"}, "actualist entity mode requires an entity count"),
-    ({"entity_mode": "actualist", "entities": 4},
-     "cannot require 4 existing entities with only 3 in scope"),
+    ({"entities": -1}, "the actualist entity count must be >= 0, got -1"),
+    ({"world": 1}, "counting world 1 is not one of the 1 worlds of scope (n=1, m=3)"),
+    ({"entities": 4}, "cannot require 4 existing entities with only 3 in scope"),
 ])
 def test_count_arguments_are_checked_before_grounding(kwargs, message, monkeypatch):
     grounded = []
@@ -351,7 +349,7 @@ def test_successor_class_against_direct_size_count():
 def test_surjection_blocked_by_pigeonhole():
     theory = load_bundle("goedel").theory
     model = find_model(theory, Scope(1, 3))
-    assert distinct_positive_count(model) == 4  # > 3 entities
+    assert len(positive_sets(model)) == 4  # > 3 entities
     assert not surjection_exists(model)
 
 
@@ -359,7 +357,7 @@ def test_surjection_exists_when_few_positives():
     scope = Scope(1, 2)
     model = family_model(one_world_model(2), [[extension(scope, s, 0) == frozenset({0, 1})]
                                               for s in modal_sets(scope)])
-    assert distinct_positive_count(model) == 1
+    assert len(positive_sets(model)) == 1
     assert surjection_exists(model)
 
 
@@ -378,7 +376,7 @@ def test_surjection_exists_matches_the_brute_force_search(m):
     base = KripkeModel(scope, ((1 << n) - 1,) * n, (1 << (n * m)) - 1)
     for k in range(6):
         model = family_from_sets(base, set(range(k)))
-        assert distinct_positive_count(model) == k
+        assert len(positive_sets(model)) == k
         assert surjection_exists(model) == _brute_force_surjection(m, k), (m, k)
 
 

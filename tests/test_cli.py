@@ -1,6 +1,7 @@
 """CLI: exit codes, report stability, DIMACS export."""
 
 import hashlib
+import itertools
 import json
 import os
 import pathlib
@@ -10,8 +11,9 @@ import sys
 import pytest
 
 from homlkit import theories
+from homlkit.analysis import positive_sets
 from homlkit.cli import main
-from homlkit.grounder import export_dimacs, ground
+from homlkit.grounder import enumerate_models, export_dimacs, ground
 from homlkit.semantics import Scope
 from homlkit.theories import load_bundle
 from reference import bundle_variants
@@ -180,10 +182,9 @@ def test_count_positive_matches_manifest(capsys):
 
 
 @pytest.mark.parametrize("stop", [["--limit", "0"], ["--budget", "0"]])
-def test_incomplete_count_reports_no_empty_model_class(stop, capsys, monkeypatch):
+def test_incomplete_count_reports_no_empty_model_class(stop, capsys):
     # Goedel has a model at (1,1); a count stopped before the first model
     # does not know whether the class is empty.
-    monkeypatch.delenv("HOMLKIT_BUDGET", raising=False)
     code, out = run_cli(["count-positive", "--bundle", "goedel", "--entities", "1", *stop],
                         capsys)
     report = json.loads(out)
@@ -248,6 +249,35 @@ def test_church_suite_reads_its_one_world_scope_from_the_manifest(capsys, monkey
     assert {tuple(entry["scope"]) for entry in report["results"]} == {(2, 2), (1, 1)}
 
 
+def test_count_positive_counts_at_the_manifests_world(capsys, monkeypatch):
+    bundle = load_bundle("goedel")
+    monkeypatch.setitem(bundle.manifest, "counting_world", 1)
+    code, out = run_cli(COUNT_POSITIVE + ["--worlds", "2", "--limit", "1"], capsys)
+    report = json.loads(out)
+    assert code == 3  # the limit stops the count
+    assert report["counting_world"] == 1
+    [first] = itertools.islice(enumerate_models(bundle.theory, Scope(2, 2)), 1)
+    assert report["minimum"] == len(positive_sets(first, "P", 1))
+
+
+def test_goedel_suite_runs_exactly_the_manifests_checks(capsys, monkeypatch):
+    manifest = load_bundle("goedel").manifest
+    monkeypatch.setitem(manifest, "checks", [
+        {"goal": "necessary_existence", "scope": [1, 2], "expect": "valid",
+         "variant": "possibilist:scott"},
+        {"goal": "necessary_existence", "scope": [2, 1], "expect": "countermodel"},
+    ])
+    monkeypatch.setitem(manifest, "positive_counts", [])
+    code, out = run_cli(["goedel-suite", "--report-limit", "0"], capsys)
+    validity = json.loads(out)["results"]["validity"]
+    assert [(entry["quantifier"], entry["scope"], entry["verdict"], entry["as_expected"])
+            for entry in validity] == [
+        ("possibilist", [1, 2], "valid_up_to_scope", True),
+        ("actualist", [2, 1], "valid_up_to_scope", False),  # the default variant
+    ]
+    assert code == 1
+
+
 @pytest.mark.parametrize("argv,variant", [
     (["--bundle", "goedel", "--formulation", "goedel-1970", "--scope", "1,1"],
      "actualist:goedel-1970"),
@@ -299,45 +329,32 @@ def test_unknown_frame_flags_are_named_before_the_scope_is_read(capsys):
     assert json.loads(out)["error"] == "unknown frame flags ['dull', 'shiny']"
 
 
-def test_budget_env_var(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("HOMLKIT_BUDGET", "1")
-    code, out = run_cli(["check", "--bundle", "goedel", "--scope", "2,2"], capsys)
-    assert code == 3
-
-
 COUNT_POSITIVE = ["count-positive", "--bundle", "goedel", "--entities", "2"]
 
 
-@pytest.mark.parametrize("argv,budget_env", [
-    pytest.param(["check", "--bundle", "goedel", "--scope", "1,1"], "abc", id="env-budget-abc"),
-    pytest.param(["check", "--bundle", "goedel", "--scope", "1,1"], "-1", id="env-budget-negative"),
-    pytest.param(["check", "--bundle", "goedel", "--scope", "1,1", "--budget", "-1"], None,
+@pytest.mark.parametrize("argv", [
+    pytest.param(["check", "--bundle", "goedel", "--scope", "1,1", "--budget", "-1"],
                  id="budget-negative"),
-    pytest.param(COUNT_POSITIVE + ["--counting-world", "5"], None, id="counting-world-5"),
-    pytest.param(COUNT_POSITIVE + ["--counting-world", "-1"], None, id="counting-world-negative"),
-    pytest.param(COUNT_POSITIVE + ["--limit", "-1"], None, id="count-limit-negative"),
-    pytest.param(["goedel-suite", "--report-limit", "-1"], None, id="report-limit-negative"),
-    pytest.param(["enumerate", "--bundle", "k", "--scope", "1,1", "--limit", "-1"], None,
+    pytest.param(COUNT_POSITIVE + ["--counting-world", "5"], id="counting-world-5"),
+    pytest.param(COUNT_POSITIVE + ["--counting-world", "-1"], id="counting-world-negative"),
+    pytest.param(COUNT_POSITIVE + ["--limit", "-1"], id="count-limit-negative"),
+    pytest.param(["goedel-suite", "--report-limit", "-1"], id="report-limit-negative"),
+    pytest.param(["enumerate", "--bundle", "k", "--scope", "1,1", "--limit", "-1"],
                  id="enumerate-limit-negative"),
     pytest.param(["count-positive", "--bundle", "goedel", "--entity-mode", "actualist",
-                  "--entities", "-1", "--scope", "2,2"], None, id="actualist-entities-negative"),
-    pytest.param(["enumerate", "--bundle", "k", "--scope", "1,1", "--limit", "abc"], None,
+                  "--entities", "-1", "--scope", "2,2"], id="actualist-entities-negative"),
+    pytest.param(["enumerate", "--bundle", "k", "--scope", "1,1", "--limit", "abc"],
                  id="enumerate-limit-abc"),
-    pytest.param(["check", "--bundle", "goedel", "--scope", "1,1", "--budget", "abc"], None,
+    pytest.param(["check", "--bundle", "goedel", "--scope", "1,1", "--budget", "abc"],
                  id="budget-abc"),
-    pytest.param(COUNT_POSITIVE + ["--counting-world", "x"], None, id="counting-world-x"),
-    pytest.param(["count-positive", "--bundle", "goedel", "--entities", "x"], None,
-                 id="entities-x"),
-    pytest.param(COUNT_POSITIVE + ["--worlds", "x"], None, id="worlds-x"),
-    pytest.param(["goedel-suite", "--report-limit", "x"], None, id="report-limit-x"),
-    pytest.param(["count-positive", "--bundle", "goedel"], None, id="entities-missing"),
-    pytest.param(COUNT_POSITIVE + ["--entity-mode", "x"], None, id="entity-mode-x"),
+    pytest.param(COUNT_POSITIVE + ["--counting-world", "x"], id="counting-world-x"),
+    pytest.param(["count-positive", "--bundle", "goedel", "--entities", "x"], id="entities-x"),
+    pytest.param(COUNT_POSITIVE + ["--worlds", "x"], id="worlds-x"),
+    pytest.param(["goedel-suite", "--report-limit", "x"], id="report-limit-x"),
+    pytest.param(["count-positive", "--bundle", "goedel"], id="entities-missing"),
+    pytest.param(COUNT_POSITIVE + ["--entity-mode", "x"], id="entity-mode-x"),
 ])
-def test_malformed_numbers_exit_two(argv, budget_env, capsys, monkeypatch):
-    if budget_env is None:
-        monkeypatch.delenv("HOMLKIT_BUDGET", raising=False)
-    else:
-        monkeypatch.setenv("HOMLKIT_BUDGET", budget_env)
+def test_malformed_numbers_exit_two(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2

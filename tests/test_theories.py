@@ -1,5 +1,12 @@
 """Bundled theories: loading, manifest reproduction, the Church suite."""
 
+import json
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+
 import pytest
 
 from homlkit import grounder, theories
@@ -16,6 +23,25 @@ def test_load_all_bundles():
     for bundle_id in BUNDLE_IDS:
         bundle = load_bundle(bundle_id)
         assert bundle.theory.goals or bundle.theory.axioms or bundle.theory.signature
+
+
+def test_bundle_ids_are_the_manifests_keys(tmp_path):
+    # A bundle added to the manifest is one of BUNDLE_IDS, so every test
+    # that sweeps BUNDLE_IDS sweeps it too.
+    package = pathlib.Path(theories.__file__).parent.parent
+    copy = tmp_path / "homlkit"
+    shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    path = copy / "theories" / "data" / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    manifest["k_again"] = manifest["k"]
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    out = subprocess.run(
+        [sys.executable, "-B", "-c", "from homlkit.theories import BUNDLE_IDS; print(*BUNDLE_IDS)"],
+        env={**os.environ, "PYTHONPATH": str(tmp_path)}, capture_output=True, text=True,
+        timeout=120, check=True)
+    assert out.stdout.split() == list(manifest)
+    assert BUNDLE_IDS == tuple(json.loads(
+        (package / "theories" / "data" / "manifest.json").read_text(encoding="utf-8")))
 
 
 def test_unknown_bundle():
