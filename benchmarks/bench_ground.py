@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Grounder-layer microbenchmark: Goedel's axioms (actualist) and
-modal_math's Infinity axiom, each at (3,2) and (2,3), and Goedel's
-necessary_existence check at (2,2), actualist and possibilist.
+modal_math's Infinity axiom, each at (3,2) and (2,3), Goedel's
+necessary_existence check at (2,2), actualist and possibilist, and
+modal_math's five goal checks at (3,2).
 
 For Goedel's axioms, grounds each scope in-process three times and prints
 the best time, the variables and clauses of the problem, and the formula
@@ -15,10 +16,17 @@ three solves of a freshly loaded one, with the answer's status and
 conflicts.
 
 Infinity mentions no unknown, so its grounding is pure evaluation in the
-concrete carrier. For it, runs `find_model` three times and prints the best
-time, then grounds once and prints the binder-memo entries that the
-symbolic and the concrete carrier hold at the end. The counts do not depend
-on the machine. Exits 1 only when grounding fails.
+concrete carrier; its axiom is world-invariant, so that evaluation runs at
+one world. For it, runs `find_model` three times and prints the best time,
+then grounds once and prints the binder-memo entries that the symbolic
+carrier holds at the end, and those of the one memo that the concrete
+carrier shares with its one-world carrier. The counts do not depend on the
+machine.
+
+The modal_math row is `check --bundle modal_math --scope 3,2` in process:
+the best of three runs of `check_validity_bounded` over the five goals,
+each of them world-invariant, and how many are valid. Exits 1 only when
+grounding fails.
 
     PYTHONPATH=src python benchmarks/bench_ground.py
 """
@@ -27,8 +35,8 @@ import sys
 import time
 
 from homlkit.errors import HomlError
-from homlkit.grounder import _ground, find_model, ground
-from homlkit.semantics import Scope
+from homlkit.grounder import _ground, check_validity_bounded, find_model, ground
+from homlkit.semantics import Scope, ValidUpToScope
 from homlkit.solver import SAT, UNSAT, Solver
 from homlkit.theories import load_bundle
 
@@ -75,8 +83,19 @@ def bench_infinity(theory, n, m):
     """Print one Infinity row for the scope (n, m)."""
     best, _ = best_of(lambda: find_model(theory, Scope(n, m)))
     g = _ground(theory, Scope(n, m))
+    # The one-world carrier that runs the axiom shares the concrete memo.
     print(f"modal_math infinity ({n},{m}) find_model {best * 1000:9.2f} ms  binder-memo entries: "
           f"{len(g.memo):6d} symbolic {len(g.concrete.memo):6d} concrete")
+
+
+def bench_modal_math(n, m):
+    """Print the row of modal_math's goal checks at the scope (n, m)."""
+    bundle = load_bundle("modal_math")
+    goals = [bundle.goal(label) for label in bundle.manifest["goal_labels"]]
+    best, verdicts = best_of(lambda: [check_validity_bounded(bundle.theory, goal, Scope(n, m))
+                                      for goal in goals])
+    valid = sum(type(verdict) is ValidUpToScope for verdict in verdicts)
+    print(f"modal_math check ({n},{m}) {len(goals)} goals {best * 1000:9.2f} ms  {valid} valid")
 
 
 def main():
@@ -89,6 +108,7 @@ def main():
             bench_check(quantifier, 2, 2)
         for n, m in SCOPES:
             bench_infinity(infinity, n, m)
+        bench_modal_math(3, 2)
     except HomlError as err:
         print(f"grounding failed: {err}")
         return 1

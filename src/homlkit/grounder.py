@@ -19,9 +19,10 @@ Grounding is evaluation in a symbolic carrier: ``_Grounding`` runs the
 closures that the evaluator's compile rules (``semantics._RULES``) build for
 the scope, with a value being a tuple of formula node ids. Which subterms
 mention no unknown is decided when they are compiled: a maximal such subterm
-runs in the concrete carrier over an empty frame, and its value is lifted
-once. Nodes are created left before right, with no short-circuit, and bound
-values in ascending order, which fixes the Tseitin numbering.
+runs in the concrete carrier over an empty frame, at one world when it is
+world-invariant (see `semantics`), and its value is lifted once. Nodes are
+created left before right, with no short-circuit, and bound values in
+ascending order, which fixes the Tseitin numbering.
 
 Two memos live as long as one ``ground`` call. A binder's value is memoised
 on its free variables where that key can repeat (``semantics._memoised``),

@@ -50,6 +50,34 @@ in place: ``at(f, j, ...)`` is f's entry at position j, which the concrete
 carrier computes as ``apply`` does and the symbolic one reads off f's
 tuple, with nothing lifted.
 
+A prop-typed model-free subterm t is world-invariant (``_world_invariant``)
+when its types and its free variables let every node act on each world
+alone:
+
+* every subterm type and bound variable type splits (``_splits``): it is
+  ``i``, ``prop``, or ``Fun(a, b)`` with a prop-free (no ``prop`` in a)
+  and b splitting;
+* every ``==`` compares prop-free types;
+* every free variable has a prop-free type.
+
+Then t has one truth value at every world. At n worlds a value of a
+splitting type is n independent one-world values, one per world bit, and a
+prop-free type has the same values, at the same positions, at every n. Each
+node kind acts on each world's part alone: a connective bit by bit, an
+application or abstraction entry by entry over a prop-free domain, a
+quantifier over the product of the per-world ranges (every range being
+nonempty), and ``==`` of prop-free values yields 0 or the full mask. The
+env, having prop-free types only, is the same at one world. So t's mask at
+world w is its one-world value run on the w-th parts, which are the env
+itself. Where a binder of t ranges over a type that contains prop, the
+boundary of ``_Compiler.__call__`` compiles t at ``Scope(1, m)`` and runs it
+in a one-world concrete carrier (``_EvalCtx.one_world``), which shares the
+call's binder memo, and spreads the bit to 0 or the full mask: a
+``p : i>prop`` ranges over 2^m values there, not 2^(n·m). t is compiled at
+its own scope first, so a binder past the cap still raises `ScopeCapError`.
+Every top-level call, the concrete ones and a ``ground``, reaches t through
+that one boundary.
+
 ``Lam`` and the quantifiers memoise their value on the values of their free
 de Bruijn slots, but only where that key can repeat (``_memoised``). A
 top-level term is closed under its env, so a binder's free slots are some of
@@ -71,8 +99,9 @@ from typing import Optional, Sequence
 
 from .errors import HomlError, ScopeCapError, depth_guarded
 from .frozen import Frozen
-from .logictypes import Fun, LogicType, Prop
+from .logictypes import Fun, Ind, LogicType, Prop
 from .terms import (
+    BINDERS,
     EXISTS_AT,
     EXISTS_AT_TYPE,
     And,
@@ -290,11 +319,19 @@ class _Compiler:
         """The closure of a part of the node being compiled, or of a root. A
         maximal model-free subterm, a bare bound variable too, runs in the
         concrete carrier, and ``c.model_free`` hands its value over: the
-        symbolic carrier lifts it once."""
+        symbolic carrier lifts it once. A world-invariant one
+        (``_world_invariant``) runs at one world, and its bit is spread to
+        every world; it is compiled at this scope first all the same, so its
+        binder sizes raise `ScopeCapError` where they always did."""
         code = self.code(t)
         if self.free or not _model_free(t):
             return code
         ty = t.ty
+        if self.scope.num_worlds > 1 and _world_invariant(t):
+            one = _Compiler(Scope(1, self.scope.num_entities)).code(t)
+
+            def code(c, env):
+                return c.full if one(c.one_world, env) else 0
         return lambda c, env: c.model_free(code, ty, env)
 
     def slot(self, t: Term) -> Optional[int]:
@@ -346,6 +383,57 @@ def _model_free(t: Term) -> bool:
         free = t.__dict__["_model_free"] = (
             type(t) not in _MODEL_READERS and all(map(_model_free, children(t))))
     return free
+
+
+@cache
+def _prop_free(ty: LogicType) -> bool:
+    """Whether prop occurs nowhere in ty, so that its values, and their
+    positions, are the same at every number of worlds."""
+    if isinstance(ty, Fun):
+        return _prop_free(ty.domain) and _prop_free(ty.codomain)
+    return ty is not Prop
+
+
+@cache
+def _splits(ty: LogicType) -> bool:
+    """Whether a value of ty at n worlds is n one-world values, one per world
+    bit: ty is i, prop, or ``Fun(a, b)`` with a prop-free and b splitting."""
+    if isinstance(ty, Fun):
+        return _prop_free(ty.domain) and _splits(ty.codomain)
+    return True
+
+
+def _world_split(t: Term) -> int:
+    """For a model-free t, cached on the instance as ``_model_free`` is: 0
+    unless every node of t acts on each world's part of its values alone,
+    that is, every subterm and binder variable type splits (``_splits``) and
+    every ``==`` compares prop-free types; else 2 when some binder of t
+    ranges over a type that contains prop, and 1 when none does."""
+    split = t.__dict__.get("_world_split")
+    if split is None:
+        var_type = t.var_type if type(t) in BINDERS else Ind
+        split = 0
+        if (_splits(t.ty) and _splits(var_type)
+                and (type(t) is not LeibnizEq or _prop_free(t.left.ty))):
+            kids = [_world_split(kid) for kid in children(t)]
+            if 0 not in kids:
+                split = max([1 if _prop_free(var_type) else 2, *kids])
+        t.__dict__["_world_split"] = split
+    return split
+
+
+def _world_invariant(t: Term) -> bool:
+    """Whether the model-free t has one truth value at every world, and a
+    one-world run enumerates fewer values than the n-world one: t is
+    prop-typed, splits per world (``_world_split``) with a binder over a type
+    containing prop, and each of its free variables has a prop-free type.
+    Cached on the instance, since every top-level call asks it of its root."""
+    invariant = t.__dict__.get("_world_invariant")
+    if invariant is None:
+        invariant = t.__dict__["_world_invariant"] = (
+            t.ty is Prop and _world_split(t) == 2
+            and all(map(_prop_free, free_vars(t).values())))
+    return invariant
 
 
 def leibniz_shape(term: Term):
@@ -534,9 +622,17 @@ class _EvalCtx:
     and the binder memo of the call. A value is its position in its type's
     enumeration, so a proposition's value is its world mask."""
 
-    def __init__(self, model: KripkeModel):
+    def __init__(self, model: KripkeModel, memo: Optional[dict] = None):
+        self.scope = model.scope
         self.full, self.acc_masks, self.const_idx = model._int_form
-        self.memo: dict = {}
+        self.memo: dict = {} if memo is None else memo
+
+    @cached_property
+    def one_world(self) -> "_EvalCtx":
+        """The carrier of a world-invariant subterm: a one-world model, read
+        by nothing, and this call's memo. A closure compiled at one world is
+        its own key there, so its entries cannot meet this carrier's."""
+        return _EvalCtx(KripkeModel(Scope(1, self.scope.num_entities), (0,), 0), self.memo)
 
     def const(self, name: str) -> int:
         try:
@@ -628,7 +724,7 @@ def _run(model: KripkeModel, term: Term, env: list) -> int:
     ctx = _EvalCtx(model)
     for name in constants:
         ctx.const(name)
-    return _Compiler(model.scope).code(term)(ctx, env)
+    return _Compiler(model.scope)(term)(ctx, env)
 
 
 def eval_term(model: KripkeModel, env: Sequence[int], term: Term) -> int:

@@ -843,3 +843,60 @@ def test_application_past_the_listed_place_values_agrees_with_the_reference():
         for formula in (App(Const("Q", family), Const("r", TAU)),
                         Not(App(Const("Q", family), Lam(Ind, Not(App(Const("r", TAU), Var(0, Ind))))))):
             assert eval_term(model, [], formula) == reference.eval_term(model, [], formula)
+
+
+# A prop-typed model-free formula runs at one world when it is world-invariant
+# (``_world_invariant``). Each formula here breaks one side condition, so its
+# truth differs between worlds, and two worlds refute what one cannot: ``==``
+# over prop, and a variable whose type has prop in its domain.
+NOT_WORLD_INVARIANT = [
+    "forallP p:prop. forallP q:prop. (p <-> q) -> (p == q)",
+    "forallP Q:prop>prop. forallP p:prop. forallP q:prop. (p <-> q) -> ((Q p) <-> (Q q))",
+]
+
+
+@pytest.mark.parametrize("text", NOT_WORLD_INVARIANT)
+def test_formula_that_is_not_world_invariant_keeps_its_countermodel(text):
+    from homlkit.grounder import check_validity_bounded
+    from homlkit.semantics import Countermodel, ValidUpToScope
+
+    theory = load_theory(f"goal {text}\n")
+    goal = theory.goals[0]
+    assert check_validity_bounded(theory, goal, Scope(1, 1)) == ValidUpToScope(Scope(1, 1))
+    assert type(check_validity_bounded(theory, goal, Scope(2, 1))) is Countermodel
+    assert mvalid(KripkeModel(Scope(1, 1), (1,), 0), goal)
+    assert not mvalid(KripkeModel(Scope(2, 1), total_relation(2), 0), goal)
+    # Opened at its outermost variable, p or Q, the formula is evaluated
+    # under an env that gives it each of its values.
+    opened = goal.body
+    ty = goal.var_type
+    for scope in (Scope(1, 1), Scope(2, 1)):
+        model = KripkeModel(scope, total_relation(scope.num_worlds), 0)
+        for value in range(denotation_size(ty, scope)):
+            assert eval_term(model, [value], opened) == reference.eval_term(model, [value], opened)
+
+
+def test_formula_with_a_free_prop_variable_is_evaluated_at_every_world():
+    # existsP q:prop. p & q is p itself, so a free p of type prop makes the
+    # value differ between worlds, though every node acts on each world
+    # alone.
+    opened = ExistsP(Prop, And(Var(1, Prop), Var(0, Prop)))
+    model = KripkeModel(Scope(2, 1), total_relation(2), 0)
+    for p in range(4):
+        assert eval_term(model, [p], opened) == p == reference.eval_term(model, [p], opened)
+
+
+def test_world_invariant_formula_past_the_cap_still_raises():
+    # r : i>i>prop has 2^24 values at (6,2), past the cap, and 16 at one
+    # world: the formula is compiled at its real scope before it runs at one.
+    from homlkit.grounder import check_validity_bounded
+    from homlkit.semantics import _world_invariant
+
+    theory = load_theory("goal forallP r:i>i>prop. forallP x:i. (r x x) -> (r x x)\n")
+    goal = theory.goals[0]
+    assert _world_invariant(goal)
+    with pytest.raises(ScopeCapError):
+        check_validity_bounded(theory, goal, Scope(6, 2))
+    with pytest.raises(ScopeCapError):
+        mvalid(KripkeModel(Scope(6, 2), total_relation(6), 0), goal)
+    assert mvalid(KripkeModel(Scope(1, 2), (1,), 0), goal)
