@@ -4,16 +4,23 @@ modal_math's Infinity axiom, each at (3,2) and (2,3), Goedel's
 necessary_existence check at (2,2), actualist and possibilist, and
 modal_math's five goal checks at (3,2).
 
-For Goedel's axioms, grounds each scope in-process three times and prints
-the best time, the variables and clauses of the problem, and the formula
-nodes and operation memo entries of the last grounding. Then loads the
-problem's clauses into a `Solver` three times and prints the best load time.
+For Goedel's axioms, grounds each scope in-process three times, a
+`_Grounding` and its axioms' `problem()`, and prints the best time, the
+variables and clauses of the problem, and the formula nodes and operation
+memo entries of the last grounding. Then loads the problem's clauses into a
+`Solver` three times and prints the best load time.
 
 The necessary_existence rows are the checks that ``goedel-suite`` grounds
 at its largest scope: the axioms with the goal negated. For each, prints
 the best of three groundings, of three loads into a fresh `Solver`, and of
 three solves of a freshly loaded one, with the answer's status and
 conflicts.
+
+The shared row is the pair of problems that ``goedel-suite`` takes from one
+grounding of Goedel's actualist axioms at (2,2): the best of three runs of
+one grounding's `problem()` and `problem(goal)` for necessary_existence,
+against the best of three runs of the two `ground` calls that build the same
+problems, and whether the two pairs' DIMACS bytes are identical.
 
 Infinity mentions no unknown, so its grounding is pure evaluation in the
 concrete carrier; its axiom is world-invariant, so that evaluation runs at
@@ -25,8 +32,9 @@ machine.
 
 The modal_math row is `check --bundle modal_math --scope 3,2` in process:
 the best of three runs of `check_validity_bounded` over the five goals,
-each of them world-invariant, and how many are valid. Exits 1 only when
-grounding fails.
+each of them world-invariant, and how many are valid. Exits 1 when
+grounding fails or when one grounding's problems are not byte-identical to
+`ground`'s.
 
     PYTHONPATH=src python benchmarks/bench_ground.py
 """
@@ -35,7 +43,13 @@ import sys
 import time
 
 from homlkit.errors import HomlError
-from homlkit.grounder import _ground, check_validity_bounded, find_model, ground
+from homlkit.grounder import (
+    _Grounding,
+    check_validity_bounded,
+    export_dimacs,
+    find_model,
+    ground,
+)
 from homlkit.semantics import Scope, ValidUpToScope
 from homlkit.solver import SAT, UNSAT, Solver
 from homlkit.theories import load_bundle
@@ -55,10 +69,15 @@ def best_of(run, repeat=3):
     return best, result
 
 
+def grounded(theory, scope):
+    """A grounding and its axioms' problem."""
+    g = _Grounding(theory, scope)
+    return g, g.problem()
+
+
 def bench(theory, n, m):
     """Print one row for the scope (n, m)."""
-    grounding, g = best_of(lambda: _ground(theory, Scope(n, m)))
-    problem = g.to_problem()
+    grounding, (g, problem) = best_of(lambda: grounded(theory, Scope(n, m)))
     load, _ = best_of(lambda: Solver(problem.num_vars, problem.clauses))
     print(f"goedel actualist ({n},{m}) {grounding * 1000:9.2f} ms  {problem.num_vars:7d} vars "
           f"{len(problem.clauses):8d} clauses {len(g.f.nodes):8d} nodes "
@@ -79,10 +98,30 @@ def bench_check(quantifier, n, m):
           f"{STATUS.get(status, 'unknown')} {conflicts} conflicts")
 
 
+def bench_shared(n, m) -> bool:
+    """Print the row of one actualist grounding's two problems at (n, m)
+    against two `ground` calls; whether their bytes are identical."""
+    bundle = load_bundle("goedel", quantifier="actualist")
+    theory, scope = bundle.theory, Scope(n, m)
+    goal = bundle.goal("necessary_existence")
+
+    def shared():
+        g = _Grounding(theory, scope)
+        return g.problem(), g.problem(goal)
+
+    one, pair = best_of(shared)
+    two, grounds = best_of(lambda: (ground(theory, scope), ground(theory, scope, goal)))
+    same = list(map(export_dimacs, pair)) == list(map(export_dimacs, grounds))
+    print(f"goedel actualist ({n},{m}) problem() + problem(goal) {one * 1000:8.2f} ms  "
+          f"two ground calls {two * 1000:8.2f} ms  "
+          f"{'byte-identical' if same else 'BYTES DIFFER'}")
+    return same
+
+
 def bench_infinity(theory, n, m):
     """Print one Infinity row for the scope (n, m)."""
     best, _ = best_of(lambda: find_model(theory, Scope(n, m)))
-    g = _ground(theory, Scope(n, m))
+    g = _Grounding(theory, Scope(n, m))
     # The one-world carrier that runs the axiom shares the concrete memo.
     print(f"modal_math infinity ({n},{m}) find_model {best * 1000:9.2f} ms  binder-memo entries: "
           f"{len(g.memo):6d} symbolic {len(g.concrete.memo):6d} concrete")
@@ -106,13 +145,14 @@ def main():
             bench(theory, n, m)
         for quantifier in ("actualist", "possibilist"):
             bench_check(quantifier, 2, 2)
+        same = bench_shared(2, 2)
         for n, m in SCOPES:
             bench_infinity(infinity, n, m)
         bench_modal_math(3, 2)
     except HomlError as err:
         print(f"grounding failed: {err}")
         return 1
-    return 0
+    return 0 if same else 1
 
 
 if __name__ == "__main__":

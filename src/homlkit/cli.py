@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import sys
+from collections import Counter
 
 from .analysis import (
     PROPERTY_TYPE,
@@ -22,11 +23,15 @@ from .analysis import (
 from .errors import BudgetExceededError, HomlError
 from .frozen import replace
 from .grounder import (
+    _Grounding,
     check_validity_bounded,
     enumerate_models,
     export_dimacs,
     find_model,
     ground,
+    iterate_models,
+    refute,
+    solve,
 )
 from .semantics import (
     Countermodel,
@@ -219,8 +224,36 @@ def cmd_goedel_suite(args) -> tuple[int, dict]:
     report = {"command": "goedel-suite", "ultrafilter_mode": mode, "results": {}}
     collected: list[tuple[str, KripkeModel]] = []
 
+    default = manifest["default_variant"]
     smallest = Scope(*manifest["smallest_model_scope"])
-    model = find_model(bundle.theory, smallest, budget)
+    checks = [(check.get("variant", default), Scope(*check["scope"]), check)
+              for check in manifest["checks"]]
+    # The manifest's counts are asserted; the two-world count is reported,
+    # not asserted, within a bounded model budget.
+    specs = [(spec["worlds"], spec["entities"], spec["min"], None)
+             for spec in manifest["positive_counts"]]
+    specs.append((2, 2, None, report_limit))
+
+    def params(variant: str) -> dict:
+        return dict(zip(manifest["params"], variant.split(":")))
+
+    # Each (variant, scope) is grounded once, and its problems, with and
+    # without the goal, are those of `ground`; a grounding is dropped after
+    # its last problem. The goedel bundle declares one goal, which is all a
+    # grounding can negate.
+    uses = Counter([(default, smallest), *((variant, scope) for variant, scope, _ in checks),
+                    *((default, Scope(n, m)) for n, m, _, _ in specs)])
+    groundings: dict[tuple[str, Scope], _Grounding] = {}
+
+    def problem(variant: str, scope: Scope, goal=None):
+        key = (variant, scope)
+        if key not in groundings:
+            groundings[key] = _Grounding(load_bundle("goedel", **params(variant)).theory, scope)
+        uses[key] -= 1
+        grounding = groundings[key] if uses[key] else groundings.pop(key)
+        return grounding.problem(goal)
+
+    model = solve(problem(default, smallest), budget)
     consistent = model is not None and all(mvalid(model, ax) for ax in bundle.theory.axioms)
     ok = consistent
     report["results"]["consistency"] = {
@@ -234,30 +267,21 @@ def cmd_goedel_suite(args) -> tuple[int, dict]:
 
     validity = []
     verdicts = []
-    for check in manifest["checks"]:
-        params = dict(zip(manifest["params"],
-                          check.get("variant", manifest["default_variant"]).split(":")))
-        variant_bundle = load_bundle("goedel", **params)
-        scope = Scope(*check["scope"])
-        verdict = check_validity_bounded(variant_bundle.theory, variant_bundle.goal(check["goal"]),
-                                         scope, budget)
+    for variant, scope, check in checks:
+        goal = load_bundle("goedel", **params(variant)).goal(check["goal"])
+        verdict = refute(problem(variant, scope, goal), goal, budget)
         expected = Countermodel if check["expect"] == "countermodel" else ValidUpToScope
-        entry = {"quantifier": params["quantifier"], "scope": _scope_list(scope),
+        entry = {"quantifier": params(variant)["quantifier"], "scope": _scope_list(scope),
                  **_verdict_json(verdict), "as_expected": isinstance(verdict, expected)}
         ok = ok and entry["as_expected"]
         validity.append(entry)
         verdicts.append(verdict)
     report["results"]["validity"] = validity
 
-    # The manifest's counts are asserted; the two-world count is reported,
-    # not asserted, within a bounded model budget.
-    specs = [(spec["worlds"], spec["entities"], spec["min"], None)
-             for spec in manifest["positive_counts"]]
-    specs.append((2, 2, None, report_limit))
     counting = []
     for n, m, expected, limit in specs:
         scope = Scope(n, m)
-        models = list(enumerate_models(bundle.theory, scope, budget=budget, limit=limit))
+        models = list(iterate_models(problem(default, scope), budget=budget, limit=limit))
         count = count_positive(models, manifest["positive_constant"], world, limit=limit)
         matches = expected is None or (count.complete and count.minimum == expected)
         ok = ok and matches

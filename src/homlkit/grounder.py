@@ -24,7 +24,16 @@ world-invariant (see `semantics`), and its value is lifted once. Nodes are
 created left before right, with no short-circuit, and bound values in
 ascending order, which fixes the Tseitin numbering.
 
-Two memos live as long as one ``ground`` call. A binder's value is memoised
+A ``_Grounding`` evaluates the theory's axioms once, when it is built.
+Its ``problem`` runs the transform over the axioms' roots, and over the
+root of a goal's negation when one is given, into a fresh copy of the base
+clauses (the selector rows' and the frame flags'), and changes nothing in
+the grounding. So one grounding gives both the model search's problem and
+one goal's refutation, each byte-identical to ``ground``'s, which is one
+grounding's one problem. It negates one goal only: a second goal's nodes
+would follow the first's and be numbered otherwise.
+
+Two memos live as long as one grounding. A binder's value is memoised
 on its free variables where that key can repeat (``semantics._memoised``),
 and ``_per_grounding`` memoises operations on their arguments: ``lift``,
 the position of ``apply``'s argument, ``box``, ``diamond``, and the node
@@ -288,16 +297,6 @@ def _layout(scope: Scope, signature: tuple) -> tuple:
         meanings.extend(labels)
         return tuple(range(first, len(meanings) + 1))
 
-    def alloc(name: str, ty: LogicType, args: tuple, rows: list):
-        label = f"{name}({','.join(map(str, args))})" if args else name
-        if ty == Prop:
-            return new(f"{label}@w{w}" for w in range(n))
-        if ty == Ind:
-            rows.append(new(f"{label}=e{e}" for e in range(m)))
-            return rows[-1]
-        dom = denotation_size(ty.domain, scope)
-        return tuple(alloc(name, ty.codomain, args + (j,), rows) for j in range(dom))
-
     r_vars = tuple(new(f"r(w{w},w{v})" for v in range(n)) for w in range(n))
     ex_vars = tuple(new(f"{EXISTS_AT}(e{e},w{w})" for w in range(n)) for e in range(m))
     cells, parts = [], [(n, ())] * n + [(n * m, ())]
@@ -307,9 +306,23 @@ def _layout(scope: Scope, signature: tuple) -> tuple:
                 f"constant {name!r} has unsupported type {ty} beyond order {MAX_CONSTANT_ORDER}"
             )
         start, rows = len(meanings), []
-        cells.append(alloc(name, ty, (), rows))
+        cells.append(_alloc(new, scope, name, ty, (), rows))
         parts.append((len(meanings) - start, tuple(rows)))
     return r_vars, ex_vars, tuple(cells), tuple(meanings), tuple(parts)
+
+
+def _alloc(new, scope: Scope, name: str, ty: LogicType, args: tuple, rows: list):
+    """The nested cells of a constant's entry ``name(args)`` of type ty,
+    numbered by ``new``; an individual's selector rows are added to rows.
+    Not a closure of `_layout`, which a recursive one would keep in a cycle."""
+    label = f"{name}({','.join(map(str, args))})" if args else name
+    if ty == Prop:
+        return new(f"{label}@w{w}" for w in range(scope.num_worlds))
+    if ty == Ind:
+        rows.append(new(f"{label}=e{e}" for e in range(scope.num_entities)))
+        return rows[-1]
+    dom = denotation_size(ty.domain, scope)
+    return tuple(_alloc(new, scope, name, ty.codomain, args + (j,), rows) for j in range(dom))
 
 
 def exactly(lits, k: int) -> list[list[int]]:
@@ -355,8 +368,9 @@ def _not_binary(model, d: int) -> HomlError:
 
 
 class _Grounding:
-    """A theory at a scope as CNF unknowns, and the symbolic carrier that
-    grounds its formulas over them."""
+    """A theory at a scope as CNF unknowns, the symbolic carrier that
+    grounds its formulas over them, and its axioms' roots, evaluated once;
+    ``problem`` builds its problems."""
 
     def __init__(self, theory: Theory, scope: Scope):
         if theory.definitions:
@@ -390,6 +404,14 @@ class _Grounding:
         # existsAt viewed as an unknown Fun(Ind, Prop) table.
         self.const_sym[EXISTS_AT] = self._cells_to_sym(self.ex_vars)
         self.clauses.extend(frame_clauses(theory.frame_flags, self.r_vars))
+        # The axioms are evaluated once, and every problem asserts their roots.
+        self.axiom_roots: list[int] = []
+        for ax in theory.axioms:
+            if ax.ty != Prop:
+                raise GroundingError("axioms must be prop-typed")
+            self.axiom_roots.extend(self.eval(ax))
+        self.goal: Optional[Term] = None
+        self.goal_root: Optional[int] = None
 
     def _cells_to_sym(self, cells):
         """The symbolic value of nested cells: each variable's formula node."""
@@ -552,10 +574,39 @@ class _Grounding:
     def equal(self, a, b):
         return (self.sym_values_eq(a, b),) * self.n
 
-    # -- Tseitin -------------------------------------------------------------
+    # -- problems ------------------------------------------------------------
 
-    def assert_roots(self, roots: list[int]) -> None:
-        """Add clauses forcing every root formula to be true."""
+    def problem(self, negated_goal: Optional[Term] = None) -> GroundProblem:
+        """The problem of the frame flags and the axioms, plus the negation of
+        a goal at some world when one is given. It is byte-identical to
+        `ground`'s for the same arguments, whichever of this grounding's
+        problems is built first, and the grounding's own clauses are left
+        as they were.
+
+        One grounding negates one goal: a second goal's nodes would follow
+        the first's, so its numbering would not be `ground`'s, and a goal
+        other than the first raises `GroundingError`."""
+        roots = self.axiom_roots
+        if negated_goal is not None:
+            roots = [*roots, self._goal_root(negated_goal)]
+        num_vars, clauses = self._tseitin(roots)
+        return GroundProblem(self.scope, self.theory.signature, num_vars, clauses)
+
+    def _goal_root(self, goal: Term) -> int:
+        """The node of the goal's negation at some world, evaluated once."""
+        if self.goal is not None and goal != self.goal:
+            raise GroundingError("a grounding negates one goal only")
+        if self.goal_root is None:
+            if goal.ty != Prop:
+                raise GroundingError("goal must be prop-typed")
+            self.goal = goal
+            self.goal_root = self.f.disj([self.f.neg(b) for b in self.eval(goal)])
+        return self.goal_root
+
+    def _tseitin(self, roots: list[int]) -> tuple[int, list[list[int]]]:
+        """The variable count and the clauses of a problem forcing every root
+        formula to be true: the base clauses, copied, then the definitions
+        of the nodes the roots need and the roots' unit clauses."""
         nodes = self.f.nodes
         needed = set()
         stack = list(roots)
@@ -573,7 +624,7 @@ class _Grounding:
         # One ascending pass numbers and emits: a node's children are older
         # than it, so their literals are known when it is reached. Only
         # and/or nodes get a Tseitin variable.
-        clauses = self.clauses
+        clauses = list(self.clauses)
         num_vars = self.num_vars
         lit_of = [0] * len(nodes)  # by node id; 0 for a node not needed
         child_lit = lit_of.__getitem__
@@ -596,7 +647,6 @@ class _Grounding:
                     for cl in child_lits:
                         clauses.append([t, -cl])
                     clauses.append([-t] + child_lits)
-        self.num_vars = num_vars
         for r in roots:
             if r == _TRUE:
                 continue
@@ -604,32 +654,13 @@ class _Grounding:
                 clauses.append([])
                 continue
             clauses.append([lit_of[r]])
-
-    def to_problem(self) -> GroundProblem:
-        return GroundProblem(self.scope, self.theory.signature, self.num_vars, self.clauses)
+        return num_vars, clauses
 
 
 def ground(theory: Theory, scope: Scope, negated_goal: Optional[Term] = None) -> GroundProblem:
     """Compile frame flags + globally-valid axioms (+ optionally the negation
     of a goal at some world) into a GroundProblem."""
-    return _ground(theory, scope, negated_goal).to_problem()
-
-
-def _ground(theory: Theory, scope: Scope, negated_goal: Optional[Term] = None) -> _Grounding:
-    """The grounding, its roots asserted, that `ground` reads its problem from."""
-    g = _Grounding(theory, scope)
-    roots = []
-    for ax in theory.axioms:
-        if ax.ty != Prop:
-            raise GroundingError("axioms must be prop-typed")
-        roots.extend(g.eval(ax))
-    if negated_goal is not None:
-        if negated_goal.ty != Prop:
-            raise GroundingError("goal must be prop-typed")
-        bits = g.eval(negated_goal)
-        roots.append(g.f.disj([g.f.neg(b) for b in bits]))
-    g.assert_roots(roots)
-    return g
+    return _Grounding(theory, scope).problem(negated_goal)
 
 
 def _model(problem: GroundProblem, answer: tuple, budget: int) -> Optional[KripkeModel]:

@@ -298,13 +298,15 @@ class _Compiler:
 
     A compiler comes with a twin: ``free`` says whether the node being
     compiled is model-free, and the rule of a node gets the one of the two
-    that says so.
+    that says so. The parts of a model-free node are model-free, so only
+    the compiler that is not free needs its twin, and the free one holds no
+    reference back: the pair is no cycle for the collector to find.
     """
 
-    def __init__(self, scope: Scope, twin: Optional["_Compiler"] = None):
+    def __init__(self, scope: Scope, free: bool = False):
         self.scope = scope
-        self.free = twin is not None
-        self.twin = twin or _Compiler(scope, self)
+        self.free = free
+        self.twin = None if free else _Compiler(scope, True)
 
     def code(self, t: Term):
         """The closure ``code(c, env)`` computing t's value in carrier c."""

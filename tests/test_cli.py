@@ -7,9 +7,12 @@ import os
 import pathlib
 import subprocess
 import sys
+import weakref
 
 import pytest
 
+import homlkit.cli as cli
+import homlkit.grounder as grounder
 from homlkit import theories
 from homlkit.analysis import positive_sets
 from homlkit.cli import main
@@ -276,6 +279,47 @@ def test_goedel_suite_runs_exactly_the_manifests_checks(capsys, monkeypatch):
         ("actualist", [2, 1], "valid_up_to_scope", False),  # the default variant
     ]
     assert code == 1
+
+
+def test_goedel_suite_grounds_each_variant_and_scope_once(capsys, monkeypatch):
+    # Every grounding the suite makes, through ground or not, is recorded:
+    # one per distinct (variant, scope) of its consistency check, validity
+    # checks and counts, none twice, and the report is unchanged.
+    manifest = load_bundle("goedel").manifest
+    code, want = run_cli(["goedel-suite"], capsys)
+
+    def theory(variant):
+        return load_bundle("goedel", **dict(zip(manifest["params"], variant.split(":")))).theory
+
+    default = manifest["default_variant"]
+    uses = [(default, manifest["smallest_model_scope"])]
+    uses += [(check.get("variant", default), check["scope"]) for check in manifest["checks"]]
+    uses += [(default, [spec["worlds"], spec["entities"]]) for spec in manifest["positive_counts"]]
+    uses.append((default, [2, 2]))
+    distinct = {(theory(variant), Scope(*scope)) for variant, scope in uses}
+    assert (len(uses), len(distinct)) == (12, 9)
+
+    # A grounding is released after its last problem: when one is built, the
+    # live ones are those used before and after it.
+    keys = [(theory(variant), Scope(*scope)) for variant, scope in uses]
+    steps = [i for i, key in enumerate(keys) if key not in keys[:i]]
+    waiting = [sum(keys.index(key) < i < len(keys) - 1 - keys[::-1].index(key)
+                   for key in distinct) for i in steps]
+
+    built, live, alive = [], [], []
+
+    class Recording(grounder._Grounding):
+        def __init__(self, theory, scope):
+            built.append((theory, scope))
+            alive.append(sum(ref() is not None for ref in live))
+            super().__init__(theory, scope)
+            live.append(weakref.ref(self))
+
+    monkeypatch.setattr(grounder, "_Grounding", Recording)
+    monkeypatch.setattr(cli, "_Grounding", Recording)
+    assert run_cli(["goedel-suite"], capsys) == (code, want)
+    assert len(built) == len(set(built)) and set(built) == distinct
+    assert alive == waiting, (alive, waiting)
 
 
 @pytest.mark.parametrize("argv,variant", [

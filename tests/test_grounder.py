@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import gc
 import itertools
 import pickle
 import random
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import homlkit.grounder as grounder
+import homlkit.semantics as semantics
 from homlkit.errors import BudgetExceededError, GroundingError, HomlError, ScopeCapError
 from homlkit.frozen import replace
 from homlkit.grounder import (
@@ -19,7 +21,6 @@ from homlkit.grounder import (
     _TRUE,
     GroundProblem,
     _Formulas,
-    _ground,
     _Grounding,
     check_validity_bounded,
     enumerate_models,
@@ -43,8 +44,8 @@ from homlkit.semantics import (
 )
 from homlkit.solver import SAT, solve_cnf
 from homlkit.surface import load_theory
-from homlkit.terms import And, ExistsA, ForallA, ForallP, LeibnizEq, Var, subterms
-from homlkit.theories import load_bundle
+from homlkit.terms import And, Const, ExistsA, ForallA, ForallP, LeibnizEq, Var, subterms
+from homlkit.theories import BUNDLE_IDS, load_bundle
 from homlkit.theory import FRAME_FLAGS, Theory
 from reference import (
     ListFormulas,
@@ -150,7 +151,8 @@ def test_operation_memo_hits_are_sound(n, m):
     checked = set()
     for bundle in bundle_variants():
         for goal in (None, *bundle.theory.goals):
-            g = _ground(bundle.theory, Scope(n, m), negated_goal=goal)
+            g = _Grounding(bundle.theory, Scope(n, m))
+            g.problem(goal)
             for (op, *args), value in list(g.ops.items()):
                 assert op in undecorated and op.__code__.co_argcount == 1 + len(args), (op, args)
                 nodes = len(g.f.nodes)
@@ -158,6 +160,81 @@ def test_operation_memo_hits_are_sound(n, m):
                 assert len(g.f.nodes) == nodes, (bundle.id, bundle.variant, op.__name__, args)
                 checked.add(op)
     assert checked == undecorated
+
+
+def _manifest_checks():
+    """(bundle, scope, goal) of every check in the manifest, in its order."""
+    for bundle_id in BUNDLE_IDS:
+        entry = load_bundle(bundle_id).manifest
+        keys = entry.get("params") or {}
+        for check in entry.get("checks", []):
+            variant = check.get("variant", entry["default_variant"])
+            bundle = load_bundle(bundle_id, **dict(zip(keys, variant.split(":"))))
+            yield bundle, Scope(*check["scope"]), bundle.goal(check["goal"])
+
+
+def test_one_grounding_gives_grounds_problems_in_either_order():
+    # A check's two problems, the axioms alone and with the goal negated,
+    # taken from one grounding in either order, are ground's byte for byte,
+    # and taking them leaves the grounding's base clauses as they were.
+    checks = 0
+    for bundle, scope, goal in _manifest_checks():
+        theory = bundle.theory
+        axioms, refutation = (export_dimacs(ground(theory, scope)),
+                              export_dimacs(ground(theory, scope, goal)))
+        g = _Grounding(theory, scope)
+        base = copy.deepcopy(g.clauses), g.num_vars
+        assert export_dimacs(g.problem()) == axioms, (bundle.variant, scope)
+        assert export_dimacs(g.problem(goal)) == refutation, (bundle.variant, scope)
+        assert (g.clauses, g.num_vars) == base
+        g = _Grounding(theory, scope)
+        assert export_dimacs(g.problem(goal)) == refutation, (bundle.variant, scope)
+        assert export_dimacs(g.problem()) == axioms, (bundle.variant, scope)
+        assert export_dimacs(g.problem(goal)) == refutation, (bundle.variant, scope)
+        checks += 1
+    assert checks == sum(len(load_bundle(b).manifest.get("checks", [])) for b in BUNDLE_IDS)
+
+
+def test_a_grounding_negates_one_goal():
+    # A second goal's nodes would be numbered after the first's, so it is
+    # refused; the first goal, or an equal term, is still served.
+    bundle = load_bundle("k")
+    first, second = bundle.theory.goals[:2]
+    g = _Grounding(bundle.theory, Scope(2, 1))
+    want = export_dimacs(ground(bundle.theory, Scope(2, 1), first))
+    assert export_dimacs(g.problem(first)) == want
+    with pytest.raises(GroundingError, match="negates one goal only"):
+        g.problem(second)
+    assert export_dimacs(g.problem(copy.deepcopy(first))) == want
+
+
+def test_a_goal_that_is_not_a_proposition_is_refused():
+    theory = load_theory("const c : i\n")
+    with pytest.raises(GroundingError, match="goal must be prop-typed"):
+        _Grounding(theory, Scope(1, 2)).problem(Const("c", Ind))
+
+
+def test_grounding_and_evaluation_leave_no_cyclic_garbage():
+    # With the cyclic collector off, everything a grounding or an evaluation
+    # made is freed by reference counting: the collector finds nothing.
+    bundle = load_bundle("goedel")
+    goal = bundle.goal("necessary_existence")
+    model = find_model(bundle.theory, Scope(1, 2))
+    calls = [lambda: ground(bundle.theory, Scope(2, 2), goal),
+             lambda: ground(bundle.theory, Scope(1, 2)),
+             lambda: semantics.mvalid(model, bundle.theory.axioms[0]),
+             lambda: semantics.holds_at(model, goal, 0),
+             lambda: eval_term(model, [], goal)]
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for k, call in enumerate(calls):
+            call()
+            assert gc.collect() == 0, k
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _leaves(cells):
