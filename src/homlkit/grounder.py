@@ -36,15 +36,18 @@ would follow the first's and be numbered otherwise.
 Two memos live as long as one grounding. A binder's value is memoised
 on its free variables where that key can repeat (``semantics._memoised``),
 and ``_per_grounding`` memoises operations on their arguments: ``lift``,
-the position of ``apply``'s argument, ``box``, ``diamond``, and the node
-building of ``&``, ``|``, ``->`` and the quantifiers once all their operands
-are evaluated. An argument that is a bare bound variable needs neither
-``lift`` nor ``apply``: its position is in the env, and ``at`` reads that
-entry of the function's tuple. ``_Formulas`` is hash-consed and each of
-these is a pure function of the node ids it receives, so a hit returns the
-ids that interning would have returned anyway, and the numbering does not
-move. Its ``implies`` and ``iff`` build their two-child nodes directly, in
-the order and with the folds of ``disj`` and ``conj`` over a pair.
+``box``, ``diamond``, and the node building of ``&``, ``|``, ``->`` and the
+quantifiers once all their operands are evaluated. A model-free argument
+needs neither ``lift`` nor ``apply``: its position is in the env or is run
+in the concrete carrier, and ``at`` reads that entry of the function's
+tuple. ``apply`` gets model-dependent arguments only, and splits on their
+value (``sym_eq``, ``mux``); an argument that folds to constants folds its
+conditions too, to the entry at its position, with no node made.
+``_Formulas`` is hash-consed and each of these is a pure function of the
+node ids it receives, so a hit returns the ids that interning would have
+returned anyway, and the numbering does not move. Its ``implies`` and
+``iff`` build their two-child nodes directly, in the order and with the
+folds of ``disj`` and ``conj`` over a pair.
 
 A solver answer reaches a model or a verdict by one path. ``_model`` reads
 the answer's status, raising `BudgetExceededError` when the budget ran out,
@@ -80,7 +83,6 @@ from .semantics import (
     denotation_size,
     digits,
     holds_at,
-    position,
     table_view,
 )
 from .solver import DEFAULT_CONFLICT_BUDGET, UNKNOWN, UNSAT, Solver, solve_cnf
@@ -191,14 +193,6 @@ def _per_grounding(op):
             return value
 
     return memoised
-
-
-def _const_bool(nid: int) -> Optional[bool]:
-    if nid == _TRUE:
-        return True
-    if nid == _FALSE:
-        return False
-    return None
 
 
 class GroundProblem(Frozen):
@@ -424,8 +418,8 @@ class _Grounding:
     # values, a prop's world bits being formula ids; an Ind is a flat tuple
     # of m one-hot formula ids. A leaf is an int, so ``_cells_to_sym``,
     # ``sym_values_eq`` and ``mux`` walk a value by its nesting alone; only
-    # ``lift``, ``concrete_index`` and ``sym_eq``, which need a position's
-    # digits, read the type's ``table_view``.
+    # ``lift`` and ``sym_eq``, which need a position's digits, read the
+    # type's ``table_view``.
 
     @_per_grounding
     def lift(self, i: int, ty: LogicType):
@@ -437,25 +431,6 @@ class _Grounding:
             return tuple(_TRUE if e == i else _FALSE for e in range(self.m))
         length, base, entry = view
         return tuple(self.lift(d, entry) for d in digits(i, length, base))
-
-    def concrete_index(self, sv, ty: LogicType) -> Optional[int]:
-        """The position of a symbolic value whose cells are all constant,
-        else None."""
-        if ty is bool:
-            return _const_bool(sv)
-        view = table_view(ty, self.scope)
-        if view is None:
-            bits = [_const_bool(cell) for cell in sv]
-            return bits.index(True) if None not in bits and bits.count(True) == 1 else None
-        found = []
-        for sub in sv:
-            d = self.concrete_index(sub, view[2])
-            if d is None:
-                return None
-            found.append(d)
-        return position(found, view[1])
-
-    arg_index = _per_grounding(concrete_index)
 
     def sym_eq(self, sv, ty: LogicType, i: int) -> int:
         """Formula: the symbolic value equals the i-th enumerated value of ty."""
@@ -493,8 +468,7 @@ class _Grounding:
         _check_closed(root, GroundingError)
         return self.compiler(root)(self, [])
 
-    def model_free(self, code, ty, env):
-        return self.lift(code(self.concrete, env), ty)
+    model_free = lift
 
     def const(self, name: str):
         sym = self.const_sym.get(name)
@@ -506,9 +480,6 @@ class _Grounding:
         return fn_sv[j]
 
     def apply(self, fn_sv, arg_sv, fn_ty: Fun, divs, base: int):
-        idx = self.arg_index(arg_sv, fn_ty.domain)
-        if idx is not None:
-            return fn_sv[idx]
         branches = [(self.sym_eq(arg_sv, fn_ty.domain, j), fn_sv[j]) for j in range(len(divs))]
         return self.mux(branches)
 

@@ -28,7 +28,8 @@ equality are resolved then, not on each evaluation. A closure computes through a
 carrier ``c``, which supplies the value operations (``const``, ``apply``,
 ``at``, ``lam``, the connectives ``not_``/``and_``/``or_``/``implies``/``iff``,
 ``box``, ``diamond``, the quantifiers ``forall``/``exists``, ``equal``
-and ``model_free``). There are two carriers:
+and ``model_free``) and ``concrete``, the concrete carrier that model-free
+subterms run in. There are two carriers:
 
 * ``_EvalCtx`` is concrete: a value is its position, a proposition its world
   mask, so ``mvalid``, ``holds_at`` and ``eval_term`` run on it. It skips
@@ -41,14 +42,15 @@ and ``model_free``). There are two carriers:
   nesting, so ``equal`` takes no type.
 
 Whether a subterm can depend on the model is decided at compile time: a
-maximal model-free subterm runs in the concrete carrier, and the symbolic
-carrier lifts its value once (``model_free``), a bare bound variable's
-too. A model-free application or equality also reads a bare bound
-variable operand in place. A bound value is a position in either
-carrier, so every application to a bare bound variable reads its argument
-in place: ``at(f, j, ...)`` is f's entry at position j, which the concrete
-carrier computes as ``apply`` does and the symbolic one reads off f's
-tuple, with nothing lifted.
+maximal model-free subterm runs in the concrete carrier
+(``_Compiler.position``), and the symbolic carrier lifts its position once
+(``model_free``). A model-free application or equality also reads a bare
+bound variable operand in place. A model-free value is a position in
+either carrier, a bound one in the env and any other run in the concrete
+carrier, so every application to a model-free argument reads it as one:
+``at(f, j, ...)`` is f's entry at position j, which the concrete carrier
+computes as ``apply`` does and the symbolic one reads off f's tuple, with
+nothing lifted.
 
 A prop-typed model-free subterm t is world-invariant (``_world_invariant``)
 when its types and its free variables let every node act on each world
@@ -70,7 +72,7 @@ nonempty), and ``==`` of prop-free values yields 0 or the full mask. The
 env, having prop-free types only, is the same at one world. So t's mask at
 world w is its one-world value run on the w-th parts, which are the env
 itself. Where a binder of t ranges over a type that contains prop, the
-boundary of ``_Compiler.__call__`` compiles t at ``Scope(1, m)`` and runs it
+boundary of ``_Compiler.position`` compiles t at ``Scope(1, m)`` and runs it
 in a one-world concrete carrier (``_EvalCtx.one_world``), which shares the
 call's binder memo, and spreads the bit to 0 or the full mask: a
 ``p : i>prop`` ranges over 2^m values there, not 2^(n·m). t is compiled at
@@ -319,22 +321,30 @@ class _Compiler:
 
     def __call__(self, t: Term):
         """The closure of a part of the node being compiled, or of a root. A
-        maximal model-free subterm, a bare bound variable too, runs in the
-        concrete carrier, and ``c.model_free`` hands its value over: the
-        symbolic carrier lifts it once. A world-invariant one
+        maximal model-free subterm, a bare bound variable too, hands its
+        position (``position``) to ``c.model_free``: the symbolic carrier
+        lifts it once."""
+        if self.free or not _model_free(t):
+            return self.code(t)
+        code, ty = self.position(t), t.ty
+        return lambda c, env: c.model_free(code(c, env), ty)
+
+    def position(self, t: Term):
+        """The closure ``code(c, env)`` of the position of a model-free t's
+        value, in either carrier. Below a node that is not model-free, t runs
+        in the concrete carrier ``c.concrete``, and a world-invariant t
         (``_world_invariant``) runs at one world, and its bit is spread to
         every world; it is compiled at this scope first all the same, so its
         binder sizes raise `ScopeCapError` where they always did."""
         code = self.code(t)
-        if self.free or not _model_free(t):
+        if self.free:
             return code
-        ty = t.ty
         if self.scope.num_worlds > 1 and _world_invariant(t):
             one = _Compiler(Scope(1, self.scope.num_entities)).code(t)
 
             def code(c, env):
                 return c.full if one(c.one_world, env) else 0
-        return lambda c, env: c.model_free(code, ty, env)
+        return lambda c, env: code(c.concrete, env)
 
     def slot(self, t: Term) -> Optional[int]:
         """The env slot of t when t is a bare bound variable that a model-free
@@ -518,9 +528,13 @@ def _app(k, t: App):
         if f is not None:
             return lambda c, env: c.apply(env[f], env[a], ty, divs, base)
         return lambda c, env: c.at(fn(c, env), env[a], ty, divs, base)
+    if _model_free(t.arg):
+        # So is a model-free argument's value, lifted by neither carrier.
+        arg = k.position(t.arg)
+        if f is not None:
+            return lambda c, env: c.apply(env[f], arg(c, env), ty, divs, base)
+        return lambda c, env: c.at(fn(c, env), arg(c, env), ty, divs, base)
     arg = k(t.arg)
-    if f is not None:
-        return lambda c, env: c.apply(env[f], arg(c, env), ty, divs, base)
     return lambda c, env: c.apply(fn(c, env), arg(c, env), ty, divs, base)
 
 
@@ -642,8 +656,11 @@ class _EvalCtx:
         except KeyError:
             raise HomlError(f"model does not interpret constant {name!r}") from None
 
-    def model_free(self, code, ty, env: list) -> int:
-        return code(self, env)
+    # A model-free subterm's position is its value here.
+    concrete = property(lambda self: self)
+
+    def model_free(self, i: int, ty) -> int:
+        return i
 
     def apply(self, f: int, a: int, ty, divs, base: int) -> int:
         return f // divs[a] % base

@@ -18,7 +18,8 @@ the library's evaluator:
 * it compares the verdict this gives with the library's
   (``check_validity_bounded`` or ``find_model``) and with the manifest's.
 
-It prints one line per entry and exits 1 on the first disagreement.
+It prints one line per entry, checks every entry, and names each that
+disagrees; it exits 1 at the end, with their count, when any does.
 pytest does not collect it (its name does not start with ``test_``), so
 Tier-1's time does not grow by it.
 
@@ -81,16 +82,22 @@ def rederive(bundle, scope: Scope, label) -> tuple[str, str]:
 
 def main() -> int:
     start = time.perf_counter()
-    count = 0
+    count, disagree = 0, []
     for name, bundle, scope, label, expect in entries():
         tick = time.perf_counter()
         oracle, library = rederive(bundle, scope, label)
-        print(f"{name:28s} ({scope.num_worlds},{scope.num_entities})  manifest {expect:12s} "
+        at = f"({scope.num_worlds},{scope.num_entities})"
+        print(f"{name:28s} {at}  manifest {expect:12s} "
               f"reference {oracle:12s} library {library:12s} {time.perf_counter() - tick:6.2f} s")
         if not oracle == library == expect:
             print("disagreement")
-            return 1
+            disagree.append(f"{name} {at}")
         count += 1
+    if disagree:
+        print(f"{len(disagree)} of {count} entries disagree:")
+        for where in disagree:
+            print(f"  {where}")
+        return 1
     print(f"{count} entries agree in {time.perf_counter() - start:.1f} s")
     return 0
 

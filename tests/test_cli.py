@@ -95,6 +95,18 @@ def test_unwritable_out_exits_two_with_a_report_on_stdout(argv, tmp_path, capsys
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv", [["check", "--bundle", "k", "--scope", "2,1", "--goal", "T"],
+                                  ["check", "--bundle", "s5", "--scope", "2,1", "--goal", "5",
+                                   "--format", "text"]],
+                         ids=["json", "text"])
+def test_out_writes_the_bytes_stdout_would_get(argv, tmp_path, capsys):
+    code, out = run_cli(argv, capsys)
+    path = tmp_path / "report"
+    assert main([*argv, "--out", str(path)]) == code
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == out.encode("utf-8")
+
+
 def test_import_adds_neither_dataclasses_nor_inspect():
     """``import homlkit.cli`` loads neither module, in a fresh interpreter,
     beyond what the bare interpreter (its ``site`` included) already has."""
@@ -182,6 +194,19 @@ def test_count_positive_matches_manifest(capsys):
     report = json.loads(out)
     assert report["minimum"] == 4
     assert report["expected_min"] == 4
+
+
+def test_count_positive_exits_one_when_the_minimum_is_not_the_manifests(capsys, monkeypatch):
+    manifest = load_bundle("goedel").manifest
+    real = json.dumps(manifest, sort_keys=True)
+    changed = [dict(entry, min=entry["min"] + 1) for entry in manifest["positive_counts"]]
+    monkeypatch.setitem(manifest, "positive_counts", changed)
+    code, out = run_cli(COUNT_POSITIVE, capsys)
+    report = json.loads(out)
+    assert code == 1
+    assert (report["minimum"], report["expected_min"]) == (2, 3)
+    monkeypatch.undo()
+    assert json.dumps(manifest, sort_keys=True) == real
 
 
 @pytest.mark.parametrize("stop", [["--limit", "0"], ["--budget", "0"]])

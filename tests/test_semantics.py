@@ -19,6 +19,7 @@ from homlkit.semantics import (
     digits,
     eval_term,
     holds_at,
+    leibniz_shape,
     model_from_json,
     model_to_json,
     mvalid,
@@ -266,6 +267,23 @@ def test_leibniz_on_individuals_is_index_identity():
         same = model.positions["a"] == model.positions["b"]
         assert mvalid(model, defined) == same
         assert mvalid(model, native) == same
+
+
+def test_leibniz_shape_refuses_a_property_that_occurs_in_a_compared_side():
+    # q occurs in the left side, q p, so this is no Leibniz equality. At one
+    # world q ranges over the four maps of prop: q = not falsifies
+    # q (q p) -> q p where p holds, and no q falsifies it where p fails, so
+    # the goal is not p. At two worlds, for any mask of p and any world w,
+    # some mask b other than p's lacks bit w, and the q that sends p to b and
+    # b to a mask with bit w falsifies it at w: the goal is false everywhere.
+    # The reference evaluator reads the same leibniz_shape, so the masks are
+    # pinned.
+    goal = load_theory("const p : prop\ngoal forallP q:prop>prop. (q (q p)) -> (q p)\n").goals[0]
+    assert leibniz_shape(goal) is None
+    for n, masks in [(1, {0: 1, 1: 0}), (2, {p: 0 for p in range(4)})]:
+        for p, mask in masks.items():
+            model = KripkeModel(Scope(n, 1), total_relation(n), 0, {"p": p}, {"p": Prop})
+            assert eval_term(model, [], goal) == mask, (n, p)
 
 
 def test_eval_deterministic():
@@ -774,10 +792,11 @@ def test_one_binder_instance_at_two_depths_gives_the_reference_mask():
 
 # Applications and equalities with a bare bound variable on either side: in
 # model-free nodes (read in place from the env) and in model-dependent ones
-# (handed over by the carrier's ``bound``). Signature: P : i > prop, c : i,
-# p : prop.
+# (read by position, or lifted by the carrier's ``model_free``). Signature:
+# P : i > prop, c : i, p : prop.
 PRED, IND_C, PROP_P = Const("P", TAU), Const("c", Ind), Const("p", Prop)
 IDENTITY = Lam(Ind, Var(0, Ind))
+P_WITHIN = Lam(TAU, ForallP(Ind, Implies(App(PRED, Var(0, Ind)), App(Var(1, TAU), Var(0, Ind)))))
 BOUND_OPERAND_FORMULAS = [
     ForallP(Ind, App(PRED, Var(0, Ind))),                            # Const Var
     ExistsP(TAU, And(App(Var(0, TAU), IND_C), PROP_P)),              # Var Const
@@ -796,6 +815,21 @@ BOUND_OPERAND_FORMULAS = [
     ForallP(Ind, ForallP(Ind, Implies(
         ForallP(TAU, Implies(App(Var(0, TAU), Var(2, Ind)), App(Var(0, TAU), Var(1, Ind)))),
         Iff(App(PRED, Var(1, Ind)), App(PRED, Var(0, Ind)))))),
+    # Model-dependent functions applied to model-free arguments that are not
+    # a bare bound variable, read by position in both carriers: a
+    # world-invariant prop (true everywhere), a prop that is not (== over
+    # prop: true at one world, false at two), closed sets, and sets that read
+    # an enclosing binder's variable.
+    App(Lam(Prop, Iff(PROP_P, Var(0, Prop))),
+        ForallP(TAU, ForallP(Ind, Implies(App(Var(1, TAU), Var(0, Ind)),
+                                          App(Var(1, TAU), Var(0, Ind)))))),
+    App(Lam(Prop, Or(PROP_P, Var(0, Prop))),
+        ForallP(Prop, ForallP(Prop, Implies(Iff(Var(1, Prop), Var(0, Prop)),
+                                            LeibnizEq(Var(1, Prop), Var(0, Prop)))))),
+    App(P_WITHIN, Lam(Ind, ExistsP(Ind, LeibnizEq(Var(0, Ind), Var(1, Ind))))),
+    App(P_WITHIN, Lam(Ind, LeibnizEq(Var(0, Ind), Var(0, Ind)))),
+    ForallP(Ind, App(Lam(Ind, App(PRED, Var(0, Ind))), App(IDENTITY, Var(0, Ind)))),
+    ExistsP(Ind, App(P_WITHIN, Lam(Ind, LeibnizEq(Var(0, Ind), Var(1, Ind))))),
 ]
 BOUND_OPERAND_SIGNATURE = (("P", TAU), ("c", Ind), ("p", Prop))
 

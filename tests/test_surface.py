@@ -2,7 +2,14 @@
 
 import pytest
 
-from homlkit.errors import HomlError, NestingDepthError, ParseError, TypeCheckError
+from homlkit.errors import (
+    HomlError,
+    LexError,
+    NestingDepthError,
+    ParseError,
+    SourceError,
+    TypeCheckError,
+)
 from homlkit.grounder import check_validity_bounded
 from homlkit.logictypes import Fun, Ind, Prop
 from homlkit.semantics import KripkeModel, Scope, mvalid
@@ -356,6 +363,33 @@ def test_duplicate_and_reserved_declarations():
 def test_every_declaration_ends_at_its_line_end(read, text, message):
     with pytest.raises(ParseError) as err:
         read(text)
+    assert str(err.value) == message
+
+
+# Message and position of each error that the lexer and the parser raise
+# while reading a declaration (file:line:col: message).
+PARSE_ERRORS = [
+    (LexError, "const p : prop\naxiom p $ p\n", "t.homl:2:9: unexpected character '$'"),
+    (ParseError, "const p :\n", "t.homl:1:10: unexpected end of line"),
+    (ParseError, "const p prop\n", "t.homl:1:9: expected ':', got 'prop'"),
+    (ParseError, "const p : &\n", "t.homl:1:11: expected a type, got '&'"),
+    (ParseError, "axiom forallP : i. p\n", "t.homl:1:15: expected a bound variable name"),
+    (ParseError, "axiom forallP\n", "t.homl:1:14: expected a bound variable name"),
+    (ParseError, "axiom forallP x. x\n",
+     "t.homl:1:15: binder 'forallP' requires a type annotation"),
+    (ParseError, "def f := \\x. x\n", "t.homl:1:11: binder 'lam' requires a type annotation"),
+    (ParseError, "const p : prop\naxiom p & )\n", "t.homl:2:11: expected a term, got ')'"),
+    (ParseError, "p\n", "t.homl:1:1: expected a declaration keyword, got 'p'"),
+    (ParseError, "const p : prop\nbox p\n",
+     "t.homl:2:1: unexpected keyword 'box' at start of declaration"),
+]
+
+
+@pytest.mark.parametrize("error,source,message", PARSE_ERRORS)
+def test_parse_error_messages_and_positions(error, source, message):
+    with pytest.raises(SourceError) as err:
+        parse(source, "t.homl")
+    assert type(err.value) is error
     assert str(err.value) == message
 
 
