@@ -8,12 +8,13 @@ m entity rows of n world bits, so the position is the mask of the set's
 Meet is ``&``, the world-wise complement is ``^ full``, and inclusion at
 every world is ``a & b == a``. A property family is a ``Fun(Fun(Ind, Prop),
 Prop)`` value: one world mask per modal set, saying where the set is in it.
+``_holding`` reads both, world by world, through ``table_view`` and ``digits``.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from .errors import BudgetExceededError, HomlError
 from .frozen import Frozen, replace
@@ -23,6 +24,7 @@ from .semantics import (
     KripkeModel,
     Scope,
     _check_position,
+    _world_bits,
     denotation_size,
     digits,
     position,
@@ -41,28 +43,23 @@ def _check_world(world: int, scope: Scope):
                         f"worlds of scope {scope}")
 
 
-def _family(model: KripkeModel, constant: str) -> list[int]:
-    """The property family ``constant`` as one world mask per modal set."""
+def _holding(i: int, ty: Fun, scope: Scope) -> list[list[int]]:
+    """Per world, the entries of position i of the prop-valued table type
+    ``ty`` that hold there: a modal set's entities, a family's modal sets."""
+    length, base, _ = table_view(ty, scope)
+    bits = [_world_bits(entry, scope) for entry in range(base)]  # read each entry value once
+    rows = [bits[entry] for entry in digits(i, length, base)]
+    return [[j for j, row in enumerate(rows) if row[w]] for w in range(scope.num_worlds)]
+
+
+def _members(model: KripkeModel, constant: str) -> list[list[int]]:
+    """Per world, the modal sets the property family ``constant`` holds there."""
     i = model.positions.get(constant)
     if i is None:
         raise HomlError(f"model does not interpret constant {constant!r}")
     if model.constant_types[constant] != FAMILY_TYPE:
         raise HomlError(f"constant {constant!r} is not a property family")
-    length, base, _ = table_view(FAMILY_TYPE, model.scope)
-    return digits(i, length, base)
-
-
-def _members(model: KripkeModel, constant: str) -> list[set[int]]:
-    """Per world, the modal sets the family holds there."""
-    n = model.scope.num_worlds
-    rows = _family(model, constant)
-    return [{s for s, row in enumerate(rows) if row >> (n - 1 - w) & 1} for w in range(n)]
-
-
-def _extension(s: int, w: int, scope: Scope) -> list[int]:
-    """Modal set s at world w: entry e is 1 iff entity e is in it."""
-    n = scope.num_worlds
-    return [row >> (n - 1 - w) & 1 for row in digits(s, scope.num_entities, 1 << n)]
+    return _holding(i, FAMILY_TYPE, model.scope)
 
 
 class FilterReport(Frozen):
@@ -74,7 +71,7 @@ class FilterReport(Frozen):
         return all(self.per_world)
 
 
-def _filter_report(members_per_world: Sequence[set[int]], width: int,
+def _filter_report(members_per_world: Sequence[Collection[int]], width: int,
                    maximal: bool) -> FilterReport:
     """The filter conditions on the ``width``-bit masks, per world: the full
     mask is a member, 0 is not, members are upward closed under inclusion
@@ -84,8 +81,8 @@ def _filter_report(members_per_world: Sequence[set[int]], width: int,
     universe = range(full + 1)
     per_world = []
     failures = []
-    for w, members in enumerate(members_per_world):
-        ordered = sorted(members)
+    for w, held in enumerate(members_per_world):
+        members, ordered = set(held), sorted(held)
         bad = []
         if full not in members:
             bad.append("full set not a member")
@@ -122,8 +119,9 @@ def is_modal_ultrafilter(model: KripkeModel, constant: str = "P",
         return _filter_report(members, scope.num_worlds * scope.num_entities, True)
     if mode != "extension":
         raise HomlError(f"unknown ultrafilter mode {mode!r}")
-    extensions = [{position(_extension(s, w, scope), 2) for s in sets}
-                  for w, sets in enumerate(members)]
+    entities = range(scope.num_entities)
+    extensions = [{position([e in _holding(s, PROPERTY_TYPE, scope)[w] for e in entities], 2)
+                   for s in sets} for w, sets in enumerate(members)]
     return _filter_report(extensions, scope.num_entities, True)
 
 
@@ -132,10 +130,8 @@ def is_modal_ultrafilter(model: KripkeModel, constant: str = "P",
 
 def positive_sets(model: KripkeModel, constant: str = "P", world: int = 0) -> list[int]:
     """Modal sets the family holds positive at the given world."""
-    scope = model.scope
-    _check_world(world, scope)
-    bit = scope.num_worlds - 1 - world
-    return [s for s, row in enumerate(_family(model, constant)) if row >> bit & 1]
+    _check_world(world, model.scope)
+    return _members(model, constant)[world]
 
 
 class CountResult(Frozen):
@@ -208,10 +204,8 @@ def equipollent(model: KripkeModel, p: int, q: int) -> bool:
     for s in (p, q):
         _check_position(s, PROPERTY_TYPE, scope, "modal set")
     denotation_size(Fun(Ind, Ind), scope)  # enforce the enumeration cap
-    worlds = range(scope.num_worlds)
-    p_ext = [[e for e, bit in enumerate(_extension(p, w, scope)) if bit] for w in worlds]
-    q_ext = [frozenset(e for e, bit in enumerate(_extension(q, w, scope)) if bit)
-             for w in worlds]
+    p_ext = _holding(p, PROPERTY_TYPE, scope)
+    q_ext = [frozenset(ext) for ext in _holding(q, PROPERTY_TYPE, scope)]
     if any(len(a) != len(b) for a, b in zip(p_ext, q_ext)):
         return False
     # The extensions have equal sizes, so a map onto q's is a bijection.
@@ -227,20 +221,19 @@ def equipollence_class(model: KripkeModel, p: int) -> frozenset[int]:
 def successor_cardinal_check(model: KripkeModel, k: int) -> bool:
     """The successor construction applied to the class of a rigid k-element
     set yields exactly the class of rigid (k+1)-element sets."""
-    scope = model.scope
-    m, n = scope.num_entities, scope.num_worlds
+    m, base, _ = table_view(PROPERTY_TYPE, model.scope)
     if k < 0 or k + 1 > m:
         raise HomlError(f"successor of a {k}-element set needs {k + 1} <= m = {m}")
-    full = (1 << n) - 1
+    full = base - 1
     # The rigid set of the first j entities: their rows hold at every world.
-    rigid = lambda j: position([full] * j + [0] * (m - j), full + 1)
+    rigid = lambda j: position([full] * j + [0] * (m - j), base)
     successor_class = set()
     for p in equipollence_class(model, rigid(k)):
-        rows = digits(p, m, full + 1)
+        rows = digits(p, m, base)
         for z in range(m):
             if rows[z]:
                 continue  # z must be fresh for p at every world
-            extended = position(rows[:z] + [full] + rows[z + 1:], full + 1)
+            extended = position(rows[:z] + [full] + rows[z + 1:], base)
             successor_class |= equipollence_class(model, extended)
     return successor_class == equipollence_class(model, rigid(k + 1))
 
@@ -259,12 +252,11 @@ def diagonal_witness(model: KripkeModel, mapping: Sequence[int]) -> tuple[int, b
 
     Returns the diagonal set and whether it lies outside the range of the map.
     """
-    scope = model.scope
-    m, n = scope.num_entities, scope.num_worlds
+    m, base, _ = table_view(PROPERTY_TYPE, model.scope)
     if len(mapping) != m:
         raise HomlError(f"mapping must assign a modal set to each of the {m} entities")
     for f in mapping:
-        _check_position(f, PROPERTY_TYPE, scope, "modal set")
-    full = (1 << n) - 1
-    diag = position([full ^ digits(f, m, full + 1)[e] for e, f in enumerate(mapping)], full + 1)
+        _check_position(f, PROPERTY_TYPE, model.scope, "modal set")
+    full = base - 1
+    diag = position([full ^ digits(f, m, base)[e] for e, f in enumerate(mapping)], base)
     return diag, diag not in mapping

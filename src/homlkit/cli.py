@@ -47,7 +47,7 @@ from .semantics import (
 )
 from .solver import DEFAULT_CONFLICT_BUDGET
 from .surface import load_theory
-from .theories import check_church_postulates, load_bundle
+from .theories import VARIANT_PARAMS, check_church_postulates, load_bundle
 from .theory import Theory, check_frame_flags
 
 EXIT_OK = 0
@@ -88,7 +88,7 @@ def _budget(args) -> int:
 def _load_theory_arg(args) -> tuple[Theory, dict]:
     """Resolve --bundle/--file plus variant flags into an elaborated theory."""
     if args.bundle:
-        params = {key: getattr(args, key) for key in ("quantifier", "formulation", "extension")
+        params = {key: getattr(args, key) for key in VARIANT_PARAMS
                   if getattr(args, key) is not None}
         bundle = load_bundle(args.bundle, **params)
         theory = bundle.theory
@@ -408,9 +408,8 @@ def _add_theory_args(sub):
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--bundle", help="bundled theory id")
     group.add_argument("--file", help="theory-DSL source file")
-    sub.add_argument("--quantifier", choices=["actualist", "possibilist"])
-    sub.add_argument("--formulation", choices=["scott", "goedel-1970"])
-    sub.add_argument("--extension", choices=["core", "infinity"])
+    for key, values in VARIANT_PARAMS.items():
+        sub.add_argument(f"--{key}", choices=values)
     sub.add_argument("--frame", help="override frame flags, e.g. refl,symm,trans")
 
 

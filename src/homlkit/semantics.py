@@ -173,6 +173,12 @@ def position(entries, base: int) -> int:
     return acc
 
 
+def _world_bits(mask: int, scope: Scope) -> list[int]:
+    """A prop's entries: its n world bits, world 0 first."""
+    length, base, _ = table_view(Prop, scope)
+    return digits(mask, length, base)
+
+
 # A type's view and size are derived once per (type, scope), here, and every
 # caller reads them from these two caches. A call that raises ScopeCapError
 # stores nothing, so it raises again on every call.
@@ -221,8 +227,8 @@ def _check_position(i, ty: LogicType, scope: Scope, what: str) -> None:
 
 class KripkeModel(Frozen):
     """Finite model, held as positions: worlds, accessibility, existence,
-    interpretations. ``accessibility`` is a tuple of n world masks: bit
-    n-1-v of ``accessibility[w]`` is set iff world w sees v. ``exists_at``
+    interpretations. ``accessibility`` is a tuple of n world masks: world
+    v's bit of ``accessibility[w]`` is set iff world w sees v. ``exists_at``
     is the position of ``existsAt : Fun(Ind, Prop)``. ``positions`` maps
     each constant to its value's position in the enumeration of its type in
     ``constant_types``; two models are equal when these five fields are.
@@ -247,9 +253,9 @@ class KripkeModel(Frozen):
     def satisfies_frame(self, flags) -> bool:
         """Whether every clause of the frame conditions of ``flags``
         (`frame_clauses`) holds on the model's masks."""
-        n, acc = self.scope.num_worlds, self._int_form[1]
-        # Literal w*n + v + 1 says that w sees v: bit n-1-v of acc[w].
-        sees = [None] + [acc[w] >> (n - 1 - v) & 1 for w in range(n) for v in range(n)]
+        scope, n = self.scope, self.scope.num_worlds
+        # Literal w*n + v + 1 says that w sees v: world v's bit of acc[w].
+        sees = [None] + [bit for mask in self._int_form[1] for bit in _world_bits(mask, scope)]
         cells = [[w * n + v + 1 for v in range(n)] for w in range(n)]
         return all(any(sees[lit] if lit > 0 else not sees[-lit] for lit in clause)
                    for clause in frame_clauses(flags, cells))
@@ -764,7 +770,7 @@ def holds_at(model: KripkeModel, formula: Term, world: int) -> bool:
     n = model.scope.num_worlds
     if not 0 <= world < n:
         raise HomlError(f"world {world} is outside 0..{n - 1}")
-    return bool((_run(model, formula, []) >> (n - 1 - world)) & 1)
+    return bool(_world_bits(_run(model, formula, []), model.scope)[world])
 
 
 def mvalid(model: KripkeModel, formula: Term) -> bool:
@@ -832,7 +838,7 @@ def model_to_json(model: KripkeModel) -> dict:
     """The model's document, read through its one check (``_int_form``)."""
     scope, types, n = model.scope, model.constant_types, model.scope.num_worlds
     pairs = [[w, v] for w, mask in enumerate(model._int_form[1])
-             for v in range(n) if mask >> (n - 1 - v) & 1]
+             for v, bit in enumerate(_world_bits(mask, scope)) if bit]
     constants = {name: {"type": str(types[name]), "value": position_to_json(i, types[name], scope)}
                  for name, i in sorted(model.positions.items())}
     return {
@@ -860,12 +866,12 @@ def model_from_json(data: dict) -> KripkeModel:
     pairs = data["accessibility"]
     if type(pairs) is not list:
         raise HomlError(f"accessibility {pairs!r} is not a list of pairs")
-    acc = [0] * n
+    sees = [[0] * n for _ in range(n)]
     for pair in pairs:
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2
                 and all(type(w) is int and 0 <= w < n for w in pair)):
             raise HomlError(f"accessibility pair {pair!r} is not two worlds of 0..{n - 1}")
-        acc[pair[0]] |= 1 << (n - 1 - pair[1])
+        sees[pair[0]][pair[1]] = 1
     exists = position_from_json(data["exists_at"], EXISTS_AT_TYPE, scope)
     entries = data.get("constants", {})
     if type(entries) is not dict:
@@ -876,4 +882,4 @@ def model_from_json(data: dict) -> KripkeModel:
             raise HomlError(f"constant {name!r} is not an object with a type and a value: {entry!r}")
         types[name] = parse_type_text(entry["type"])
         positions[name] = position_from_json(entry["value"], types[name], scope)
-    return KripkeModel(scope, tuple(acc), exists, positions, types)
+    return KripkeModel(scope, tuple(position(row, 2) for row in sees), exists, positions, types)

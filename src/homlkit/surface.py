@@ -294,9 +294,8 @@ def parse(text: str, filename: str = "<input>") -> Theory:
         tokens = _lex_line(raw_line, lineno, filename)
         if not tokens:
             continue
-        head = tokens[0]
-        rest = tokens[1:]
-        parser = _TermParser(rest, filename, lineno)
+        parser = _TermParser(tokens, filename, lineno)
+        head = parser.next()
         if head.kind != "kw":
             parser.error(f"expected a declaration keyword, got {head.text!r}", head)
         if head.text == "theory":

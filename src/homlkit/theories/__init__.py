@@ -34,6 +34,9 @@ def _manifest() -> dict:
 
 
 BUNDLE_IDS = tuple(_manifest())
+# Each variant parameter that a bundle takes, with its values, in manifest order.
+VARIANT_PARAMS = {key: values for entry in _manifest().values()
+                  for key, values in entry.get("params", {}).items()}
 
 
 class Bundle(Frozen):

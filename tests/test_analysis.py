@@ -1,12 +1,13 @@
 """Filter/ultrafilter checks, positive-property counting, cardinal experiments."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from homlkit import analysis
+from homlkit import analysis, cli
 from homlkit.analysis import (
     FAMILY_TYPE,
     PROPERTY_TYPE,
@@ -23,7 +24,7 @@ from homlkit.analysis import (
 from homlkit.errors import HomlError
 from homlkit.frozen import replace
 from homlkit.grounder import enumerate_models, find_model, ground
-from homlkit.semantics import KripkeModel, Scope, digits, position
+from homlkit.semantics import KripkeModel, Scope, digits, holds_at, position
 from homlkit.surface import load_theory
 from homlkit.theories import load_bundle
 
@@ -449,3 +450,64 @@ def test_every_family_agrees_with_classical_oracle(n, m):
             assert intension[w] == classical_is_filter(cells, members, maximal=True)
             assert by_extension[w] == classical_is_filter(
                 range(m), [{e for e, v in s if v == w} for s in members], maximal=True)
+
+
+# -- the filters bundle's statement of "filter" against analysis's ------------
+
+def statement_disagreements(models):
+    """(model index, world, statement, Python reading) wherever filters.homl's
+    isFilter or isUltra, applied to the family P through holds_at, differs
+    from is_modal_filter or intension-mode is_modal_ultrafilter."""
+    # The bundle's goal `isFilter U` and axiom `isUltra U`, with U renamed P.
+    theory = load_theory(re.sub(r"\bU\b", "P", load_bundle("filters").source))
+    statements = {"filter": theory.goals[0], "ultra": theory.axioms[0]}
+    found = []
+    for i, model in enumerate(models):
+        python = {"filter": is_modal_filter(model).per_world,
+                  "ultra": is_modal_ultrafilter(model, "P", "intension").per_world}
+        for w in range(model.scope.num_worlds):
+            found += [(i, w, name, python[name][w]) for name, formula in statements.items()
+                      if holds_at(model, formula, w) != python[name][w]]
+    return found
+
+
+def test_filter_statements_agree_on_the_models_goedel_suite_collects(capsys, monkeypatch):
+    collected = []
+
+    def recording(model, *args):
+        collected.append(model)
+        return is_modal_ultrafilter(model, *args)
+
+    monkeypatch.setattr(cli, "is_modal_ultrafilter", recording)
+    assert cli.main(["goedel-suite"]) == 0
+    capsys.readouterr()
+    assert len(collected) == 33
+    assert statement_disagreements(collected) == []
+
+
+def every_family(scope, sees):
+    """Every family at the scope, on the frame where w sees v iff sees(w, v)."""
+    n = scope.num_worlds
+    acc = tuple(position([sees(w, v) for v in range(n)], 2) for w in range(n))
+    return [KripkeModel(scope, acc, 0, {"P": p}, {"P": FAMILY_TYPE})
+            for p in range(2 ** (n * len(modal_sets(scope))))]
+
+
+# A modal set at (2,1) has two cells, and there every family that holds the
+# full set and is closed under meet is upward closed too; (1,3) has three.
+@pytest.mark.parametrize("n,m", [(2, 1), (1, 3)])
+def test_filter_statements_agree_on_every_family_of_the_universal_frame(n, m):
+    families = every_family(Scope(n, m), lambda w, v: True)
+    assert len(families) == 256
+    assert statement_disagreements(families) == []
+
+
+def test_filter_statements_differ_where_a_world_sees_only_itself():
+    # msubset's inclusion reads the accessible worlds only, and the Python
+    # statement's reads every (entity, world) cell: the bundle then has more
+    # inclusions to close under, and rejects families the Python one accepts.
+    found = statement_disagreements(every_family(Scope(2, 1), lambda w, v: w == v))
+    assert [name for *_, name, _ in found].count("filter") == 64
+    assert [name for *_, name, _ in found].count("ultra") == 32
+    assert all(python for *_, python in found)
+    assert (43, 1, "filter", True) in found

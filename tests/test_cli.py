@@ -209,6 +209,16 @@ def test_count_positive_exits_one_when_the_minimum_is_not_the_manifests(capsys, 
     assert json.dumps(manifest, sort_keys=True) == real
 
 
+def test_count_positive_counts_the_family_the_filters_manifest_names(capsys):
+    # filters' family is U: an ultrafilter holds 2^(m-1) of the 2^m sets.
+    for entities, count in [("2", 2), ("3", 4)]:
+        code, out = run_cli(["count-positive", "--bundle", "filters", "--entities", entities],
+                            capsys)
+        report = json.loads(out)
+        assert code == 0
+        assert (report["minimum"], report["maximum"], report["complete"]) == (count, count, True)
+
+
 @pytest.mark.parametrize("stop", [["--limit", "0"], ["--budget", "0"]])
 def test_incomplete_count_reports_no_empty_model_class(stop, capsys):
     # Goedel has a model at (1,1); a count stopped before the first model
@@ -360,6 +370,23 @@ def test_variant_flags_select_the_unsatisfiable_variants(argv, variant, capsys):
     assert code == 1
     assert report["result"]["verdict"] == "unsatisfiable"
     assert report["variant"] == variant
+
+
+def test_variant_options_are_the_manifests_params():
+    path = pathlib.Path(theories.__file__).parent / "data" / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    params = [(key, [f"--{key}"], values)
+              for entry in manifest.values() for key, values in entry.get("params", {}).items()]
+    assert [key for key, _, _ in params] == ["quantifier", "formulation", "extension"]
+    subcommands = cli.build_parser()._subparsers._group_actions[0].choices
+    with_theory = {name: sub._actions for name, sub in subcommands.items()
+                   if any(action.dest == "bundle" for action in sub._actions)}
+    assert sorted(with_theory) == ["check", "count-positive", "enumerate", "export-cnf",
+                                   "find-model"]
+    for name, actions in with_theory.items():
+        dests = [action.dest for action in actions]
+        options = actions[dests.index("file") + 1:dests.index("frame")]
+        assert [(a.dest, a.option_strings, a.choices) for a in options] == params, name
 
 
 @pytest.mark.parametrize("argv", [

@@ -382,6 +382,10 @@ PARSE_ERRORS = [
     (ParseError, "p\n", "t.homl:1:1: expected a declaration keyword, got 'p'"),
     (ParseError, "const p : prop\nbox p\n",
      "t.homl:2:1: unexpected keyword 'box' at start of declaration"),
+    # A keyword alone on its line: the error lands at the line's end.
+    (ParseError, "const p : prop\naxiom\n", "t.homl:2:6: expected a term"),
+    (ParseError, "theory\n", "t.homl:1:7: expected 'ident'"),
+    (ParseError, "const\n", "t.homl:1:6: expected 'ident'"),
 ]
 
 
